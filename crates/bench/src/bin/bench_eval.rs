@@ -78,7 +78,11 @@ struct SensitivityInfo {
 /// collapsed candidate grid. `argmin_match` is gated for every `k`;
 /// `eval_ratio` (exhaustive tuples over descent probes) is gated at >= 5
 /// for `k > 2`; `scalar_parity` (bitwise equality with the deprecated
-/// scalar minimizer) is gated on the canonical pair.
+/// scalar minimizer) is gated on the canonical pair. `wall_ms` is the
+/// fastest of [`KWAY_DESCENTS`] descents, each on a freshly built profile,
+/// and `per_probe_us` divides it by the probe count; the per-probe gate
+/// holds `per_probe_us(k) <= k * per_probe_us(2)` per workload, so a band
+/// price may grow with the arity but not with the band's length.
 #[derive(Serialize)]
 struct KwayEntry {
     workload: String,
@@ -93,7 +97,11 @@ struct KwayEntry {
     scalar_parity: Option<bool>,
     eval_ratio: f64,
     wall_ms: f64,
+    per_probe_us: f64,
 }
+
+/// Descents timed per k-way row; the row keeps the fastest.
+const KWAY_DESCENTS: usize = 3;
 
 #[derive(Serialize)]
 struct Report {
@@ -256,14 +264,34 @@ fn kway_gate<W: Profilable>(
         .checked_sub(1)
         .expect("a curve exposes at least one split");
 
+    let first_row = kway.len();
     for set in sets {
         let k = set.len();
         let step = kway_step(&space, k);
 
-        let started = Instant::now();
-        let cd = minimize_partition(curve.as_ref(), set, &space, step, None)
-            .expect("the cost curve prices bands for this device set");
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        // Each timed descent prices from a freshly built profile, so
+        // memoized band replays (cc) start cold every time.
+        let mut wall_ms = f64::INFINITY;
+        let mut descents = Vec::with_capacity(KWAY_DESCENTS);
+        for _ in 0..KWAY_DESCENTS {
+            let fresh = w.build_profile(pool);
+            let fresh_curve = w
+                .curve(&fresh)
+                .expect("k-way gate workloads expose a cost curve");
+            let started = Instant::now();
+            let cd = minimize_partition(fresh_curve.as_ref(), set, &space, step, None)
+                .expect("the cost curve prices bands for this device set");
+            wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            descents.push(cd);
+        }
+        let cd = descents.pop().expect("at least one descent");
+        if descents.iter().any(|d| *d != cd) {
+            mismatches.push(format!(
+                "{name}/{}: repeated descents on fresh profiles disagree",
+                set.name()
+            ));
+        }
+        let per_probe_us = wall_ms * 1e3 / cd.probes.max(1) as f64;
 
         // Exhaustive baseline: a non-decreasing odometer over candidate
         // indices enumerates every cut tuple the descent could reach.
@@ -339,7 +367,7 @@ fn kway_gate<W: Profilable>(
         });
 
         eprintln!(
-            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1}",
+            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1} | {per_probe_us:.2} us/probe",
             set.name(),
             cd.probes,
             cd.sweeps,
@@ -357,7 +385,23 @@ fn kway_gate<W: Profilable>(
             scalar_parity,
             eval_ratio,
             wall_ms,
+            per_probe_us,
         });
+    }
+
+    // Per-probe gate: a k-way probe prices k bands, so it may cost up to
+    // k times a canonical-pair probe, but no more.
+    let rows = &kway[first_row..];
+    if let Some(pair) = rows.iter().find(|e| e.k == 2) {
+        for e in rows.iter().filter(|e| e.k > 2) {
+            let bound = e.k as f64 * pair.per_probe_us;
+            if e.per_probe_us > bound {
+                mismatches.push(format!(
+                    "{name}/{}: {:.2} us per probe exceeds k x the k = 2 probe ({bound:.2} us)",
+                    e.devices, e.per_probe_us
+                ));
+            }
+        }
     }
 }
 
@@ -593,7 +637,7 @@ fn main() {
     });
 
     let report = Report {
-        schema: "nbwp-bench-eval/v4",
+        schema: "nbwp-bench-eval/v5",
         quick: args.quick,
         seed: args.seed,
         repetitions: reps,

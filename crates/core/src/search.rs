@@ -55,6 +55,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 
 use nbwp_par::Pool;
@@ -256,7 +257,8 @@ impl<'a> Searcher<'a> {
     /// first cut is consulted — it is exactly the old `warm_hint`, with
     /// the same basin caveat. [`ProfiledSearcher::run_partition`] at
     /// `k > 2` seeds its coordinate descent from the full vector instead
-    /// of the speed-proportional split.
+    /// of the speed-proportional split. A vector holding NaN names no
+    /// split: it is dropped and the search runs cold.
     #[must_use]
     pub fn warm_cuts(mut self, cuts: &'a [f64]) -> Self {
         self.warm_cuts = Some(cuts);
@@ -266,7 +268,7 @@ impl<'a> Searcher<'a> {
     /// The scalar warm hint the analytic strategy descends from: the first
     /// warm cut when one is set, else the deprecated scalar hint.
     fn effective_warm(&self) -> Option<f64> {
-        self.warm_cuts
+        usable_warm(self.warm_cuts)
             .and_then(|cuts| cuts.first().copied())
             .or(self.warm_hint)
     }
@@ -865,19 +867,28 @@ pub fn candidate_splits(
     collapse_candidates(curve, space, step)
 }
 
+/// A warm cut vector is only a hint, and one holding NaN names no split
+/// (`ThresholdSpace::clamp` passes NaN through): such a vector is dropped
+/// whole, so the search runs cold exactly as with no hint.
+fn usable_warm(cuts: Option<&[f64]>) -> Option<&[f64]> {
+    cuts.filter(|cuts| !cuts.iter().any(|t| t.is_nan()))
+}
+
 /// Shared candidate-selection core of [`Strategy::Analytic`] and the
 /// scalar curve minimizer: collapses the threshold grid onto distinct
 /// splits and locates the local-minimum candidates on the curve — via warm
 /// hill-descent when a hint is given, via the stride scan + sign-change
-/// bisection ([`cold_minima`]) otherwise. Returns the collapsed
-/// candidates, the chosen indices (sorted, deduplicated), and the memo
-/// holding every curve total probed along the way.
+/// bisection ([`cold_minima`]) otherwise (also for a NaN hint, see
+/// [`usable_warm`]). Returns the collapsed candidates, the chosen indices
+/// (sorted, deduplicated), and the memo holding every curve total probed
+/// along the way.
 fn select_on_curve<'c>(
     curve: &'c dyn CurveEval,
     space: &ThresholdSpace,
     step: f64,
     warm: Option<f64>,
 ) -> (Vec<(f64, usize)>, Vec<usize>, CurveMemo<'c>) {
+    let warm = warm.filter(|hint| !hint.is_nan());
     let cands = collapse_candidates(curve, space, step);
     let m = cands.len();
     let mut memo = CurveMemo::new(curve, &cands);
@@ -1028,9 +1039,41 @@ struct CdMemo<'c> {
     set: &'c DeviceSet,
     units: usize,
     splits_of: Vec<usize>,
-    priced: HashMap<Vec<usize>, SimTime>,
-    pairs: HashMap<(usize, usize, usize, usize), SimTime>,
+    priced: IndexMap<Vec<usize>>,
+    pairs: IndexMap<(usize, usize, usize, usize)>,
     probes: usize,
+}
+
+/// A memo of prices keyed by candidate indices and splits.
+type IndexMap<K> = HashMap<K, SimTime, BuildHasherDefault<IndexHasher>>;
+
+/// Multiply-rotate hasher for the descent memos. Their keys are indices
+/// the search generates itself, so the default SipHash's resistance to
+/// crafted collisions buys nothing, and on closed-form curves (gemm)
+/// hashing was the largest cost of a memoized probe.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl CdMemo<'_> {
@@ -1115,8 +1158,9 @@ impl TotalFn for CoordMemo<'_, '_> {
 ///   fixpoint (capped), and a final plateau walk lowers each cut while
 ///   the makespan holds bitwise, so equal-cost argmins resolve to the
 ///   lexicographically lowest cut vector — the same answer an exhaustive
-///   enumeration's keep-first rule produces. The descent seeds from `warm` when it supplies all
-///   `k − 1` cuts (the serving path); cold, it prices every non-decreasing
+///   enumeration's keep-first rule produces. The descent seeds from
+///   `warm` when it supplies all `k − 1` cuts, none of them NaN (the
+///   serving path); cold, it prices every non-decreasing
 ///   cut tuple on a *coarse* sub-grid — the k-way analogue of the scalar
 ///   coarse-to-fine pass, with the speed-proportional Lagrangian split
 ///   joining the pool — and descends from the best few basins
@@ -1135,6 +1179,7 @@ pub fn minimize_partition(
         .splits()
         .checked_sub(1)
         .expect("a curve exposes at least one split");
+    let warm = usable_warm(warm);
     if set.is_canonical_pair() {
         let m = minimize_curve_impl(curve, space, step, warm.and_then(|c| c.first().copied()));
         return Some(PartitionMinimum {
@@ -1175,8 +1220,8 @@ pub fn minimize_partition(
         set,
         units,
         splits_of: cands.iter().map(|&(_, s)| s).collect(),
-        priced: HashMap::new(),
-        pairs: HashMap::new(),
+        priced: IndexMap::default(),
+        pairs: IndexMap::default(),
         probes: 0,
     };
     // Scalar-only curves decline the probe here and the search reports

@@ -15,7 +15,9 @@
 //!   per-warp prefix sums plus a boundary-warp running max (prefix side) and
 //!   a warp-stride suffix DP (suffix side), so both
 //!   `warp_padded_cost(&work[..s], w)` and `warp_padded_cost(&work[s..], w)`
-//!   are reproduced **bitwise** for every split `s` in O(1).
+//!   are reproduced **bitwise** for every split `s` in O(1), and any
+//!   interior band `warp_padded_cost(&work[lo..hi], w)` in O(1) plus a
+//!   scan of its partial tail warp (fewer than `w` items).
 //!
 //! Both curves store their arrays in 64-byte-aligned [`AlignedU64s`]
 //! buffers and offer `*_in` constructors that draw those buffers from a
@@ -201,7 +203,8 @@ impl PrefixCurve {
 }
 
 /// O(1) reproduction of [`warp_padded_cost`] for every prefix and suffix
-/// split of a fixed per-item work vector.
+/// split of a fixed per-item work vector, and O(1) plus the partial tail
+/// warp for every interior band.
 ///
 /// `warp_padded_cost` is not additive across a split: slicing restarts warp
 /// grouping at the slice start, so `pad(work[..s]) + pad(work[s..])` is in
@@ -221,7 +224,16 @@ impl PrefixCurve {
 ///   `suffix_pad[i]` only reads entries at `i + warp` and beyond, so the
 ///   per-block fill loop carries no dependency and autovectorizes.
 ///
-/// All quantities are exact `u64` arithmetic, so both query methods return
+/// The suffix recurrence also prices interior bands: a band `lo..hi`
+/// groups its items into warps starting at `lo`, exactly like the suffix
+/// from `lo`, so its full warps telescope out of `suffix_pad` and only the
+/// partial tail warp needs the items themselves
+/// ([`WarpPadCurve::band_cost`]). Prefixes could telescope the same way
+/// from 0; `full_warp_prefix` stores those differences densely instead, so
+/// the scalar split query reads one small array rather than a second
+/// `suffix_pad` cache line.
+///
+/// All quantities are exact `u64` arithmetic, so every query method returns
 /// values bitwise equal to calling [`warp_padded_cost`] on the slice.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarpPadCurve {
@@ -368,6 +380,38 @@ impl WarpPadCurve {
     #[must_use]
     pub fn suffix_cost(&self, split: usize) -> u64 {
         self.suffix_pad[split]
+    }
+
+    /// `warp_padded_cost(&work[lo..hi], warp)`, bitwise, in O(1) + O(warp).
+    ///
+    /// Warp grouping restarts at `lo`, so the band's `q = (hi − lo) / warp`
+    /// full warps are exactly the first `q` steps of the suffix recurrence
+    /// from `lo`, and they telescope out of it:
+    /// `suffix_pad[lo] − suffix_pad[lo + warp·q]`. Only the partial tail
+    /// warp `[lo + warp·q, hi)` — at most `warp − 1` items — is maxed item
+    /// by item through `work_at(i)`, the caller's accessor for `work[i]`,
+    /// and padded to full width. Prefix bands (`lo == 0`) and suffix bands
+    /// (`hi == len`) need no accessor reads: they are
+    /// [`WarpPadCurve::prefix_cost`] and [`WarpPadCurve::suffix_cost`].
+    ///
+    /// # Panics
+    /// Panics if `lo > hi` or `hi > len`.
+    #[must_use]
+    pub fn band_cost(&self, lo: usize, hi: usize, work_at: impl Fn(usize) -> u64) -> u64 {
+        assert!(
+            lo <= hi && hi <= self.len(),
+            "band {lo}..{hi} out of bounds"
+        );
+        if hi == self.len() {
+            return self.suffix_pad[lo];
+        }
+        if lo == 0 {
+            return self.prefix_cost(hi);
+        }
+        let tail = hi - (hi - lo) % self.warp;
+        let full_warps = self.suffix_pad[lo] - self.suffix_pad[tail];
+        let slowest = (tail..hi).map(work_at).max().unwrap_or(0);
+        full_warps + slowest * self.warp as u64
     }
 
     /// Raw internal arrays `(full_warp_prefix, running_max, suffix_pad)`,
@@ -615,6 +659,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn warp_pad_band_cost_exact_on_every_band() {
+        for (n, warp, seed) in [
+            (0, 32, 1),
+            (5, 32, 2),
+            (33, 32, 3),
+            (100, 32, 4),
+            (97, 7, 5),
+        ] {
+            let work = pseudo_random_work(n, seed);
+            let curve = WarpPadCurve::new(&work, warp);
+            for lo in 0..=n {
+                for hi in lo..=n {
+                    assert_eq!(
+                        curve.band_cost(lo, hi, |i| work[i]),
+                        warp_padded_cost(&work[lo..hi], warp),
+                        "n={n} warp={warp} band {lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warp_pad_band_cost_reads_only_the_tail_warp() {
+        let work = pseudo_random_work(200, 6);
+        let curve = WarpPadCurve::new(&work, 32);
+        let reads = std::cell::Cell::new(0);
+        let at = |i: usize| {
+            reads.set(reads.get() + 1);
+            work[i]
+        };
+        // 17..180 holds 5 full warps and a 3-item tail.
+        let _ = curve.band_cost(17, 180, at);
+        assert_eq!(reads.get(), 3);
+        // Prefix and suffix bands never consult the accessor.
+        let _ = curve.band_cost(0, 150, at);
+        let _ = curve.band_cost(9, 200, at);
+        assert_eq!(reads.get(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn band_cost_bounds_checked() {
+        let curve = WarpPadCurve::new(&[1, 2, 3], 2);
+        let _ = curve.band_cost(2, 1, |_| 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the device cost models.
 
-use nbwp_sim::{warp_padded_cost, CpuModel, GpuModel, KernelStats, PcieModel, Platform, SimTime};
+use nbwp_sim::{
+    warp_padded_cost, CpuModel, GpuModel, KernelStats, PcieModel, Platform, SimTime, WarpPadCurve,
+};
 use proptest::prelude::*;
 
 fn arb_stats() -> impl Strategy<Value = KernelStats> {
@@ -187,4 +189,78 @@ proptest! {
         prop_assert!((once.cpu.rate_scale - twice.cpu.rate_scale).abs() < 1e-12);
         prop_assert!((once.gpu.launch_overhead_us - twice.gpu.launch_overhead_us).abs() < 1e-9);
     }
+
+    #[test]
+    fn warp_pad_band_cost_matches_sliced_padding(
+        work in prop::collection::vec(0u64..1000, 0..200),
+        warp in 1usize..40,
+        a in 0usize..200,
+        b in 0usize..200,
+    ) {
+        let n = work.len();
+        let curve = WarpPadCurve::new(&work, warp);
+        let (x, y) = (a % (n + 1), b % (n + 1));
+        let (lo, hi) = (x.min(y), x.max(y));
+        assert_band_exact(&curve, &work, warp, lo, hi);
+        // Empty bands, one short of a warp, exactly one warp, one past a
+        // warp, and the bands running to either end of the input.
+        for len in [0, warp - 1, warp, warp + 1] {
+            if lo + len <= n {
+                assert_band_exact(&curve, &work, warp, lo, lo + len);
+            }
+        }
+        assert_band_exact(&curve, &work, warp, lo, n);
+        assert_band_exact(&curve, &work, warp, 0, hi);
+    }
+
+    #[test]
+    fn warp_pad_band_cost_exact_below_one_warp(
+        case in (2usize..48).prop_flat_map(|w| (Just(w), prop::collection::vec(0u64..1000, 0..w))),
+    ) {
+        // n < warp: every band is a lone partial warp.
+        let (warp, work) = case;
+        let n = work.len();
+        let curve = WarpPadCurve::new(&work, warp);
+        for lo in 0..=n {
+            for hi in lo..=n {
+                assert_band_exact(&curve, &work, warp, lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn warp_pad_band_cost_after_patch_equals_rebuild(
+        base in prop::collection::vec(0u64..1000, 1..200),
+        repl in prop::collection::vec(0u64..1000, 200..201),
+        warp in 1usize..40,
+        a in 0usize..200,
+        b in 0usize..200,
+    ) {
+        let n = base.len();
+        let (x, y) = (a % (n + 1), b % (n + 1));
+        let (lo, hi) = (x.min(y), x.max(y));
+        let mut work = base.clone();
+        work[lo..hi].copy_from_slice(&repl[..hi - lo]);
+        let mut patched = WarpPadCurve::new(&base, warp);
+        patched.patch(&work, lo, hi);
+        let rebuilt = WarpPadCurve::new(&work, warp);
+        prop_assert_eq!(&patched, &rebuilt);
+        for start in 0..=n {
+            for len in [0, warp - 1, warp, warp + 1, n - start] {
+                if start + len <= n {
+                    assert_band_exact(&patched, &work, warp, start, start + len);
+                }
+            }
+        }
+    }
+}
+
+/// `band_cost` over `lo..hi` against direct evaluation on the slice.
+fn assert_band_exact(curve: &WarpPadCurve, work: &[u64], warp: usize, lo: usize, hi: usize) {
+    assert_eq!(
+        curve.band_cost(lo, hi, |i| work[i]),
+        warp_padded_cost(&work[lo..hi], warp),
+        "n={} warp={warp} band {lo}..{hi}",
+        work.len()
+    );
 }

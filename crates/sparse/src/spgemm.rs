@@ -297,14 +297,16 @@ where
 }
 
 /// Prefix-sum cost curves over a per-row [`RowCost`] profile: both sides of
-/// any contiguous row split are priced in O(1), **bitwise equal** to calling
+/// any contiguous row split are priced in O(1), and any interior row band
+/// in O(1) plus its partial tail warp, **bitwise equal** to calling
 /// [`stats_for_rows`] on the corresponding slice.
 ///
 /// Every field of [`stats_for_rows`] is a `u64`-linear combination of the
 /// per-row counters (exact under prefix-sum differences), except
 /// `simd_padded_flops`, which restarts warp grouping at the slice start —
-/// that one is reproduced by a [`WarpPadCurve`] with boundary-warp
-/// correction. See `nbwp-sim::profile` for the exactness argument.
+/// that one is reproduced by a [`WarpPadCurve`] (boundary-warp correction
+/// for prefixes, telescoped suffix recurrence for suffixes and bands). See
+/// `nbwp-sim::profile` for the exactness argument.
 ///
 /// ```
 /// use nbwp_sparse::{gen, spgemm::{row_profile, stats_for_rows, RowCurves}};
@@ -547,12 +549,12 @@ impl RowCurves {
         )
     }
 
-    /// `stats_for_rows(&costs[lo..hi], b_bytes)`, bitwise. Prefix and
-    /// suffix bands stay O(1); an interior band pays an O(hi − lo) walk
-    /// to rebuild its warp padding, because warp grouping restarts at
-    /// `lo` and the pad curve only stores prefix/suffix breakpoints.
-    /// Per-row flops are recovered losslessly from the `b_entries` curve
-    /// (`flops = 2 · b_entries`, see [`RowCost::flops`]), so the walk
+    /// `stats_for_rows(&costs[lo..hi], b_bytes)`, bitwise, in O(1) plus
+    /// fewer than [`WARP`] row reads. The additive counters are range sums;
+    /// the warp padding comes from [`WarpPadCurve::band_cost`], whose full
+    /// warps telescope out of the suffix recurrence and whose partial tail
+    /// warp reads per-row flops recovered losslessly from the `b_entries`
+    /// curve (`flops = 2 · b_entries`, see [`RowCost::flops`]) — so it
     /// reproduces [`warp_padded_cost`] on the slice exactly.
     ///
     /// # Panics
@@ -560,29 +562,13 @@ impl RowCurves {
     #[must_use]
     pub fn stats_range(&self, lo: usize, hi: usize) -> KernelStats {
         assert!(lo <= hi && hi <= self.rows, "band out of range");
-        if lo == 0 {
-            return self.stats_prefix(hi);
-        }
-        if hi == self.rows {
-            return self.stats_suffix(lo);
-        }
-        let mut simd_padded = 0u64;
-        let mut warp_start = lo;
-        while warp_start < hi {
-            let warp_end = (warp_start + WARP).min(hi);
-            let mut slowest = 0u64;
-            for row in warp_start..warp_end {
-                slowest = slowest.max(2 * self.b_entries.range_sum(row, row + 1));
-            }
-            simd_padded += slowest * WARP as u64;
-            warp_start = warp_end;
-        }
         self.assemble(
             (hi - lo) as u64,
             self.a_nnz.range_sum(lo, hi),
             self.b_entries.range_sum(lo, hi),
             self.c_nnz.range_sum(lo, hi),
-            simd_padded,
+            self.pad
+                .band_cost(lo, hi, |row| 2 * self.b_entries.range_sum(row, row + 1)),
         )
     }
 }
@@ -803,26 +789,54 @@ mod tests {
         let a = crate::gen::power_law(130, 7, 2.1, 5);
         let costs = row_profile(&a, &a);
         let b_bytes = a.size_bytes();
-        let curves = RowCurves::new(&costs, b_bytes);
-        // Interior bands (warp grouping restarts at lo), bands landing
-        // exactly on warp boundaries, empty bands, and the two O(1)
-        // prefix/suffix fast paths.
-        for (lo, hi) in [
-            (0, 0),
-            (0, 130),
-            (0, 57),
-            (57, 130),
-            (1, 129),
-            (32, 96),
-            (31, 33),
-            (40, 40),
-            (17, 111),
+        // The drift path: rows 40..70 of A rewritten and the curves patched
+        // over every row whose cost moved, not rebuilt.
+        let delta = crate::delta::CsrDelta {
+            ops: (40..70)
+                .map(|r| crate::delta::RowOp::Replace {
+                    row: r,
+                    cols: vec![(r % 13) as u32, 90 + (r % 40) as u32],
+                    vals: vec![1.0, 2.0],
+                })
+                .collect(),
+        };
+        let (a2, _) = delta.apply(&a);
+        let drifted = row_profile(&a2, &a2);
+        let moved: Vec<usize> = (0..130).filter(|&r| costs[r] != drifted[r]).collect();
+        let (plo, phi) = (moved[0], moved[moved.len() - 1] + 1);
+        let mut patched = RowCurves::new(&costs, b_bytes);
+        let mut scratch = ProfileScratch::new();
+        patched.patch_in(&drifted, plo, phi, a2.size_bytes(), &mut scratch);
+
+        for (label, curves, costs, b_bytes) in [
+            ("built", RowCurves::new(&costs, b_bytes), &costs, b_bytes),
+            ("patched", patched, &drifted, a2.size_bytes()),
         ] {
-            assert_eq!(
-                curves.stats_range(lo, hi),
-                stats_for_rows(&costs[lo..hi], b_bytes),
-                "band {lo}..{hi}"
-            );
+            // Interior bands (warp grouping restarts at lo), bands one
+            // short of, exactly, and one past a warp, bands landing on
+            // warp boundaries, empty bands, and the prefix/suffix bands.
+            for (lo, hi) in [
+                (0, 0),
+                (0, 130),
+                (0, 57),
+                (57, 130),
+                (1, 129),
+                (32, 96),
+                (31, 33),
+                (40, 40),
+                (17, 111),
+                (45, 76),
+                (45, 77),
+                (45, 78),
+                (98, 129),
+                (129, 130),
+            ] {
+                assert_eq!(
+                    curves.stats_range(lo, hi),
+                    stats_for_rows(&costs[lo..hi], b_bytes),
+                    "{label} band {lo}..{hi}"
+                );
+            }
         }
     }
 

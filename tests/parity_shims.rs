@@ -252,7 +252,7 @@ fn estimate_shims_match_the_estimator_builder() {
 }
 
 /// The 0.3.0 scalar shims: `minimize_curve` is the canonical-pair arm of
-/// `minimize_partition`, bitwise, warm or cold.
+/// `minimize_partition`, bitwise, warm or cold (a NaN hint runs cold).
 #[test]
 fn minimize_curve_shim_matches_minimize_partition_on_the_canonical_pair() {
     let w = workload();
@@ -261,7 +261,7 @@ fn minimize_curve_shim_matches_minimize_partition_on_the_canonical_pair() {
     let space = w.space();
     let curve = w.curve(&profile).expect("spmm exposes a cost curve");
 
-    for warm in [None, Some(42.0)] {
+    for warm in [None, Some(42.0), Some(f64::NAN)] {
         let scalar = minimize_curve(curve.as_ref(), &space, STEP, warm);
         let warm_buf = warm.map(|h| [h]);
         let part = minimize_partition(
@@ -281,24 +281,29 @@ fn minimize_curve_shim_matches_minimize_partition_on_the_canonical_pair() {
     }
 }
 
-/// `Searcher::warm_hint(h)` is `Searcher::warm_cuts(&[h])`, bitwise.
+/// `Searcher::warm_hint(h)` is `Searcher::warm_cuts(&[h])`, bitwise — a
+/// NaN hint included, which both drop to serve the cold result.
 #[test]
 fn warm_hint_shim_matches_warm_cuts() {
     let w = workload();
     let cold = Searcher::new(Strategy::Analytic { step: None })
         .profiled()
         .run(&w);
-    let hint = cold.best_t;
-    let via_hint = Searcher::new(Strategy::Analytic { step: None })
-        .warm_hint(hint)
-        .profiled()
-        .run(&w);
-    let cuts = [hint];
-    let via_cuts = Searcher::new(Strategy::Analytic { step: None })
-        .warm_cuts(&cuts)
-        .profiled()
-        .run(&w);
-    assert_eq!(via_hint, via_cuts);
+    for hint in [cold.best_t, f64::NAN] {
+        let via_hint = Searcher::new(Strategy::Analytic { step: None })
+            .warm_hint(hint)
+            .profiled()
+            .run(&w);
+        let cuts = [hint];
+        let via_cuts = Searcher::new(Strategy::Analytic { step: None })
+            .warm_cuts(&cuts)
+            .profiled()
+            .run(&w);
+        assert_eq!(via_hint, via_cuts, "hint {hint}");
+        if hint.is_nan() {
+            assert_eq!(via_hint, cold);
+        }
+    }
 }
 
 /// `ConfigKey::of` is `ConfigKey::with_devices` on the canonical pair.

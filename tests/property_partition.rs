@@ -10,9 +10,12 @@
 //!   k-banded execution recomputed from the raw per-row cost profile —
 //!   per-band kernel stats, per-link transfers, speed scaling, and the
 //!   `partition + slowest band + merge` composition — including empty
-//!   bands (duplicate cuts) and cuts landing on warp (32-row) boundaries.
+//!   bands (duplicate cuts) and cuts landing on warp (32-row) boundaries;
+//! * a warm cut vector holding NaN is dropped, so the search serves the
+//!   cold result bitwise (a fixed-input regression test).
 
 use nbwp_core::prelude::*;
+use nbwp_core::search::Strategy as SearchStrategy;
 use nbwp_graph::delta::GraphDelta;
 use nbwp_graph::gen as ggen;
 use nbwp_sparse::delta::CsrDelta;
@@ -241,4 +244,59 @@ proptest! {
             );
         }
     }
+}
+
+/// A warm cut vector holding NaN carries no usable hint: the search drops
+/// it and runs cold, serving exactly what no hint serves — the scalar
+/// outcome, the canonical-pair partition, and the k = 4 partition alike.
+fn assert_nan_hints_serve_cold<W: Profilable>(name: &str, w: &W) {
+    let searcher = Searcher::new(SearchStrategy::Analytic { step: None });
+    let cold_scalar = searcher.profiled().run(w);
+    let pair = DeviceSet::cpu_gpu();
+    let dual = DeviceSet::dual_cpu_dual_gpu();
+    let cold_pair = searcher.profiled().run_partition(w, &pair);
+    let cold_dual = searcher.profiled().run_partition(w, &dual);
+    let nan = f64::NAN;
+    let hints: [&[f64]; 4] = [
+        &[nan],
+        &[nan, nan, nan],
+        &[nan, 40.0, 80.0],
+        &[10.0, 40.0, nan],
+    ];
+    for hint in hints {
+        let warm = searcher.warm_cuts(hint).profiled();
+        assert_eq!(warm.run(w), cold_scalar, "{name} scalar, hint {hint:?}");
+        assert_eq!(
+            warm.run_partition(w, &pair),
+            cold_pair,
+            "{name} k=2, hint {hint:?}"
+        );
+        assert_eq!(
+            warm.run_partition(w, &dual),
+            cold_dual,
+            "{name} k=4, hint {hint:?}"
+        );
+    }
+
+    // The curve-level entry point drops the hint the same way.
+    let profile = w.build_profile(Pool::global());
+    let curve = w.curve(&profile).expect("exposes a cost curve");
+    let space = w.space();
+    for set in [&pair, &dual] {
+        let cold = minimize_partition(curve.as_ref(), set, &space, space.fine_step, None);
+        for hint in hints {
+            let warm = minimize_partition(curve.as_ref(), set, &space, space.fine_step, Some(hint));
+            assert_eq!(warm, cold, "{name} {}, hint {hint:?}", set.name());
+        }
+    }
+}
+
+#[test]
+fn nan_warm_cuts_serve_the_cold_result() {
+    assert_nan_hints_serve_cold(
+        "spmm",
+        &SpmmWorkload::new(sgen::power_law(300, 6, 2.1, 7), platform()),
+    );
+    assert_nan_hints_serve_cold("cc", &CcWorkload::new(ggen::web(300, 4, 7), platform()));
+    assert_nan_hints_serve_cold("gemm", &DenseGemmWorkload::new(96, platform()));
 }
