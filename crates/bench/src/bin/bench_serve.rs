@@ -3,11 +3,14 @@
 //!
 //! The harness replays a request stream of repeated and perturbed inputs
 //! (the serving scenario: a registry of known inputs queried over and
-//! over, plus structurally similar newcomers) through two pipelines — the
-//! plain sampling estimator under `CoarseToFine` and the profiled
-//! estimator under `Strategy::Analytic` — and times every request twice:
+//! over, plus structurally similar newcomers) through the profiled
+//! serving estimator under two strategies — `CoarseToFine`, which never
+//! warm-starts, and `Strategy::Analytic`, which does — and times every
+//! request twice:
 //!
-//! * **cold**: no cache — full sample + profile + search per request;
+//! * **cold**: no cache — the reference estimate per request: the direct
+//!   `Estimator::run` under `CoarseToFine`, the profiled run under
+//!   `Strategy::Analytic` (which only runs profiled);
 //! * **warm**: one shared [`ThresholdCache`] — exact-key hits skip the
 //!   pipeline entirely, near-key hits warm-start the analytic search.
 //!
@@ -16,8 +19,9 @@
 //! * every exact-key hit must be bitwise identical to the run that
 //!   populated its entry (and hence to the cold path whenever that run
 //!   was cold — true for every multi-family base input here);
-//! * `run_batch` without a cache must equal the cold single-request path
-//!   bitwise, item by item, duplicates included, on any pool.
+//! * `run_batch` without a cache must equal the cold reference bitwise,
+//!   item by item, duplicates included, on any pool — under
+//!   `CoarseToFine` that pins profiled serving to the direct reference.
 //!
 //! Near-key warm starts are *not* bitwise-gated: a warm start outside the
 //! cold argmin's basin legally serves a nearby local minimum (see
@@ -249,7 +253,6 @@ fn run_kway(
 /// scheduler noise; the ≤10% overhead gate compares the two minima.
 fn steady_per_request_ms(
     strategy: Strategy,
-    analytic: bool,
     seed: u64,
     uniques: &[CcWorkload],
     distinct: usize,
@@ -266,12 +269,7 @@ fn steady_per_request_ms(
         } else {
             e.cache(&warm_cache)
         };
-        let est = if analytic {
-            e.profiled().run_cached(w)
-        } else {
-            e.run_cached(w)
-        };
-        std::hint::black_box(est);
+        std::hint::black_box(e.profiled().run_cached(w));
     };
     for w in uniques.iter().take(distinct) {
         serve(w, false); // populate both caches
@@ -325,6 +323,8 @@ fn run_pipeline(
     } else {
         Strategy::CoarseToFine
     };
+    // The reference is the direct pipeline wherever it can run, so the
+    // parity gates below check profiled serving against it.
     let cold = |w: &CcWorkload| -> SamplingEstimate {
         let e = Estimator::new(strategy).seed(seed);
         if analytic {
@@ -347,12 +347,11 @@ fn run_pipeline(
     // Warm serve: the whole stream, one at a time, behind a shared cache.
     let cache = ThresholdCache::new(64);
     let serve = |w: &CcWorkload| -> SamplingEstimate {
-        let e = Estimator::new(strategy).seed(seed).cache(&cache);
-        if analytic {
-            e.profiled().run_cached(w)
-        } else {
-            e.run_cached(w)
-        }
+        Estimator::new(strategy)
+            .seed(seed)
+            .cache(&cache)
+            .profiled()
+            .run_cached(w)
     };
     let mut first_served: Vec<Option<(SamplingEstimate, bool)>> = vec![None; uniques.len()];
     let mut warm_results: Vec<SamplingEstimate> = Vec::with_capacity(stream.len());
@@ -407,16 +406,13 @@ fn run_pipeline(
     let audit_cache = ThresholdCache::new(64);
     let flight = FlightRecorder::new();
     for (i, req) in stream.iter().enumerate() {
-        let e = Estimator::new(strategy)
+        let est = Estimator::new(strategy)
             .seed(seed)
             .cache(&audit_cache)
             .audit(&flight)
-            .shadow_rate(1.0);
-        let est = if analytic {
-            e.profiled().run_cached(&req.w)
-        } else {
-            e.run_cached(&req.w)
-        };
+            .shadow_rate(1.0)
+            .profiled()
+            .run_cached(&req.w);
         if bits(&est) != bits(&warm_results[i]) {
             mismatches.push(format!(
                 "{name}: audited request {i} differs bitwise from the unaudited warm path"
@@ -447,13 +443,13 @@ fn run_pipeline(
     // scheduler noise even after interleaved min-of-K — re-measure a
     // failing gate up to twice and keep the best-ratio attempt.
     let (mut steady_warm, mut steady_audited) =
-        steady_per_request_ms(strategy, analytic, seed, uniques, distinct);
+        steady_per_request_ms(strategy, seed, uniques, distinct);
     let mut audit_overhead_ratio = steady_audited / steady_warm.max(1e-9);
     for _retry in 0..2 {
         if audit_overhead_ratio <= 1.10 {
             break;
         }
-        let (w, a) = steady_per_request_ms(strategy, analytic, seed, uniques, distinct);
+        let (w, a) = steady_per_request_ms(strategy, seed, uniques, distinct);
         let ratio = a / w.max(1e-9);
         if ratio < audit_overhead_ratio {
             (steady_warm, steady_audited, audit_overhead_ratio) = (w, a, ratio);
@@ -468,17 +464,13 @@ fn run_pipeline(
         mismatches,
     ));
 
-    // Batch parity (no cache): `run_batch` must equal the cold
-    // single-request path bitwise, item by item, for any pool size.
+    // Batch parity (no cache): `run_batch` must equal the cold reference
+    // bitwise, item by item, for any pool size.
     let ws: Vec<CcWorkload> = stream.iter().map(|r| r.w.clone()).collect();
-    let parity_batch = {
-        let e = Estimator::new(strategy).seed(seed);
-        if analytic {
-            e.profiled().run_batch(&ws)
-        } else {
-            e.run_batch(&ws)
-        }
-    };
+    let parity_batch = Estimator::new(strategy)
+        .seed(seed)
+        .profiled()
+        .run_batch(&ws);
     for (req, est) in stream.iter().zip(&parity_batch) {
         if bits(est) != bits(&cold_results[req.unique]) {
             mismatches.push(format!(
@@ -492,14 +484,11 @@ fn run_pipeline(
     // one-at-a-time cold loop over the same stream.
     let batch_cache = ThresholdCache::new(64);
     let started = Instant::now();
-    let batch_results = {
-        let e = Estimator::new(strategy).seed(seed).cache(&batch_cache);
-        if analytic {
-            e.profiled().run_batch(&ws)
-        } else {
-            e.run_batch(&ws)
-        }
-    };
+    let batch_results = Estimator::new(strategy)
+        .seed(seed)
+        .cache(&batch_cache)
+        .profiled()
+        .run_batch(&ws);
     let batch_wall_ms = started.elapsed().as_secs_f64() * 1e3;
     std::hint::black_box(&batch_results);
     let started = Instant::now();

@@ -1,4 +1,4 @@
-//! Extension harness (related work [30]): energy-aware partitioning. For
+//! Extension harness (related work \[30\]): energy-aware partitioning. For
 //! each spmm dataset, compares the time-optimal and energy-optimal
 //! thresholds and the joules saved by optimizing for energy.
 

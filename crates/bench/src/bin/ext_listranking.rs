@@ -1,5 +1,5 @@
 //! Extension harness: the fifth case study — hybrid list ranking (the
-//! second algorithm of the paper's citation [5]). The threshold is the
+//! second algorithm of the paper's citation \[5\]). The threshold is the
 //! splitter fraction; its optimum moves with the input's list structure.
 
 use nbwp_bench::Opts;

@@ -1,5 +1,5 @@
 //! Extension harness: the fourth case study — hybrid sorting (after the
-//! paper's citation [3]) across key distributions. Demonstrates the
+//! paper's citation \[3\]) across key distributions. Demonstrates the
 //! framework's claimed generality: the same Sample → Identify →
 //! Extrapolate pipeline, a different heterogeneous algorithm.
 

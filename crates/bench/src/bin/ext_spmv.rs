@@ -1,4 +1,4 @@
-//! Extension harness: SpMV (the paper's related-work [17]) across the
+//! Extension harness: SpMV (the paper's related-work \[17\]) across the
 //! Table II suite — the lightest-weight partitioned kernel, where fixed
 //! costs and the CPU cache cliff dominate the threshold landscape.
 

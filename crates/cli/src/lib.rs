@@ -84,7 +84,7 @@ pub enum Command {
         input: Option<String>,
         /// Batch request file: one Matrix Market path per line (blank lines
         /// and `#` comments skipped). Served through
-        /// `Estimator::run_batch` behind a shared threshold cache.
+        /// `ProfiledEstimator::run_batch` behind a shared threshold cache.
         batch: Option<String>,
         /// Capacity of the threshold cache used in batch mode (default
         /// [`ThresholdCache::default`]'s).
@@ -640,16 +640,38 @@ fn resolve_strategy(
     }
 }
 
-/// Runs the estimator, routing [`Strategy::Analytic`] through the profiled
-/// path it requires (subgradients come off the cost-curve profile). With an
-/// enabled flight recorder the request goes through the serving path
-/// (`run_cached`; no cache attached, so it runs cold) and records one audit
-/// event — the estimate itself is identical either way.
+/// Resolves the strategy of one `estimate` invocation and splits off a
+/// k-way device set. A k-way set routes through the analytic partition
+/// search (it prices bands off the cost curve), so an explicit
+/// non-analytic strategy conflicts with it; the canonical pair keeps the
+/// scalar pipeline.
+fn resolve_serving<'d>(
+    workload: &str,
+    strategy: Option<&str>,
+    analytic: bool,
+    devices: Option<&'d DeviceSet>,
+) -> Result<(Strategy, Option<&'d DeviceSet>), CliError> {
+    let resolved = resolve_strategy(workload, strategy, analytic)?;
+    match devices.filter(|s| !s.is_canonical_pair()) {
+        Some(set) if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) => {
+            Err(err(format!(
+                "--devices {} prices bands from the cost curve; \
+                 use --analytic (or drop --strategy)",
+                set.name()
+            )))
+        }
+        Some(set) => Ok((Strategy::Analytic { step: None }, Some(set))),
+        None => Ok((resolved, None)),
+    }
+}
+
+/// Serves one request through the profiled estimator. No cache is
+/// attached, so it runs cold; with an enabled flight recorder it records
+/// one audit event — the estimate itself is identical either way.
 fn run_estimator<W>(
     w: &W,
     strategy: Strategy,
     seed: u64,
-    devices: Option<&DeviceSet>,
     rec: &Recorder,
     audit: &FlightRecorder,
 ) -> SamplingEstimate
@@ -657,22 +679,12 @@ where
     W: Sampleable + Fingerprinted,
     W::Sample: Profilable,
 {
-    let mut e = Estimator::new(strategy)
+    Estimator::new(strategy)
         .seed(seed)
         .recorder(rec)
-        .audit(audit);
-    if let Some(set) = devices {
-        e = e.devices(set);
-    }
-    match (
-        matches!(strategy, Strategy::Analytic { .. }),
-        audit.is_enabled(),
-    ) {
-        (true, true) => e.profiled().run_cached(w),
-        (true, false) => e.profiled().run(w),
-        (false, true) => e.run_cached(w),
-        (false, false) => e.run(w),
-    }
+        .audit(audit)
+        .profiled()
+        .run_cached(w)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -687,24 +699,7 @@ fn estimate_cmd(
     sinks: &Sinks<'_>,
 ) -> Result<String, CliError> {
     let a = load_square(input)?;
-    // A k-way device set routes through the analytic partition search (it
-    // prices bands off the cost curve); an explicit non-analytic strategy
-    // therefore conflicts. The canonical pair keeps the scalar pipeline.
-    let kway = devices.filter(|s| !s.is_canonical_pair());
-    let resolved = resolve_strategy(workload, strategy, analytic)?;
-    let strategy = match kway {
-        Some(set) => {
-            if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
-                return Err(err(format!(
-                    "--devices {} prices bands from the cost curve; \
-                     use --analytic (or drop --strategy)",
-                    set.name()
-                )));
-            }
-            Strategy::Analytic { step: None }
-        }
-        None => resolved,
-    };
+    let (strategy, kway) = resolve_serving(workload, strategy, analytic, devices)?;
     let platform = Platform::k40c_xeon_e5_2650();
     let rec = sinks.recorder();
     let audit = sinks.flight_recorder();
@@ -735,17 +730,17 @@ fn estimate_cmd(
         }
         ("cc", None) => {
             let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
+            let est = run_estimator(&w, strategy, seed, &rec, &audit);
             report_scalar(&mut out, &w, &est, "CPU vertex share %", exhaustive, &rec);
         }
         ("spmm", None) => {
             let w = SpmmWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
+            let est = run_estimator(&w, strategy, seed, &rec, &audit);
             report_scalar(&mut out, &w, &est, "CPU work share %", exhaustive, &rec);
         }
         ("hh", None) => {
             let w = HhWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, devices, &rec, &audit);
+            let est = run_estimator(&w, strategy, seed, &rec, &audit);
             report_scalar(
                 &mut out,
                 &w,
@@ -766,11 +761,10 @@ fn estimate_cmd(
 /// Runs the k-way analytic partition search over the full input and
 /// appends the cut vector plus one work-fraction row per device. The
 /// fractions are also exported as `partition.fraction.d<i>` gauges, which
-/// `nbwp report --metrics` renders as a dedicated row. With an enabled
-/// flight recorder the request goes through the partition serving path
-/// (`run_partition_cached`; no cache attached, so it runs cold) and
-/// records one arity-`k` audit event — the partition is identical either
-/// way.
+/// `nbwp report --metrics` renders as a dedicated row. The request goes
+/// through the partition serving path (`run_partition_cached`; no cache
+/// attached, so it runs cold); with an enabled flight recorder it records
+/// one arity-`k` audit event — the partition is identical either way.
 fn report_partition<W: Profilable + Fingerprinted>(
     out: &mut String,
     w: &W,
@@ -779,20 +773,13 @@ fn report_partition<W: Profilable + Fingerprinted>(
     rec: &Recorder,
     audit: &FlightRecorder,
 ) {
-    let o = if audit.is_enabled() {
-        Estimator::new(Strategy::Analytic { step: None })
-            .seed(seed)
-            .recorder(rec)
-            .audit(audit)
-            .devices(set)
-            .profiled()
-            .run_partition_cached(w)
-    } else {
-        Searcher::new(Strategy::Analytic { step: None })
-            .recorder(rec)
-            .profiled()
-            .run_partition(w, set)
-    };
+    let o = Estimator::new(Strategy::Analytic { step: None })
+        .seed(seed)
+        .recorder(rec)
+        .audit(audit)
+        .devices(set)
+        .profiled()
+        .run_partition_cached(w);
     let _ = writeln!(
         out,
         "k-way partition over {} (k = {}): predicted total {}\n  cut thresholds [{}] — {} curve probes, {} descent sweeps",
@@ -818,8 +805,8 @@ fn report_partition<W: Profilable + Fingerprinted>(
     }
 }
 
-/// Serves every workload in `ws` through [`Estimator::run_batch`] behind
-/// `cache`, appending one line per request plus the cache totals.
+/// Serves every workload in `ws` through [`ProfiledEstimator::run_batch`]
+/// behind `cache`, appending one line per request plus the cache totals.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch<W>(
     out: &mut String,
@@ -846,11 +833,7 @@ fn serve_batch<W>(
     if let Some(set) = devices {
         e = e.devices(set);
     }
-    let ests = if matches!(strategy, Strategy::Analytic { .. }) {
-        e.profiled().run_batch(ws)
-    } else {
-        e.run_batch(ws)
-    };
+    let ests = e.profiled().run_batch(ws);
     for (path, est) in paths.iter().zip(&ests) {
         let _ = writeln!(
             out,
@@ -944,23 +927,7 @@ fn batch_cmd(
     if paths.is_empty() {
         return Err(err(format!("{batch} lists no inputs")));
     }
-    // As in `estimate_cmd`: a k-way set routes through the analytic
-    // partition search, so an explicit non-analytic strategy conflicts.
-    let kway = devices.filter(|s| !s.is_canonical_pair());
-    let resolved = resolve_strategy(workload, strategy, analytic)?;
-    let strategy = match kway {
-        Some(set) => {
-            if strategy.is_some() && !matches!(resolved, Strategy::Analytic { .. }) {
-                return Err(err(format!(
-                    "--devices {} prices bands from the cost curve; \
-                     use --analytic (or drop --strategy)",
-                    set.name()
-                )));
-            }
-            Strategy::Analytic { step: None }
-        }
-        None => resolved,
-    };
+    let (strategy, kway) = resolve_serving(workload, strategy, analytic, devices)?;
     let platform = Platform::k40c_xeon_e5_2650();
     let cache = cache_size.map_or_else(ThresholdCache::default, ThresholdCache::new);
     let rec = sinks.recorder();

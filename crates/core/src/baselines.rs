@@ -55,7 +55,7 @@ pub fn cpu_only<W: PartitionedWorkload>(w: &W) -> f64 {
     w.space().hi
 }
 
-/// Qilin-style history-based partitioner (Luk et al., cited as [20]): the
+/// Qilin-style history-based partitioner (Luk et al., cited as \[20\]): the
 /// first input is a *training run* whose exhaustively found threshold is
 /// reused verbatim for all later inputs. Input-oblivious by design — the
 /// weakness the paper's sampling method addresses.
@@ -93,7 +93,7 @@ impl HistoryBased {
     }
 }
 
-/// Boyer-style chunked-dynamic scheduler (cited as [6]): the input is
+/// Boyer-style chunked-dynamic scheduler (cited as \[6\]): the input is
 /// processed in `chunks` equal work slices, each dispatched to whichever
 /// device becomes free first, paying a per-chunk synchronization /
 /// communication cost. Returns the achieved end-to-end simulated time.

@@ -1,12 +1,12 @@
 //! Energy-aware partitioning — the related-work direction the paper cites
-//! as [30] (Wang & Ren, "Power-efficient work distribution method for
+//! as \[30\] (Wang & Ren, "Power-efficient work distribution method for
 //! CPU-GPU heterogeneous system").
 //!
 //! A simple activity-based energy model on top of the simulated timing:
 //! each device burns its busy power while computing and an idle fraction
 //! while the other device finishes. Because the GPU is faster *and* hotter,
 //! the energy-optimal threshold generally differs from the time-optimal one
-//! — the trade-off [30] studies.
+//! — the trade-off \[30\] studies.
 
 use nbwp_sim::{RunReport, SimTime};
 use serde::{Deserialize, Serialize};

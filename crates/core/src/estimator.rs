@@ -1,12 +1,13 @@
 //! The sampling-based threshold estimator — the paper's contribution,
 //! assembling Sample → Identify → Extrapolate into one call.
 //!
-//! [`Estimator`] is the configured entry point: pick a
-//! [`Strategy`](crate::search::Strategy), optionally set the sample spec,
-//! seed, repeat count, recorder, and pool, then [`Estimator::run`] (or
-//! [`Estimator::profiled`]`().run(…)` to price the Identify step through a
-//! cost profile of the sample). The free `estimate*` functions are
-//! deprecated shims over the builder.
+//! [`Estimator`] is the configured entry point: pick a [`Strategy`],
+//! optionally set the sample spec, seed, repeat count, recorder, and pool,
+//! then [`Estimator::run`] (the direct reference: every candidate is a
+//! real run of the sample) or [`Estimator::profiled`]`().run(…)` (the
+//! Identify step priced through a cost profile of the sample, bitwise
+//! equal). Serving — the threshold cache, batch dedup, audit, and k-way
+//! partitions — lives on [`ProfiledEstimator`] only.
 //!
 //! ```
 //! use nbwp_core::prelude::*;
@@ -41,10 +42,10 @@ pub const DEFAULT_SHADOW_RATE: f64 = 1.0 / 16.0;
 
 /// Which Identify strategy (§II Step 2) to run on the sampled input.
 ///
-/// This is the *serializable config-file subset* of
-/// [`Strategy`](crate::search::Strategy) — experiment configs deserialize
-/// it, and [`From`] lifts it into the full strategy enum (which adds the
-/// analytic subgradient search and explicit step overrides).
+/// This is the *serializable config-file subset* of [`Strategy`] —
+/// experiment configs deserialize it, and [`From`] lifts it into the full
+/// strategy enum (which adds the analytic subgradient search and explicit
+/// step overrides).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IdentifyStrategy {
     /// Coarse stride then fine stride (the paper's CC choice: 8 → 1).
@@ -172,13 +173,13 @@ impl<'a> Estimator<'a> {
     }
 
     /// Attaches a [`FlightRecorder`]: the serving paths
-    /// ([`Estimator::run_cached`] / [`Estimator::run_batch`] and their
-    /// profiled counterparts) record one [`AuditEvent`] per request —
-    /// fingerprint digest, cache decision, chosen threshold, work counts,
-    /// simulated cost, and (stride-sampled) wall-clock latency. The
-    /// recorder never changes what is returned: audited runs produce
-    /// bitwise-identical estimates. [`Estimator::run`] is not a serving
-    /// path and records nothing.
+    /// ([`ProfiledEstimator::run_cached`], [`ProfiledEstimator::run_batch`]
+    /// and [`ProfiledEstimator::run_partition_cached`]) record one
+    /// [`AuditEvent`] per request — fingerprint digest, cache decision,
+    /// chosen threshold, work counts, simulated cost, and (stride-sampled)
+    /// wall-clock latency. The recorder never changes what is returned:
+    /// audited runs produce bitwise-identical estimates. The plain `run`
+    /// methods are not serving paths and record nothing.
     #[must_use]
     pub fn audit(mut self, audit: &'a FlightRecorder) -> Self {
         self.audit = Some(audit);
@@ -198,10 +199,9 @@ impl<'a> Estimator<'a> {
         self
     }
 
-    /// Attaches a [`ThresholdCache`]: [`Estimator::run_cached`] and
-    /// [`Estimator::run_batch`] consult it before sampling and insert every
-    /// freshly computed decision. ([`Estimator::run`] never touches the
-    /// cache.)
+    /// Attaches a [`ThresholdCache`]: the [`ProfiledEstimator`] serving
+    /// paths consult it before sampling and insert every freshly computed
+    /// decision. (The plain `run` methods never touch the cache.)
     #[must_use]
     pub fn cache(mut self, cache: &'a ThresholdCache) -> Self {
         self.cache = Some(cache);
@@ -282,160 +282,6 @@ impl<'a> Estimator<'a> {
             run_single(workload, strategy, spec, seed, &Recorder::disabled(), pool)
         });
         median_estimate(runs)
-    }
-
-    /// [`Estimator::run`] behind the attached [`ThresholdCache`]: an
-    /// exact-key hit skips sample + search entirely and returns a clone of
-    /// the cached estimate (bitwise-identical to the run that populated
-    /// it); a miss runs cold and inserts. Without an attached cache this
-    /// *is* [`Estimator::run`].
-    #[must_use]
-    pub fn run_cached<W: Sampleable + Fingerprinted>(&self, workload: &W) -> SamplingEstimate {
-        let audit = active_audit(self.audit);
-        // Wall-clock timing is stride-sampled on the nanosecond-scale
-        // exact-hit path and unconditional on the slow paths, where two
-        // clock reads are noise (see the audit module's overhead contract).
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
-        let Some(cache) = self.cache else {
-            return self.serve_uncached(workload, timer, audit);
-        };
-        let key = CacheKey {
-            input: workload.fingerprint().exact_key(),
-            config: self.config_key(),
-        };
-        // Exact hit: record-and-return inside the arm — the hot path stays
-        // a short straight line, with the µs-scale miss machinery outlined
-        // behind `#[inline(never)]` so the exact-hit loop body stays small
-        // (see the audit module's overhead contract).
-        if let Some(est) = cache.get_exact(&key) {
-            if let Some(a) = audit {
-                a.record(audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &est,
-                    finish_us(timer),
-                    None,
-                ));
-            }
-            if let Some(rec) = self.rec {
-                cache.flush_metrics(rec);
-            }
-            return est;
-        }
-        self.serve_miss(workload, cache, key, timer, audit)
-    }
-
-    /// Cold serve without a cache — [`Estimator::run`] plus one audit
-    /// event. Outlined: see [`Estimator::run_cached`].
-    #[inline(never)]
-    fn serve_uncached<W: Sampleable + Fingerprinted>(
-        &self,
-        workload: &W,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let est = self.run(workload);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        est
-    }
-
-    /// The exact-miss half of [`Estimator::run_cached`]: run cold, insert,
-    /// audit. Outlined so the exact-hit path stays small.
-    #[inline(never)]
-    fn serve_miss<W: Sampleable + Fingerprinted>(
-        &self,
-        workload: &W,
-        cache: &ThresholdCache,
-        key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate {
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_miss();
-        let est = self.run(workload);
-        let near = NearCacheKey::of(workload.fingerprint().near_key(), self.strategy);
-        cache.insert(key, near, &est);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                key.input,
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        if let Some(rec) = self.rec {
-            cache.flush_metrics(rec);
-        }
-        est
-    }
-
-    /// Serves a batch of requests: items are deduplicated by fingerprint +
-    /// configuration, each distinct class is estimated once (through the
-    /// worker pool and the attached cache, when any), and every duplicate
-    /// receives a clone of its class representative's estimate. Per item
-    /// the result equals a sequential [`Estimator::run_cached`] — the
-    /// determinism contract makes identical inputs produce identical
-    /// estimates, so sharing one computation per class is observationally
-    /// pure. Per-item tracing is disabled (items run concurrently); cache
-    /// metrics are flushed once at the end. With an enabled
-    /// [`FlightRecorder`] attached the class representatives are served
-    /// sequentially instead (the flight recorder, like the span recorder,
-    /// is single-threaded) and each records one audit event.
-    #[must_use]
-    pub fn run_batch<W: Sampleable + Fingerprinted>(
-        &self,
-        workloads: &[W],
-    ) -> Vec<SamplingEstimate> {
-        let pool = self.pool.unwrap_or(Pool::global());
-        let config = self.config_key();
-        let (reps, group_of) = batch_groups(workloads, config);
-        let results = if active_audit(self.audit).is_some() {
-            let mut e = *self;
-            e.rec = None;
-            e.pool = Some(pool);
-            reps.iter().map(|&i| e.run_cached(&workloads[i])).collect()
-        } else {
-            // Rebuild a recorder-free estimator inside the closure: the
-            // recorders are single-threaded, everything else is `Sync`.
-            let (strategy, spec, seed, repeats, cache, shadow_rate, devices) = (
-                self.strategy,
-                self.spec,
-                self.seed,
-                self.repeats,
-                self.cache,
-                self.shadow_rate,
-                self.devices,
-            );
-            pool.map(&reps, |&i| {
-                let e = Estimator {
-                    strategy,
-                    spec,
-                    seed,
-                    repeats,
-                    rec: None,
-                    pool: Some(pool),
-                    cache,
-                    audit: None,
-                    shadow_rate,
-                    devices,
-                };
-                e.run_cached(&workloads[i])
-            })
-        };
-        if let (Some(rec), Some(cache)) = (self.rec, self.cache) {
-            cache.flush_metrics(rec);
-        }
-        group_of.into_iter().map(|g| results[g].clone()).collect()
     }
 }
 
@@ -572,7 +418,8 @@ fn run_single<W: Sampleable>(
 }
 
 /// An [`Estimator`] whose Identify step prices candidates through a cost
-/// profile of the sample. Built by [`Estimator::profiled`].
+/// profile of the sample, and the serving layer: cached, batched, audited
+/// and k-way requests all go through it. Built by [`Estimator::profiled`].
 #[derive(Copy, Clone)]
 pub struct ProfiledEstimator<'a> {
     inner: Estimator<'a>,
@@ -745,11 +592,17 @@ impl ProfiledEstimator<'_> {
         }
     }
 
-    /// Serves a batch of requests through the profiled pipeline — the
-    /// profiled counterpart of [`Estimator::run_batch`]: dedupe by
-    /// fingerprint + configuration, one (cached, possibly warm-started)
-    /// estimation per distinct class on the worker pool, clones fanned out
-    /// to duplicates.
+    /// Serves a batch of requests: items are deduplicated by fingerprint +
+    /// configuration, each distinct class is estimated once (cached,
+    /// possibly warm-started) on the worker pool, and every duplicate
+    /// receives a clone of its class representative's estimate. Per item
+    /// the result equals a sequential [`ProfiledEstimator::run_cached`] —
+    /// the determinism contract makes identical inputs produce identical
+    /// estimates, so sharing one computation per class is observationally
+    /// pure. Per-item tracing is disabled (items run concurrently); cache
+    /// metrics are flushed once at the end. With an enabled
+    /// [`FlightRecorder`] attached the class representatives are served
+    /// sequentially instead and each records one audit event.
     #[must_use]
     pub fn run_batch<W>(&self, workloads: &[W]) -> Vec<SamplingEstimate>
     where
@@ -1063,150 +916,6 @@ where
         }
         searcher.profiled().run(sample)
     })
-}
-
-/// Runs the full sampling pipeline on `workload`.
-///
-/// `seed` controls the uniform sampling (Step 1); everything downstream is
-/// deterministic.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).run(workload)"
-)]
-#[must_use]
-pub fn estimate<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .run(workload)
-}
-
-/// [`estimate`], tracing the whole pipeline into `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).run(workload)"
-)]
-#[must_use]
-pub fn estimate_with<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .run(workload)
-}
-
-/// [`estimate_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).pool(pool).run(workload)"
-)]
-#[must_use]
-pub fn estimate_pooled<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .pool(pool)
-        .run(workload)
-}
-
-/// [`estimate_pooled`] with the Identify step priced through a cost profile
-/// of the sample.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).recorder(rec).pool(pool).profiled().run(workload)"
-)]
-#[must_use]
-pub fn estimate_profiled<W>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(workload)
-}
-
-/// Runs the estimation on `repeats` independent samples and returns the
-/// median-threshold estimate, with the overheads of *all* repeats summed.
-///
-/// # Panics
-/// Panics if `repeats == 0`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).repeats(repeats).run(workload)"
-)]
-#[must_use]
-pub fn estimate_repeated<W: Sampleable>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    repeats: usize,
-) -> SamplingEstimate {
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .repeats(repeats)
-        .run(workload)
-}
-
-/// [`estimate_repeated`] with every repeat's Identify step priced through a
-/// cost profile of its sample.
-///
-/// # Panics
-/// Panics if `repeats == 0`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Estimator::new(strategy.into()).spec(spec).seed(seed).repeats(repeats).profiled().run(workload)"
-)]
-#[must_use]
-pub fn estimate_repeated_profiled<W>(
-    workload: &W,
-    spec: SampleSpec,
-    strategy: IdentifyStrategy,
-    seed: u64,
-    repeats: usize,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    Estimator::new(strategy.into())
-        .spec(spec)
-        .seed(seed)
-        .repeats(repeats)
-        .profiled()
-        .run(workload)
 }
 
 /// The shared Sample → Identify → Extrapolate pipeline; `identify` runs the

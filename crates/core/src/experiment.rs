@@ -217,73 +217,6 @@ pub fn run_one_with<W: Sampleable>(
     row
 }
 
-/// [`run_one_with`] with every full-input pricing — the exhaustive
-/// reference search and all baseline re-pricings — answered through one
-/// cost profile of the workload, and the sampling estimate's Identify step
-/// profiled as well (see [`Estimator::profiled`]).
-///
-/// The row is **identical** to [`run_one_with`]'s (profiled pricing is
-/// bitwise equal to direct runs); only the wall-clock cost of producing it
-/// drops, since the exhaustive grid no longer re-executes the workload per
-/// candidate. Profile cache hit/miss counters are flushed into `rec`.
-#[must_use]
-pub fn run_one_profiled<W>(
-    name: &str,
-    w: &W,
-    config: &ExperimentConfig,
-    rec: &Recorder,
-) -> ExperimentRow
-where
-    W: Sampleable + Profilable,
-    W::Sample: Profilable,
-{
-    let pool = Pool::global();
-    let pw = ProfiledWorkload::with_pool(w, pool);
-    // Reference search on the full input, priced through the profile. Like
-    // `run_one_with`, the reference is not traced eval-by-eval.
-    let exhaustive = Searcher::new(Strategy::Exhaustive {
-        step: Some(config.exhaustive_step),
-    })
-    .pool(pool)
-    .run(&pw);
-    let est: SamplingEstimate = Estimator::new(config.strategy.into())
-        .spec(config.spec)
-        .seed(config.seed)
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w);
-    let space = w.space();
-    let naive_static_t = if space.logarithmic {
-        None
-    } else {
-        Some(baselines::naive_static_for(w))
-    };
-    let row = ExperimentRow {
-        dataset: name.to_string(),
-        n: w.size(),
-        exhaustive_t: exhaustive.best_t,
-        estimated_t: est.threshold,
-        naive_static_t,
-        naive_average_t: None,
-        time_exhaustive_ms: exhaustive.best_time.as_millis(),
-        time_estimated_ms: pw.time_at(est.threshold).as_millis(),
-        time_naive_static_ms: naive_static_t.map(|t| pw.time_at(t).as_millis()),
-        time_naive_average_ms: None,
-        time_gpu_only_ms: pw.time_at(baselines::gpu_only(w)).as_millis(),
-        overhead_ms: est.overhead.as_millis(),
-        evaluations: est.evaluations,
-        sample_size: est.sample_size,
-        relative_threshold_diff: config.relative_threshold_diff,
-        space_lo: space.lo,
-        space_hi: space.hi,
-    };
-    pw.flush_metrics(rec);
-    rec.gauge_set("threshold.diff_pct", row.threshold_diff_pct());
-    rec.gauge_set("time.diff_pct", row.time_diff_pct());
-    row
-}
-
 /// Runs the full method comparison for every `(name, workload)` pair,
 /// dispatching the independent datasets across the worker pool. Rows come
 /// back in input order and are identical to serial [`run_one`] calls for
@@ -466,23 +399,6 @@ mod tests {
         assert!(row.time_estimated_ms >= row.time_exhaustive_ms - 1e-12);
         assert!(row.threshold_diff_pct() <= 100.0);
         assert!(row.overhead_pct() < 100.0);
-    }
-
-    #[test]
-    fn profiled_row_is_identical_to_direct() {
-        // Exactness contract end to end: the whole experiment row — every
-        // threshold, time, and count — matches the direct driver's.
-        let w = crate::workloads::CcWorkload::new(
-            nbwp_graph::gen::web(2000, 6, 11),
-            Platform::k40c_xeon_e5_2650(),
-        );
-        let cfg = ExperimentConfig::cc(5);
-        let direct = run_one("web.2000", &w, &cfg);
-        let profiled = run_one_profiled("web.2000", &w, &cfg, &Recorder::disabled());
-        assert_eq!(
-            serde_json::to_string(&direct).unwrap(),
-            serde_json::to_string(&profiled).unwrap()
-        );
     }
 
     #[test]

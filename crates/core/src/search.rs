@@ -48,10 +48,6 @@
 //! parallelism buys wall-clock time only. [`Searcher::pool`] takes an
 //! explicit pool for benchmarks sweeping thread counts in one process;
 //! without it the builder uses [`nbwp_par::Pool::global`].
-//!
-//! The pre-builder free functions (`exhaustive`, `coarse_to_fine_with`,
-//! `gradient_descent_profiled`, …) remain as deprecated shims delegating
-//! to the builder — see the README migration table.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -218,7 +214,6 @@ pub struct Searcher<'a> {
     strategy: Strategy,
     rec: Option<&'a Recorder>,
     pool: Option<&'a Pool>,
-    warm_hint: Option<f64>,
     warm_cuts: Option<&'a [f64]>,
 }
 
@@ -230,32 +225,23 @@ impl<'a> Searcher<'a> {
             strategy,
             rec: None,
             pool: None,
-            warm_hint: None,
             warm_cuts: None,
         }
     }
 
-    /// Warm-starts [`Strategy::Analytic`] from a previously found threshold
-    /// (ignored by every other strategy): instead of scanning the whole
-    /// subgradient domain for sign changes, the search hill-descends on the
-    /// curve totals from the candidate nearest `hint`, spending O(walk)
-    /// probes instead of O(m / stride + log m). When `hint` lies in the
-    /// basin of the cold argmin — always true when it *is* a cold result
-    /// for the same curve — the outcome is identical to the cold search;
-    /// for merely similar inputs it may settle on a different local
-    /// minimum of a multimodal curve (the near-hit serving trade-off, see
-    /// DESIGN.md "Fingerprints & amortized serving").
-    #[deprecated(since = "0.3.0", note = "use Searcher::warm_cuts(&[hint])")]
-    #[must_use]
-    pub fn warm_hint(mut self, hint: f64) -> Self {
-        self.warm_hint = Some(hint);
-        self
-    }
-
-    /// Warm-starts the search from a previously found cut vector. For the
-    /// scalar strategies and the canonical two-device pipeline only the
-    /// first cut is consulted — it is exactly the old `warm_hint`, with
-    /// the same basin caveat. [`ProfiledSearcher::run_partition`] at
+    /// Warm-starts the search from a previously found cut vector.
+    ///
+    /// [`Strategy::Analytic`] on the canonical two-device pipeline consults
+    /// only the first cut (every other scalar strategy ignores the hint):
+    /// instead of scanning the whole subgradient domain for sign changes,
+    /// the search hill-descends on the curve totals from the candidate
+    /// nearest that cut, spending O(walk) probes instead of
+    /// O(m / stride + log m). When the cut lies in the basin of the cold
+    /// argmin — always true when it *is* a cold result for the same curve
+    /// — the outcome is identical to the cold search; for merely similar
+    /// inputs it may settle on a different local minimum of a multimodal
+    /// curve (the near-hit serving trade-off, see DESIGN.md "Fingerprints
+    /// & amortized serving"). [`ProfiledSearcher::run_partition`] at
     /// `k > 2` seeds its coordinate descent from the full vector instead
     /// of the speed-proportional split. A vector holding NaN names no
     /// split: it is dropped and the search runs cold.
@@ -266,11 +252,9 @@ impl<'a> Searcher<'a> {
     }
 
     /// The scalar warm hint the analytic strategy descends from: the first
-    /// warm cut when one is set, else the deprecated scalar hint.
+    /// warm cut, when one is set.
     fn effective_warm(&self) -> Option<f64> {
-        usable_warm(self.warm_cuts)
-            .and_then(|cuts| cuts.first().copied())
-            .or(self.warm_hint)
+        usable_warm(self.warm_cuts).and_then(|cuts| cuts.first().copied())
     }
 
     /// Traces candidate evaluations (and flushed profile metrics) into
@@ -928,18 +912,17 @@ fn select_on_curve<'c>(
 
 /// A curve-level minimum located by [`minimize_curve`]: the argmin
 /// threshold/split, the curve total there, and the probe count spent.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CurveMinimum {
+struct CurveMinimum {
     /// Argmin threshold (lowest threshold of its flat stretch — the same
     /// tie-break [`SearchOutcome::from_evals`] applies).
-    pub threshold: f64,
+    threshold: f64,
     /// Split index the argmin threshold maps to.
-    pub split: usize,
+    split: usize,
     /// Curve total at the argmin.
-    pub total: SimTime,
+    total: SimTime,
     /// Curve-total probes spent (the analytic strategy's `grad_probes`
     /// currency).
-    pub probes: usize,
+    probes: usize,
 }
 
 /// Minimizes a cost curve directly — no workload evaluations, totals come
@@ -949,26 +932,9 @@ pub struct CurveMinimum {
 /// scan + bisection cold search. Among the surviving local minima the
 /// lowest `(total, threshold)` wins, matching the exhaustive tie-break, so
 /// a warm call started inside the cold argmin's basin returns the cold
-/// answer exactly.
-#[deprecated(
-    since = "0.3.0",
-    note = "use minimize_partition(curve, DeviceSet::cpu_gpu_static(), ...) — \
-            the canonical two-device arm is this function, bitwise"
-)]
-#[must_use]
-pub fn minimize_curve(
-    curve: &dyn CurveEval,
-    space: &ThresholdSpace,
-    step: f64,
-    warm: Option<f64>,
-) -> CurveMinimum {
-    minimize_curve_impl(curve, space, step, warm)
-}
-
-/// The scalar curve minimizer (see the deprecated [`minimize_curve`] for
-/// the contract). Kept as the canonical-pair arm of
-/// [`minimize_partition`], which is what pins k=2 parity by construction.
-fn minimize_curve_impl(
+/// answer exactly. This is the canonical-pair arm of
+/// [`minimize_partition`].
+fn minimize_curve(
     curve: &dyn CurveEval,
     space: &ThresholdSpace,
     step: f64,
@@ -1142,15 +1108,16 @@ impl TotalFn for CoordMemo<'_, '_> {
 /// generalization of the scalar curve minimizer.
 ///
 /// * The **canonical CPU+GPU pair** routes through the scalar cold/warm
-///   search on [`CurveEval::total_at`] — the returned cut, total, and
-///   probe count are bitwise identical to the deprecated
-///   [`minimize_curve`], for *every* curve (including ones that do not
-///   price bands).
+///   search on [`CurveEval::total_at`] — the returned cut and total are
+///   bitwise those of the scalar [`Strategy::Analytic`] search over the
+///   same grid, for *every* curve (including ones that do not price
+///   bands), and so is the probe count whenever the grid holds more than
+///   one candidate.
 /// * Any **other set** runs coordinate descent on the curve's band
 ///   prices: cut points live on the same collapsed candidate grid as the
 ///   scalar search, and each coordinate solves its *exact* subproblem —
 ///   the max of the two bands adjacent to the cut, the only bands the cut
-///   touches — with the scalar cold search ([`cold_minima`]) over the
+///   touches — with the scalar cold search (`cold_minima`) over the
 ///   bracket its neighbours allow. A move commits only if the full
 ///   [`CurveEval::partition_total`] does not regress, so the makespan is
 ///   non-increasing sweep over sweep; ties break toward lower cuts,
@@ -1164,7 +1131,7 @@ impl TotalFn for CoordMemo<'_, '_> {
 ///   cut tuple on a *coarse* sub-grid — the k-way analogue of the scalar
 ///   coarse-to-fine pass, with the speed-proportional Lagrangian split
 ///   joining the pool — and descends from the best few basins
-///   ([`CD_SEEDS`] of them), which keeps it out of the local minima a
+///   (`CD_SEEDS` of them), which keeps it out of the local minima a
 ///   single-seed descent can fall into. Returns `None` when the curve
 ///   does not price device bands.
 #[must_use]
@@ -1181,7 +1148,7 @@ pub fn minimize_partition(
         .expect("a curve exposes at least one split");
     let warm = usable_warm(warm);
     if set.is_canonical_pair() {
-        let m = minimize_curve_impl(curve, space, step, warm.and_then(|c| c.first().copied()));
+        let m = minimize_curve(curve, space, step, warm.and_then(|c| c.first().copied()));
         return Some(PartitionMinimum {
             thresholds: vec![m.threshold],
             partition: Partition::two_way(units, m.split),
@@ -1475,30 +1442,6 @@ fn analytic_impl<W: Profilable>(
     out
 }
 
-/// Analytic subgradient search over one cost profile of `w` — the
-/// [`Strategy::Analytic`] entry point as a function, for callers holding
-/// an explicit recorder and pool. Equivalent to
-/// `Searcher::new(Strategy::Analytic { step: Some(step) })` with
-/// `.profiled()`.
-///
-/// The returned argmin is bitwise equal to an exhaustive profiled sweep of
-/// the same grid whenever every basin of the (possibly non-convex) curve
-/// is at least a coarse stride wide — the property tests assert this on
-/// all four case-study workloads.
-#[must_use]
-pub fn gradient_descent_analytic(
-    w: &impl Profilable,
-    step: f64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::Analytic { step: Some(step) })
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w)
-}
-
 /// Tolerant equality for grid membership: two candidates are the same when
 /// they share a quantized threshold bucket (absolute 1e-9 resolution for
 /// linear spaces, relative 1e-6 for logarithmic ones — see
@@ -1507,237 +1450,6 @@ pub fn gradient_descent_analytic(
 /// hits can never disagree about which candidates are distinct.
 fn close(a: f64, b: f64, space: &ThresholdSpace) -> bool {
     quantize(a, space) == quantize(b, space)
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated pre-builder entry points. Each shim delegates to the Searcher
-// builder and returns a bitwise-identical outcome (asserted by
-// tests/parity_shims.rs).
-// ---------------------------------------------------------------------------
-
-/// Exhaustive search over the whole space at `step` granularity.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::Exhaustive { step }).run(w)"
-)]
-#[must_use]
-pub fn exhaustive(w: &impl PartitionedWorkload, step: f64) -> SearchOutcome {
-    Searcher::new(Strategy::Exhaustive { step: Some(step) }).run(w)
-}
-
-/// [`exhaustive`], tracing every candidate evaluation into `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::Exhaustive { step }).recorder(rec).run(w)"
-)]
-#[must_use]
-pub fn exhaustive_with(w: &impl PartitionedWorkload, step: f64, rec: &Recorder) -> SearchOutcome {
-    Searcher::new(Strategy::Exhaustive { step: Some(step) })
-        .recorder(rec)
-        .run(w)
-}
-
-/// [`exhaustive_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::Exhaustive { step }).recorder(rec).pool(pool).run(w)"
-)]
-#[must_use]
-pub fn exhaustive_pooled(
-    w: &impl PartitionedWorkload,
-    step: f64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::Exhaustive { step: Some(step) })
-        .recorder(rec)
-        .pool(pool)
-        .run(w)
-}
-
-/// The paper's coarse-to-fine search (§III.A.2).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::CoarseToFine).run(w)"
-)]
-#[must_use]
-pub fn coarse_to_fine(w: &impl PartitionedWorkload) -> SearchOutcome {
-    Searcher::new(Strategy::CoarseToFine).run(w)
-}
-
-/// [`coarse_to_fine`], tracing every candidate evaluation into `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::CoarseToFine).recorder(rec).run(w)"
-)]
-#[must_use]
-pub fn coarse_to_fine_with(w: &impl PartitionedWorkload, rec: &Recorder) -> SearchOutcome {
-    Searcher::new(Strategy::CoarseToFine).recorder(rec).run(w)
-}
-
-/// [`coarse_to_fine_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::CoarseToFine).recorder(rec).pool(pool).run(w)"
-)]
-#[must_use]
-pub fn coarse_to_fine_pooled(
-    w: &impl PartitionedWorkload,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::CoarseToFine)
-        .recorder(rec)
-        .pool(pool)
-        .run(w)
-}
-
-/// The paper's spmm identify step (§IV.A(b)).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::RaceThenFine).run(w)"
-)]
-#[must_use]
-pub fn race_then_fine(w: &impl PartitionedWorkload) -> SearchOutcome {
-    Searcher::new(Strategy::RaceThenFine).run(w)
-}
-
-/// [`race_then_fine`], tracing into `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::RaceThenFine).recorder(rec).run(w)"
-)]
-#[must_use]
-pub fn race_then_fine_with(w: &impl PartitionedWorkload, rec: &Recorder) -> SearchOutcome {
-    Searcher::new(Strategy::RaceThenFine).recorder(rec).run(w)
-}
-
-/// [`race_then_fine_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::RaceThenFine).recorder(rec).pool(pool).run(w)"
-)]
-#[must_use]
-pub fn race_then_fine_pooled(
-    w: &impl PartitionedWorkload,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::RaceThenFine)
-        .recorder(rec)
-        .pool(pool)
-        .run(w)
-}
-
-/// The paper's scale-free identify step (§V.A.2).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::GradientDescent { max_evals }).run(w)"
-)]
-#[must_use]
-pub fn gradient_descent(w: &impl PartitionedWorkload, max_evals: usize) -> SearchOutcome {
-    Searcher::new(Strategy::GradientDescent { max_evals }).run(w)
-}
-
-/// [`gradient_descent`], tracing every *fresh* candidate evaluation into
-/// `rec`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::GradientDescent { max_evals }).recorder(rec).run(w)"
-)]
-#[must_use]
-pub fn gradient_descent_with(
-    w: &impl PartitionedWorkload,
-    max_evals: usize,
-    rec: &Recorder,
-) -> SearchOutcome {
-    Searcher::new(Strategy::GradientDescent { max_evals })
-        .recorder(rec)
-        .run(w)
-}
-
-/// [`gradient_descent_with`] on an explicit worker pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::GradientDescent { max_evals }).recorder(rec).pool(pool).run(w)"
-)]
-#[must_use]
-pub fn gradient_descent_pooled(
-    w: &impl PartitionedWorkload,
-    max_evals: usize,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::GradientDescent { max_evals })
-        .recorder(rec)
-        .pool(pool)
-        .run(w)
-}
-
-/// Exhaustive search over a one-time cost profile of `w`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::Exhaustive { step }).recorder(rec).pool(pool).profiled().run(w)"
-)]
-#[must_use]
-pub fn exhaustive_profiled(
-    w: &impl Profilable,
-    step: f64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::Exhaustive { step: Some(step) })
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w)
-}
-
-/// Coarse-to-fine search over a one-time cost profile of `w`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::CoarseToFine).recorder(rec).pool(pool).profiled().run(w)"
-)]
-#[must_use]
-pub fn coarse_to_fine_profiled(w: &impl Profilable, rec: &Recorder, pool: &Pool) -> SearchOutcome {
-    Searcher::new(Strategy::CoarseToFine)
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w)
-}
-
-/// Race-then-fine search over a one-time cost profile of `w`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::RaceThenFine).recorder(rec).pool(pool).profiled().run(w)"
-)]
-#[must_use]
-pub fn race_then_fine_profiled(w: &impl Profilable, rec: &Recorder, pool: &Pool) -> SearchOutcome {
-    Searcher::new(Strategy::RaceThenFine)
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w)
-}
-
-/// Gradient descent over a one-time cost profile of `w`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Searcher::new(Strategy::GradientDescent { max_evals }).recorder(rec).pool(pool).profiled().run(w)"
-)]
-#[must_use]
-pub fn gradient_descent_profiled(
-    w: &impl Profilable,
-    max_evals: usize,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
-    Searcher::new(Strategy::GradientDescent { max_evals })
-        .recorder(rec)
-        .pool(pool)
-        .profiled()
-        .run(w)
 }
 
 #[cfg(test)]
@@ -2013,27 +1725,29 @@ mod tests {
         );
     }
 
+    /// The canonical-pair arm against an independent oracle: the scalar
+    /// analytic search through the profiled workload, cold and warm.
     #[test]
     fn minimize_partition_on_the_canonical_pair_is_minimize_curve_bitwise() {
         let w = valley(37.0);
         let curve = ValleyCurve(&w);
         let space = w.space();
         for warm in [None, Some(61.0)] {
-            #[allow(deprecated)]
-            let scalar = minimize_curve(&curve, &space, 1.0, warm);
             let warm_buf = warm.map(|h| [h]);
-            let part = minimize_partition(
-                &curve,
-                DeviceSet::cpu_gpu_static(),
-                &space,
-                1.0,
-                warm_buf.as_ref().map(<[f64; 1]>::as_slice),
-            )
-            .expect("the canonical pair prices every curve");
-            assert_eq!(part.thresholds, vec![scalar.threshold]);
-            assert_eq!(part.partition.cuts(), &[scalar.split]);
-            assert_eq!(part.total, scalar.total);
-            assert_eq!(part.probes, scalar.probes);
+            let warm_cuts = warm_buf.as_ref().map(<[f64; 1]>::as_slice);
+            let mut searcher = Searcher::new(Strategy::Analytic { step: Some(1.0) });
+            if let Some(cuts) = warm_cuts {
+                searcher = searcher.warm_cuts(cuts);
+            }
+            let scalar = searcher.profiled().run(&w);
+            let part =
+                minimize_partition(&curve, DeviceSet::cpu_gpu_static(), &space, 1.0, warm_cuts)
+                    .expect("the canonical pair prices every curve");
+            assert_eq!(part.thresholds.len(), 1);
+            assert_eq!(part.thresholds[0].to_bits(), scalar.best_t.to_bits());
+            assert_eq!(part.partition.cuts(), &[curve.split_for(scalar.best_t)]);
+            assert_eq!(part.total, scalar.best_time);
+            assert_eq!(part.probes, scalar.grad_probes);
             assert_eq!(part.sweeps, 0);
         }
     }

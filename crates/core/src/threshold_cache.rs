@@ -70,17 +70,6 @@ fn strategy_disc(strategy: Strategy) -> u8 {
 }
 
 impl ConfigKey {
-    /// Builds the key for one estimator configuration on the canonical
-    /// CPU+GPU pair.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use ConfigKey::with_devices; this is with_devices(.., DeviceSet::cpu_gpu())"
-    )]
-    #[must_use]
-    pub fn of(strategy: Strategy, spec: SampleSpec, seed: u64, repeats: usize) -> ConfigKey {
-        ConfigKey::with_devices(strategy, spec, seed, repeats, DeviceSet::cpu_gpu_static())
-    }
-
     /// Builds the key for one estimator configuration over a device
     /// topology. The key carries the partition arity and the set's digest,
     /// so estimates for different topologies — even of equal arity — can
@@ -598,8 +587,14 @@ impl ThresholdCache {
     /// `threshold_cache.patched_rebuild`, `threshold_cache.stale_evictions`,
     /// `threshold_cache.kway_hit`, `threshold_cache.kway_near_hit`,
     /// `threshold_cache.kway_miss`; retained shadow-regret observations
-    /// drain into the `threshold_cache.regret_pct` histogram.
+    /// drain into the `threshold_cache.regret_pct` histogram. A disabled
+    /// recorder keeps nothing, so flushing into one is a no-op: the
+    /// counters and the retained regrets stay for [`ThresholdCache::stats`]
+    /// and [`ThresholdCache::shadow_regrets`].
     pub fn flush_metrics(&self, rec: &Recorder) {
+        if !rec.is_enabled() {
+            return;
+        }
         rec.counter_add(
             "threshold_cache.hit",
             self.exact_hits.swap(0, Ordering::Relaxed),
@@ -917,10 +912,6 @@ mod tests {
         assert_ne!(pair, dual);
         assert_ne!(pair, quad);
         assert_ne!(dual, quad);
-        // The deprecated scalar constructor is the canonical-pair key, bitwise.
-        #[allow(deprecated)]
-        let legacy = ConfigKey::of(s, spec, 7, 1);
-        assert_eq!(legacy, pair);
     }
 
     #[test]
@@ -950,6 +941,21 @@ mod tests {
                 .counter("threshold_cache.shadow_runs"),
             Some(0)
         );
+    }
+
+    #[test]
+    fn flush_into_a_disabled_recorder_keeps_counters_and_regrets() {
+        // A disabled recorder drops every counter it is handed, so a flush
+        // into one must leave the counters and the shadow-regret ring for
+        // a later flush (or `stats()`) to read.
+        let cache = ThresholdCache::new(4);
+        cache.record_miss();
+        cache.record_probes_saved(12);
+        cache.record_shadow(2.5);
+        let before = cache.stats();
+        cache.flush_metrics(&Recorder::disabled());
+        assert_eq!(cache.stats(), before);
+        assert_eq!(cache.shadow_regrets(), vec![2.5]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The fifth case study: hybrid list ranking (the second algorithm of the
-//! paper's citation [5]) as a partitioned workload. The threshold is the
+//! paper's citation \[5\]) as a partitioned workload. The threshold is the
 //! splitter fraction — the knob trading serial CPU pointer-chasing against
 //! GPU pointer-jumping rounds.
 //!

@@ -1,5 +1,5 @@
 //! A fourth case study demonstrating the framework's generality (the paper
-//! motivates its framework with hybrid sorting, citation [3]): hybrid sort
+//! motivates its framework with hybrid sorting, citation \[3\]): hybrid sort
 //! as a partitioned workload. The threshold is the percentage of elements
 //! the CPU mergesorts; the GPU radix-sorts the rest.
 //!

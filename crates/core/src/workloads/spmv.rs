@@ -1,4 +1,4 @@
-//! The sixth case study: SpMV (`y = A·x`, the paper's related-work [17])
+//! The sixth case study: SpMV (`y = A·x`, the paper's related-work \[17\])
 //! as a partitioned workload. The threshold `r` is the percentage of
 //! multiply-add work (= nonzeros) handled by the CPU, realized as a
 //! contiguous row split through the degree prefix sums — identical

@@ -8,9 +8,9 @@
 //!
 //! * curve lookups for every arc/byte-linear counter (partition, transfer,
 //!   merge, and both compute kernels' volume terms);
-//! * a label-only Shiloach–Vishkin replay ([`sv_suffix_counts`]) for the
+//! * a label-only Shiloach–Vishkin replay ([`sv_suffix_counts`](crate::cc::sv_suffix_counts)) for the
 //!   GPU round/pass counts, and two binary searches per prefix vertex
-//!   ([`dfs_prefix_cost`]) for the CPU chunk balance and deferred edges —
+//!   ([`dfs_prefix_cost`](crate::cc::dfs_prefix_cost)) for the CPU chunk balance and deferred edges —
 //!   both memoized per split, so repeated evaluations at the same
 //!   quantized threshold are O(1).
 //!

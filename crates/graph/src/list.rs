@@ -1,4 +1,4 @@
-//! Hybrid list ranking — the *other* algorithm of the paper's citation [5]
+//! Hybrid list ranking — the *other* algorithm of the paper's citation \[5\]
 //! (Banerjee & Kothapalli, "Hybrid Algorithms for List Ranking and Graph
 //! Connected Components", HiPC 2011), included as a fifth partitioned
 //! workload.

@@ -14,7 +14,7 @@
 //!
 //! Search layers build on this to replace finite-difference probing of
 //! `run()` with sign-change bisection on the true subgradient — see
-//! `gradient_descent_analytic` in `nbwp-core::search`.
+//! `Strategy::Analytic` in `nbwp-core::search`.
 //!
 //! [`PrefixCurve`]: crate::profile::PrefixCurve
 //! [`WarpPadCurve`]: crate::profile::WarpPadCurve

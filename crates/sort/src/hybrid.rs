@@ -1,4 +1,4 @@
-//! The hybrid sort (after the paper's citation [3]): split the input at a
+//! The hybrid sort (after the paper's citation \[3\]): split the input at a
 //! position threshold, mergesort the CPU piece while the GPU radix-sorts
 //! its piece, then merge the two runs.
 

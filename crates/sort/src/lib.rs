@@ -2,7 +2,7 @@
 //!
 //! The paper's introduction motivates work partitioning with hand-crafted
 //! heterogeneous algorithms "for several important problems from parallel
-//! computing such as sorting [3]" (Banerjee, Sakurikar, Kothapalli: hybrid
+//! computing such as sorting \[3\]" (Banerjee, Sakurikar, Kothapalli: hybrid
 //! comparison sort). This crate supplies that fourth workload: a counted
 //! multiway **mergesort** (the CPU kernel), a counted LSD **radix sort**
 //! (the GPU kernel — pass-skipping makes its cost input-dependent), and the

@@ -362,7 +362,7 @@ mod tests {
 }
 
 /// Importance (degree-weighted) row sampler — the extension the paper
-/// defers to future work ("e.g., importance sampling [23]").
+/// defers to future work ("e.g., importance sampling \[23\]").
 ///
 /// Rows are drawn *without replacement* with probability proportional to
 /// `weight(d) = 1 + d`, so the dense hub rows that uniform sampling almost

@@ -1,5 +1,5 @@
 //! Sparse matrix–vector multiplication (SpMV) — the workload of the
-//! paper's related-work citation [17] (Indarapu, Maramreddy, Kothapalli:
+//! paper's related-work citation \[17\] (Indarapu, Maramreddy, Kothapalli:
 //! "Architecture- and workload-aware algorithms for sparse matrix-vector
 //! multiplication"), provided as a sixth partitioned workload.
 //!

@@ -4,8 +4,8 @@
 //! * replaying a recorder's JSONL log reconstructs its running counter
 //!   totals exactly (or bounds them when the ring evicted events);
 //! * serving with auditing and shadow-sampling enabled returns estimates
-//!   bitwise identical to the unaudited path, across the plain and
-//!   profiled pipelines;
+//!   bitwise identical to the unaudited path, under a strategy that never
+//!   warm-starts and under the analytic one that does;
 //! * histogram bucket boundaries follow Prometheus `le` semantics — an
 //!   observation exactly on a bound lands in that bound's bucket — with
 //!   negative, NaN and +Inf observations clamped into the outer buckets;
@@ -122,7 +122,7 @@ proptest! {
     /// (b) Auditing and shadow-sampling are pure observation: a stream
     /// served with a flight recorder attached and the shadow sampler at
     /// full rate returns estimates bitwise identical to the same stream
-    /// served silently, across both pipelines.
+    /// served silently, with and without warm starts.
     #[test]
     fn audited_serving_is_bitwise_identical_to_silent(
         n in 96usize..280,
@@ -134,15 +134,15 @@ proptest! {
         let b = CcWorkload::new(ggen::web(n + 13, deg, seed + 1), p);
         let ws = [a.clone(), b.clone(), a.clone(), a, b];
 
-        // Plain pipeline, CoarseToFine.
+        // CoarseToFine: exact hits and cold misses only.
         let est = Estimator::new(SearchStrategy::CoarseToFine).seed(seed);
         let silent_cache = ThresholdCache::new(8);
-        let silent = est.cache(&silent_cache);
+        let silent = est.cache(&silent_cache).profiled();
         let baseline: Vec<SamplingEstimate> = ws.iter().map(|w| silent.run_cached(w)).collect();
 
         let audit_cache = ThresholdCache::new(8);
         let flight = FlightRecorder::new().timed_every(2);
-        let audited = est.cache(&audit_cache).audit(&flight).shadow_rate(1.0);
+        let audited = est.cache(&audit_cache).audit(&flight).shadow_rate(1.0).profiled();
         for (w, want) in ws.iter().zip(&baseline) {
             prop_assert_eq!(bits(&audited.run_cached(w)), bits(want));
         }
@@ -150,11 +150,11 @@ proptest! {
         prop_assert_eq!(t.requests, ws.len() as u64);
         prop_assert_eq!(t.exact_hits, 3); // two distinct inputs, three repeats
         prop_assert_eq!(t.exact_hits + t.near_hits + t.cold, t.requests);
-        let check = validate_audit_jsonl(&flight.to_jsonl()).expect("plain log validates");
+        let check = validate_audit_jsonl(&flight.to_jsonl()).expect("log validates");
         prop_assert_eq!(check.replay_totals(), t);
 
-        // Profiled pipeline, Analytic — the shadow sampler actually fires
-        // here on near hits, and must still not perturb the results.
+        // Analytic — the shadow sampler actually fires here on near hits,
+        // and must still not perturb the results.
         let s1 = SpmmWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), p);
         let s2 = SpmmWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed + 1), p);
         let ss = [s1.clone(), s2.clone(), s1, s2];

@@ -2,10 +2,10 @@
 //! satellite): for random inputs,
 //!
 //! * the canonical-pair arm of [`minimize_partition`] is **bitwise equal**
-//!   to the scalar analytic bisection (`minimize_curve`) — threshold,
-//!   split, total, and probe count — cold and warm-started alike, and
-//!   two-way partition pricing reproduces `total_at` bitwise (which the
-//!   existing curve properties tie to a direct `run()`);
+//!   to the scalar analytic search run through the profiled workload —
+//!   threshold, split, total, and probe count — cold and warm-started
+//!   alike, and two-way partition pricing reproduces `total_at` bitwise
+//!   (which the existing curve properties tie to a direct `run()`);
 //! * the k-way priced cost of an arbitrary cut vector equals a direct
 //!   k-banded execution recomputed from the raw per-row cost profile —
 //!   per-band kernel stats, per-link transfers, speed scaling, and the
@@ -47,30 +47,31 @@ proptest! {
         let pair = DeviceSet::cpu_gpu_static();
 
         for warm in [None, Some(warm_t)] {
-            #[allow(deprecated)]
-            let scalar = minimize_curve(curve.as_ref(), &space, space.fine_step, warm);
             let warm_buf = warm.map(|h| [h]);
-            let part = minimize_partition(
-                curve.as_ref(),
-                pair,
-                &space,
-                space.fine_step,
-                warm_buf.as_ref().map(<[f64; 1]>::as_slice),
-            )
-            .expect("the canonical pair prices every curve");
+            let warm_cuts = warm_buf.as_ref().map(<[f64; 1]>::as_slice);
+            let mut searcher = Searcher::new(SearchStrategy::Analytic {
+                step: Some(space.fine_step),
+            });
+            if let Some(cuts) = warm_cuts {
+                searcher = searcher.warm_cuts(cuts);
+            }
+            let scalar = searcher.profiled().run(&w);
+            let split = curve.split_for(scalar.best_t);
+            let part = minimize_partition(curve.as_ref(), pair, &space, space.fine_step, warm_cuts)
+                .expect("the canonical pair prices every curve");
             prop_assert_eq!(part.thresholds.len(), 1);
-            prop_assert_eq!(part.thresholds[0].to_bits(), scalar.threshold.to_bits());
-            prop_assert_eq!(part.partition.cuts(), &[scalar.split][..]);
-            prop_assert_eq!(part.total, scalar.total);
-            prop_assert_eq!(part.probes, scalar.probes);
+            prop_assert_eq!(part.thresholds[0].to_bits(), scalar.best_t.to_bits());
+            prop_assert_eq!(part.partition.cuts(), &[split][..]);
+            prop_assert_eq!(part.total, scalar.best_time);
+            prop_assert_eq!(part.probes, scalar.grad_probes);
             prop_assert_eq!(part.sweeps, 0);
 
             // Two-way pricing at the argmin (and the scalar split it
             // names) is the scalar total, bitwise.
-            let p = Partition::two_way(curve.splits() - 1, scalar.split);
+            let p = Partition::two_way(curve.splits() - 1, split);
             prop_assert_eq!(
                 curve.partition_total(pair, &p).expect("pair prices bands"),
-                curve.total_at(scalar.split)
+                curve.total_at(split)
             );
         }
     }

@@ -8,6 +8,9 @@
 //!   same argmin bitwise, spending no more curve probes than cold;
 //! * `run_batch` equals a sequential `run` per item — duplicates included —
 //!   for any pool size, with or without an attached cache;
+//! * the served estimate (`profiled().run` / `run_batch`) equals the direct
+//!   reference `Estimator::run` bitwise for every non-analytic strategy on
+//!   every servable workload, with one repeat or several;
 //! * Floyd's O(s) sampler draws the same distribution class as a
 //!   shuffle-based sampler (uniform moments, within statistical bounds).
 
@@ -37,11 +40,50 @@ fn bits(e: &SamplingEstimate) -> (u64, u64, SimTime, usize, usize, usize) {
     )
 }
 
+/// Serves `w` alone and `[w, w2, w]` as a batch under each non-analytic
+/// strategy and compares every estimate with the direct reference.
+fn check_served_is_direct<W>(w: &W, w2: &W, seed: u64)
+where
+    W: Sampleable + Fingerprinted + Clone,
+    W::Sample: Profilable,
+{
+    let strategies = [
+        SearchStrategy::Exhaustive { step: None },
+        SearchStrategy::CoarseToFine,
+        SearchStrategy::RaceThenFine,
+        SearchStrategy::GradientDescent {
+            max_evals: DEFAULT_GRADIENT_EVALS,
+        },
+    ];
+    for strategy in strategies {
+        for repeats in [1, 3] {
+            let est = Estimator::new(strategy).seed(seed).repeats(repeats);
+            let direct = est.run(w);
+            let direct2 = est.run(w2);
+            let name = strategy.name();
+            prop_assert_eq!(
+                bits(&est.profiled().run(w)),
+                bits(&direct),
+                "{} x{}",
+                name,
+                repeats
+            );
+            let batch = est
+                .profiled()
+                .run_batch(&[w.clone(), w2.clone(), w.clone()]);
+            prop_assert_eq!(bits(&batch[0]), bits(&direct), "{} x{}", name, repeats);
+            prop_assert_eq!(bits(&batch[1]), bits(&direct2), "{} x{}", name, repeats);
+            prop_assert_eq!(bits(&batch[2]), bits(&direct), "{} x{}", name, repeats);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Exact-key hits are bitwise identical to the cold path, across
-    /// the plain and profiled pipelines and two workload families.
+    /// (a) Exact-key hits are bitwise identical to the cold path, for a
+    /// direct-reference cold run and an analytic one, on two workload
+    /// families.
     #[test]
     fn exact_key_hit_is_bitwise_identical_to_cold(
         n in 96usize..320,
@@ -51,11 +93,11 @@ proptest! {
         let w = CcWorkload::new(ggen::web(n, deg, seed), platform());
         let s = SpmmWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), platform());
 
-        // Plain pipeline, CoarseToFine.
+        // CoarseToFine, served against the direct reference.
         let est = Estimator::new(SearchStrategy::CoarseToFine).seed(seed);
         let cold = est.run(&w);
         let cache = ThresholdCache::new(8);
-        let cached = est.cache(&cache);
+        let cached = est.cache(&cache).profiled();
         let first = cached.run_cached(&w);
         let hit = cached.run_cached(&w);
         prop_assert_eq!(bits(&first), bits(&cold));
@@ -63,7 +105,7 @@ proptest! {
         let st = cache.stats();
         prop_assert_eq!((st.exact_hits, st.misses, st.insertions), (1, 1, 1));
 
-        // Profiled pipeline, Analytic.
+        // Analytic, which only runs profiled.
         let est = Estimator::new(SearchStrategy::Analytic { step: None }).seed(seed);
         let cold = est.profiled().run(&s);
         let cache = ThresholdCache::new(8);
@@ -236,18 +278,18 @@ proptest! {
         let ws = vec![a.clone(), b.clone(), a.clone(), c, b, a];
         let pool = Pool::new(threads);
 
-        // Plain pipeline, no cache.
+        // CoarseToFine against the direct reference, no cache.
         let est = Estimator::new(SearchStrategy::CoarseToFine).seed(seed).pool(&pool);
-        let batch = est.run_batch(&ws);
+        let batch = est.profiled().run_batch(&ws);
         prop_assert_eq!(batch.len(), ws.len());
         for (w, got) in ws.iter().zip(&batch) {
             prop_assert_eq!(bits(got), bits(&est.run(w)));
         }
 
-        // Plain pipeline with a cache: same results, and a second batch is
-        // served entirely from exact hits.
+        // With a cache: same results, and a second batch is served
+        // entirely from exact hits.
         let cache = ThresholdCache::new(16);
-        let cached = est.cache(&cache);
+        let cached = est.cache(&cache).profiled();
         for (w, got) in ws.iter().zip(&cached.run_batch(&ws)) {
             prop_assert_eq!(bits(got), bits(&est.run(w)));
         }
@@ -257,7 +299,7 @@ proptest! {
         }
         prop_assert_eq!(cache.stats().exact_hits, 3);
 
-        // Profiled pipeline, no cache.
+        // Analytic, no cache.
         let prof = Estimator::new(SearchStrategy::Analytic { step: None })
             .seed(seed)
             .pool(&pool)
@@ -265,6 +307,40 @@ proptest! {
         for (w, got) in ws.iter().zip(&prof.run_batch(&ws)) {
             prop_assert_eq!(bits(got), bits(&prof.run(w)));
         }
+    }
+
+    /// (c') The served estimate is the direct reference, bitwise: for every
+    /// strategy that can also run unprofiled, on every workload the
+    /// serving layer accepts, `profiled().run` and `profiled().run_batch`
+    /// return exactly what `Estimator::run` returns, with one repeat and
+    /// with three.
+    #[test]
+    fn served_estimate_equals_the_direct_reference(
+        n in 96usize..240,
+        deg in 2usize..6,
+        seed in 0u64..500,
+    ) {
+        let p = platform();
+        check_served_is_direct(
+            &CcWorkload::new(ggen::web(n, deg, seed), p),
+            &CcWorkload::new(ggen::web(n + 11, deg, seed + 1), p),
+            seed,
+        );
+        check_served_is_direct(
+            &SpmmWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), p),
+            &SpmmWorkload::new(sgen::power_law(n + 11, deg + 2, 2.1, seed + 1), p),
+            seed,
+        );
+        check_served_is_direct(
+            &HhWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), p),
+            &HhWorkload::new(sgen::power_law(n + 11, deg + 2, 2.1, seed + 1), p),
+            seed,
+        );
+        check_served_is_direct(
+            &DenseGemmWorkload::new(64 + n % 64, p),
+            &DenseGemmWorkload::new(64 + (n + 11) % 64, p),
+            seed,
+        );
     }
 
     /// (d) Floyd's O(s) sampler draws the same distribution class as the
