@@ -10,7 +10,8 @@
 //! nbwp estimate cc   --input cant.mtx
 //! nbwp estimate spmm --input cant.mtx --seed 7
 //! nbwp estimate hh   --input web.mtx
-//! # Partition across a k-way device topology (per-device work fractions):
+//! # Partition across a k-way device topology (cut thresholds, and each
+//! # device's share of the rows or vertices):
 //! nbwp estimate spmm --input cant.mtx --devices dual-cpu-dual-gpu
 //! # Serve many requests through the fingerprint-deduped batch path with
 //! # a shared threshold cache (one Matrix Market path per line):
@@ -120,8 +121,9 @@ pub enum Command {
         /// `quad-cpu-quad-gpu`) or a `.json` topology file with per-link
         /// transfer models. The canonical pair keeps the scalar pipeline
         /// (it only widens the cache key); larger sets run the k-way
-        /// analytic partition search — per-device work fractions on a
-        /// single `--input`, partition-aware cache serving with `--batch`,
+        /// analytic partition search — the cut thresholds and each
+        /// device's band as a share of the rows (spmm) or vertices (cc) on
+        /// a single `--input`, partition-aware cache serving with `--batch`,
         /// and warm cut-vector serving with `--drift`.
         devices: Option<Box<DeviceSet>>,
     },
@@ -715,11 +717,11 @@ fn estimate_cmd(
     match (workload, kway) {
         ("cc", Some(set)) => {
             let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            report_partition(&mut out, &w, set, seed, &rec, &audit);
+            report_partition(&mut out, &w, set, "vertices", seed, &rec, &audit);
         }
         ("spmm", Some(set)) => {
             let w = SpmmWorkload::new(a, platform);
-            report_partition(&mut out, &w, set, seed, &rec, &audit);
+            report_partition(&mut out, &w, set, "rows", seed, &rec, &audit);
         }
         ("hh", Some(set)) => {
             return Err(err(format!(
@@ -759,16 +761,19 @@ fn estimate_cmd(
 }
 
 /// Runs the k-way analytic partition search over the full input and
-/// appends the cut vector plus one work-fraction row per device. The
-/// fractions are also exported as `partition.fraction.d<i>` gauges, which
-/// `nbwp report --metrics` renders as a dedicated row. The request goes
-/// through the partition serving path (`run_partition_cached`; no cache
-/// attached, so it runs cold); with an enabled flight recorder it records
-/// one arity-`k` audit event — the partition is identical either way.
+/// appends the cut vector plus one row per device giving its band as a
+/// share of the input's `units`: rows for spmm (whose cut thresholds are
+/// work shares, so the two differ) or vertices for cc. The fractions are
+/// also exported as `partition.fraction.d<i>` gauges, which `nbwp report
+/// --metrics` renders as a dedicated row. The request goes through the
+/// partition serving path (`run_partition_cached`; no cache attached, so
+/// it runs cold); with an enabled flight recorder it records one arity-`k`
+/// audit event — the partition is identical either way.
 fn report_partition<W: Profilable + Fingerprinted>(
     out: &mut String,
     w: &W,
     set: &DeviceSet,
+    units: &str,
     seed: u64,
     rec: &Recorder,
     audit: &FlightRecorder,
@@ -797,7 +802,7 @@ fn report_partition<W: Profilable + Fingerprinted>(
         };
         let _ = writeln!(
             out,
-            "  device {i} ({kind} ×{:.2}): {:.1}% of the work",
+            "  device {i} ({kind} ×{:.2}): {:.1}% of the {units}",
             d.speed,
             f * 100.0
         );
@@ -1558,8 +1563,9 @@ fn report_cmd(audit_path: &str, metrics_path: Option<&str>) -> Result<String, Cl
             for (name, v) in &snap.counters {
                 let _ = writeln!(out, "  {name} = {v}");
             }
-            // The k-way estimate path exports per-device work fractions as
-            // `partition.fraction.d<i>` gauges; render them as one row.
+            // The k-way estimate path exports per-device band fractions
+            // (rows or vertices) as `partition.fraction.d<i>` gauges;
+            // render them as one row.
             let fractions: Vec<String> = snap
                 .gauges
                 .iter()
@@ -1569,7 +1575,7 @@ fn report_cmd(audit_path: &str, metrics_path: Option<&str>) -> Result<String, Cl
                 })
                 .collect();
             if !fractions.is_empty() {
-                let _ = writeln!(out, "  work fractions: {}", fractions.join("  "));
+                let _ = writeln!(out, "  band fractions: {}", fractions.join("  "));
             }
             for (name, h) in &snap.histograms {
                 let _ = writeln!(
@@ -2427,9 +2433,10 @@ mod tests {
     }
 
     /// End-to-end `estimate --devices`: the k-way analytic path prints the
-    /// cut vector and one work-fraction row per device, exports the
-    /// fractions as gauges, and `nbwp report --metrics` renders them as a
-    /// dedicated row. hh has no contiguous-span curve and fails loudly.
+    /// cut vector and one band-fraction row per device (rows for spmm,
+    /// vertices for cc), exports the fractions as gauges, and `nbwp report
+    /// --metrics` renders them as a dedicated row. hh has no
+    /// contiguous-span curve and fails loudly.
     #[test]
     fn kway_estimate_reports_per_device_fractions() {
         let dir = std::env::temp_dir().join("nbwp_cli_kway_test");
@@ -2483,14 +2490,14 @@ mod tests {
         ] {
             assert!(text.contains(row), "{text}");
         }
-        assert_eq!(text.matches("% of the work").count(), 4, "{text}");
+        assert_eq!(text.matches("% of the rows").count(), 4, "{text}");
 
         // cc prices bands too (k = 8 preset).
         let text = estimate("cc", DeviceSet::quad_cpu_quad_gpu(), None, None).unwrap();
-        assert_eq!(text.matches("% of the work").count(), 8, "{text}");
+        assert_eq!(text.matches("% of the vertices").count(), 8, "{text}");
 
         // The gauges landed in the snapshot and the dashboard renders the
-        // dedicated work-fraction row (needs an audit log for the report).
+        // dedicated band-fraction row (needs an audit log for the report).
         let audit = dir.join("kway-audit.jsonl");
         estimate(
             "spmm",
@@ -2504,7 +2511,7 @@ mod tests {
             metrics: Some(metrics.to_str().unwrap().into()),
         })
         .unwrap();
-        assert!(dash.contains("work fractions: d0"), "{dash}");
+        assert!(dash.contains("band fractions: d0"), "{dash}");
         assert!(dash.contains("d3"), "{dash}");
 
         // hh partitions by a predicate, not contiguous spans.

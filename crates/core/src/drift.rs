@@ -256,7 +256,6 @@ pub struct DriftServer<'a, W: DriftWorkload> {
     profile: W::Profile,
     scratch: ProfileScratch,
     set: DeviceSet,
-    step: f64,
     policy: CrossoverPolicy,
     cache: Option<&'a ThresholdCache>,
     audit: Option<&'a FlightRecorder>,
@@ -277,16 +276,14 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
     pub fn new(workload: W) -> Self {
         let mut scratch = ProfileScratch::new();
         let profile = workload.build_profile_in(Pool::global(), &mut scratch);
-        let step = workload.space().fine_step;
         let set = DeviceSet::cpu_gpu_static().clone();
-        let (thresholds, total, probes) = Self::cold_minimize(&workload, &profile, &set, step);
+        let (thresholds, total, probes) = Self::cold_minimize(&workload, &profile, &set);
         let units = workload.units();
         DriftServer {
             workload,
             profile,
             scratch,
             set,
-            step,
             // Seed the adaptive EWMAs from the one measurement `new`
             // already made: the cold search's probes (an upper bound on
             // warm-descent work) and the whole-input build it descended on.
@@ -308,22 +305,14 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         workload: &W,
         profile: &W::Profile,
         set: &DeviceSet,
-        step: f64,
     ) -> (Vec<f64>, SimTime, usize) {
         let space = workload.space();
         let curve = workload
             .curve(profile)
             .expect("drift serving needs an analytic cost curve");
-        let m = minimize_partition(curve.as_ref(), set, &space, step, None)
+        let m = minimize_partition(curve.as_ref(), set, &space, space.fine_step, None)
             .expect("drift serving at k > 2 needs a band-priced cost curve");
         (m.thresholds, m.total, m.probes)
-    }
-
-    /// Overrides the search step (defaults to the space's fine step).
-    #[must_use]
-    pub fn with_step(mut self, step: f64) -> Self {
-        self.step = step;
-        self
     }
 
     /// Serves full k-way cut vectors for `set` instead of the canonical
@@ -338,7 +327,7 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
     pub fn with_devices(mut self, set: DeviceSet) -> Self {
         self.set = set;
         let (thresholds, total, probes) =
-            Self::cold_minimize(&self.workload, &self.profile, &self.set, self.step);
+            Self::cold_minimize(&self.workload, &self.profile, &self.set);
         self.thresholds = thresholds;
         self.total = total;
         self.cold_probes = probes as u64;
@@ -458,7 +447,7 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
             } else {
                 Some(prev_cuts.as_slice())
             };
-            let m = minimize_partition(curve.as_ref(), &self.set, &space, self.step, warm)
+            let m = minimize_partition(curve.as_ref(), &self.set, &space, space.fine_step, warm)
                 .expect("drift serving at k > 2 needs a band-priced cost curve");
             // Staleness regret: what serving the *old* cut vector on the
             // *new* curve would cost over the fresh minimum. On the

@@ -152,12 +152,6 @@ impl Default for SampleSpec {
 }
 
 impl SampleSpec {
-    /// The paper's default sample size.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// A scaled spec.
     #[must_use]
     pub fn scaled(factor: f64) -> Self {

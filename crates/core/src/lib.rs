@@ -12,11 +12,15 @@
 //!    descent) finds the best threshold *on the sample*;
 //! 3. an [`extrapolate::Extrapolator`] maps it back to the full input.
 //!
-//! Four workloads implement the framework: hybrid graph connected
-//! components, row-row spmm, scale-free spmm (Algorithm HH-CPU), and dense
-//! GEMM — see [`workloads`]. Baselines (NaiveStatic, NaiveAverage,
-//! GPU-only, Qilin-style history, Boyer-style chunked-dynamic) live in
-//! [`baselines`], and [`experiment`] drives the paper's figures and tables.
+//! Seven workloads implement the framework: the paper's hybrid graph
+//! connected components, row-row spmm and scale-free spmm (Algorithm
+//! HH-CPU), plus dense GEMM, SpMV, sorting and list ranking — see
+//! [`workloads`]. The scalar threshold is the two-device case of a k-way
+//! [`nbwp_sim::Partition`] over a [`nbwp_sim::DeviceSet`], searched by
+//! [`search::ProfiledSearcher::run_partition`]. Baselines (NaiveStatic,
+//! NaiveAverage, GPU-only, Qilin-style history, Boyer-style
+//! chunked-dynamic) live in [`baselines`], and [`experiment`] drives the
+//! paper's figures and tables.
 //!
 //! ```
 //! use nbwp_core::prelude::*;
@@ -73,8 +77,7 @@ pub mod prelude {
     pub use crate::threshold_cache::{CacheStats, ThresholdCache, SHADOW_REGRET_CAPACITY};
     pub use crate::workloads::{
         CcSampler, CcWorkload, DenseGemmWorkload, HhSampler, HhWorkload, ListRankingWorkload,
-        MultiPlatform, MultiRunReport, MultiSpmmWorkload, Shares, SortWorkload, SpmmWorkload,
-        SpmvWorkload,
+        SortWorkload, SpmmWorkload, SpmvWorkload,
     };
     pub use nbwp_par::Pool;
     pub use nbwp_sim::{

@@ -448,9 +448,10 @@ pub struct PartitionOutcome {
     /// Cut thresholds in threshold space, ascending — one per device
     /// boundary (`k − 1` of them).
     pub cuts: Vec<f64>,
-    /// Per-device work fractions of the chosen partition (sums to 1 on
-    /// non-empty inputs; empty when no curve was available to derive the
-    /// partition).
+    /// Per-device band fractions of the chosen partition
+    /// ([`Partition::fractions`]): shares of the units, e.g. rows for
+    /// spmm, whose `cuts` are work shares instead. Sums to 1 on non-empty
+    /// inputs; empty when no curve was available to derive the partition.
     pub fractions: Vec<f64>,
     /// The chosen partition over the curve's unit domain, when a cost
     /// curve was available.

@@ -101,13 +101,28 @@ proptest! {
 
     #[test]
     fn multi_device_shares_always_partition(a in arb_matrix(), k in 1usize..4) {
-        let w = MultiSpmmWorkload::new(a, MultiPlatform::xeon_with_k40cs(k).scaled_for(0.05));
-        let shares = w.rebalance(&Shares::equal(k + 1), 3);
-        shares.validate(k + 1);
-        let ranges = w.row_ranges(&shares);
-        prop_assert_eq!(ranges[0].0, 0);
-        prop_assert_eq!(ranges.last().unwrap().1, w.size());
-        for pair in ranges.windows(2) {
+        // One Xeon plus `k` K40cs; k = 1 is the canonical pair, which
+        // routes through the scalar search.
+        let mut devices = vec![Device::cpu()];
+        devices.extend(std::iter::repeat_n(Device::gpu(), k));
+        let set = DeviceSet::new(format!("cpu+{k}gpu"), devices);
+        let w = SpmmWorkload::new(a, platform());
+        let out = Searcher::new(SearchStrategy::Analytic { step: None })
+            .profiled()
+            .run_partition(&w, &set);
+        prop_assert_eq!(out.cuts.len(), k);
+        prop_assert!(out.cuts.windows(2).all(|c| c[0] <= c[1]), "cuts {:?}", out.cuts);
+        prop_assert_eq!(out.fractions.len(), k + 1);
+        prop_assert!(out.fractions.iter().all(|&f| f >= 0.0), "fractions {:?}", out.fractions);
+        let sum: f64 = out.fractions.iter().sum();
+        prop_assert!((sum - 1.0).abs() < 1e-6, "fractions must sum to 1, got {}", sum);
+        let partition = out.partition.expect("spmm exposes a cost curve");
+        prop_assert_eq!(partition.arity(), k + 1);
+        prop_assert_eq!(partition.units(), w.size());
+        let bands: Vec<_> = partition.bands().collect();
+        prop_assert_eq!(bands[0].0, 0);
+        prop_assert_eq!(bands.last().unwrap().1, w.size());
+        for pair in bands.windows(2) {
             prop_assert_eq!(pair[0].1, pair[1].0);
         }
     }

@@ -478,8 +478,9 @@ impl Partition {
         (0..self.arity()).map(|i| self.band(i))
     }
 
-    /// Per-device assigned work fractions (band length over `units`;
-    /// all-zero when the partition covers zero units).
+    /// Per-device band fractions: band length over `units`, i.e. the
+    /// share of the *units* (rows for spmm, vertices for cc), not of the
+    /// work. All-zero when the partition covers zero units.
     #[must_use]
     pub fn fractions(&self) -> Vec<f64> {
         self.bands()

@@ -153,28 +153,41 @@ proptest! {
     /// — the argmin of the same input (an exact-class warm start) or of a
     /// locally perturbed sibling (a near-hit warm start) — produces the
     /// cold search's cuts and total bitwise, spending no more probes, for
-    /// random spmm inputs at k = 4 and k = 8.
+    /// random spmm inputs on the k = 4 and k = 8 presets and on one CPU
+    /// with one to three platform GPUs. Every minimum is a partition of
+    /// the input's rows into one band per device, and its total is that
+    /// partition's priced total, bitwise.
     #[test]
     fn warm_kway_descent_matches_cold_argmin_spmm(
         n in 96usize..320,
         deg in 2usize..7,
         seed in 0u64..1000,
-        wide in any::<bool>(),
+        topology in 0usize..5,
         row in 0usize..96,
         cols in proptest::collection::vec(0u32..96, 1..5),
     ) {
-        let set = if wide {
-            DeviceSet::quad_cpu_quad_gpu()
-        } else {
-            DeviceSet::dual_cpu_dual_gpu()
+        let set = match topology {
+            0 => DeviceSet::dual_cpu_dual_gpu(),
+            1 => DeviceSet::quad_cpu_quad_gpu(),
+            gpus => {
+                let mut devices = vec![Device::cpu()];
+                devices.extend(std::iter::repeat_n(Device::gpu(), gpus - 1));
+                DeviceSet::new(format!("cpu+{}gpu", gpus - 1), devices)
+            }
         };
         let base = SpmmWorkload::new(sgen::power_law(n, deg, 2.1, seed), platform());
         let space = base.space();
         let minimize = |w: &SpmmWorkload, warm: Option<&[f64]>| {
             let profile = w.build_profile(Pool::global());
             let curve = w.curve(&profile).expect("spmm exposes a cost curve");
-            minimize_partition(curve.as_ref(), &set, &space, space.fine_step, warm)
-                .expect("spmm prices every band")
+            let m = minimize_partition(curve.as_ref(), &set, &space, space.fine_step, warm)
+                .expect("spmm prices every band");
+            // A closure cannot early-return a property failure, so the
+            // structural checks assert directly.
+            assert_eq!(m.partition.arity(), set.len());
+            assert_eq!(m.partition.units(), w.size());
+            assert_eq!(curve.partition_total(&set, &m.partition), Some(m.total));
+            m
         };
         let base_cold = minimize(&base, None);
 
