@@ -678,7 +678,7 @@ fn run_estimator<W>(
     audit: &FlightRecorder,
 ) -> SamplingEstimate
 where
-    W: Sampleable + Fingerprinted,
+    W: Sampleable + Fingerprinted + Profilable,
     W::Sample: Profilable,
 {
     Estimator::new(strategy)
@@ -825,7 +825,7 @@ fn serve_batch<W>(
     audit: &FlightRecorder,
     unit: &str,
 ) where
-    W: Sampleable + Fingerprinted,
+    W: Sampleable + Fingerprinted + Profilable,
     W::Sample: Profilable,
 {
     // No recorder on the estimator: `run_batch` would flush (reset) the
@@ -848,15 +848,15 @@ fn serve_batch<W>(
     }
     // Duplicates inside one batch are deduped by fingerprint before the
     // cache is consulted, so they never show up in the hit/miss counters.
+    // `misses` counts every exact-key miss, warm starts included.
     let st = cache.stats();
-    let served = st.exact_hits + st.near_hits + st.misses;
     let _ = writeln!(
         out,
-        "cache: {} exact hits, {} warm starts, {} misses; {} of {} requests deduped in-batch",
+        "cache: {} exact hits, {} warm starts, {} cold; {} of {} requests deduped in-batch",
         st.exact_hits,
         st.near_hits,
-        st.misses,
-        paths.len() as u64 - served,
+        st.misses - st.near_hits,
+        paths.len() as u64 - (st.exact_hits + st.misses),
         paths.len()
     );
     cache.flush_metrics(rec);
@@ -901,8 +901,11 @@ fn serve_batch_kway<W>(
     let st = cache.stats();
     let _ = writeln!(
         out,
-        "cache: {} k-way exact hits, {} warm starts, {} misses; {} probes saved",
-        st.kway_exact_hits, st.kway_near_hits, st.kway_misses, st.probes_saved
+        "cache: {} k-way exact hits, {} warm starts, {} cold; {} probes saved",
+        st.kway_exact_hits,
+        st.kway_near_hits,
+        st.kway_misses - st.kway_near_hits,
+        st.probes_saved
     );
     cache.flush_metrics(rec);
     audit.flush_metrics(rec);
@@ -1628,9 +1631,32 @@ fn report_scalar<W: PartitionedWorkload>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Writes a five-request batch of near-key siblings into `dir`: cant
+    /// at scale 0.005 and seeds 3–6, with `cant3` (seed 3, already
+    /// generated) requested twice. Returns the batch file and the three
+    /// new inputs.
+    fn cant_sibling_batch(dir: &Path, cant3: &Path) -> (PathBuf, Vec<PathBuf>) {
+        let sibs: Vec<PathBuf> = (4..=6).map(|s| dir.join(format!("cant{s}.mtx"))).collect();
+        for (seed, path) in (4..).zip(&sibs) {
+            run(&Command::Gen {
+                dataset: "cant".into(),
+                scale: 0.005,
+                seed,
+                out: path.to_str().unwrap().into(),
+            })
+            .unwrap();
+        }
+        let p = |f: &Path| f.to_str().unwrap().to_string();
+        let lines = [p(cant3), p(&sibs[0]), p(&sibs[1]), p(cant3), p(&sibs[2])];
+        let reqs = dir.join("siblings.txt");
+        std::fs::write(&reqs, lines.join("\n")).unwrap();
+        (reqs, sibs)
     }
 
     #[test]
@@ -1974,10 +2000,42 @@ mod tests {
             .unwrap();
             assert!(text.contains("4 requests"), "{text}");
             assert_eq!(text.matches("threshold").count(), 4, "{text}");
-            // Two distinct inputs → two misses; the two duplicate requests
-            // are deduped inside the batch before the cache is consulted.
-            assert!(text.contains("2 misses"), "{text}");
+            // Two distinct inputs → two cold runs; the two duplicate
+            // requests are deduped inside the batch before the cache is
+            // consulted.
+            assert!(text.contains("2 cold"), "{text}");
             assert!(text.contains("2 of 4 requests deduped in-batch"), "{text}");
+        }
+
+        // Near-key siblings: two of the four distinct inputs warm-start.
+        // The cache's miss counter includes those warm starts, so the
+        // summary must not subtract them twice. Auditing serves the
+        // representatives in order, which makes the split deterministic.
+        let (siblings, sibs) = cant_sibling_batch(&dir, &m2);
+        let audit = dir.join("siblings.jsonl");
+        let text = run(&Command::Estimate {
+            workload: "spmm".into(),
+            input: None,
+            batch: Some(siblings.to_str().unwrap().into()),
+            cache_size: Some(8),
+            seed: 3,
+            exhaustive: false,
+            strategy: None,
+            analytic: true,
+            trace_out: None,
+            metrics: false,
+            metrics_out: None,
+            audit_out: Some(audit.to_str().unwrap().into()),
+            drift: None,
+            devices: None,
+        })
+        .unwrap();
+        assert!(
+            text.contains("0 exact hits, 2 warm starts, 2 cold; 1 of 5 requests deduped in-batch"),
+            "{text}"
+        );
+        for f in sibs.iter().chain([&siblings, &audit]) {
+            std::fs::remove_file(f).ok();
         }
 
         // An unreadable request file and an empty one both fail loudly.
@@ -2382,9 +2440,42 @@ mod tests {
         let text = batch("spmm").unwrap();
         assert_eq!(text.matches("cuts [").count(), 3, "{text}");
         assert!(text.contains("(k = 4)"), "{text}");
-        assert!(text.contains("1 k-way exact hits"), "{text}");
+        assert!(
+            text.contains("1 k-way exact hits, 0 warm starts, 2 cold"),
+            "{text}"
+        );
         let e = batch("hh").unwrap_err();
         assert!(e.0.contains("cc | spmm"), "{}", e.0);
+
+        // Near-key siblings: the repeat is an exact hit and two of the
+        // other four requests warm-start from a cached cut vector.
+        let (siblings, sibs) = cant_sibling_batch(&dir, &m2);
+        let audit = dir.join("siblings.jsonl");
+        let text = run(&Command::Estimate {
+            workload: "spmm".into(),
+            input: None,
+            batch: Some(siblings.to_str().unwrap().into()),
+            cache_size: Some(8),
+            seed: 3,
+            exhaustive: false,
+            strategy: None,
+            analytic: false,
+            trace_out: None,
+            metrics: false,
+            metrics_out: None,
+            audit_out: Some(audit.to_str().unwrap().into()),
+            drift: None,
+            devices: Some(Box::new(DeviceSet::dual_cpu_dual_gpu())),
+        })
+        .unwrap();
+        assert_eq!(text.matches("cuts [").count(), 5, "{text}");
+        assert!(
+            text.contains("1 k-way exact hits, 2 warm starts, 2 cold"),
+            "{text}"
+        );
+        for f in sibs.iter().chain([&siblings, &audit]) {
+            std::fs::remove_file(f).ok();
+        }
 
         // Drift: k-way steps print the served cut vector and the decision
         // reason; the audit log feeds the report's drift-decision section.

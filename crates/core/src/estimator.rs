@@ -28,11 +28,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::fingerprint::Fingerprinted;
+use crate::fingerprint::{ExactKey, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable};
-use crate::profile::Profilable;
+use crate::profile::{Profilable, ProfiledWorkload};
 use crate::search::{PartitionOutcome, SearchOutcome, Searcher, Strategy};
-use crate::threshold_cache::{CacheKey, ConfigKey, NearCacheKey, PartitionNearKey, ThresholdCache};
+use crate::threshold_cache::{
+    CacheKey, ConfigKey, Decision, PartitionHint, ThresholdCache, WarmHint,
+};
 
 /// Default shadow-regret sampling rate: every 16th near-key warm hit also
 /// runs the cold path and prices both decisions on the full input (see
@@ -270,16 +272,32 @@ impl<'a> Estimator<'a> {
     /// Runs the configured pipeline on `workload`.
     #[must_use]
     pub fn run<W: Sampleable>(&self, workload: &W) -> SamplingEstimate {
-        let pool = self.pool.unwrap_or(Pool::global());
+        let (strategy, pool) = (self.strategy, self.pool.unwrap_or(Pool::global()));
+        self.repeated(workload, |sample, rec| {
+            Searcher::new(strategy).recorder(rec).pool(pool).run(sample)
+        })
+    }
+
+    /// Sample → Identify → Extrapolate once per repeat (seeds
+    /// `seed..seed + repeats`), `identify` searching each sample. A single
+    /// repeat runs on the attached recorder; more run concurrently,
+    /// untraced, and yield the median-threshold estimate. `identify` must
+    /// not capture the builder, whose recorders are single-threaded.
+    fn repeated<W, F>(&self, workload: &W, identify: F) -> SamplingEstimate
+    where
+        W: Sampleable,
+        F: Fn(&W::Sample, &Recorder) -> SearchOutcome + Sync,
+    {
+        let (spec, name, seed) = (self.spec, self.strategy.name(), self.seed);
         if self.repeats == 1 {
             let disabled = Recorder::disabled();
             let rec = self.rec.unwrap_or(&disabled);
-            return run_single(workload, self.strategy, self.spec, self.seed, rec, pool);
+            return estimate_core(workload, spec, name, seed, rec, identify);
         }
-        let (strategy, spec, seed) = (self.strategy, self.spec, self.seed);
+        let pool = self.pool.unwrap_or(Pool::global());
         let runs = pool.map_indices(self.repeats, |k| {
             let seed = seed.wrapping_add(k as u64);
-            run_single(workload, strategy, spec, seed, &Recorder::disabled(), pool)
+            estimate_core(workload, spec, name, seed, &Recorder::disabled(), &identify)
         });
         median_estimate(runs)
     }
@@ -306,115 +324,74 @@ fn batch_groups<W: Fingerprinted>(workloads: &[W], config: ConfigKey) -> (Vec<us
     (reps, group_of)
 }
 
-/// An attached flight recorder, but only when it actually records —
-/// disabled recorders cost the serving path nothing, not even fingerprint
-/// or timer plumbing.
-fn active_audit(audit: Option<&FlightRecorder>) -> Option<&FlightRecorder> {
-    audit.filter(|a| a.is_enabled())
+/// The attached flight recorder of one served request, when it actually
+/// records, and the request's latency timer. Disabled recorders cost the
+/// serving path nothing, not even fingerprint or timer plumbing.
+struct RequestAudit<'a> {
+    recorder: &'a FlightRecorder,
+    timer: Option<Instant>,
 }
 
-/// Reads the wall clock only when the event will carry a latency.
-fn start_if(due: bool) -> Option<Instant> {
-    if due {
-        Some(Instant::now())
+impl<'a> RequestAudit<'a> {
+    /// Starts auditing a request, reading the wall clock only when the
+    /// event will carry a latency.
+    fn start(recorder: Option<&'a FlightRecorder>) -> Option<Self> {
+        let recorder = recorder.filter(|a| a.is_enabled())?;
+        let timer = recorder.timing_due().then(Instant::now);
+        Some(RequestAudit { recorder, timer })
+    }
+
+    /// Arms the timer at the top of a slow (cold / near-hit) path: those
+    /// requests are µs–ms scale, so they are always timed even when the
+    /// exact-hit sampling stride skipped this request.
+    fn timed(mut self) -> Self {
+        self.timer.get_or_insert_with(Instant::now);
+        self
+    }
+
+    /// Records the request's audit event. Work counters record what *this
+    /// request* spent: an exact hit returned a clone, so its evaluations,
+    /// probes, and simulated cost are zero regardless of what the
+    /// populating run paid. Takes the already-derived [`ExactKey`] rather
+    /// than the workload: re-fingerprinting would copy the full sketch
+    /// (hundreds of bytes) on the nanosecond-scale exact-hit path.
+    fn record<D: Decision>(
+        &self,
+        exact: ExactKey,
+        decision: CacheDecision,
+        served: &D,
+        shadow_regret_pct: Option<f64>,
+    ) {
+        let spent = decision != CacheDecision::ExactHit;
+        let fields = served.audit_fields();
+        self.recorder.record(AuditEvent {
+            kind: exact.kind,
+            digest: exact.digest,
+            decision,
+            threshold: fields.threshold,
+            evaluations: if spent { fields.evaluations } else { 0 },
+            grad_probes: if spent { served.probes() as u64 } else { 0 },
+            sim_cost_ms: if spent { fields.sim_cost_ms } else { 0.0 },
+            latency_us: self
+                .timer
+                .map_or(f64::NAN, |t| t.elapsed().as_secs_f64() * 1e6),
+            shadow_regret_pct: shadow_regret_pct.unwrap_or(f64::NAN),
+            arity: fields.arity,
+            span_fraction: f64::NAN,
+            crossover_estimate: f64::NAN,
+        });
+    }
+}
+
+/// A warm decision's shadow regret in percent: positive when it prices
+/// costlier than the cold decision, zero when they price identically.
+fn regret_pct(warm: SimTime, cold: SimTime) -> f64 {
+    let (warm, cold) = (warm.as_millis(), cold.as_millis());
+    if cold > 0.0 {
+        (warm / cold - 1.0) * 100.0
     } else {
-        None
+        0.0
     }
-}
-
-/// Arms the timer at the top of a slow (cold / near-hit) path: those
-/// requests are µs–ms scale, so they are always timed even when the
-/// exact-hit sampling stride skipped this request.
-fn arm_slow_timer(timer: &mut Option<Instant>, auditing: bool) {
-    if auditing && timer.is_none() {
-        *timer = Some(Instant::now());
-    }
-}
-
-fn finish_us(timer: Option<Instant>) -> Option<f64> {
-    timer.map(|t| t.elapsed().as_secs_f64() * 1e6)
-}
-
-/// Builds the audit event for one served request. Work counters record
-/// what *this request* spent: an exact hit returned a clone, so its
-/// evaluations, probes, and simulated cost are zero regardless of what the
-/// populating run paid. Takes the already-derived [`ExactKey`] rather than
-/// the workload: re-fingerprinting would copy the full sketch (hundreds of
-/// bytes) on the nanosecond-scale exact-hit path.
-fn audit_event(
-    exact: crate::fingerprint::ExactKey,
-    decision: CacheDecision,
-    est: &SamplingEstimate,
-    latency_us: Option<f64>,
-    shadow_regret_pct: Option<f64>,
-) -> AuditEvent {
-    let latency_us = latency_us.unwrap_or(f64::NAN);
-    let shadow_regret_pct = shadow_regret_pct.unwrap_or(f64::NAN);
-    let spent = decision != CacheDecision::ExactHit;
-    AuditEvent {
-        kind: exact.kind,
-        digest: exact.digest,
-        decision,
-        threshold: est.threshold,
-        evaluations: if spent { est.evaluations as u64 } else { 0 },
-        grad_probes: if spent { est.grad_probes as u64 } else { 0 },
-        sim_cost_ms: if spent { est.overhead.as_millis() } else { 0.0 },
-        latency_us,
-        shadow_regret_pct,
-        // A scalar estimate is a two-way split regardless of the cache
-        // key's configured topology.
-        arity: 2,
-        span_fraction: f64::NAN,
-        crossover_estimate: f64::NAN,
-    }
-}
-
-/// Builds the audit event for one served k-way partition request. Same
-/// work-counter convention as [`audit_event`]: an exact hit returned a
-/// clone, so it spent nothing.
-fn partition_audit_event(
-    exact: crate::fingerprint::ExactKey,
-    decision: CacheDecision,
-    out: &PartitionOutcome,
-    arity: u64,
-    latency_us: Option<f64>,
-    shadow_regret_pct: Option<f64>,
-) -> AuditEvent {
-    let spent = decision != CacheDecision::ExactHit;
-    let evaluations = out.scalar.as_ref().map_or(0, |s| s.evaluations() as u64);
-    let sim_cost_ms = out
-        .scalar
-        .as_ref()
-        .map_or(0.0, |s| s.search_cost.as_millis());
-    AuditEvent {
-        kind: exact.kind,
-        digest: exact.digest,
-        decision,
-        threshold: out.cuts.first().copied().unwrap_or(f64::NAN),
-        evaluations: if spent { evaluations } else { 0 },
-        grad_probes: if spent { out.probes as u64 } else { 0 },
-        sim_cost_ms: if spent { sim_cost_ms } else { 0.0 },
-        latency_us: latency_us.unwrap_or(f64::NAN),
-        shadow_regret_pct: shadow_regret_pct.unwrap_or(f64::NAN),
-        arity,
-        span_fraction: f64::NAN,
-        crossover_estimate: f64::NAN,
-    }
-}
-
-/// One unprofiled estimation (shared by the single and repeated paths; the
-/// repeated path runs concurrently, so this must not capture the builder).
-fn run_single<W: Sampleable>(
-    workload: &W,
-    strategy: Strategy,
-    spec: SampleSpec,
-    seed: u64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate {
-    estimate_core(workload, spec, strategy.name(), seed, rec, |sample, rec| {
-        Searcher::new(strategy).recorder(rec).pool(pool).run(sample)
-    })
 }
 
 /// An [`Estimator`] whose Identify step prices candidates through a cost
@@ -425,7 +402,7 @@ pub struct ProfiledEstimator<'a> {
     inner: Estimator<'a>,
 }
 
-impl ProfiledEstimator<'_> {
+impl<'a> ProfiledEstimator<'a> {
     /// Runs the configured pipeline on `workload`, profiling each sample
     /// once and searching on the profile.
     #[must_use]
@@ -442,154 +419,29 @@ impl ProfiledEstimator<'_> {
     /// clone of the cached estimate); on a miss, a near-key hit under
     /// [`Strategy::Analytic`] warm-starts the search from the cached
     /// split's bracket — same pipeline, measurably fewer `grad_probes` —
-    /// and the probe savings are credited to the cache's counters. Without
-    /// an attached cache this *is* [`ProfiledEstimator::run`].
+    /// and the probe savings are credited to the cache's counters. Shadow
+    /// reruns price both thresholds on one cost profile of the full input.
+    /// Without an attached cache this *is* [`ProfiledEstimator::run`].
     #[must_use]
     pub fn run_cached<W>(&self, workload: &W) -> SamplingEstimate
     where
-        W: Sampleable + Fingerprinted,
+        W: Sampleable + Fingerprinted + Profilable,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let audit = active_audit(cfg.audit);
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
-        let Some(cache) = cfg.cache else {
-            return self.serve_uncached(workload, timer, audit);
-        };
-        let key = CacheKey {
-            input: workload.fingerprint().exact_key(),
-            config: cfg.config_key(),
-        };
-        // Exact hit: record-and-return inside the arm — the hot path stays
-        // a short straight line, with the µs-scale miss machinery outlined
-        // behind `#[inline(never)]` so the exact-hit loop body stays small
-        // (see the audit module's overhead contract).
-        if let Some(est) = cache.get_exact(&key) {
-            if let Some(a) = audit {
-                a.record(audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &est,
-                    finish_us(timer),
-                    None,
-                ));
-            }
-            if let Some(rec) = cfg.rec {
-                cache.flush_metrics(rec);
-            }
-            return est;
-        }
-        self.serve_miss(workload, cache, key, timer, audit)
-    }
-
-    /// Cold serve without a cache — [`ProfiledEstimator::run`] plus one
-    /// audit event. Outlined: see [`ProfiledEstimator::run_cached`].
-    #[inline(never)]
-    fn serve_uncached<W>(
-        &self,
-        workload: &W,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate
-    where
-        W: Sampleable + Fingerprinted,
-        W::Sample: Profilable,
-    {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let est = self.run(workload);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &est,
-                finish_us(timer),
-                None,
-            ));
-        }
-        est
-    }
-
-    /// The exact-miss half of [`ProfiledEstimator::run_cached`]: near-hit
-    /// warm start, shadow-regret sampling, insert, audit. Outlined so the
-    /// exact-hit path stays small.
-    #[inline(never)]
-    fn serve_miss<W>(
-        &self,
-        workload: &W,
-        cache: &ThresholdCache,
-        key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> SamplingEstimate
-    where
-        W: Sampleable + Fingerprinted,
-        W::Sample: Profilable,
-    {
-        let cfg = &self.inner;
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_miss();
-        let near = NearCacheKey::of(workload.fingerprint().near_key(), cfg.strategy);
-        let mut shadow_regret = None;
-        let warm = if matches!(cfg.strategy, Strategy::Analytic { .. }) {
-            cache.get_near(&near)
-        } else {
-            None
-        };
-        let (est, decision) = match warm {
-            Some(hint) => {
-                let est = self.run_with_hint(workload, Some(hint.sample_threshold));
-                cache.record_probes_saved(hint.cold_probes.saturating_sub(est.grad_probes) as u64);
-                // Shadow-regret sampling (stride-gated): also run the cold
-                // path and price both thresholds on the full input. Pure
-                // observation — the warm estimate below is returned
-                // untouched.
-                if cache.shadow_due(cfg.shadow_rate) {
-                    let regret = self.shadow_price(workload, &est);
-                    cache.record_shadow(regret);
-                    shadow_regret = Some(regret);
-                }
-                (est, CacheDecision::NearHit)
-            }
-            None => (self.run(workload), CacheDecision::Cold),
-        };
-        cache.insert(key, near, &est);
-        if let Some(a) = audit {
-            a.record(audit_event(
-                key.input,
-                decision,
-                &est,
-                finish_us(timer),
-                shadow_regret,
-            ));
-        }
-        if let Some(rec) = cfg.rec {
-            cache.flush_metrics(rec);
-        }
-        est
-    }
-
-    /// The shadow half of the regret sampler: reruns this request cold
-    /// (same configuration, no cache, no recorders) and prices the warm and
-    /// cold thresholds on the full input. Returns the warm decision's
-    /// regret in percent — positive when the warm threshold is costlier,
-    /// zero when they price identically.
-    fn shadow_price<W>(&self, workload: &W, warm_est: &SamplingEstimate) -> f64
-    where
-        W: Sampleable,
-        W::Sample: Profilable,
-    {
-        let mut cold_cfg = self.inner;
-        cold_cfg.rec = None;
-        cold_cfg.cache = None;
-        cold_cfg.audit = None;
-        let cold_est = ProfiledEstimator { inner: cold_cfg }.run(workload);
-        let warm_cost = workload.run(warm_est.threshold).total().as_millis();
-        let cold_cost = workload.run(cold_est.threshold).total().as_millis();
-        if cold_cost > 0.0 {
-            (warm_cost / cold_cost - 1.0) * 100.0
-        } else {
-            0.0
-        }
+        self.serve(
+            workload,
+            |hint: Option<&WarmHint>| {
+                self.run_with_hint(workload, hint.map(|h| h.sample_threshold))
+            },
+            |warm| {
+                let cold = self.silent().run(workload);
+                let full = ProfiledWorkload::with_pool(workload, self.pool());
+                regret_pct(
+                    full.run(warm.threshold).total(),
+                    full.run(cold.threshold).total(),
+                )
+            },
+        )
     }
 
     /// Serves a batch of requests: items are deduplicated by fingerprint +
@@ -606,14 +458,14 @@ impl ProfiledEstimator<'_> {
     #[must_use]
     pub fn run_batch<W>(&self, workloads: &[W]) -> Vec<SamplingEstimate>
     where
-        W: Sampleable + Fingerprinted,
+        W: Sampleable + Fingerprinted + Profilable,
         W::Sample: Profilable,
     {
         let cfg = &self.inner;
-        let pool = cfg.pool.unwrap_or(Pool::global());
+        let pool = self.pool();
         let config = cfg.config_key();
         let (reps, group_of) = batch_groups(workloads, config);
-        let results = if active_audit(cfg.audit).is_some() {
+        let results = if cfg.audit.is_some_and(FlightRecorder::is_enabled) {
             // Audited batches serve representatives sequentially: the
             // flight recorder, like the span recorder, is single-threaded.
             let mut inner = *cfg;
@@ -681,157 +533,140 @@ impl ProfiledEstimator<'_> {
     where
         W: Profilable + Fingerprinted,
     {
+        let set = self.devices();
+        self.serve(
+            workload,
+            |hint: Option<&PartitionHint>| {
+                self.run_partition_with(workload, set, hint.map(|h| &h.cuts[..]))
+            },
+            // Curve totals are exact, so the shadow compares them directly.
+            |warm| {
+                let cold = self.silent().run_partition_with(workload, set, None);
+                regret_pct(warm.total, cold.total)
+            },
+        )
+    }
+
+    /// The one serving body behind [`ProfiledEstimator::run_cached`] and
+    /// [`ProfiledEstimator::run_partition_cached`]. `compute` runs the
+    /// decision kind's search, warm from a near hint or cold; `shadow`
+    /// reruns a warm request cold and returns the warm decision's regret.
+    fn serve<W, D>(
+        &self,
+        workload: &W,
+        compute: impl FnOnce(Option<&D::Hint>) -> D,
+        shadow: impl FnOnce(&D) -> f64,
+    ) -> D
+    where
+        W: Fingerprinted,
+        D: Decision,
+    {
         let cfg = &self.inner;
-        let set = cfg.devices.unwrap_or(DeviceSet::cpu_gpu_static());
-        let audit = active_audit(cfg.audit);
-        let timer = start_if(audit.is_some_and(FlightRecorder::timing_due));
+        let audit = RequestAudit::start(cfg.audit);
         let Some(cache) = cfg.cache else {
-            return self.serve_partition_uncached(workload, set, timer, audit);
+            return serve_uncached(workload, audit, compute);
         };
         let key = CacheKey {
             input: workload.fingerprint().exact_key(),
             config: cfg.config_key(),
         };
-        // Exact hit: record-and-return inside the arm, miss machinery
-        // outlined — same shape as the scalar serving path (see the audit
-        // module's overhead contract).
-        if let Some(out) = cache.get_partition(&key) {
-            if let Some(a) = audit {
-                a.record(partition_audit_event(
-                    key.input,
-                    CacheDecision::ExactHit,
-                    &out,
-                    set.len() as u64,
-                    finish_us(timer),
-                    None,
-                ));
+        // Exact hit: record-and-return inside the arm — the hot path stays
+        // a short straight line, with the µs-scale miss machinery outlined
+        // behind `#[inline(never)]` so the exact-hit loop body stays small
+        // (see the audit module's overhead contract).
+        if let Some(served) = cache.lookup::<D>(&key) {
+            if let Some(a) = &audit {
+                a.record(key.input, CacheDecision::ExactHit, &served, None);
             }
             if let Some(rec) = cfg.rec {
                 cache.flush_metrics(rec);
             }
-            return out;
+            return served;
         }
-        self.serve_partition_miss(workload, set, cache, key, timer, audit)
+        self.serve_miss(workload, cache, key, audit, compute, shadow)
     }
 
-    /// Cold partition serve without a cache — one `run_partition` plus one
-    /// audit event. Outlined: see [`ProfiledEstimator::run_partition_cached`].
+    /// The exact-miss half of [`ProfiledEstimator::serve`]: near-hit warm
+    /// start, shadow-regret sampling, insert, audit. Outlined so the
+    /// exact-hit path stays small.
     #[inline(never)]
-    fn serve_partition_uncached<W>(
+    fn serve_miss<W, D>(
         &self,
         workload: &W,
-        set: &DeviceSet,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> PartitionOutcome
-    where
-        W: Profilable + Fingerprinted,
-    {
-        arm_slow_timer(&mut timer, audit.is_some());
-        let out = self.run_partition_with(workload, set, None);
-        if let Some(a) = audit {
-            a.record(partition_audit_event(
-                workload.fingerprint().exact_key(),
-                CacheDecision::Cold,
-                &out,
-                set.len() as u64,
-                finish_us(timer),
-                None,
-            ));
-        }
-        out
-    }
-
-    /// The exact-miss half of [`ProfiledEstimator::run_partition_cached`]:
-    /// near-hit warm descent, shadow-regret sampling, insert, audit.
-    /// Outlined so the exact-hit path stays small.
-    #[inline(never)]
-    fn serve_partition_miss<W>(
-        &self,
-        workload: &W,
-        set: &DeviceSet,
         cache: &ThresholdCache,
         key: CacheKey,
-        mut timer: Option<Instant>,
-        audit: Option<&FlightRecorder>,
-    ) -> PartitionOutcome
+        audit: Option<RequestAudit<'_>>,
+        compute: impl FnOnce(Option<&D::Hint>) -> D,
+        shadow: impl FnOnce(&D) -> f64,
+    ) -> D
     where
-        W: Profilable + Fingerprinted,
+        W: Fingerprinted,
+        D: Decision,
     {
         let cfg = &self.inner;
-        arm_slow_timer(&mut timer, audit.is_some());
-        cache.record_kway_miss();
-        let near = PartitionNearKey::of(workload.fingerprint().near_key(), set);
+        let audit = audit.map(RequestAudit::timed);
+        cache.miss::<D>();
+        let near = D::near_key(
+            workload.fingerprint().near_key(),
+            cfg.strategy,
+            self.devices(),
+        );
         let mut shadow_regret = None;
-        // Warm cut vectors only transfer under the analytic strategy —
-        // it is the only one that descends from a seed (and the only one
+        // Warm starts only transfer under the analytic strategy — it is
+        // the only one that descends from a seed (and the only one
         // `run_partition` accepts at k > 2).
         let warm = if matches!(cfg.strategy, Strategy::Analytic { .. }) {
-            cache
-                .get_partition_hint(&near)
-                .filter(|hint| hint.cuts.len() + 1 == set.len())
+            cache.near::<D>(&near)
         } else {
             None
         };
-        let (out, decision) = match warm {
+        let (served, decision) = match warm {
             Some(hint) => {
-                let out = self.run_partition_with(workload, set, Some(&hint.cuts));
-                cache.record_probes_saved(hint.cold_probes.saturating_sub(out.probes) as u64);
+                let served = compute(Some(&hint));
+                cache.record_probes_saved(
+                    D::cold_probes(&hint).saturating_sub(served.probes()) as u64
+                );
                 // Shadow-regret sampling (stride-gated): also run the cold
-                // multi-seed search and compare priced totals. Curve totals
-                // are exact, so no re-pricing pass is needed. Pure
-                // observation — the warm outcome below is returned
+                // path and price both decisions on the full input. Pure
+                // observation — the warm decision below is returned
                 // untouched.
                 if cache.shadow_due(cfg.shadow_rate) {
-                    let regret = self.shadow_price_partition(workload, set, &out);
+                    let regret = shadow(&served);
                     cache.record_shadow(regret);
                     shadow_regret = Some(regret);
                 }
-                (out, CacheDecision::NearHit)
+                (served, CacheDecision::NearHit)
             }
-            None => (
-                self.run_partition_with(workload, set, None),
-                CacheDecision::Cold,
-            ),
+            None => (compute(None), CacheDecision::Cold),
         };
-        cache.insert_partition(key, near, &out);
-        if let Some(a) = audit {
-            a.record(partition_audit_event(
-                key.input,
-                decision,
-                &out,
-                set.len() as u64,
-                finish_us(timer),
-                shadow_regret,
-            ));
+        cache.store(key, near, &served);
+        if let Some(a) = &audit {
+            a.record(key.input, decision, &served, shadow_regret);
         }
         if let Some(rec) = cfg.rec {
             cache.flush_metrics(rec);
         }
-        out
+        served
     }
 
-    /// The shadow half of the k-way regret sampler: reruns the request
-    /// cold (no warm seed, no recorders) and compares the warm and cold
-    /// priced totals. Returns the warm decision's regret in percent.
-    fn shadow_price_partition<W: Profilable>(
-        &self,
-        workload: &W,
-        set: &DeviceSet,
-        warm: &PartitionOutcome,
-    ) -> f64 {
-        let pool = self.inner.pool.unwrap_or(Pool::global());
-        let cold = Searcher::new(self.inner.strategy)
-            .pool(pool)
-            .profiled()
-            .run_partition(workload, set);
-        let warm_cost = warm.total.as_millis();
-        let cold_cost = cold.total.as_millis();
-        if cold_cost > 0.0 {
-            (warm_cost / cold_cost - 1.0) * 100.0
-        } else {
-            0.0
-        }
+    /// The worker pool the configured pipeline runs on.
+    fn pool(&self) -> &'a Pool {
+        self.inner.pool.unwrap_or(Pool::global())
+    }
+
+    /// The configured topology (default: the canonical CPU+GPU pair).
+    fn devices(&self) -> &'a DeviceSet {
+        self.inner.devices.unwrap_or(DeviceSet::cpu_gpu_static())
+    }
+
+    /// This estimator without recorders or cache: the shadow sampler's
+    /// cold rerun.
+    fn silent(&self) -> Self {
+        let mut inner = self.inner;
+        inner.rec = None;
+        inner.cache = None;
+        inner.audit = None;
+        ProfiledEstimator { inner }
     }
 
     /// Shared body of the cold (no seed) and warm-started k-way paths.
@@ -841,11 +676,11 @@ impl ProfiledEstimator<'_> {
         set: &DeviceSet,
         warm: Option<&[f64]>,
     ) -> PartitionOutcome {
-        let cfg = &self.inner;
         let disabled = Recorder::disabled();
-        let rec = cfg.rec.unwrap_or(&disabled);
-        let pool = cfg.pool.unwrap_or(Pool::global());
-        let mut searcher = Searcher::new(cfg.strategy).recorder(rec).pool(pool);
+        let rec = self.inner.rec.unwrap_or(&disabled);
+        let mut searcher = Searcher::new(self.inner.strategy)
+            .recorder(rec)
+            .pool(self.pool());
         if let Some(cuts) = warm {
             searcher = searcher.warm_cuts(cuts);
         }
@@ -861,61 +696,37 @@ impl ProfiledEstimator<'_> {
         W: Sampleable,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let pool = cfg.pool.unwrap_or(Pool::global());
-        if cfg.repeats == 1 {
-            let disabled = Recorder::disabled();
-            let rec = cfg.rec.unwrap_or(&disabled);
-            return run_single_profiled(
-                workload,
-                cfg.strategy,
-                cfg.spec,
-                cfg.seed,
-                warm,
-                rec,
-                pool,
-            );
-        }
-        let (strategy, spec, seed) = (cfg.strategy, cfg.spec, cfg.seed);
-        let runs = pool.map_indices(cfg.repeats, |k| {
-            let seed = seed.wrapping_add(k as u64);
-            run_single_profiled(
-                workload,
-                strategy,
-                spec,
-                seed,
-                warm,
-                &Recorder::disabled(),
-                pool,
-            )
-        });
-        median_estimate(runs)
+        let (strategy, pool) = (self.inner.strategy, self.pool());
+        let warm_cuts = warm.map(|hint| [hint]);
+        self.inner.repeated(workload, |sample, rec| {
+            let mut searcher = Searcher::new(strategy).recorder(rec).pool(pool);
+            if let Some(cuts) = warm_cuts.as_ref() {
+                searcher = searcher.warm_cuts(cuts);
+            }
+            searcher.profiled().run(sample)
+        })
     }
 }
 
-/// One profiled estimation (see [`run_single`]); `warm` threads a near-hit
-/// hint into the analytic search.
-fn run_single_profiled<W>(
+/// Cold serve without a cache — one cold computation plus one audit
+/// event. Outlined: see [`ProfiledEstimator::serve`].
+#[inline(never)]
+fn serve_uncached<W: Fingerprinted, D: Decision>(
     workload: &W,
-    strategy: Strategy,
-    spec: SampleSpec,
-    seed: u64,
-    warm: Option<f64>,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SamplingEstimate
-where
-    W: Sampleable,
-    W::Sample: Profilable,
-{
-    let warm_cuts = warm.map(|hint| [hint]);
-    estimate_core(workload, spec, strategy.name(), seed, rec, |sample, rec| {
-        let mut searcher = Searcher::new(strategy).recorder(rec).pool(pool);
-        if let Some(cuts) = warm_cuts.as_ref() {
-            searcher = searcher.warm_cuts(cuts);
-        }
-        searcher.profiled().run(sample)
-    })
+    audit: Option<RequestAudit<'_>>,
+    compute: impl FnOnce(Option<&D::Hint>) -> D,
+) -> D {
+    let audit = audit.map(RequestAudit::timed);
+    let served = compute(None);
+    if let Some(a) = &audit {
+        a.record(
+            workload.fingerprint().exact_key(),
+            CacheDecision::Cold,
+            &served,
+            None,
+        );
+    }
+    served
 }
 
 /// The shared Sample → Identify → Extrapolate pipeline; `identify` runs the

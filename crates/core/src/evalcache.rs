@@ -15,9 +15,13 @@
 //!   default capacity ([`DEFAULT_CAPACITY`]) is far above any strategy's
 //!   candidate count, so eviction never perturbs search results in
 //!   practice; the bound exists to keep long sweep processes (thousands of
-//!   searches against one shared profile) at fixed memory.
+//!   searches against one shared profile) at fixed memory. The map is
+//!   generic over its key (quantized thresholds by default), and it also
+//!   backs the decision cache: every exact and near map of
+//!   [`crate::threshold_cache::ThresholdCache`] is one `EvalCache`.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::framework::ThresholdSpace;
 
@@ -41,16 +45,16 @@ pub fn quantize(t: f64, space: &ThresholdSpace) -> i64 {
     }
 }
 
-/// A bounded least-recently-used map from quantized threshold keys to
-/// evaluation results.
+/// A bounded least-recently-used map from keys (quantized thresholds by
+/// default) to evaluation results.
 #[derive(Debug)]
-pub struct EvalCache<V> {
+pub struct EvalCache<V, K = i64> {
     capacity: usize,
     tick: u64,
-    map: HashMap<i64, (V, u64)>,
+    map: HashMap<K, (V, u64)>,
 }
 
-impl<V: Clone> EvalCache<V> {
+impl<V: Clone, K: Copy + Eq + Hash> EvalCache<V, K> {
     /// Creates a cache holding at most `capacity` entries.
     ///
     /// # Panics
@@ -66,7 +70,7 @@ impl<V: Clone> EvalCache<V> {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: i64) -> Option<V> {
+    pub fn get(&mut self, key: K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&key).map(|entry| {
@@ -77,7 +81,7 @@ impl<V: Clone> EvalCache<V> {
 
     /// Inserts (or refreshes) `key`, evicting the least-recently-touched
     /// entry first when the cache is full.
-    pub fn insert(&mut self, key: i64, value: V) {
+    pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             // O(capacity) eviction scan: insertions are rare relative to
@@ -92,6 +96,11 @@ impl<V: Clone> EvalCache<V> {
             }
         }
         self.map.insert(key, (value, self.tick));
+    }
+
+    /// Removes `key`, returning its value if it was cached.
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        self.map.remove(&key).map(|(value, _)| value)
     }
 
     /// Number of cached entries.
@@ -180,6 +189,20 @@ mod tests {
         c.insert(2, 21); // full, but key already present
         assert_eq!(c.get(1), Some(10));
         assert_eq!(c.get(2), Some(21));
+    }
+
+    #[test]
+    fn remove_drops_only_that_key() {
+        let mut c: EvalCache<u32, (u8, u8)> = EvalCache::new(2);
+        c.insert((1, 0), 10);
+        c.insert((2, 0), 20);
+        assert_eq!(c.remove((1, 0)), Some(10));
+        assert_eq!(c.remove((1, 0)), None);
+        assert_eq!(c.len(), 1);
+        // The freed slot takes a new key without evicting the survivor.
+        c.insert((3, 0), 30);
+        assert_eq!(c.get((2, 0)), Some(20));
+        assert_eq!(c.get((3, 0)), Some(30));
     }
 
     #[test]

@@ -1,30 +1,42 @@
 //! Bounded-LRU cache of partitioning decisions, keyed by input fingerprint.
 //!
-//! The cache holds two maps over the same bounded budget:
+//! The cache serves two kinds of decision — the scalar [`SamplingEstimate`]
+//! of the canonical CPU+GPU pair and the k-way [`PartitionOutcome`] — from
+//! one tier each. A tier is two maps, each bounded by the same per-map
+//! capacity (both are [`EvalCache`]s):
 //!
 //! * **exact** — [`CacheKey`] (fingerprint [`ExactKey`] + estimator
-//!   [`ConfigKey`]) → the full [`SamplingEstimate`]. A hit is served as a
-//!   clone, **bitwise-identical** to what the cold path would compute,
-//!   because equal exact keys certify interchangeable inputs under an
-//!   identical estimator configuration.
-//! * **near** — [`NearCacheKey`] (fingerprint [`NearKey`] + strategy
-//!   discriminant) → the cached split in sample space plus the cold probe
-//!   count. A hit does *not* skip the pipeline; it warm-starts
-//!   `Strategy::Analytic` from the cached split's bracket, which measurably
-//!   reduces `grad_probes`.
+//!   [`ConfigKey`]) → the full decision, stamped with its drift generation.
+//!   A hit is served as a clone, **bitwise-identical** to what the cold
+//!   path would compute, because equal exact keys certify interchangeable
+//!   inputs under an identical estimator configuration.
+//! * **near** — the input's quantized fingerprint class ([`NearKey`], plus
+//!   the strategy discriminant in a [`NearCacheKey`] or the topology in a
+//!   [`PartitionNearKey`]) → the hint the decision left: its split in
+//!   sample space ([`WarmHint`]) or its cut vector ([`PartitionHint`]), plus
+//!   the cold probe count. A hit does *not* skip the pipeline; it
+//!   warm-starts `Strategy::Analytic` from the hint, which measurably
+//!   reduces probes.
+//!
+//! The two kinds differ only in what the crate-private `Decision` trait
+//! names — tier, counters, hint, probe count and audit fields — so lookup,
+//! insertion and the estimator's serving path are written once over it.
+//! [`ThresholdCache::len`] and [`ThresholdCache::is_empty`] count scalar
+//! exact entries only.
 //!
 //! Hit/miss/probe-savings counters are lock-free atomics, flushed to the
 //! `nbwp-trace` metrics registry by [`ThresholdCache::flush_metrics`]
 //! (reset-on-flush, so repeated flushes never double-count).
 
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use nbwp_sim::DeviceSet;
 use nbwp_trace::Recorder;
 
 use crate::estimator::SamplingEstimate;
+use crate::evalcache::EvalCache;
 use crate::fingerprint::{ExactKey, NearKey};
 use crate::framework::SampleSpec;
 use crate::search::{PartitionOutcome, Strategy};
@@ -180,56 +192,192 @@ pub struct PartitionHint {
     pub cold_probes: usize,
 }
 
-/// An exact entry with the drift generation it was computed at.
-struct Stamped {
-    est: SamplingEstimate,
-    generation: u64,
+/// One cache tier: the exact decisions of one kind, each stamped with the
+/// drift generation it was computed at, and the warm hints they left.
+pub(crate) struct Tier<D: Decision> {
+    exact: EvalCache<(D, u64), CacheKey>,
+    near: EvalCache<D::Hint, D::Near>,
 }
 
-/// A cached partition outcome with its drift generation.
-struct StampedPartition {
-    out: PartitionOutcome,
-    generation: u64,
+impl<D: Decision> Tier<D> {
+    fn new(capacity: usize) -> Self {
+        Tier {
+            exact: EvalCache::new(capacity),
+            near: EvalCache::new(capacity),
+        }
+    }
 }
 
-struct CacheInner {
-    capacity: usize,
-    tick: u64,
+pub(crate) struct CacheInner {
     /// Monotone drift epoch: bumped by [`ThresholdCache::advance_generation`]
     /// whenever a workload delta lands. Exact entries stamped with an older
     /// generation are invalid — generations only grow, so a stale entry can
     /// never become fresh again.
     generation: u64,
-    exact: HashMap<CacheKey, (Stamped, u64)>,
-    near: HashMap<NearCacheKey, (WarmHint, u64)>,
-    partitions: HashMap<CacheKey, (StampedPartition, u64)>,
-    near_partitions: HashMap<PartitionNearKey, (PartitionHint, u64)>,
+    scalar: Tier<SamplingEstimate>,
+    kway: Tier<PartitionOutcome>,
 }
 
-impl CacheInner {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+/// What an audit event records of one served decision.
+pub(crate) struct AuditFields {
+    /// The threshold (k-way: the first cut).
+    pub threshold: f64,
+    /// Candidate runs the search spent.
+    pub evaluations: u64,
+    /// Simulated cost of the search, in milliseconds.
+    pub sim_cost_ms: f64,
+    /// Partition arity (device count).
+    pub arity: u64,
+}
+
+/// A kind of served decision: the scalar [`SamplingEstimate`] or the k-way
+/// [`PartitionOutcome`]. The kinds differ only in what this trait names;
+/// [`ThresholdCache`]'s lookups and the estimator's serving path are
+/// written once over it.
+pub(crate) trait Decision: Clone {
+    /// Similarity key of this kind's near map.
+    type Near: Copy + Eq + Hash;
+    /// What a near hit hands the warm start.
+    type Hint: Clone;
+    /// Counter of exact hits.
+    const EXACT_HITS: Counter;
+    /// Counter of near hits.
+    const NEAR_HITS: Counter;
+    /// Counter of exact-key misses, warm starts included.
+    const MISSES: Counter;
+    /// This kind's tier.
+    fn tier(inner: &mut CacheInner) -> &mut Tier<Self>;
+    /// Builds the near key of an input class for the configured strategy
+    /// and topology.
+    fn near_key(input: NearKey, strategy: Strategy, set: &DeviceSet) -> Self::Near;
+    /// The warm hint this decision leaves under its near key.
+    fn hint(&self) -> Self::Hint;
+    /// Probes the search that left `hint` spent.
+    fn cold_probes(hint: &Self::Hint) -> usize;
+    /// Probes this decision's search spent.
+    fn probes(&self) -> usize;
+    /// The fields this decision's audit events carry.
+    fn audit_fields(&self) -> AuditFields;
+}
+
+impl Decision for SamplingEstimate {
+    type Near = NearCacheKey;
+    type Hint = WarmHint;
+    const EXACT_HITS: Counter = Counter::ExactHits;
+    const NEAR_HITS: Counter = Counter::NearHits;
+    const MISSES: Counter = Counter::Misses;
+
+    fn tier(inner: &mut CacheInner) -> &mut Tier<Self> {
+        &mut inner.scalar
     }
-}
 
-/// Evicts the least-recently-used entry when inserting a fresh key into a
-/// full map. O(len) scan — fine at the small bounded capacities used here
-/// (same policy as `EvalCache`).
-fn insert_lru<K: Copy + Eq + std::hash::Hash, V>(
-    map: &mut HashMap<K, (V, u64)>,
-    capacity: usize,
-    key: K,
-    value: V,
-    tick: u64,
-) {
-    if map.len() >= capacity && !map.contains_key(&key) {
-        if let Some(oldest) = map.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| *k) {
-            map.remove(&oldest);
+    fn near_key(input: NearKey, strategy: Strategy, _set: &DeviceSet) -> NearCacheKey {
+        NearCacheKey::of(input, strategy)
+    }
+
+    fn hint(&self) -> WarmHint {
+        WarmHint {
+            sample_threshold: self.sample_threshold,
+            cold_probes: self.grad_probes,
         }
     }
-    map.insert(key, (value, tick));
+
+    fn cold_probes(hint: &WarmHint) -> usize {
+        hint.cold_probes
+    }
+
+    fn probes(&self) -> usize {
+        self.grad_probes
+    }
+
+    fn audit_fields(&self) -> AuditFields {
+        AuditFields {
+            threshold: self.threshold,
+            evaluations: self.evaluations as u64,
+            sim_cost_ms: self.overhead.as_millis(),
+            // A scalar estimate is a two-way split regardless of the cache
+            // key's configured topology.
+            arity: 2,
+        }
+    }
 }
+
+impl Decision for PartitionOutcome {
+    type Near = PartitionNearKey;
+    type Hint = PartitionHint;
+    const EXACT_HITS: Counter = Counter::KwayExactHits;
+    const NEAR_HITS: Counter = Counter::KwayNearHits;
+    const MISSES: Counter = Counter::KwayMisses;
+
+    fn tier(inner: &mut CacheInner) -> &mut Tier<Self> {
+        &mut inner.kway
+    }
+
+    fn near_key(input: NearKey, _strategy: Strategy, set: &DeviceSet) -> PartitionNearKey {
+        PartitionNearKey::of(input, set)
+    }
+
+    fn hint(&self) -> PartitionHint {
+        PartitionHint {
+            cuts: self.cuts.clone(),
+            cold_probes: self.probes,
+        }
+    }
+
+    fn cold_probes(hint: &PartitionHint) -> usize {
+        hint.cold_probes
+    }
+
+    fn probes(&self) -> usize {
+        self.probes
+    }
+
+    fn audit_fields(&self) -> AuditFields {
+        let scalar = self.scalar.as_ref();
+        AuditFields {
+            threshold: self.cuts.first().copied().unwrap_or(f64::NAN),
+            evaluations: scalar.map_or(0, |s| s.evaluations() as u64),
+            sim_cost_ms: scalar.map_or(0.0, |s| s.search_cost.as_millis()),
+            arity: self.cuts.len() as u64 + 1,
+        }
+    }
+}
+
+/// Index of one counter in [`ThresholdCache`]'s counter array, in
+/// [`CacheStats`] field order.
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    ExactHits,
+    NearHits,
+    Misses,
+    Insertions,
+    ProbesSaved,
+    ShadowRuns,
+    PatchedHits,
+    PatchedNudges,
+    PatchedRebuilds,
+    StaleEvictions,
+    KwayExactHits,
+    KwayNearHits,
+    KwayMisses,
+}
+
+/// Metric name of each counter, indexed by [`Counter`].
+const METRIC_NAMES: [&str; 13] = [
+    "threshold_cache.hit",
+    "threshold_cache.near_hit",
+    "threshold_cache.miss",
+    "threshold_cache.insert",
+    "threshold_cache.probes_saved",
+    "threshold_cache.shadow_runs",
+    "threshold_cache.patched_hit",
+    "threshold_cache.patched_nudge",
+    "threshold_cache.patched_rebuild",
+    "threshold_cache.stale_evictions",
+    "threshold_cache.kway_hit",
+    "threshold_cache.kway_near_hit",
+    "threshold_cache.kway_miss",
+];
 
 /// Aggregate counter snapshot (see [`ThresholdCache::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -238,7 +386,7 @@ pub struct CacheStats {
     pub exact_hits: u64,
     /// Near-key hits that warm-started an analytic search.
     pub near_hits: u64,
-    /// Requests that ran the full cold path.
+    /// Exact-key misses, warm starts included.
     pub misses: u64,
     /// Decisions inserted.
     pub insertions: u64,
@@ -258,30 +406,18 @@ pub struct CacheStats {
     pub kway_exact_hits: u64,
     /// K-way near hits: warm cut vectors that seeded a single-seed descent.
     pub kway_near_hits: u64,
-    /// K-way requests that ran the full cold multi-seed search.
+    /// K-way exact-key misses, warm starts included.
     pub kway_misses: u64,
 }
 
 /// Bounded-LRU decision cache shared across estimator runs. Thread-safe:
-/// the maps sit behind a mutex (critical sections are O(1) amortized) and
-/// the counters are lock-free atomics, so `run_batch` workers hit it
+/// the tiers sit behind one mutex (critical sections are O(1) amortized)
+/// and the counters are lock-free atomics, so `run_batch` workers hit it
 /// concurrently without serializing their actual work.
 pub struct ThresholdCache {
     inner: Mutex<CacheInner>,
-    exact_hits: AtomicU64,
-    near_hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    probes_saved: AtomicU64,
-    shadow_runs: AtomicU64,
+    counters: [AtomicU64; METRIC_NAMES.len()],
     shadow_tick: AtomicU64,
-    patched_hits: AtomicU64,
-    patched_nudges: AtomicU64,
-    patched_rebuilds: AtomicU64,
-    stale_evictions: AtomicU64,
-    kway_exact_hits: AtomicU64,
-    kway_near_hits: AtomicU64,
-    kway_misses: AtomicU64,
     regrets: Mutex<Vec<f64>>,
 }
 
@@ -296,41 +432,31 @@ impl ThresholdCache {
     /// (clamped to ≥ 1).
     #[must_use]
     pub fn new(capacity: usize) -> ThresholdCache {
+        let capacity = capacity.max(1);
         ThresholdCache {
             inner: Mutex::new(CacheInner {
-                capacity: capacity.max(1),
-                tick: 0,
                 generation: 0,
-                exact: HashMap::new(),
-                near: HashMap::new(),
-                partitions: HashMap::new(),
-                near_partitions: HashMap::new(),
+                scalar: Tier::new(capacity),
+                kway: Tier::new(capacity),
             }),
-            exact_hits: AtomicU64::new(0),
-            near_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            probes_saved: AtomicU64::new(0),
-            shadow_runs: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             shadow_tick: AtomicU64::new(0),
-            patched_hits: AtomicU64::new(0),
-            patched_nudges: AtomicU64::new(0),
-            patched_rebuilds: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
-            kway_exact_hits: AtomicU64::new(0),
-            kway_near_hits: AtomicU64::new(0),
-            kway_misses: AtomicU64::new(0),
             regrets: Mutex::new(Vec::new()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("threshold cache poisoned")
+    }
+
+    fn count(&self, counter: Counter, n: u64) -> u64 {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed)
     }
 
     /// Current drift generation (0 until the first delta lands).
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("threshold cache poisoned")
-            .generation
+        self.lock().generation
     }
 
     /// Advances the drift generation, returning the new value. Exact
@@ -340,9 +466,53 @@ impl ThresholdCache {
     /// stale hint still saves probes while the pipeline recomputes the
     /// decision on the patched curves.
     pub fn advance_generation(&self) -> u64 {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
+        let mut inner = self.lock();
         inner.generation += 1;
         inner.generation
+    }
+
+    /// Exact-key lookup of either kind: a hit refreshes recency and
+    /// returns a clone of the cached decision; an entry stamped with an
+    /// older drift generation is dropped instead of served.
+    pub(crate) fn lookup<D: Decision>(&self, key: &CacheKey) -> Option<D> {
+        let mut inner = self.lock();
+        let generation = inner.generation;
+        let exact = &mut D::tier(&mut inner).exact;
+        let (decision, stamp) = exact.get(*key)?;
+        if stamp < generation {
+            exact.remove(*key);
+            drop(inner);
+            self.count(Counter::StaleEvictions, 1);
+            return None;
+        }
+        drop(inner);
+        self.count(D::EXACT_HITS, 1);
+        Some(decision)
+    }
+
+    /// Near-key lookup of either kind: a hit refreshes recency and returns
+    /// the warm hint.
+    pub(crate) fn near<D: Decision>(&self, key: &D::Near) -> Option<D::Hint> {
+        let hint = D::tier(&mut self.lock()).near.get(*key)?;
+        self.count(D::NEAR_HITS, 1);
+        Some(hint)
+    }
+
+    /// Inserts a freshly computed decision under both keys, stamped with
+    /// the current drift generation.
+    pub(crate) fn store<D: Decision>(&self, key: CacheKey, near: D::Near, decision: &D) {
+        let mut inner = self.lock();
+        let generation = inner.generation;
+        let tier = D::tier(&mut inner);
+        tier.exact.insert(key, (decision.clone(), generation));
+        tier.near.insert(near, decision.hint());
+        drop(inner);
+        self.count(Counter::Insertions, 1);
+    }
+
+    /// Records an exact-key miss of either kind.
+    pub(crate) fn miss<D: Decision>(&self) {
+        self.count(D::MISSES, 1);
     }
 
     /// Exact-key lookup. A hit refreshes recency and returns a clone of the
@@ -351,39 +521,14 @@ impl ThresholdCache {
     /// are dropped here instead of served (monotone invalidation).
     #[must_use]
     pub fn get_exact(&self, key: &CacheKey) -> Option<SamplingEstimate> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let generation = inner.generation;
-        if let Some((stamped, t)) = inner.exact.get_mut(key) {
-            if stamped.generation < generation {
-                inner.exact.remove(key);
-                drop(inner);
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            *t = tick;
-            let est = stamped.est.clone();
-            drop(inner);
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(est);
-        }
-        None
+        self.lookup(key)
     }
 
     /// Near-key lookup. A hit refreshes recency and returns the warm-start
     /// hint for `Strategy::Analytic`.
     #[must_use]
     pub fn get_near(&self, key: &NearCacheKey) -> Option<WarmHint> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        if let Some((hint, t)) = inner.near.get_mut(key) {
-            *t = tick;
-            let hint = *hint;
-            drop(inner);
-            self.near_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hint);
-        }
-        None
+        self.near::<SamplingEstimate>(key)
     }
 
     /// K-way exact lookup. A hit refreshes recency and returns a clone of
@@ -393,23 +538,7 @@ impl ThresholdCache {
     /// [`ThresholdCache::get_exact`].
     #[must_use]
     pub fn get_partition(&self, key: &CacheKey) -> Option<PartitionOutcome> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let generation = inner.generation;
-        if let Some((stamped, t)) = inner.partitions.get_mut(key) {
-            if stamped.generation < generation {
-                inner.partitions.remove(key);
-                drop(inner);
-                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            *t = tick;
-            let out = stamped.out.clone();
-            drop(inner);
-            self.kway_exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(out);
-        }
-        None
+        self.lookup(key)
     }
 
     /// K-way near lookup. A hit refreshes recency and returns the cached
@@ -418,51 +547,28 @@ impl ThresholdCache {
     /// coarse odometer grid.
     #[must_use]
     pub fn get_partition_hint(&self, key: &PartitionNearKey) -> Option<PartitionHint> {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        if let Some((hint, t)) = inner.near_partitions.get_mut(key) {
-            *t = tick;
-            let hint = hint.clone();
-            drop(inner);
-            self.kway_near_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hint);
-        }
-        None
+        self.near::<PartitionOutcome>(key)
     }
 
     /// Inserts a freshly computed k-way partition under both keys, stamped
     /// with the current drift generation.
     pub fn insert_partition(&self, key: CacheKey, near: PartitionNearKey, out: &PartitionOutcome) {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let capacity = inner.capacity;
-        let stamped = StampedPartition {
-            out: out.clone(),
-            generation: inner.generation,
-        };
-        insert_lru(&mut inner.partitions, capacity, key, stamped, tick);
-        let hint = PartitionHint {
-            cuts: out.cuts.clone(),
-            cold_probes: out.probes,
-        };
-        insert_lru(&mut inner.near_partitions, capacity, near, hint, tick);
-        drop(inner);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.store(key, near, out);
     }
 
-    /// Records that a k-way request ran the full cold multi-seed search.
+    /// Records a k-way exact-key miss (warm starts included).
     pub fn record_kway_miss(&self) {
-        self.kway_misses.fetch_add(1, Ordering::Relaxed);
+        self.miss::<PartitionOutcome>();
     }
 
-    /// Records that a request ran the full cold path.
+    /// Records a scalar exact-key miss (warm starts included).
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.miss::<SamplingEstimate>();
     }
 
     /// Records `grad_probes` avoided by a warm start.
     pub fn record_probes_saved(&self, saved: u64) {
-        self.probes_saved.fetch_add(saved, Ordering::Relaxed);
+        self.count(Counter::ProbesSaved, saved);
     }
 
     /// Deterministic stride gate for the shadow-regret sampler: advances
@@ -488,7 +594,7 @@ impl ThresholdCache {
     /// one). Retains at most [`SHADOW_REGRET_CAPACITY`] observations,
     /// overwriting the oldest ring-style.
     pub fn record_shadow(&self, regret_pct: f64) {
-        let count = self.shadow_runs.fetch_add(1, Ordering::Relaxed);
+        let count = self.count(Counter::ShadowRuns, 1);
         let mut regrets = self.regrets.lock().expect("shadow regrets poisoned");
         if regrets.len() < SHADOW_REGRET_CAPACITY {
             regrets.push(regret_pct);
@@ -509,70 +615,54 @@ impl ThresholdCache {
 
     /// Records how a drift serving resolved (see [`CacheStats`]).
     pub fn record_patched_hit(&self) {
-        self.patched_hits.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::PatchedHits, 1);
     }
 
     /// Records a drift serving whose warm hill-descent moved the threshold.
     pub fn record_patched_nudge(&self) {
-        self.patched_nudges.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::PatchedNudges, 1);
     }
 
     /// Records a drift serving that crossed over to a full rebuild.
     pub fn record_patched_rebuild(&self) {
-        self.patched_rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::PatchedRebuilds, 1);
     }
 
     /// Inserts a freshly computed decision under both keys, stamped with
     /// the current drift generation.
     pub fn insert(&self, key: CacheKey, near: NearCacheKey, est: &SamplingEstimate) {
-        let mut inner = self.inner.lock().expect("threshold cache poisoned");
-        let tick = inner.touch();
-        let capacity = inner.capacity;
-        let stamped = Stamped {
-            est: est.clone(),
-            generation: inner.generation,
-        };
-        insert_lru(&mut inner.exact, capacity, key, stamped, tick);
-        let hint = WarmHint {
-            sample_threshold: est.sample_threshold,
-            cold_probes: est.grad_probes,
-        };
-        insert_lru(&mut inner.near, capacity, near, hint, tick);
-        drop(inner);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.store(key, near, est);
     }
 
     /// Current counter values (no reset).
     #[must_use]
     pub fn stats(&self) -> CacheStats {
+        let get = |counter: Counter| self.counters[counter as usize].load(Ordering::Relaxed);
         CacheStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            near_hits: self.near_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            probes_saved: self.probes_saved.load(Ordering::Relaxed),
-            shadow_runs: self.shadow_runs.load(Ordering::Relaxed),
-            patched_hits: self.patched_hits.load(Ordering::Relaxed),
-            patched_nudges: self.patched_nudges.load(Ordering::Relaxed),
-            patched_rebuilds: self.patched_rebuilds.load(Ordering::Relaxed),
-            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
-            kway_exact_hits: self.kway_exact_hits.load(Ordering::Relaxed),
-            kway_near_hits: self.kway_near_hits.load(Ordering::Relaxed),
-            kway_misses: self.kway_misses.load(Ordering::Relaxed),
+            exact_hits: get(Counter::ExactHits),
+            near_hits: get(Counter::NearHits),
+            misses: get(Counter::Misses),
+            insertions: get(Counter::Insertions),
+            probes_saved: get(Counter::ProbesSaved),
+            shadow_runs: get(Counter::ShadowRuns),
+            patched_hits: get(Counter::PatchedHits),
+            patched_nudges: get(Counter::PatchedNudges),
+            patched_rebuilds: get(Counter::PatchedRebuilds),
+            stale_evictions: get(Counter::StaleEvictions),
+            kway_exact_hits: get(Counter::KwayExactHits),
+            kway_near_hits: get(Counter::KwayNearHits),
+            kway_misses: get(Counter::KwayMisses),
         }
     }
 
-    /// Number of exact entries currently held.
+    /// Number of scalar exact entries currently held (k-way entries and
+    /// near hints are not counted).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("threshold cache poisoned")
-            .exact
-            .len()
+        self.lock().scalar.exact.len()
     }
 
-    /// Whether the cache holds no exact entries.
+    /// Whether the cache holds no scalar exact entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -595,58 +685,9 @@ impl ThresholdCache {
         if !rec.is_enabled() {
             return;
         }
-        rec.counter_add(
-            "threshold_cache.hit",
-            self.exact_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.near_hit",
-            self.near_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.miss",
-            self.misses.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.insert",
-            self.insertions.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.probes_saved",
-            self.probes_saved.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.shadow_runs",
-            self.shadow_runs.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_hit",
-            self.patched_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_nudge",
-            self.patched_nudges.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.patched_rebuild",
-            self.patched_rebuilds.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.stale_evictions",
-            self.stale_evictions.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_hit",
-            self.kway_exact_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_near_hit",
-            self.kway_near_hits.swap(0, Ordering::Relaxed),
-        );
-        rec.counter_add(
-            "threshold_cache.kway_miss",
-            self.kway_misses.swap(0, Ordering::Relaxed),
-        );
+        for (name, counter) in METRIC_NAMES.iter().zip(&self.counters) {
+            rec.counter_add(name, counter.swap(0, Ordering::Relaxed));
+        }
         let drained: Vec<f64> = {
             let mut regrets = self.regrets.lock().expect("shadow regrets poisoned");
             std::mem::take(&mut *regrets)
@@ -830,6 +871,45 @@ mod tests {
         assert!(cache.get_exact(&key(2)).is_none());
         assert!(cache.get_exact(&key(3)).is_some());
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn lru_evicts_oldest_entry_in_every_map() {
+        // Each map evicts by its own recency: touching an entry in one map
+        // never protects its sibling in another.
+        let cache = ThresholdCache::new(2);
+        let nk = |q| NearCacheKey::of(near(q), Strategy::Analytic { step: None });
+        cache.insert(key(1), nk(1), &est(1.0));
+        cache.insert(key(2), nk(2), &est(2.0));
+        // Touch the near hint of 1 only: the exact victim stays key 1, the
+        // near victim becomes hint 2.
+        assert!(cache.get_near(&nk(1)).is_some());
+        cache.insert(key(3), nk(3), &est(3.0));
+        assert!(cache.get_near(&nk(1)).is_some());
+        assert!(cache.get_near(&nk(2)).is_none());
+        assert!(cache.get_near(&nk(3)).is_some());
+        assert!(cache.get_exact(&key(1)).is_none());
+        assert!(cache.get_exact(&key(2)).is_some());
+        assert!(cache.get_exact(&key(3)).is_some());
+
+        let k4 = DeviceSet::dual_cpu_dual_gpu();
+        let pk = |q| PartitionNearKey::of(near(q), &k4);
+        let out = partition_out(vec![10.0, 30.0, 55.0]);
+        cache.insert_partition(kway_key(1, &k4), pk(1), &out);
+        cache.insert_partition(kway_key(2, &k4), pk(2), &out);
+        // Touch exact 1 and hint 2: the victims are exact 2 and hint 1.
+        assert!(cache.get_partition(&kway_key(1, &k4)).is_some());
+        assert!(cache.get_partition_hint(&pk(2)).is_some());
+        cache.insert_partition(kway_key(3, &k4), pk(3), &out);
+        assert!(cache.get_partition(&kway_key(1, &k4)).is_some());
+        assert!(cache.get_partition(&kway_key(2, &k4)).is_none());
+        assert!(cache.get_partition(&kway_key(3, &k4)).is_some());
+        assert!(cache.get_partition_hint(&pk(1)).is_none());
+        assert!(cache.get_partition_hint(&pk(2)).is_some());
+        assert!(cache.get_partition_hint(&pk(3)).is_some());
+        // The k-way tier never evicted a scalar entry.
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get_exact(&key(3)).is_some());
     }
 
     #[test]

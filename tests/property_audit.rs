@@ -11,7 +11,11 @@
 //!   negative, NaN and +Inf observations clamped into the outer buckets;
 //! * the shadow sampler fires only on warm (near-key) hits, obeys the
 //!   sampling rate at its extremes, and leaves the returned estimates
-//!   untouched.
+//!   untouched;
+//! * the k-way serving path (`run_partition_cached` on a four-device set)
+//!   keeps the same contract: audited partitions are bitwise the silent
+//!   ones, shadows fire only on k-way near hits, and exact hits record
+//!   zero work.
 
 use nbwp_core::prelude::*;
 use nbwp_core::search::Strategy as SearchStrategy;
@@ -35,6 +39,21 @@ fn bits(e: &SamplingEstimate) -> (u64, u64, SimTime, usize, usize, usize) {
         e.sample_size,
         e.grad_probes,
     )
+}
+
+/// Every float and counter of a served partition, as raw bits.
+fn partition_bits(o: &PartitionOutcome) -> Vec<u64> {
+    let mut bits: Vec<u64> = o.cuts.iter().map(|c| c.to_bits()).collect();
+    bits.extend(o.fractions.iter().map(|f| f.to_bits()));
+    bits.push(o.total.as_secs().to_bits());
+    bits.push(o.probes as u64);
+    bits.push(o.sweeps as u64);
+    bits
+}
+
+/// An exact hit returned a stored decision, so its event records no work.
+fn records_zero_work(ev: &AuditEvent) -> bool {
+    ev.evaluations == 0 && ev.grad_probes == 0 && ev.sim_cost_ms == 0.0
 }
 
 /// A synthetic audit event from a generated shape tuple.
@@ -122,7 +141,8 @@ proptest! {
     /// (b) Auditing and shadow-sampling are pure observation: a stream
     /// served with a flight recorder attached and the shadow sampler at
     /// full rate returns estimates bitwise identical to the same stream
-    /// served silently, with and without warm starts.
+    /// served silently, with and without warm starts, and k-way
+    /// partitions likewise.
     #[test]
     fn audited_serving_is_bitwise_identical_to_silent(
         n in 96usize..280,
@@ -176,6 +196,39 @@ proptest! {
             t.shadow_runs,
             audit_cache.shadow_regrets().len() as u64
         );
+
+        // K-way: the same cc siblings served as four-device partitions.
+        let set = DeviceSet::dual_cpu_dual_gpu();
+        let est = Estimator::new(SearchStrategy::Analytic { step: None })
+            .seed(seed)
+            .devices(&set);
+        let silent_cache = ThresholdCache::new(8);
+        let silent = est.cache(&silent_cache).shadow_rate(0.0).profiled();
+        let baseline: Vec<Vec<u64>> = ws
+            .iter()
+            .map(|w| partition_bits(&silent.run_partition_cached(w)))
+            .collect();
+        let audit_cache = ThresholdCache::new(8);
+        let flight = FlightRecorder::new().timed_every(2);
+        let audited = est.cache(&audit_cache).audit(&flight).shadow_rate(1.0).profiled();
+        for (w, want) in ws.iter().zip(&baseline) {
+            prop_assert_eq!(&partition_bits(&audited.run_partition_cached(w)), want);
+        }
+        let t = flight.totals();
+        prop_assert_eq!(t.requests, ws.len() as u64);
+        prop_assert_eq!(t.exact_hits, 3);
+        prop_assert_eq!(t.exact_hits + t.near_hits + t.cold, t.requests);
+        let st = audit_cache.stats();
+        prop_assert_eq!(t.shadow_runs, st.shadow_runs);
+        prop_assert_eq!(st.shadow_runs, audit_cache.shadow_regrets().len() as u64);
+        prop_assert_eq!((st.kway_exact_hits, st.kway_near_hits), (t.exact_hits, t.near_hits));
+        let evs = flight.events();
+        prop_assert!(evs.iter().all(|ev| ev.arity == 4));
+        for ev in &evs {
+            prop_assert_eq!(ev.decision == CacheDecision::ExactHit, records_zero_work(ev));
+        }
+        let check = validate_audit_jsonl(&flight.to_jsonl()).expect("log validates");
+        prop_assert_eq!(check.replay_totals(), t);
     }
 
     /// (c) Histogram bucket placement follows `le` semantics for arbitrary
@@ -196,7 +249,8 @@ proptest! {
 
     /// (d) The shadow sampler fires only on near-key warm hits, respects
     /// the rate extremes, agrees with the cache's own counters, and the
-    /// recorded regret matches the retained observation.
+    /// recorded regret matches the retained observation — on the scalar
+    /// and the k-way serving path.
     #[test]
     fn shadow_sampler_fires_only_on_warm_hits(
         n in 128usize..360,
@@ -242,6 +296,43 @@ proptest! {
         let before = cache.stats().shadow_runs;
         prop_assert_eq!(bits(&sampled.run_cached(&b)), bits(&q_b));
         prop_assert_eq!(cache.stats().shadow_runs, before);
+
+        // K-way: the same siblings served as four-device partitions. The
+        // near hint transfers because the near key carries the topology.
+        let set = DeviceSet::dual_cpu_dual_gpu();
+        let est = est.devices(&set);
+        let quiet_cache = ThresholdCache::new(8);
+        let quiet = est.cache(&quiet_cache).shadow_rate(0.0).profiled();
+        let q_a = partition_bits(&quiet.run_partition_cached(&a));
+        let q_b = partition_bits(&quiet.run_partition_cached(&b));
+        prop_assert_eq!(quiet_cache.stats().shadow_runs, 0);
+
+        let cache = ThresholdCache::new(8);
+        let flight = FlightRecorder::new();
+        let sampled = est.cache(&cache).audit(&flight).shadow_rate(1.0).profiled();
+        prop_assert_eq!(&partition_bits(&sampled.run_partition_cached(&a)), &q_a); // cold miss
+        prop_assert_eq!(&partition_bits(&sampled.run_partition_cached(&b)), &q_b); // near hit
+        prop_assert_eq!(&partition_bits(&sampled.run_partition_cached(&b)), &q_b); // exact hit
+        let st = cache.stats();
+        prop_assert_eq!((st.kway_exact_hits, st.kway_near_hits, st.kway_misses), (1, 1, 2));
+        prop_assert_eq!(st.shadow_runs, 1);
+        let regrets = cache.shadow_regrets();
+        prop_assert_eq!(regrets.len(), 1);
+        prop_assert!(regrets[0].is_finite());
+
+        let evs = flight.events();
+        prop_assert_eq!(evs.len(), 3);
+        prop_assert!(evs.iter().all(|ev| ev.arity == 4));
+        let decisions: Vec<CacheDecision> = evs.iter().map(|ev| ev.decision).collect();
+        prop_assert_eq!(
+            decisions,
+            vec![CacheDecision::Cold, CacheDecision::NearHit, CacheDecision::ExactHit]
+        );
+        prop_assert!(evs[0].shadow_regret_pct.is_nan());
+        prop_assert!((evs[1].shadow_regret_pct - regrets[0]).abs() < 1e-12);
+        prop_assert!(evs[2].shadow_regret_pct.is_nan());
+        prop_assert!(!records_zero_work(&evs[1]));
+        prop_assert!(records_zero_work(&evs[2]));
     }
 }
 

@@ -44,7 +44,7 @@ fn bits(e: &SamplingEstimate) -> (u64, u64, SimTime, usize, usize, usize) {
 /// strategy and compares every estimate with the direct reference.
 fn check_served_is_direct<W>(w: &W, w2: &W, seed: u64)
 where
-    W: Sampleable + Fingerprinted + Clone,
+    W: Sampleable + Fingerprinted + Profilable + Clone,
     W::Sample: Profilable,
 {
     let strategies = [
