@@ -4,7 +4,6 @@
 //! `table1`, `table2`, `fig1`, `fig3` … `fig9`. Each accepts
 //! `--scale <f>` (dataset scale, default 0.02), `--seed <u64>`, and
 //! `--json <path>` to dump rows for EXPERIMENTS.md regeneration.
-//! Criterion benches for the raw kernels live in `benches/`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

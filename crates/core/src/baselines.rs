@@ -1,5 +1,5 @@
 //! Baseline partitioners the paper compares against (and two from its
-//! related-work section, for the ablation benches).
+//! related-work section, compared by the `ext_baselines` harness).
 
 use nbwp_sim::{Platform, SimTime};
 

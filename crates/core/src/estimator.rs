@@ -18,6 +18,7 @@
 //! assert!((0.0..=100.0).contains(&est.threshold));
 //! ```
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -335,6 +336,7 @@ struct RequestAudit<'a> {
 impl<'a> RequestAudit<'a> {
     /// Starts auditing a request, reading the wall clock only when the
     /// event will carry a latency.
+    #[inline]
     fn start(recorder: Option<&'a FlightRecorder>) -> Option<Self> {
         let recorder = recorder.filter(|a| a.is_enabled())?;
         let timer = recorder.timing_due().then(Instant::now);
@@ -355,6 +357,7 @@ impl<'a> RequestAudit<'a> {
     /// populating run paid. Takes the already-derived [`ExactKey`] rather
     /// than the workload: re-fingerprinting would copy the full sketch
     /// (hundreds of bytes) on the nanosecond-scale exact-hit path.
+    #[inline(always)]
     fn record<D: Decision>(
         &self,
         exact: ExactKey,
@@ -519,8 +522,9 @@ impl<'a> ProfiledEstimator<'a> {
     /// `minimize_partition` with the cached cut vector — warm descent
     /// skips the coarse odometer multi-seed sweep and starts coordinate
     /// descent from the hint — with probe savings credited and shadow
-    /// regret stride-sampled exactly like the scalar path. Without an
-    /// attached cache this is one cold
+    /// regret stride-sampled exactly like the scalar path; a shadow's cold
+    /// descent reuses the warm descent's profile. Without an attached
+    /// cache this is one cold
     /// [`ProfiledSearcher::run_partition`](crate::search::ProfiledSearcher::run_partition)
     /// plus one audit event.
     ///
@@ -534,14 +538,18 @@ impl<'a> ProfiledEstimator<'a> {
         W: Profilable + Fingerprinted,
     {
         let set = self.devices();
+        // Built on a miss only. The shadow runs silent, so the warm descent
+        // alone flushes the profile's metrics.
+        let profiled = OnceCell::new();
+        let pw = || profiled.get_or_init(|| ProfiledWorkload::with_pool(workload, self.pool()));
         self.serve(
             workload,
             |hint: Option<&PartitionHint>| {
-                self.run_partition_with(workload, set, hint.map(|h| &h.cuts[..]))
+                self.run_partition_with(pw(), set, hint.map(|h| &h.cuts[..]))
             },
             // Curve totals are exact, so the shadow compares them directly.
             |warm| {
-                let cold = self.silent().run_partition_with(workload, set, None);
+                let cold = self.silent().run_partition_with(pw(), set, None);
                 regret_pct(warm.total, cold.total)
             },
         )
@@ -672,7 +680,7 @@ impl<'a> ProfiledEstimator<'a> {
     /// Shared body of the cold (no seed) and warm-started k-way paths.
     fn run_partition_with<W: Profilable>(
         &self,
-        workload: &W,
+        pw: &ProfiledWorkload<'_, W>,
         set: &DeviceSet,
         warm: Option<&[f64]>,
     ) -> PartitionOutcome {
@@ -684,7 +692,7 @@ impl<'a> ProfiledEstimator<'a> {
         if let Some(cuts) = warm {
             searcher = searcher.warm_cuts(cuts);
         }
-        searcher.profiled().run_partition(workload, set)
+        searcher.profiled().run_partition_on(pw, set)
     }
 
     /// Shared body of [`ProfiledEstimator::run`] (no hint) and the

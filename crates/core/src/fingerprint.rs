@@ -17,6 +17,8 @@
 //!
 //! See DESIGN.md, "Fingerprints & amortized serving".
 
+use nbwp_sim::{log2_bucket, DegreeSketch, Digest};
+
 /// Coarse fill-density class of an input, part of the near key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DensityClass {
@@ -72,7 +74,9 @@ pub struct NearKey {
     pub density: DensityClass,
 }
 
-/// One-pass structural sketch of a workload input with quantized cache keys.
+/// One-pass structural sketch of a workload input with quantized cache
+/// keys, built by [`Fingerprint::new`] and patched by
+/// [`Fingerprint::apply_delta`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Fingerprint {
     /// Workload kind tag (static so keys stay `Copy` + allocation-free).
@@ -92,45 +96,23 @@ pub struct Fingerprint {
     /// in O(|delta|) and re-derive `mean_degree`/`degree_cv` bitwise (the
     /// first moment is `m`).
     pub degree_sq_sum: u64,
-    /// Degree histogram in log2 buckets: bucket 0 counts degree-0 elements,
-    /// bucket `k ≥ 1` counts degrees in `[2^(k-1), 2^k)`. Doubles as a
-    /// coarse quantile sketch via [`Fingerprint::quantile`].
+    /// Degree histogram, indexed by [`nbwp_sim::log2_bucket`]: bucket 0
+    /// counts degree-0 elements, bucket `k ≥ 1` counts degrees in
+    /// `[2^(k-1), 2^k)`. Doubles as a coarse quantile sketch via
+    /// [`Fingerprint::quantile`].
     pub log2_hist: [u64; 64],
     /// Fill-density class.
     pub density_class: DensityClass,
-    /// Content digest: the structure digest mixed with the platform digest
-    /// and workload-configuration discriminants via [`mix64`].
+    /// Content digest: the structure digest followed by the platform
+    /// digest and workload-configuration words, or, after
+    /// [`Fingerprint::apply_delta`], the previous digest followed by the
+    /// delta's commit.
     pub digest: u64,
-}
-
-/// FNV-1a continuation: folds the little-endian bytes of `word` into `h`.
-/// Used to mix platform digests and configuration discriminants into a
-/// structure digest; order-sensitive, so mix fields in a fixed order.
-#[must_use]
-pub fn mix64(mut h: u64, word: u64) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 fn log2_class(x: usize) -> u32 {
     // ⌈log2 x⌉ with 0 and 1 both mapping to class 0.
     usize::BITS - x.saturating_sub(1).leading_zeros()
-}
-
-/// Histogram bucket of a degree: bucket 0 for degree 0, else
-/// `⌊log2 d⌋ + 1`, capped at 63. Must match the sketch builders in
-/// nbwp-graph/nbwp-sparse bit-for-bit, or delta-patched histograms drift
-/// from fresh ones.
-fn log2_bucket(d: u64) -> usize {
-    if d == 0 {
-        0
-    } else {
-        ((64 - d.leading_zeros()) as usize).min(63)
-    }
 }
 
 /// The O(|delta|) summary a workload mutation feeds into
@@ -160,6 +142,35 @@ pub struct FingerprintDelta<'a> {
 }
 
 impl Fingerprint {
+    /// The fingerprint of an input with structure sketch `sketch` and
+    /// fill-density denominator `density_denom` (evaluated as the
+    /// workload's [`FingerprintDelta::density_denom`] is). The digest covers
+    /// the structure digest, then `config`: the platform digest and every
+    /// configuration word that changes the estimate, in a fixed order.
+    #[must_use]
+    pub fn new(
+        kind: &'static str,
+        sketch: &DegreeSketch,
+        density_denom: f64,
+        config: &[u64],
+    ) -> Fingerprint {
+        Fingerprint {
+            kind,
+            n: sketch.n,
+            m: sketch.m,
+            mean_degree: sketch.mean,
+            degree_cv: sketch.cv,
+            max_degree: sketch.max,
+            degree_sq_sum: sketch.sum_sq,
+            log2_hist: sketch.log2_hist,
+            density_class: DensityClass::of(sketch.m as f64 / density_denom),
+            digest: Digest::default()
+                .word(sketch.digest)
+                .words(config.iter().copied())
+                .finish(),
+        }
+    }
+
     /// Exact-identity key (see module docs).
     #[must_use]
     pub fn exact_key(&self) -> ExactKey {
@@ -192,10 +203,11 @@ impl Fingerprint {
     /// **bitwise equal** to a fresh fingerprint of the mutated input.
     ///
     /// The digest is the exception by design: it advances along a *delta
-    /// chain* — `digest' = mix64(digest, commit)` — rather than re-hashing
-    /// the input, so drifted-digest equality means "same base input and
-    /// same mutation script", which is exactly the identity the serving
-    /// cache needs (an O(m) re-hash would defeat the O(|delta|) budget).
+    /// chain* — `digest'` is the [`Digest`] of `(digest, commit)` — rather
+    /// than re-hashing the input, so drifted-digest equality means "same
+    /// base input and same mutation script", which is exactly the identity
+    /// the serving cache needs (an O(m) re-hash would defeat the
+    /// O(|delta|) budget).
     ///
     /// Precondition: `m` is the degree sum (true for every workload kind
     /// here: arcs for cc, nonzeros for spmm/hh, `n·d` for dense).
@@ -224,7 +236,7 @@ impl Fingerprint {
         self.mean_degree = mean;
         self.degree_cv = cv;
         self.density_class = DensityClass::of(self.m as f64 / d.density_denom);
-        self.digest = mix64(self.digest, d.commit);
+        self.digest = Digest::default().words([self.digest, d.commit]).finish();
     }
 
     /// Approximate degree quantile from the log2 histogram: the lower bound
@@ -328,10 +340,29 @@ mod tests {
         assert_eq!(g.quantile(0.5), 0.0);
     }
 
+    /// `digest` chained with each commit, as `apply_delta` chains it.
+    fn chained(digest: u64, commits: &[u64]) -> u64 {
+        commits
+            .iter()
+            .fold(digest, |h, &c| Digest::default().words([h, c]).finish())
+    }
+
     #[test]
-    fn mix64_is_order_sensitive() {
-        let h = 0xcbf2_9ce4_8422_2325;
-        assert_ne!(mix64(mix64(h, 1), 2), mix64(mix64(h, 2), 1));
+    fn digest_chain_is_order_sensitive() {
+        let delta = |commit| FingerprintDelta {
+            degree_changes: &[],
+            new_max_degree: 7,
+            m_delta: 0,
+            density_denom: 1000.0 * 1000.0,
+            commit,
+        };
+        let (mut ab, mut ba) = (fp(1000, 7000, 0.0, 5), fp(1000, 7000, 0.0, 5));
+        ab.apply_delta(&delta(1));
+        ab.apply_delta(&delta(2));
+        ba.apply_delta(&delta(2));
+        ba.apply_delta(&delta(1));
+        assert_ne!(ab.digest, ba.digest);
+        assert_eq!(ab.digest, chained(5, &[1, 2]));
     }
 
     #[test]
@@ -358,7 +389,7 @@ mod tests {
         let (mean, cv) = nbwp_sim::degree_moments(1000, 7006, f.degree_sq_sum);
         assert_eq!(f.mean_degree, mean);
         assert_eq!(f.degree_cv, cv);
-        assert_eq!(f.digest, mix64(before_digest, 0xDEAD));
+        assert_eq!(f.digest, chained(before_digest, &[0xDEAD]));
         // A second delta chains the digest.
         let d2 = FingerprintDelta {
             degree_changes: &[],
@@ -368,6 +399,6 @@ mod tests {
             commit: 0xBEEF,
         };
         f.apply_delta(&d2);
-        assert_eq!(f.digest, mix64(mix64(before_digest, 0xDEAD), 0xBEEF));
+        assert_eq!(f.digest, chained(before_digest, &[0xDEAD, 0xBEEF]));
     }
 }

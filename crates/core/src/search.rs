@@ -326,7 +326,7 @@ impl ProfiledSearcher<'_> {
         let rec = self.inner.rec.unwrap_or(&disabled);
         let pool = self.inner.pool.unwrap_or(Pool::global());
         let pw = ProfiledWorkload::with_pool(w, pool);
-        let out = self.run_on_profile(w, &pw, rec, pool);
+        let out = self.run_on_profile(&pw, rec, pool);
         pw.flush_metrics(rec);
         out
     }
@@ -336,7 +336,6 @@ impl ProfiledSearcher<'_> {
     /// [`ProfiledSearcher::run_partition`], which must not profile twice).
     fn run_on_profile<W: Profilable>(
         &self,
-        w: &W,
         pw: &ProfiledWorkload<'_, W>,
         rec: &Recorder,
         pool: &Pool,
@@ -351,7 +350,7 @@ impl ProfiledSearcher<'_> {
                 gradient_descent_impl(pw, max_evals, rec, pool)
             }
             Strategy::Analytic { step } => analytic_impl(
-                w,
+                pw.inner(),
                 pw,
                 resolve_step(step, &pw.space()),
                 self.inner.effective_warm(),
@@ -380,13 +379,24 @@ impl ProfiledSearcher<'_> {
     /// spans — see DESIGN.md).
     #[must_use]
     pub fn run_partition<W: Profilable>(&self, w: &W, set: &DeviceSet) -> PartitionOutcome {
+        let pool = self.inner.pool.unwrap_or(Pool::global());
+        self.run_partition_on(&ProfiledWorkload::with_pool(w, pool), set)
+    }
+
+    /// [`ProfiledSearcher::run_partition`] over a built profile, which
+    /// another descent may share: its memos only cache pure prices.
+    pub(crate) fn run_partition_on<W: Profilable>(
+        &self,
+        pw: &ProfiledWorkload<'_, W>,
+        set: &DeviceSet,
+    ) -> PartitionOutcome {
         let disabled = Recorder::disabled();
         let rec = self.inner.rec.unwrap_or(&disabled);
         let pool = self.inner.pool.unwrap_or(Pool::global());
-        let pw = ProfiledWorkload::with_pool(w, pool);
+        let w = pw.inner();
         let space = w.space();
         let out = if set.is_canonical_pair() {
-            let scalar = self.run_on_profile(w, &pw, rec, pool);
+            let scalar = self.run_on_profile(pw, rec, pool);
             let partition = w.curve(pw.profile()).map(|curve| {
                 let units = curve.splits() - 1;
                 Partition::two_way(units, curve.split_for(space.clamp(scalar.best_t)))

@@ -8,14 +8,15 @@ use std::ops::Range;
 
 use nbwp_graph::cc::{hybrid_cc, CcCostCurve, CcCostProfile};
 use nbwp_graph::delta::GraphDelta;
-use nbwp_graph::features::degree_sketch;
 use nbwp_graph::{sample as gsample, Graph};
 use nbwp_par::Pool;
-use nbwp_sim::{CurveEval, KernelStats, Platform, ProfileScratch, RunReport, SimTime};
+use nbwp_sim::{
+    CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunReport, SimTime,
+};
 use rand::rngs::SmallRng;
 
 use crate::drift::DriftWorkload;
-use crate::fingerprint::{mix64, DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};
+use crate::fingerprint::{Fingerprint, FingerprintDelta, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 use crate::profile::Profilable;
 
@@ -118,26 +119,17 @@ impl Fingerprinted for CcWorkload {
     fn fingerprint(&self) -> Fingerprint {
         self.fp
             .get_or_init(|| {
-                let sk = degree_sketch(&self.graph);
-                let density = sk.m as f64 / (sk.n.max(1) as f64 * sk.n.max(1) as f64);
-                Fingerprint {
-                    kind: "cc",
-                    n: sk.n,
-                    m: sk.m,
-                    mean_degree: sk.mean,
-                    degree_cv: sk.cv,
-                    max_degree: sk.max,
-                    degree_sq_sum: sk.sum_sq,
-                    log2_hist: sk.log2_hist,
-                    density_class: DensityClass::of(density),
-                    // Structure + platform + sampler mode. `host_threads` is
-                    // excluded: it changes host wall-clock, not the
-                    // simulated report the estimate is computed from.
-                    digest: mix64(
-                        mix64(sk.digest, self.platform.digest()),
-                        self.sampler as u64,
-                    ),
-                }
+                let g = &self.graph;
+                let n = g.n().max(1) as f64;
+                // Structure + platform + sampler mode. `host_threads` is
+                // excluded: it changes host wall-clock, not the simulated
+                // report the estimate is computed from.
+                Fingerprint::new(
+                    "cc",
+                    &DegreeSketch::of(&[], g.adj_ptr(), g.adj()),
+                    n * n,
+                    &[self.platform.digest(), self.sampler as u64],
+                )
             })
             .clone()
     }

@@ -3,11 +3,13 @@
 
 use nbwp_dense::hybrid::{hybrid_gemm_cost, GemmCostCurve};
 use nbwp_par::Pool;
-use nbwp_sim::{CurveEval, KernelStats, Platform, RunReport, SimTime};
+use nbwp_sim::{
+    log2_bucket, CurveEval, DegreeSketch, Digest, KernelStats, Platform, RunReport, SimTime,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::fingerprint::{mix64, DensityClass, Fingerprint, Fingerprinted};
+use crate::fingerprint::{Fingerprint, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 use crate::profile::{Profilable, Resampleable};
 
@@ -40,29 +42,29 @@ impl DenseGemmWorkload {
 
 impl Fingerprinted for DenseGemmWorkload {
     fn fingerprint(&self) -> Fingerprint {
-        // Dense GEMM is fully described by `(n, platform)`: the fingerprint
-        // is O(1) fresh arithmetic, so the workload stays `Copy` with no
-        // cached sketch. Every "row" has degree `n`.
+        // Dense GEMM is fully described by `(n, platform)`: its sketch is
+        // O(1) fresh arithmetic (every "row" has degree `n`), so the
+        // workload stays `Copy` with no cached sketch.
         let n = self.n;
         let d = n as u64;
-        let mut hist = [0u64; 64];
-        let bucket = usize::try_from(64 - d.leading_zeros())
-            .expect("bucket fits")
-            .min(63);
-        hist[bucket] = n as u64;
-        let digest = mix64(mix64(0xcbf2_9ce4_8422_2325, d), self.platform.digest());
-        Fingerprint {
-            kind: "dense_gemm",
+        let mut log2_hist = [0u64; 64];
+        log2_hist[log2_bucket(d)] = d;
+        let sketch = DegreeSketch {
             n,
             m: n * n,
-            mean_degree: n as f64,
-            degree_cv: 0.0,
-            max_degree: d,
-            degree_sq_sum: n as u64 * d * d,
-            log2_hist: hist,
-            density_class: DensityClass::Dense,
-            digest,
-        }
+            mean: n as f64,
+            cv: 0.0,
+            max: d,
+            sum_sq: d * d * d,
+            log2_hist,
+            digest: Digest::default().word(d).finish(),
+        };
+        Fingerprint::new(
+            "dense_gemm",
+            &sketch,
+            n as f64 * n as f64,
+            &[self.platform.digest()],
+        )
     }
 }
 

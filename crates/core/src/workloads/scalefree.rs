@@ -8,9 +8,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
-    AlignedU64s, CurveEval, KernelStats, Platform, ProfileScratch, RunBreakdown, RunReport, SimTime,
+    AlignedU64s, CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunBreakdown,
+    RunReport, SimTime,
 };
-use nbwp_sparse::features::structure_sketch;
 use nbwp_sparse::masked::{hh_row_profiles_in, DensitySplit, HhProducts, HhRowProfiles};
 use nbwp_sparse::sample::{sample_rows_contract, sample_rows_importance};
 use nbwp_sparse::spgemm::{spgemm, stats_for_rows_where, RowCost, ENTRY_BYTES};
@@ -18,7 +18,7 @@ use nbwp_sparse::Csr;
 use rand::rngs::SmallRng;
 
 use crate::extrapolate::Extrapolator;
-use crate::fingerprint::{mix64, DensityClass, Fingerprint, Fingerprinted};
+use crate::fingerprint::{Fingerprint, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 use crate::profile::Profilable;
 
@@ -130,7 +130,7 @@ impl HhWorkload {
         }
     }
 
-    /// Overrides the extrapolator (for the extrapolator ablation bench).
+    /// Overrides the extrapolator (for extrapolator comparisons).
     #[must_use]
     pub fn with_extrapolator(mut self, e: Extrapolator) -> Self {
         self.extrapolator = e;
@@ -276,8 +276,6 @@ impl Fingerprinted for HhWorkload {
     fn fingerprint(&self) -> Fingerprint {
         self.fp
             .get_or_init(|| {
-                let sk = structure_sketch(&self.a);
-                let density = sk.m as f64 / (sk.n.max(1) as f64 * self.a.cols().max(1) as f64);
                 // Extrapolator identity folds in its parameters: Power fits
                 // with different exponents are different configurations.
                 let (e_disc, e_a, e_b) = match self.extrapolator {
@@ -286,22 +284,19 @@ impl Fingerprinted for HhWorkload {
                     Extrapolator::Power { a, b } => (2, a.to_bits(), b.to_bits()),
                     Extrapolator::DegreeQuantile => (3, 0, 0),
                 };
-                let mut digest = mix64(sk.digest, self.platform.digest());
-                for word in [e_disc, e_a, e_b, self.sampler as u64] {
-                    digest = mix64(digest, word);
-                }
-                Fingerprint {
-                    kind: "hh",
-                    n: sk.n,
-                    m: sk.m,
-                    mean_degree: sk.mean,
-                    degree_cv: sk.cv,
-                    max_degree: sk.max,
-                    degree_sq_sum: sk.sum_sq,
-                    log2_hist: sk.log2_hist,
-                    density_class: DensityClass::of(density),
-                    digest,
-                }
+                let a = &self.a;
+                Fingerprint::new(
+                    "hh",
+                    &DegreeSketch::of(&[a.cols() as u64], a.row_ptr(), a.col_indices()),
+                    a.rows().max(1) as f64 * a.cols().max(1) as f64,
+                    &[
+                        self.platform.digest(),
+                        e_disc,
+                        e_a,
+                        e_b,
+                        self.sampler as u64,
+                    ],
+                )
             })
             .clone()
     }

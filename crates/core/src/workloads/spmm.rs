@@ -8,10 +8,10 @@ use std::sync::{Arc, OnceLock};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
-    CurveEval, KernelStats, Platform, ProfileScratch, RunBreakdown, RunReport, SimTime,
+    CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunBreakdown, RunReport,
+    SimTime,
 };
 use nbwp_sparse::delta::CsrDelta;
-use nbwp_sparse::features::structure_sketch;
 use nbwp_sparse::ops::{load_vector, prefix_sums, split_row_for_load};
 use nbwp_sparse::sample::sample_submatrix_frac;
 use nbwp_sparse::spgemm::{
@@ -21,7 +21,7 @@ use nbwp_sparse::{Csr, SpmmCostCurve};
 use rand::rngs::SmallRng;
 
 use crate::drift::DriftWorkload;
-use crate::fingerprint::{mix64, DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};
+use crate::fingerprint::{Fingerprint, FingerprintDelta, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 use crate::profile::{Profilable, Resampleable};
 
@@ -436,23 +436,16 @@ impl Fingerprinted for SpmmWorkload {
     fn fingerprint(&self) -> Fingerprint {
         self.fp
             .get_or_init(|| {
-                let sk = structure_sketch(&self.a);
-                let density = sk.m as f64 / (sk.n.max(1) as f64 * self.a.cols().max(1) as f64);
-                Fingerprint {
-                    kind: "spmm",
-                    n: sk.n,
-                    m: sk.m,
-                    mean_degree: sk.mean,
-                    degree_cv: sk.cv,
-                    max_degree: sk.max,
-                    degree_sq_sum: sk.sum_sq,
-                    log2_hist: sk.log2_hist,
-                    density_class: DensityClass::of(density),
-                    // Structure + platform; the row profile and load prefix
-                    // are derived deterministically from `a`, so the pattern
-                    // digest already covers them.
-                    digest: mix64(sk.digest, self.platform.digest()),
-                }
+                let a = &self.a;
+                // Structure + platform; the row profile and load prefix
+                // are derived deterministically from `a`, so the pattern
+                // digest already covers them.
+                Fingerprint::new(
+                    "spmm",
+                    &DegreeSketch::of(&[a.cols() as u64], a.row_ptr(), a.col_indices()),
+                    a.rows().max(1) as f64 * a.cols().max(1) as f64,
+                    &[self.platform.digest()],
+                )
             })
             .clone()
     }

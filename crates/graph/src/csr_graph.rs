@@ -108,6 +108,19 @@ impl Graph {
         &self.adj[self.adj_ptr[v]..self.adj_ptr[v + 1]]
     }
 
+    /// CSR offsets: vertex `v`'s neighbours are
+    /// `adj()[adj_ptr()[v]..adj_ptr()[v + 1]]`.
+    #[must_use]
+    pub fn adj_ptr(&self) -> &[usize] {
+        &self.adj_ptr
+    }
+
+    /// Every adjacency list, concatenated in vertex order.
+    #[must_use]
+    pub fn adj(&self) -> &[u32] {
+        &self.adj
+    }
+
     /// Iterator over undirected edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.n as u32).flat_map(move |u| {

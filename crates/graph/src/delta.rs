@@ -6,23 +6,13 @@
 //! compacting O(n + m + |delta| log |delta|) pass — inserts land first,
 //! then deletes, so an edge named in both lists ends up deleted — and
 //! reports a [`GraphDeltaInfo`]: touched vertices, per-vertex degree
-//! changes, and an order-sensitive FNV commitment to the delta. Duplicate
+//! changes, and an order-sensitive commitment to the delta. Duplicate
 //! inserts of existing edges and deletes of absent edges are no-ops (but
 //! still committed: the digest chain tracks the *script*, not its effect).
 
+use nbwp_sim::Digest;
+
 use crate::Graph;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A batch of undirected edge insertions and deletions. `(u, v)` and
 /// `(v, u)` name the same edge; self-loops are ignored.
@@ -47,7 +37,7 @@ pub struct GraphDeltaInfo {
     pub new_max_degree: u64,
     /// Change in directed arc count (`new arcs − old arcs`, always even).
     pub arcs_delta: i64,
-    /// Order-sensitive FNV-1a commitment to the delta (insert list then
+    /// Order-sensitive [`Digest`] commitment to the delta (insert list then
     /// delete list, as given). Mixing this into a fingerprint digest makes
     /// drifted-digest equality well-defined over (base, delta chain).
     pub commit: u64,
@@ -87,7 +77,7 @@ impl GraphDelta {
     #[must_use]
     pub fn apply(&self, g: &Graph) -> (Graph, GraphDeltaInfo) {
         let n = g.n();
-        let mut commit = FNV_OFFSET;
+        let mut commit = Digest::default();
         // Directed arc lists for the merge: every named edge contributes
         // both directions; sort + dedup gives per-vertex sorted runs.
         let mut ins = Vec::with_capacity(self.insert.len() * 2);
@@ -96,7 +86,7 @@ impl GraphDelta {
                 (u as usize) < n && (v as usize) < n,
                 "insert ({u}, {v}) out of bounds"
             );
-            commit = fnv_mix(fnv_mix(fnv_mix(commit, 1), u64::from(u)), u64::from(v));
+            commit.words([1, u64::from(u), u64::from(v)]);
             if u != v {
                 ins.push((u, v));
                 ins.push((v, u));
@@ -108,7 +98,7 @@ impl GraphDelta {
                 (u as usize) < n && (v as usize) < n,
                 "delete ({u}, {v}) out of bounds"
             );
-            commit = fnv_mix(fnv_mix(fnv_mix(commit, 2), u64::from(u)), u64::from(v));
+            commit.words([2, u64::from(u), u64::from(v)]);
             if u != v {
                 del.push((u, v));
                 del.push((v, u));
@@ -202,7 +192,7 @@ impl GraphDelta {
                 degree_changes,
                 new_max_degree: max_deg,
                 arcs_delta,
-                commit,
+                commit: commit.finish(),
             },
         )
     }

@@ -49,95 +49,6 @@ impl GraphFeatures {
     }
 }
 
-/// One-pass structural sketch of a graph, the raw material for the
-/// fingerprint-keyed decision caches upstream (`nbwp-core`): degree moments,
-/// a log2-bucketed degree histogram (a coarse quantile sketch), and an
-/// FNV-1a digest of the full adjacency structure. Everything is computed in
-/// a single O(n + m) pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegreeSketch {
-    /// Vertex count.
-    pub n: usize,
-    /// Arc count.
-    pub m: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Coefficient of variation of the degree distribution.
-    pub cv: f64,
-    /// Maximum degree.
-    pub max: u64,
-    /// Exact sum of squared degrees. Kept alongside the float moments so a
-    /// delta update can adjust the second moment in O(|delta|) and re-derive
-    /// `mean`/`cv` bitwise via [`nbwp_sim::degree_moments`] (the first
-    /// moment is recoverable from `m`).
-    pub sum_sq: u64,
-    /// Degree histogram in log2 buckets: bucket 0 counts degree-0 vertices,
-    /// bucket `k ≥ 1` counts degrees in `[2^(k-1), 2^k)`.
-    pub log2_hist: [u64; 64],
-    /// FNV-1a digest of the adjacency structure (`n`, every degree, every
-    /// neighbor id, in order). Two graphs digest equally iff their CSR
-    /// renderings are byte-identical (modulo astronomically unlikely hash
-    /// collisions), so the digest can stand in for content equality.
-    pub digest: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Computes the [`DegreeSketch`] of `g` in one O(n + m) pass.
-#[must_use]
-pub fn degree_sketch(g: &Graph) -> DegreeSketch {
-    let n = g.n();
-    let mut hist = [0u64; 64];
-    // Integer moment accumulators: partial sums stay far below 2^53, so the
-    // final conversion in `degree_moments` reproduces the old f64-accumulated
-    // values bitwise while staying patchable in O(|delta|) under drift.
-    let mut sum = 0u64;
-    let mut sum_sq = 0u64;
-    let mut max = 0u64;
-    let mut m = 0usize;
-    let mut h = fnv_mix(FNV_OFFSET, n as u64);
-    for v in 0..n {
-        let nbrs = g.neighbors(v);
-        let d = nbrs.len() as u64;
-        m += nbrs.len();
-        let bucket = if d == 0 {
-            0
-        } else {
-            (64 - d.leading_zeros()) as usize
-        }
-        .min(63);
-        hist[bucket] += 1;
-        sum += d;
-        sum_sq += d * d;
-        max = max.max(d);
-        h = fnv_mix(h, d);
-        for &w in nbrs {
-            h = fnv_mix(h, u64::from(w));
-        }
-    }
-    let (mean, cv) = nbwp_sim::degree_moments(n, sum, sum_sq);
-    DegreeSketch {
-        n,
-        m,
-        mean,
-        cv,
-        max,
-        sum_sq,
-        log2_hist: hist,
-        digest: h,
-    }
-}
-
 /// BFS from `start`; returns (farthest vertex, its distance).
 fn bfs_far(g: &Graph, start: usize) -> (usize, usize) {
     let mut dist = vec![usize::MAX; g.n()];
@@ -178,6 +89,11 @@ pub fn approx_diameter(g: &Graph) -> usize {
 mod tests {
     use super::*;
     use crate::gen;
+    use nbwp_sim::DegreeSketch;
+
+    fn sketch_of(g: &Graph) -> DegreeSketch {
+        DegreeSketch::of(&[], g.adj_ptr(), g.adj())
+    }
 
     #[test]
     fn path_diameter_is_exact() {
@@ -222,7 +138,7 @@ mod tests {
     fn degree_sketch_matches_features() {
         let g = gen::web(2000, 6, 5);
         let f = GraphFeatures::of(&g);
-        let s = degree_sketch(&g);
+        let s = sketch_of(&g);
         assert_eq!(s.n, g.n());
         assert_eq!(s.max, f.max_degree as u64);
         assert!((s.mean - f.mean_degree).abs() < 1e-9);
@@ -235,15 +151,15 @@ mod tests {
         let a = gen::web(1000, 6, 5);
         let b = gen::web(1000, 6, 6); // same family, different seed
         let c = gen::road(1000, 5);
-        let sa = degree_sketch(&a);
-        assert_eq!(sa.digest, degree_sketch(&a).digest);
-        assert_ne!(sa.digest, degree_sketch(&b).digest);
-        assert_ne!(sa.digest, degree_sketch(&c).digest);
+        let sa = sketch_of(&a);
+        assert_eq!(sa.digest, sketch_of(&a).digest);
+        assert_ne!(sa.digest, sketch_of(&b).digest);
+        assert_ne!(sa.digest, sketch_of(&c).digest);
     }
 
     #[test]
     fn degree_sketch_of_empty_graph() {
-        let s = degree_sketch(&Graph::from_edges(0, &[]));
+        let s = sketch_of(&Graph::from_edges(0, &[]));
         assert_eq!(s.n, 0);
         assert_eq!(s.m, 0);
         assert_eq!(s.mean, 0.0);

@@ -179,29 +179,6 @@ pub fn warp_padded_cost(work: &[u64], warp: usize) -> u64 {
         .sum()
 }
 
-/// `(mean, coefficient of variation)` of a degree distribution from its
-/// exact integer moments: item count `n`, degree sum `sum`, and squared
-/// degree sum `sum_sq`.
-///
-/// Centralizing the float evaluation matters for the drift path: a
-/// fingerprint patched by `Fingerprint::apply_delta` updates the integer
-/// moments in O(|delta|) and must reproduce the mean/cv of a fresh sketch
-/// **bitwise**. That holds exactly when both sides convert the *same*
-/// integer moments through the *same* sequence of float operations — this
-/// function is that sequence, shared by the sketch builders in nbwp-graph
-/// and nbwp-sparse and by the delta path in nbwp-core.
-#[must_use]
-pub fn degree_moments(n: usize, sum: u64, sum_sq: u64) -> (f64, f64) {
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let nf = n as f64;
-    let mean = sum as f64 / nf;
-    let var = (sum_sq as f64 / nf - mean * mean).max(0.0);
-    let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    (mean, cv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

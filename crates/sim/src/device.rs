@@ -149,6 +149,8 @@ impl std::error::Error for UnknownPreset {}
 pub struct DeviceSet {
     name: String,
     devices: Vec<Device>,
+    /// [`DeviceSet::digest`], computed once by [`DeviceSet::try_new`].
+    digest: u64,
 }
 
 impl DeviceSet {
@@ -211,9 +213,13 @@ impl DeviceSet {
                 first_gpu + off
             ));
         }
+        let digest = crate::Digest::default()
+            .bytes(format!("{devices:?}").as_bytes())
+            .finish();
         Ok(DeviceSet {
             name: name.into(),
             devices,
+            digest,
         })
     }
 
@@ -318,22 +324,16 @@ impl DeviceSet {
             && self.devices[1] == Device::gpu()
     }
 
-    /// Stable 64-bit digest of the device list (FNV-1a over the canonical
-    /// `Debug` rendering — same construction as `Platform::digest`). Two
-    /// sets digest equally iff their device lists are bitwise equal, so
-    /// the digest can key caches: a k=2 and a k=4 estimate for the same
-    /// input must never alias.
+    /// Stable 64-bit [`Digest`](crate::Digest) of the device list, taken
+    /// over its `Debug` rendering (which covers every device field by
+    /// construction, as [`Platform::digest`](crate::Platform::digest)
+    /// does). Two sets digest equally iff their device lists are bitwise
+    /// equal, so the digest can key caches: a k=2 and a k=4 estimate for
+    /// the same input must never alias. Computed once at construction, so
+    /// the serving paths that key every request on it never allocate.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let repr = format!("{:?}", self.devices);
-        let mut h = FNV_OFFSET;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        self.digest
     }
 
     /// Proportional-balancing weights for seeding a k-way split, in device

@@ -42,10 +42,11 @@ mod pcie;
 mod platform;
 pub mod profile;
 pub mod scratch;
+pub mod sketch;
 mod time;
 pub mod timeline;
 
-pub use counters::{degree_moments, warp_padded_cost, KernelStats};
+pub use counters::{warp_padded_cost, KernelStats};
 pub use cpu::CpuModel;
 pub use curve::CurveEval;
 pub use device::{Device, DeviceKind, DeviceSet, Link, Partition, UnknownPreset};
@@ -54,4 +55,5 @@ pub use pcie::PcieModel;
 pub use platform::{Lane, Platform, RunBreakdown, RunReport};
 pub use profile::{PrefixCurve, WarpPadCurve};
 pub use scratch::{AlignedU64s, ProfileScratch};
+pub use sketch::{degree_moments, log2_bucket, DegreeSketch, Digest};
 pub use time::SimTime;

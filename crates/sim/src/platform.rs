@@ -117,24 +117,20 @@ impl Platform {
         self
     }
 
-    /// Stable 64-bit digest of every platform parameter (FNV-1a over the
-    /// canonical field rendering). Two platforms digest equally iff they are
-    /// bitwise-equal, so the digest can key caches of platform-dependent
-    /// decisions (threshold estimates must never be served across platforms).
+    /// Stable 64-bit [`Digest`](crate::Digest) of every platform parameter,
+    /// taken over the derived `Debug` rendering. Two platforms digest
+    /// equally iff they are bitwise-equal, so the digest can key caches of
+    /// platform-dependent decisions (threshold estimates must never be
+    /// served across platforms).
     #[must_use]
     pub fn digest(&self) -> u64 {
         // All fields are plain numbers, so the derived `Debug` rendering is a
-        // canonical byte representation (f64 formatting is shortest-roundtrip
-        // and injective on non-NaN values).
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let repr = format!("{self:?}");
-        let mut h = FNV_OFFSET;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        // canonical byte representation that covers every field by
+        // construction (f64 formatting is shortest-roundtrip and injective
+        // on non-NaN values).
+        crate::Digest::default()
+            .bytes(format!("{self:?}").as_bytes())
+            .finish()
     }
 
     /// Fraction of total spec-sheet FLOPS contributed by the GPU, in

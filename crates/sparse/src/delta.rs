@@ -5,23 +5,13 @@
 //! replacements and numeric row scalings. [`CsrDelta::apply`] plays the
 //! script against a matrix with one compacting O(rows + nnz) rebuild and
 //! reports a [`CsrDeltaInfo`]: which rows were touched, how each touched
-//! row's degree changed, and an order-sensitive FNV *commitment* to the
+//! row's degree changed, and an order-sensitive *commitment* to the
 //! script. The info record is exactly what the O(|delta|) fingerprint and
 //! curve patches upstream consume — they never have to rescan the matrix.
 
+use nbwp_sim::Digest;
+
 use crate::Csr;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One mutation of a single CSR row.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,7 +68,7 @@ pub struct CsrDeltaInfo {
     pub new_max_degree: u64,
     /// Change in nonzero count (`new nnz − old nnz`).
     pub nnz_delta: i64,
-    /// Order-sensitive FNV-1a commitment to the script. Mixing this into a
+    /// Order-sensitive [`Digest`] commitment to the script. Mixing this into a
     /// fingerprint digest makes drifted-digest equality well-defined: two
     /// drifted fingerprints agree iff base input and op chain agree.
     pub commit: u64,
@@ -111,7 +101,7 @@ impl CsrDelta {
     pub fn apply(&self, a: &Csr) -> (Csr, CsrDeltaInfo) {
         use std::collections::HashMap;
         let mut pending: HashMap<usize, (Vec<u32>, Vec<f64>)> = HashMap::new();
-        let mut commit = FNV_OFFSET;
+        let mut commit = Digest::default();
         for op in &self.ops {
             match op {
                 RowOp::Replace { row, cols, vals } => {
@@ -122,20 +112,15 @@ impl CsrDelta {
                             && cols.last().is_none_or(|&c| (c as usize) < a.cols()),
                         "replacement columns must be strictly increasing and in bounds"
                     );
-                    commit = fnv_mix(fnv_mix(commit, 1), *row as u64);
-                    commit = fnv_mix(commit, cols.len() as u64);
-                    for &c in cols {
-                        commit = fnv_mix(commit, u64::from(c));
-                    }
-                    for &v in vals {
-                        commit = fnv_mix(commit, v.to_bits());
-                    }
+                    commit
+                        .words([1, *row as u64])
+                        .u32s(cols)
+                        .words(vals.iter().map(|v| v.to_bits()));
                     pending.insert(*row, (cols.clone(), vals.clone()));
                 }
                 RowOp::Scale { row, factor } => {
                     assert!(*row < a.rows(), "scale row {row} out of bounds");
-                    commit = fnv_mix(fnv_mix(commit, 2), *row as u64);
-                    commit = fnv_mix(commit, factor.to_bits());
+                    commit.words([2, *row as u64, factor.to_bits()]);
                     let (c, v) = pending.entry(*row).or_insert_with(|| {
                         let (c, v) = a.row(*row);
                         (c.to_vec(), v.to_vec())
@@ -179,7 +164,7 @@ impl CsrDelta {
                 degree_changes,
                 new_max_degree: max_deg,
                 nnz_delta,
-                commit,
+                commit: commit.finish(),
             },
         )
     }
@@ -197,7 +182,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(info.touched_rows.is_empty());
         assert_eq!(info.nnz_delta, 0);
-        assert_eq!(info.commit, FNV_OFFSET);
+        assert_eq!(info.commit, Digest::default().finish());
     }
 
     #[test]

@@ -66,94 +66,6 @@ impl Features {
     }
 }
 
-/// One-pass structural sketch of a sparse matrix, the raw material for the
-/// fingerprint-keyed decision caches upstream (`nbwp-core`): row-degree
-/// moments, a log2-bucketed degree histogram (a coarse quantile sketch), and
-/// an FNV-1a digest of the sparsity pattern. Computed in a single
-/// O(rows + nnz) pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegreeSketch {
-    /// Row count.
-    pub n: usize,
-    /// Nonzero count.
-    pub m: usize,
-    /// Mean nonzeros per row.
-    pub mean: f64,
-    /// Coefficient of variation of the row-degree distribution.
-    pub cv: f64,
-    /// Maximum row degree.
-    pub max: u64,
-    /// Exact sum of squared row degrees. Kept alongside the float moments
-    /// so a delta update can adjust the second moment in O(|delta|) and
-    /// re-derive `mean`/`cv` bitwise via [`nbwp_sim::degree_moments`] (the
-    /// first moment is recoverable from `m`).
-    pub sum_sq: u64,
-    /// Row-degree histogram in log2 buckets: bucket 0 counts empty rows,
-    /// bucket `k ≥ 1` counts degrees in `[2^(k-1), 2^k)`.
-    pub log2_hist: [u64; 64],
-    /// FNV-1a digest of the sparsity pattern (`rows`, `cols`, every row
-    /// degree, every column index, in order). Numeric values are excluded:
-    /// heterogeneous cost depends on the pattern, not the entries. Two
-    /// matrices digest equally iff their patterns are identical (modulo
-    /// astronomically unlikely hash collisions).
-    pub digest: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Computes the [`DegreeSketch`] of `m` in one O(rows + nnz) pass.
-#[must_use]
-pub fn structure_sketch(m: &Csr) -> DegreeSketch {
-    let n = m.rows();
-    let mut hist = [0u64; 64];
-    // Integer moment accumulators: partial sums stay far below 2^53, so the
-    // final conversion in `degree_moments` reproduces the old f64-accumulated
-    // values bitwise while staying patchable in O(|delta|) under drift.
-    let mut sum = 0u64;
-    let mut sum_sq = 0u64;
-    let mut max = 0u64;
-    let mut h = fnv_mix(fnv_mix(FNV_OFFSET, n as u64), m.cols() as u64);
-    for r in 0..n {
-        let (cols, _) = m.row(r);
-        let d = cols.len() as u64;
-        let bucket = if d == 0 {
-            0
-        } else {
-            (64 - d.leading_zeros()) as usize
-        }
-        .min(63);
-        hist[bucket] += 1;
-        sum += d;
-        sum_sq += d * d;
-        max = max.max(d);
-        h = fnv_mix(h, d);
-        for &c in cols {
-            h = fnv_mix(h, u64::from(c));
-        }
-    }
-    let (mean, cv) = nbwp_sim::degree_moments(n, sum, sum_sq);
-    DegreeSketch {
-        n,
-        m: m.nnz(),
-        mean,
-        cv,
-        max,
-        sum_sq,
-        log2_hist: hist,
-        digest: h,
-    }
-}
-
 /// Gini coefficient of a non-negative distribution. Returns 0 for empty or
 /// all-zero input.
 #[must_use]
@@ -227,6 +139,11 @@ pub fn power_law_exponent(degrees: &[u64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::gen;
+    use nbwp_sim::DegreeSketch;
+
+    fn sketch_of(m: &Csr) -> DegreeSketch {
+        DegreeSketch::of(&[m.cols() as u64], m.row_ptr(), m.col_indices())
+    }
 
     #[test]
     fn gini_of_uniform_is_zero() {
@@ -305,7 +222,7 @@ mod tests {
     fn structure_sketch_matches_features() {
         let m = gen::power_law(5000, 10, 2.0, 3);
         let f = Features::of(&m);
-        let s = structure_sketch(&m);
+        let s = sketch_of(&m);
         assert_eq!(s.n, m.rows());
         assert_eq!(s.m, m.nnz());
         assert_eq!(s.max, f.max_degree);
@@ -318,9 +235,9 @@ mod tests {
     fn structure_sketch_digest_ignores_values_but_not_pattern() {
         let a = gen::banded_fem(1000, 20, 8, 3);
         let b = gen::banded_fem(1000, 20, 8, 4); // different seed
-        let sa = structure_sketch(&a);
-        assert_eq!(sa.digest, structure_sketch(&a).digest);
-        assert_ne!(sa.digest, structure_sketch(&b).digest);
+        let sa = sketch_of(&a);
+        assert_eq!(sa.digest, sketch_of(&a).digest);
+        assert_ne!(sa.digest, sketch_of(&b).digest);
     }
 
     #[test]

@@ -977,8 +977,8 @@ mod tests {
 /// The GPU-preferred formulation (no random-access accumulator, only sorts
 /// and scans) — provided as the second accumulator strategy next to the
 /// SPA-based [`spgemm`], with identical results. Useful for comparing
-/// accumulator behaviour on skewed rows (`benches/ablations.rs`) and as an
-/// independent implementation for cross-checking.
+/// accumulator behaviour on skewed rows and as an independent
+/// implementation for cross-checking.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.

@@ -333,6 +333,12 @@ proptest! {
         prop_assert!(evs[2].shadow_regret_pct.is_nan());
         prop_assert!(!records_zero_work(&evs[1]));
         prop_assert!(records_zero_work(&evs[2]));
+
+        // The shadow's cold descent runs on the warm descent's profile and
+        // prices exactly as a cold descent on a fresh profile does.
+        let warm = quiet.run_partition_cached(&b).total.as_millis();
+        let cold = est.profiled().run_partition_cached(&b).total.as_millis();
+        prop_assert_eq!(regrets[0].to_bits(), ((warm / cold - 1.0) * 100.0).to_bits());
     }
 }
 

@@ -1,9 +1,9 @@
-//! Property tests for the scratch-arena zero-allocation contract (the
-//! allocation-free profile-build PR's satellite): steady-state profile
+//! Property tests for the zero-allocation contracts: steady-state profile
 //! rebuilds through a warmed [`ProfileScratch`] must perform **no heap
 //! allocation**, and scratch-built profiles must price every threshold
 //! **bitwise equal** to pool-built ones — including warp-boundary splits
-//! and empty CPU/GPU bands.
+//! and empty CPU/GPU bands. Warmed exact cache hits allocate nothing
+//! beyond the value they return.
 //!
 //! Allocation counting is per-thread (a thread-local counter inside a
 //! `#[global_allocator]` wrapper), so concurrently running tests in this
@@ -103,6 +103,42 @@ fn steady_state_spmm_rebuild_is_allocation_free() {
 fn steady_state_hh_rebuild_is_allocation_free() {
     let w = HhWorkload::new(sgen::power_law(1500, 8, 2.1, 3), platform());
     assert_steady_state_allocation_free("hh", &w);
+}
+
+/// What one more call of `serve` allocates once two calls have warmed the
+/// cache entry and every lazily built static.
+fn warmed_allocations<T>(serve: impl Fn() -> T) -> (T, u64, u64) {
+    serve();
+    serve();
+    allocations_of(serve)
+}
+
+#[test]
+fn warmed_exact_hits_allocate_only_their_result() {
+    use nbwp_core::search::Strategy::Analytic;
+    let w = SpmmWorkload::new(sgen::banded_fem(2000, 16, 7, 1), platform());
+    let cache = ThresholdCache::new(8);
+    let audit = FlightRecorder::with_capacity(64);
+    let est = Estimator::new(Analytic { step: None }).cache(&cache);
+    for (name, e) in [("plain", est), ("audited", est.audit(&audit))] {
+        let (_, allocs, bytes) = warmed_allocations(|| e.profiled().run_cached(&w));
+        assert_eq!(
+            (allocs, bytes),
+            (0, 0),
+            "{name} scalar exact hit allocated {allocs} time(s) / {bytes} bytes"
+        );
+    }
+    // A k-way hit returns a fresh `PartitionOutcome`: its vectors are the
+    // only allocations allowed.
+    let set = DeviceSet::dual_cpu_dual_gpu();
+    let kway = est.devices(&set).profiled();
+    let (outcome, allocs, bytes) = warmed_allocations(|| kway.run_partition_cached(&w));
+    let ((), clone_allocs, clone_bytes) = allocations_of(|| drop(outcome.clone()));
+    assert_eq!(
+        (allocs, bytes),
+        (clone_allocs, clone_bytes),
+        "k = 4 exact hit allocated beyond its outcome"
+    );
 }
 
 /// Thresholds exercising the interesting corners of a percentage space on
