@@ -16,9 +16,9 @@
 //!
 //! Usage: `bench_eval [--quick] [--out <path>] [--seed <u64>]`
 
-use std::path::PathBuf;
 use std::time::Instant;
 
+use nbwp_bench::harness::{available_parallelism, best_ms, finish, write_report, GateOpts};
 use nbwp_core::prelude::*;
 use nbwp_graph::gen as graph_gen;
 use nbwp_sparse::gen as sparse_gen;
@@ -117,37 +117,6 @@ struct Report {
     analytic: Vec<AnalyticEntry>,
     kway: Vec<KwayEntry>,
     sensitivity: Vec<SensitivityInfo>,
-}
-
-struct Args {
-    quick: bool,
-    out: PathBuf,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        quick: false,
-        out: PathBuf::from("BENCH_eval.json"),
-        seed: 42,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--out" => parsed.out = PathBuf::from(args.next().expect("--out needs a path")),
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                parsed.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: bench_eval [--quick] [--out path] [--seed u64]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other}; try --help"),
-        }
-    }
-    parsed
 }
 
 /// The strategies swept per workload, dispatched by name so direct and
@@ -471,14 +440,8 @@ fn sweep_workload<W: Profilable>(
     });
 
     for strategy in STRATEGIES {
-        let mut direct_ms = f64::INFINITY;
         let mut evals = 0;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let out = run_direct(w, strategy, pool);
-            direct_ms = direct_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            evals = out.evaluations();
-        }
+        let direct_ms = best_ms(reps, || evals = run_direct(w, strategy, pool).evaluations());
         let mut profiled_ms = f64::INFINITY;
         let mut profiled_evals = 0;
         for _ in 0..reps {
@@ -522,14 +485,14 @@ fn sweep_workload<W: Profilable>(
 }
 
 fn main() {
-    let args = parse_args();
+    let args = GateOpts::parse("bench_eval", "BENCH_eval.json", &[]);
     let reps = if args.quick { 2 } else { 3 };
     let (cc_n, spmm_n, hh_n, gemm_n) = if args.quick {
         (40_000, 60_000, 8_000, 512)
     } else {
         (150_000, 250_000, 30_000, 1024)
     };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = available_parallelism();
     eprintln!(
         "bench_eval: {} mode, seed {}, {} hardware thread(s), best of {} rep(s)",
         if args.quick { "quick" } else { "full" },
@@ -656,15 +619,10 @@ fn main() {
         kway,
         sensitivity,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&args.out, json + "\n").expect("failed to write report");
-    eprintln!("wrote {}", args.out.display());
-
-    if !mismatches.is_empty() {
-        for m in &mismatches {
-            eprintln!("EXACTNESS VIOLATION: {m}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("all profiled reports bitwise equal to direct runs");
+    write_report(&args.out, &report);
+    finish(
+        &mismatches,
+        "EXACTNESS VIOLATION",
+        "all profiled reports bitwise equal to direct runs",
+    );
 }

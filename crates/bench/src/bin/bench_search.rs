@@ -15,9 +15,7 @@
 //!
 //! Usage: `bench_search [--quick] [--out <path>] [--seed <u64>]`
 
-use std::path::PathBuf;
-use std::time::Instant;
-
+use nbwp_bench::harness::{available_parallelism, best_ms, finish, write_report, GateOpts};
 use nbwp_core::prelude::*;
 use nbwp_dense::gemm::gemm_parallel;
 use nbwp_dense::DenseMatrix;
@@ -56,37 +54,6 @@ struct Report {
     entries: Vec<Entry>,
 }
 
-struct Args {
-    quick: bool,
-    out: PathBuf,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        quick: false,
-        out: PathBuf::from("BENCH_search.json"),
-        seed: 42,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--out" => parsed.out = PathBuf::from(args.next().expect("--out needs a path")),
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                parsed.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: bench_search [--quick] [--out path] [--seed u64]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other}; try --help"),
-        }
-    }
-    parsed
-}
-
 /// Times `run` at every thread count (best of `reps`), appending one entry
 /// per count and recording a mismatch if any digest differs from 1 thread.
 fn sweep<D: PartialEq>(
@@ -98,14 +65,8 @@ fn sweep<D: PartialEq>(
 ) {
     let mut baseline: Option<(D, f64)> = None;
     for &t in &THREAD_COUNTS {
-        let mut best_ms = f64::INFINITY;
         let mut digest = None;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let d = run(t);
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            digest = Some(d);
-        }
+        let best_ms = best_ms(reps, || digest = Some(run(t)));
         let digest = digest.expect("at least one repetition");
         match &baseline {
             None => baseline = Some((digest, best_ms)),
@@ -146,14 +107,14 @@ fn search_digest(outcome: &SearchOutcome) -> (u64, SimTime, SimTime, Vec<(u64, S
 }
 
 fn main() {
-    let args = parse_args();
+    let args = GateOpts::parse("bench_search", "BENCH_search.json", &[]);
     let reps = if args.quick { 1 } else { 3 };
     let (search_rows, graph_n, spgemm_n, gemm_n) = if args.quick {
         (8_000, 280_000, 30_000, 160)
     } else {
         (150_000, 400_000, 120_000, 384)
     };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = available_parallelism();
     eprintln!(
         "bench_search: {} mode, seed {}, {} hardware thread(s), best of {} rep(s)",
         if args.quick { "quick" } else { "full" },
@@ -248,15 +209,10 @@ fn main() {
         mismatches: mismatches.clone(),
         entries,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&args.out, json + "\n").expect("failed to write report");
-    eprintln!("wrote {}", args.out.display());
-
-    if !mismatches.is_empty() {
-        for m in &mismatches {
-            eprintln!("BENCH VIOLATION: {m}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("all simulated results identical across thread counts");
+    write_report(&args.out, &report);
+    finish(
+        &mismatches,
+        "BENCH VIOLATION",
+        "all simulated results identical across thread counts",
+    );
 }

@@ -72,9 +72,10 @@ pub mod alloc_meter {
 }
 
 pub mod harness {
-    //! Shared plumbing of the gate harnesses (`bench_profile`,
-    //! `bench_serve`, `bench_drift`): argument parsing, min-of-K timing,
-    //! percentiles, estimate digests, and the enforce-or-skip gate
+    //! Shared plumbing of the gate harnesses (`bench_eval`,
+    //! `bench_search`, `bench_profile`, `bench_serve`, `bench_drift`):
+    //! argument parsing, min-of-K timing, percentiles, estimate digests,
+    //! report writing and exit handling, and the enforce-or-skip gate
     //! convention.
     //!
     //! The convention (ROADMAP, PR 2): **bitwise parity gates are always
@@ -452,28 +453,8 @@ pub fn run_panel<W: Sampleable>(
         Pool::global().threads()
     );
     let mut rows: Vec<ExperimentRow> = run_corpus(suite, config);
-    let workloads: Vec<&W> = suite.iter().map(|(_, w)| w).collect();
-    fill_naive_average_ref(&mut rows, &workloads);
+    fill_naive_average(&mut rows, suite.iter().map(|(_, w)| w));
     rows
-}
-
-/// `fill_naive_average` over references (the suites own their workloads).
-fn fill_naive_average_ref<W: PartitionedWorkload>(rows: &mut [ExperimentRow], workloads: &[&W]) {
-    if rows.is_empty() {
-        return;
-    }
-    let log_space = workloads[0].space().logarithmic;
-    let avg = if log_space {
-        let s: f64 = rows.iter().map(|r| r.exhaustive_t.max(1e-9).ln()).sum();
-        (s / rows.len() as f64).exp()
-    } else {
-        naive_average(&rows.iter().map(|r| r.exhaustive_t).collect::<Vec<_>>())
-    };
-    for (row, w) in rows.iter_mut().zip(workloads) {
-        let t = w.space().clamp(avg);
-        row.naive_average_t = Some(t);
-        row.time_naive_average_ms = Some(w.time_at(t).as_millis());
-    }
 }
 
 #[cfg(test)]

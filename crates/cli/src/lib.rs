@@ -2009,8 +2009,7 @@ mod tests {
 
         // Near-key siblings: two of the four distinct inputs warm-start.
         // The cache's miss counter includes those warm starts, so the
-        // summary must not subtract them twice. Auditing serves the
-        // representatives in order, which makes the split deterministic.
+        // summary must not subtract them twice.
         let (siblings, sibs) = cant_sibling_batch(&dir, &m2);
         let audit = dir.join("siblings.jsonl");
         let text = run(&Command::Estimate {

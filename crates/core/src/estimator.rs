@@ -449,64 +449,29 @@ impl<'a> ProfiledEstimator<'a> {
 
     /// Serves a batch of requests: items are deduplicated by fingerprint +
     /// configuration, each distinct class is estimated once (cached,
-    /// possibly warm-started) on the worker pool, and every duplicate
-    /// receives a clone of its class representative's estimate. Per item
-    /// the result equals a sequential [`ProfiledEstimator::run_cached`] —
-    /// the determinism contract makes identical inputs produce identical
-    /// estimates, so sharing one computation per class is observationally
-    /// pure. Per-item tracing is disabled (items run concurrently); cache
-    /// metrics are flushed once at the end. With an enabled
-    /// [`FlightRecorder`] attached the class representatives are served
-    /// sequentially instead and each records one audit event.
+    /// possibly warm-started), and every duplicate receives a clone of its
+    /// class representative's estimate. Per item the result equals a
+    /// sequential [`ProfiledEstimator::run_cached`] — the determinism
+    /// contract makes identical inputs produce identical estimates, so
+    /// sharing one computation per class is observationally pure.
+    /// Representatives are served in submission order, so whether a
+    /// near-key sibling warm-starts never depends on which representative
+    /// finishes first or on the pool size; each request still searches on
+    /// the pool. Per-item tracing is disabled; cache metrics are flushed
+    /// once at the end, and an enabled [`FlightRecorder`] records one audit
+    /// event per representative.
     #[must_use]
     pub fn run_batch<W>(&self, workloads: &[W]) -> Vec<SamplingEstimate>
     where
         W: Sampleable + Fingerprinted + Profilable,
         W::Sample: Profilable,
     {
-        let cfg = &self.inner;
-        let pool = self.pool();
-        let config = cfg.config_key();
-        let (reps, group_of) = batch_groups(workloads, config);
-        let results = if cfg.audit.is_some_and(FlightRecorder::is_enabled) {
-            // Audited batches serve representatives sequentially: the
-            // flight recorder, like the span recorder, is single-threaded.
-            let mut inner = *cfg;
-            inner.rec = None;
-            inner.pool = Some(pool);
-            let e = ProfiledEstimator { inner };
-            reps.iter().map(|&i| e.run_cached(&workloads[i])).collect()
-        } else {
-            // Rebuild a recorder-free estimator inside the closure: the
-            // recorders are single-threaded, everything else is `Sync`.
-            let (strategy, spec, seed, repeats, cache, shadow_rate, devices) = (
-                cfg.strategy,
-                cfg.spec,
-                cfg.seed,
-                cfg.repeats,
-                cfg.cache,
-                cfg.shadow_rate,
-                cfg.devices,
-            );
-            pool.map(&reps, |&i| {
-                let e = ProfiledEstimator {
-                    inner: Estimator {
-                        strategy,
-                        spec,
-                        seed,
-                        repeats,
-                        rec: None,
-                        pool: Some(pool),
-                        cache,
-                        audit: None,
-                        shadow_rate,
-                        devices,
-                    },
-                };
-                e.run_cached(&workloads[i])
-            })
-        };
-        if let (Some(rec), Some(cache)) = (cfg.rec, cfg.cache) {
+        let mut inner = self.inner;
+        inner.rec = None;
+        let (reps, group_of) = batch_groups(workloads, inner.config_key());
+        let e = ProfiledEstimator { inner };
+        let results: Vec<_> = reps.iter().map(|&i| e.run_cached(&workloads[i])).collect();
+        if let (Some(rec), Some(cache)) = (self.inner.rec, self.inner.cache) {
             cache.flush_metrics(rec);
         }
         group_of.into_iter().map(|g| results[g].clone()).collect()

@@ -232,7 +232,11 @@ pub fn run_corpus<S: AsRef<str> + Sync, W: Sampleable>(
 /// Second pass for *NaiveAverage*: averages the exhaustive thresholds over
 /// the corpus and re-prices every workload at that single threshold
 /// (geometric mean on logarithmic spaces).
-pub fn fill_naive_average<W: PartitionedWorkload>(rows: &mut [ExperimentRow], workloads: &[W]) {
+pub fn fill_naive_average<'w, W: PartitionedWorkload + 'w>(
+    rows: &mut [ExperimentRow],
+    workloads: impl IntoIterator<Item = &'w W>,
+) {
+    let workloads: Vec<&W> = workloads.into_iter().collect();
     assert_eq!(rows.len(), workloads.len(), "row/workload count mismatch");
     if rows.is_empty() {
         return;

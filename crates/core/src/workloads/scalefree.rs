@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
-    AlignedU64s, CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunBreakdown,
+    AlignedU64s, BandWork, CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch,
     RunReport, SimTime,
 };
 use nbwp_sparse::masked::{hh_row_profiles_in, DensitySplit, HhProducts, HhRowProfiles};
@@ -229,15 +229,17 @@ impl HhWorkload {
             .filter(|&r| !split.high[r])
             .map(|r| self.a.row_nnz(r) as u64 * ENTRY_BYTES)
             .sum();
-        let gpu_active = !gpu_stats.is_empty();
-        let transfer_in = if gpu_active {
-            self.platform.transfer(low_a_bytes + b_bytes)
-        } else {
-            SimTime::ZERO
+        let gpu = BandWork {
+            stats: gpu_stats,
+            bytes_in: if gpu_stats.is_empty() {
+                0
+            } else {
+                low_a_bytes + b_bytes
+            },
+            bytes_out: (rows.ll.iter().chain(&rows.lh))
+                .map(|c| c.c_nnz * ENTRY_BYTES)
+                .sum(),
         };
-        let gpu_c_bytes = (rows.ll.iter().chain(&rows.lh))
-            .map(|c| c.c_nnz * ENTRY_BYTES)
-            .sum::<u64>();
 
         // Phase IV: four-way CSR addition on the CPU (streaming merge).
         let total_c: u64 = (rows
@@ -257,18 +259,13 @@ impl HhWorkload {
             ..KernelStats::default()
         };
 
-        RunReport {
-            breakdown: RunBreakdown {
-                partition: self.platform.gpu_time(&partition_stats),
-                transfer_in,
-                cpu_compute: self.platform.cpu_time(&cpu_stats),
-                gpu_compute: self.platform.gpu_time(&gpu_stats),
-                transfer_out: self.platform.transfer(gpu_c_bytes),
-                merge: self.platform.cpu_time(&merge_stats),
-            },
+        RunReport::two_way(
+            &self.platform,
+            self.platform.gpu_time(&partition_stats),
             cpu_stats,
-            gpu_stats,
-        }
+            gpu,
+            self.platform.cpu_time(&merge_stats),
+        )
     }
 }
 

@@ -8,8 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
-    CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunBreakdown, RunReport,
-    SimTime,
+    BandWork, CurveEval, DegreeSketch, KernelStats, Platform, ProfileScratch, RunReport, SimTime,
 };
 use nbwp_sparse::delta::CsrDelta;
 use nbwp_sparse::ops::{load_vector, prefix_sums, split_row_for_load};
@@ -84,37 +83,28 @@ impl SpmmWorkload {
 
     fn report_for_split(&self, split: usize) -> RunReport {
         let b_bytes = self.a.size_bytes();
-        let cpu_stats = stats_for_rows(&self.profile[..split], b_bytes);
-        let gpu_stats = stats_for_rows(&self.profile[split..], b_bytes);
-        let gpu_rows = self.a.rows() - split;
+        let gpu_rows = &self.profile[split..];
         // GPU needs its slice of A plus all of B (reachable rows are not
         // known in advance, so B ships whole — as real implementations do).
-        let transfer_in = if gpu_rows == 0 {
-            SimTime::ZERO
+        let bytes_in = if gpu_rows.is_empty() {
+            0
         } else {
-            let a2_bytes: u64 = self.profile[split..]
-                .iter()
-                .map(|c| c.a_nnz * ENTRY_BYTES)
-                .sum::<u64>()
-                + 8 * gpu_rows as u64;
-            self.platform.transfer(a2_bytes + b_bytes)
+            gpu_rows.iter().map(|c| c.a_nnz * ENTRY_BYTES).sum::<u64>()
+                + 8 * gpu_rows.len() as u64
+                + b_bytes
         };
-        let c2_bytes: u64 = self.profile[split..]
-            .iter()
-            .map(|c| c.c_nnz * ENTRY_BYTES)
-            .sum();
-        RunReport {
-            breakdown: RunBreakdown {
-                partition: self.partition_cost(),
-                transfer_in,
-                cpu_compute: self.platform.cpu_time(&cpu_stats),
-                gpu_compute: self.platform.gpu_time(&gpu_stats),
-                transfer_out: self.platform.transfer(c2_bytes),
-                merge: SimTime::ZERO, // line 7: results concatenate
-            },
-            cpu_stats,
-            gpu_stats,
-        }
+        let gpu = BandWork {
+            stats: stats_for_rows(gpu_rows, b_bytes),
+            bytes_in,
+            bytes_out: gpu_rows.iter().map(|c| c.c_nnz * ENTRY_BYTES).sum(),
+        };
+        RunReport::two_way(
+            &self.platform,
+            self.partition_cost(),
+            stats_for_rows(&self.profile[..split], b_bytes),
+            gpu,
+            SimTime::ZERO, // line 7: results concatenate
+        )
     }
 
     /// Physically executes the partitioned multiply at split percentage `r`,

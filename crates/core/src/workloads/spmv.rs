@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use nbwp_sim::{KernelStats, Platform, RunBreakdown, RunReport, SimTime};
+use nbwp_sim::{BandWork, KernelStats, Platform, RunReport, SimTime};
 use nbwp_sparse::ops::{prefix_sums, split_row_for_load};
 use nbwp_sparse::sample::sample_submatrix_frac;
 use nbwp_sparse::spmv::{spmv_range, stats_for_row_range};
@@ -74,16 +74,17 @@ impl PartitionedWorkload for SpmvWorkload {
     fn run(&self, r: f64) -> RunReport {
         let split = self.split_row(r);
         let n = self.a.rows();
-        let cpu_stats = stats_for_row_range(&self.a, 0, split);
         let gpu_stats = stats_for_row_range(&self.a, split, n);
         let gpu_rows = n - split;
-        let gpu_nnz: u64 = gpu_stats.flops / 2;
-        let transfer_in = if gpu_rows == 0 {
-            SimTime::ZERO
-        } else {
+        let gpu = BandWork {
+            stats: gpu_stats,
             // A slice + the whole x vector.
-            self.platform
-                .transfer(12 * gpu_nnz + 8 * (n + gpu_rows) as u64)
+            bytes_in: if gpu_rows == 0 {
+                0
+            } else {
+                12 * (gpu_stats.flops / 2) + 8 * (n + gpu_rows) as u64
+            },
+            bytes_out: 8 * gpu_rows as u64,
         };
         // Partition: one scan of the row-pointer array (host).
         let partition_stats = KernelStats {
@@ -93,18 +94,13 @@ impl PartitionedWorkload for SpmvWorkload {
             working_set_bytes: 8 * n as u64,
             ..KernelStats::default()
         };
-        RunReport {
-            breakdown: RunBreakdown {
-                partition: self.platform.cpu_time(&partition_stats),
-                transfer_in,
-                cpu_compute: self.platform.cpu_time(&cpu_stats),
-                gpu_compute: self.platform.gpu_time(&gpu_stats),
-                transfer_out: self.platform.transfer(8 * gpu_rows as u64),
-                merge: SimTime::ZERO, // y halves concatenate
-            },
-            cpu_stats,
-            gpu_stats,
-        }
+        RunReport::two_way(
+            &self.platform,
+            self.platform.cpu_time(&partition_stats),
+            stats_for_row_range(&self.a, 0, split),
+            gpu,
+            SimTime::ZERO, // y halves concatenate
+        )
     }
 
     fn space(&self) -> ThresholdSpace {

@@ -6,7 +6,7 @@
 //! ([`crate::gemm::stats_for_rows`]) and the FLOPS-ratio split is already
 //! near-optimal — the contrast the paper draws with irregular workloads.
 
-use nbwp_sim::{CurveEval, Device, DeviceKind, Platform, RunBreakdown, RunReport, SimTime};
+use nbwp_sim::{BandWork, CurveEval, Device, Platform, RunReport, SimTime};
 
 use crate::gemm::{gemm_range, stats_for_rows};
 use crate::DenseMatrix;
@@ -58,29 +58,14 @@ pub fn hybrid_gemm_cost_rows(
     platform: &Platform,
 ) -> RunReport {
     assert!(cpu_rows <= n, "cpu rows {cpu_rows} exceed row count {n}");
-    let gpu_rows = n - cpu_rows;
-    let b_bytes = (8 * k * m) as u64;
-    let cpu_stats = stats_for_rows(cpu_rows, k, m, b_bytes);
-    let gpu_stats = stats_for_rows(gpu_rows, k, m, b_bytes);
-    // No transfer at all when the GPU gets no rows.
-    let gpu_in_bytes = if gpu_rows == 0 {
-        0
-    } else {
-        b_bytes + (8 * gpu_rows * k) as u64
-    };
-    let gpu_out_bytes = (8 * gpu_rows * m) as u64;
-    RunReport {
-        breakdown: RunBreakdown {
-            partition: nbwp_sim::SimTime::ZERO, // a row offset: free
-            transfer_in: platform.transfer(gpu_in_bytes),
-            cpu_compute: platform.cpu_time(&cpu_stats),
-            gpu_compute: platform.gpu_time(&gpu_stats),
-            transfer_out: platform.transfer(gpu_out_bytes),
-            merge: nbwp_sim::SimTime::ZERO, // results land disjoint
-        },
-        cpu_stats,
-        gpu_stats,
-    }
+    let curve = GemmCostCurve::new(n, k, m, platform);
+    RunReport::two_way(
+        platform,
+        SimTime::ZERO, // a row offset: free
+        curve.band_work(0, cpu_rows).stats,
+        curve.band_work(cpu_rows, n),
+        SimTime::ZERO, // results land disjoint
+    )
 }
 
 /// The hybrid GEMM total-cost curve as a [`CurveEval`]: the workload is
@@ -101,6 +86,26 @@ impl<'a> GemmCostCurve<'a> {
     pub fn new(n: usize, k: usize, m: usize, platform: &'a Platform) -> Self {
         GemmCostCurve { n, k, m, platform }
     }
+
+    /// What the row band `lo..hi` does on any device, in closed form: the
+    /// workload is regular, so the counters depend only on the band's row
+    /// count ([`stats_for_rows`] is position-independent). The band ships
+    /// `B` plus its `A` rows in and its `C` rows out; an empty band ships
+    /// nothing, not even `B`.
+    #[must_use]
+    pub fn band_work(&self, lo: usize, hi: usize) -> BandWork {
+        let (rows, k, m) = (hi - lo, self.k, self.m);
+        let b_bytes = (8 * k * m) as u64;
+        BandWork {
+            stats: stats_for_rows(rows, k, m, b_bytes),
+            bytes_in: if rows == 0 {
+                0
+            } else {
+                b_bytes + (8 * rows * k) as u64
+            },
+            bytes_out: (8 * rows * m) as u64,
+        }
+    }
 }
 
 impl CurveEval for GemmCostCurve<'_> {
@@ -116,32 +121,9 @@ impl CurveEval for GemmCostCurve<'_> {
         hybrid_gemm_cost_rows(self.n, self.k, self.m, split, self.platform).total()
     }
 
-    /// Closed-form band price: the workload is regular, so a band's stats
-    /// depend only on its row count ([`stats_for_rows`] is
-    /// position-independent). CPU-class devices are host-resident; GPU
-    /// bands ship `B` plus their `A` rows in and their `C` rows out over
-    /// the device's link, mirroring [`hybrid_gemm_cost_rows`] term by
-    /// term — bitwise at the canonical two-device split.
+    /// Prices [`GemmCostCurve::band_work`] on `device`.
     fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
-        let rows = hi - lo;
-        let b_bytes = (8 * self.k * self.m) as u64;
-        let stats = stats_for_rows(rows, self.k, self.m, b_bytes);
-        match device.kind {
-            DeviceKind::Cpu => Some(device.scale(self.platform.cpu_time(&stats))),
-            DeviceKind::Gpu => {
-                let in_bytes = if rows == 0 {
-                    0
-                } else {
-                    b_bytes + (8 * rows * self.k) as u64
-                };
-                let out_bytes = (8 * rows * self.m) as u64;
-                Some(
-                    device.transfer(self.platform, in_bytes)
-                        + device.scale(self.platform.gpu_time(&stats))
-                        + device.transfer(self.platform, out_bytes),
-                )
-            }
-        }
+        Some(self.band_work(lo, hi).time_on(device, self.platform))
     }
 }
 

@@ -11,7 +11,7 @@
 //! the tests) while its counters are priced by the [`Platform`] models into
 //! a deterministic [`RunReport`].
 
-use nbwp_sim::{KernelStats, Platform, RunBreakdown, RunReport};
+use nbwp_sim::{BandWork, KernelStats, Platform, RunReport};
 
 use crate::cc::bfs::cc_bfs;
 use crate::cc::dfs::cc_dfs_chunked;
@@ -123,9 +123,6 @@ pub fn hybrid_cc_with(
     cpu_side_stats.int_ops += 8 * deferred;
     cpu_side_stats.mem_read_bytes += 8 * deferred;
     cpu_side_stats.irregular_bytes += 8 * deferred;
-    let cpu_compute = platform.cpu_time(&cpu_side_stats);
-    let gpu_compute = platform.gpu_time(&sv.stats);
-    let transfer_in = platform.transfer(g_gpu.size_bytes());
 
     // --- Merge (GPU, line 9): union components along cross edges and the
     // CPU's deferred inter-chunk edges, then relabel.
@@ -164,18 +161,13 @@ pub fn hybrid_cc_with(
     };
     let merge = platform.transfer(4 * n_cpu as u64) + platform.gpu_time(&merge_stats);
 
-    let report = RunReport {
-        breakdown: RunBreakdown {
-            partition,
-            transfer_in,
-            cpu_compute,
-            gpu_compute,
-            transfer_out: platform.transfer(4 * g_gpu.n() as u64),
-            merge,
-        },
-        cpu_stats: cpu_side_stats,
-        gpu_stats: sv.stats,
+    // The GPU ships its subgraph in and its labels out.
+    let gpu = BandWork {
+        stats: sv.stats,
+        bytes_in: g_gpu.size_bytes(),
+        bytes_out: 4 * g_gpu.n() as u64,
     };
+    let report = RunReport::two_way(platform, partition, cpu_side_stats, gpu, merge);
 
     HybridCcOutcome {
         labels,

@@ -23,8 +23,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use nbwp_sim::{
-    AlignedU64s, CurveEval, Device, DeviceKind, DeviceSet, KernelStats, Partition, Platform,
-    ProfileScratch, RunBreakdown, RunReport, SimTime,
+    AlignedU64s, BandWork, CurveEval, Device, DeviceKind, DeviceSet, KernelStats, Partition,
+    Platform, ProfileScratch, RunReport, SimTime,
 };
 
 use crate::cc::dfs::{dfs_band_cost, DfsPrefixCost};
@@ -235,41 +235,17 @@ impl CcCostProfile {
     /// profiled graph.
     #[must_use]
     pub fn report_at_split(&self, g: &Graph, n_cpu: usize, platform: &Platform) -> RunReport {
-        assert_eq!(g.n(), self.n, "profile built from a different graph");
         assert!(n_cpu <= self.n, "split {n_cpu} exceeds vertex count");
-        let n = self.n;
-        let n_gpu = n - n_cpu;
-
-        let partition = self.partition_cost(platform);
-
-        // Phase II, CPU side: chunked-DFS counters plus the deferred-edge
-        // surcharge the hybrid driver adds before pricing. The CPU prefix
-        // is the `0..n_cpu` band.
-        let cpu_stats = self.cpu_band_stats(g, 0, n_cpu, platform.cpu.cores);
-        let cpu_compute = platform.cpu_time(&cpu_stats);
-
-        // Phase II, GPU side: replayed SV control flow + closed-form stats
-        // on the `n_cpu..n` band.
-        let (gpu_stats, gpu_size_bytes) = self.gpu_band_stats(g, n_cpu, n);
-        let gpu_compute = platform.gpu_time(&gpu_stats);
-        let transfer_in = platform.transfer(gpu_size_bytes);
-
-        // Merge: cross-edge union + relabel on the GPU after the CPU labels
-        // travel over.
-        let merge = self.merge_cost_for(self.cross[n_cpu], n_cpu as u64, platform);
-
-        RunReport {
-            breakdown: RunBreakdown {
-                partition,
-                transfer_in,
-                cpu_compute,
-                gpu_compute,
-                transfer_out: platform.transfer(4 * n_gpu as u64),
-                merge,
-            },
-            cpu_stats,
-            gpu_stats,
-        }
+        let curve = CcCostCurve::new(self, g, platform);
+        RunReport::two_way(
+            platform,
+            self.partition_cost(platform),
+            curve.band_work(DeviceKind::Cpu, 0, n_cpu).stats,
+            curve.band_work(DeviceKind::Gpu, n_cpu, self.n),
+            // Cross-edge union + relabel on the GPU after the CPU labels
+            // travel over.
+            self.merge_cost_for(self.cross[n_cpu], n_cpu as u64, platform),
+        )
     }
 
     /// Phase I price: the partition pass streams the whole graph
@@ -286,46 +262,6 @@ impl CcCostProfile {
             ..KernelStats::default()
         };
         platform.cpu_time(&partition_stats)
-    }
-
-    /// Chunked-DFS counters for the CPU band `lo..hi` (memoized), with the
-    /// deferred-edge surcharge the hybrid driver adds before pricing. The
-    /// scalar CPU side is the `0..split` call.
-    #[must_use]
-    pub fn cpu_band_stats(&self, g: &Graph, lo: usize, hi: usize, chunks: usize) -> KernelStats {
-        let dfs = {
-            let mut memo = self.dfs_memo.lock().expect("dfs memo poisoned");
-            memo.entry((lo, hi, chunks))
-                .or_insert_with(|| dfs_band_cost(g, lo, hi, chunks))
-                .clone()
-        };
-        let mut stats = dfs.stats;
-        stats.int_ops += 8 * dfs.deferred_edges;
-        stats.mem_read_bytes += 8 * dfs.deferred_edges;
-        stats.irregular_bytes += 8 * dfs.deferred_edges;
-        stats
-    }
-
-    /// Closed-form SV counters for the GPU band `lo..hi` (control-flow
-    /// replay memoized), returned with the band CSR footprint in bytes —
-    /// the quantity shipped over the device link. The scalar GPU side is
-    /// the `split..n` call, where the replayed internal-arc count equals
-    /// the `arcs_gpu` curve entry exactly.
-    #[must_use]
-    pub fn gpu_band_stats(&self, g: &Graph, lo: usize, hi: usize) -> (KernelStats, u64) {
-        let (rounds, passes, arcs) = {
-            let mut memo = self.sv_memo.lock().expect("sv memo poisoned");
-            *memo
-                .entry((lo, hi))
-                .or_insert_with(|| sv_band_counts(g, lo, hi))
-        };
-        let len = hi - lo;
-        // Band CSR footprint: (len + 1) row pointers + internal arcs.
-        let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;
-        (
-            sv_stats_closed_form(len, arcs, size_bytes, rounds, passes),
-            size_bytes,
-        )
     }
 
     /// Merge price for `merge_edges` deferred cross edges with
@@ -388,6 +324,55 @@ impl<'a> CcCostCurve<'a> {
             platform,
         }
     }
+
+    /// What the vertex band `lo..hi` does on a `kind`-class device, with
+    /// both control-flow replays memoized. CPU-class devices run the
+    /// chunked DFS, with the deferred-edge surcharge the hybrid driver
+    /// adds before pricing. GPU-class devices run the closed-form
+    /// Shiloach–Vishkin kernel, shipping the band CSR in and the band
+    /// labels out. An empty GPU band still ships its 8-byte row-pointer
+    /// sentinel, as the direct run does. The scalar sides are the
+    /// `0..split` CPU and `split..n` GPU calls, where the replayed
+    /// internal-arc count equals the `arcs_gpu` curve entry exactly.
+    #[must_use]
+    pub fn band_work(&self, kind: DeviceKind, lo: usize, hi: usize) -> BandWork {
+        let (profile, g) = (self.profile, self.graph);
+        match kind {
+            DeviceKind::Cpu => {
+                let chunks = self.platform.cpu.cores;
+                let dfs = {
+                    let mut memo = profile.dfs_memo.lock().expect("dfs memo poisoned");
+                    memo.entry((lo, hi, chunks))
+                        .or_insert_with(|| dfs_band_cost(g, lo, hi, chunks))
+                        .clone()
+                };
+                let mut stats = dfs.stats;
+                stats.int_ops += 8 * dfs.deferred_edges;
+                stats.mem_read_bytes += 8 * dfs.deferred_edges;
+                stats.irregular_bytes += 8 * dfs.deferred_edges;
+                BandWork {
+                    stats,
+                    ..BandWork::default()
+                }
+            }
+            DeviceKind::Gpu => {
+                let (rounds, passes, arcs) = {
+                    let mut memo = profile.sv_memo.lock().expect("sv memo poisoned");
+                    *memo
+                        .entry((lo, hi))
+                        .or_insert_with(|| sv_band_counts(g, lo, hi))
+                };
+                let len = hi - lo;
+                // Band CSR footprint: (len + 1) row pointers + internal arcs.
+                let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;
+                BandWork {
+                    stats: sv_stats_closed_form(len, arcs, size_bytes, rounds, passes),
+                    bytes_in: size_bytes,
+                    bytes_out: 4 * len as u64,
+                }
+            }
+        }
+    }
 }
 
 impl CurveEval for CcCostCurve<'_> {
@@ -405,29 +390,12 @@ impl CurveEval for CcCostCurve<'_> {
             .total()
     }
 
-    /// Prices the vertex band `lo..hi` on `device`: CPU-class devices run
-    /// the chunked DFS (host-resident, compute only, scaled by speed);
-    /// GPU-class devices replay Shiloach–Vishkin on the band and pay
-    /// their link's transfer of the band CSR in and the band labels out.
-    /// Mirrors [`CcCostProfile::report_at_split`] term by term, so the
-    /// canonical two-device split reproduces the scalar lanes bitwise —
-    /// including the no-special-case empty GPU band, which still ships
-    /// its 8-byte row-pointer sentinel like the scalar path does.
+    /// Prices [`CcCostCurve::band_work`] on `device`.
     fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
-        match device.kind {
-            DeviceKind::Cpu => {
-                let stats =
-                    self.profile
-                        .cpu_band_stats(self.graph, lo, hi, self.platform.cpu.cores);
-                Some(device.scale(self.platform.cpu_time(&stats)))
-            }
-            DeviceKind::Gpu => {
-                let (stats, size_bytes) = self.profile.gpu_band_stats(self.graph, lo, hi);
-                let transfer_in = device.transfer(self.platform, size_bytes);
-                let transfer_out = device.transfer(self.platform, 4 * (hi - lo) as u64);
-                Some(transfer_in + device.scale(self.platform.gpu_time(&stats)) + transfer_out)
-            }
-        }
+        Some(
+            self.band_work(device.kind, lo, hi)
+                .time_on(device, self.platform),
+        )
     }
 
     /// Phase I streams the whole graph regardless of the cut vector.

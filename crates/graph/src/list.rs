@@ -16,7 +16,7 @@
 //! GPU rounds and launches) — an interior optimum that depends on the
 //! input's structure (number of independent lists, length skew).
 
-use nbwp_sim::{KernelStats, Platform, RunBreakdown, RunReport};
+use nbwp_sim::{BandWork, KernelStats, Platform, RunReport};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -268,7 +268,6 @@ pub fn hybrid_rank(
         working_set_bytes: 16 * n as u64,
         ..KernelStats::default()
     };
-    let cpu_compute = platform.cpu_time(&cpu_stats);
 
     // --- Phase III (GPU): Wyllie pointer jumping on the reduced list.
     // Invariant: a *terminal* node (succ = self) carries its full distance
@@ -311,7 +310,6 @@ pub fn hybrid_rank(
     }
     gpu_stats.parallel_items = s as u64;
     gpu_stats.working_set_bytes = 24 * s as u64;
-    let gpu_compute = platform.gpu_time(&gpu_stats);
     // Wyllie computed, for each splitter, its distance to its list's tail.
     let splitter_rank = red_rank;
 
@@ -334,18 +332,12 @@ pub fn hybrid_rank(
     }
 
     // Transfers: the reduced list ships to the GPU, ranks ship back.
-    let report = RunReport {
-        breakdown: RunBreakdown {
-            partition,
-            transfer_in: platform.transfer(16 * s as u64),
-            cpu_compute,
-            gpu_compute,
-            transfer_out: platform.transfer(8 * n as u64),
-            merge,
-        },
-        cpu_stats,
-        gpu_stats,
+    let gpu = BandWork {
+        stats: gpu_stats,
+        bytes_in: 16 * s as u64,
+        bytes_out: 8 * n as u64,
     };
+    let report = RunReport::two_way(platform, partition, cpu_stats, gpu, merge);
     HybridRankOutcome {
         ranks,
         report,

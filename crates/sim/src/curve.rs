@@ -1,19 +1,17 @@
 //! [`CurveEval`]: the total-cost curve of a partitioned run as a
-//! first-class, subdifferentiable object.
+//! first-class object.
 //!
 //! A cost profile (see [`crate::profile`]) prices any contiguous split of a
 //! workload in O(1) from prefix-sum range queries. That makes the total
 //! cost as a function of the split index an *evaluable curve* rather than
-//! an oracle: exact values at every split, and therefore exact one-sided
-//! finite differences — the discrete left/right subgradients. Because the
-//! underlying counters are exact `u64` range sums ([`PrefixCurve`] /
-//! [`WarpPadCurve`] reproduce every slice bitwise, including at warp-pad
-//! breakpoints), the subgradients returned here are not approximations of
-//! anything: they *are* the curve's slopes between adjacent admissible
-//! splits.
+//! an oracle: exact values at every split. Because the underlying counters
+//! are exact `u64` range sums ([`PrefixCurve`] / [`WarpPadCurve`] reproduce
+//! every slice bitwise, including at warp-pad breakpoints), the difference
+//! of two adjacent [`CurveEval::total_at`] values is the curve's true slope
+//! between those splits, not an approximation of it.
 //!
 //! Search layers build on this to replace finite-difference probing of
-//! `run()` with sign-change bisection on the true subgradient — see
+//! `run()` with sign-change bisection on those differences — see
 //! `Strategy::Analytic` in `nbwp-core::search`.
 //!
 //! [`PrefixCurve`]: crate::profile::PrefixCurve
@@ -23,7 +21,7 @@ use crate::device::{Device, DeviceSet, Partition};
 use crate::time::SimTime;
 
 /// Evaluates the total-cost curve of a partitioned workload at any
-/// admissible split index, with exact one-sided subgradients.
+/// admissible split index.
 ///
 /// Splits index the boundary between the CPU prefix and the GPU suffix:
 /// split `s` assigns units `0..s` to the CPU and `s..n` to the GPU, so a
@@ -48,24 +46,6 @@ pub trait CurveEval {
     /// Panics if `split >= self.splits()`.
     fn total_at(&self, split: usize) -> SimTime;
 
-    /// Left subgradient at `split` in seconds per split step:
-    /// `total(split) - total(split - 1)`. `None` at the left boundary.
-    fn grad_left(&self, split: usize) -> Option<f64> {
-        if split == 0 {
-            return None;
-        }
-        Some(self.total_at(split).as_secs() - self.total_at(split - 1).as_secs())
-    }
-
-    /// Right subgradient at `split` in seconds per split step:
-    /// `total(split + 1) - total(split)`. `None` at the right boundary.
-    fn grad_right(&self, split: usize) -> Option<f64> {
-        if split + 1 >= self.splits() {
-            return None;
-        }
-        Some(self.total_at(split + 1).as_secs() - self.total_at(split).as_secs())
-    }
-
     // ------------------------------------------------------------------
     // k-way extension: per-device band pricing.
     //
@@ -83,7 +63,11 @@ pub trait CurveEval {
     /// Exactness contract: for the canonical two-device set, the CPU band
     /// `0..s` must price bitwise equal to the scalar report's CPU lane at
     /// split `s`, and the GPU band `s..n` bitwise equal to its
-    /// transfer-in + compute + transfer-out side.
+    /// transfer-in + compute + transfer-out side. Curves meet it by pricing
+    /// one [`BandWork`](crate::BandWork) per band with
+    /// [`BandWork::time_on`](crate::BandWork::time_on) here and feeding
+    /// the same works to [`RunReport::two_way`](crate::RunReport::two_way)
+    /// for the scalar report.
     fn device_band(&self, _device: &Device, _lo: usize, _hi: usize) -> Option<SimTime> {
         None
     }
@@ -132,32 +116,6 @@ pub trait CurveEval {
         }
         Some(self.partition_overhead() + slowest + self.merge_cost(set, p))
     }
-
-    /// Per-device left marginal: cost change from giving up the band's
-    /// last unit, `band(lo, hi) - band(lo, hi - 1)` in seconds. `None`
-    /// when the band is empty or unpriceable.
-    fn band_grad_left(&self, device: &Device, lo: usize, hi: usize) -> Option<f64> {
-        if hi <= lo {
-            return None;
-        }
-        Some(
-            self.device_band(device, lo, hi)?.as_secs()
-                - self.device_band(device, lo, hi - 1)?.as_secs(),
-        )
-    }
-
-    /// Per-device right marginal: cost of taking one more unit,
-    /// `band(lo, hi + 1) - band(lo, hi)` in seconds. `None` when the band
-    /// already reaches the domain end or is unpriceable.
-    fn band_grad_right(&self, device: &Device, lo: usize, hi: usize) -> Option<f64> {
-        if hi + 1 >= self.splits() {
-            return None;
-        }
-        Some(
-            self.device_band(device, lo, hi + 1)?.as_secs()
-                - self.device_band(device, lo, hi)?.as_secs(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -179,27 +137,6 @@ mod tests {
             let d = split as f64 - 5.0;
             SimTime::from_secs(1.0 + d * d)
         }
-    }
-
-    #[test]
-    fn subgradients_are_adjacent_differences() {
-        let c = Valley;
-        // total(3) = 5, total(4) = 2 -> grad_left(4) = -3.
-        assert_eq!(c.grad_left(4), Some(-3.0));
-        // total(5) = 1, total(6) = 2 -> grad_right(5) = 1.
-        assert_eq!(c.grad_right(5), Some(1.0));
-        // Sign change brackets the minimum.
-        assert!(c.grad_left(5).expect("interior") < 0.0);
-        assert!(c.grad_right(5).expect("interior") > 0.0);
-    }
-
-    #[test]
-    fn boundaries_have_no_one_sided_gradient() {
-        let c = Valley;
-        assert_eq!(c.grad_left(0), None);
-        assert_eq!(c.grad_right(10), None);
-        assert!(c.grad_right(0).is_some());
-        assert!(c.grad_left(10).is_some());
     }
 
     #[test]
@@ -269,19 +206,6 @@ mod tests {
             c.partition_total(&fast, &p).expect("priceable"),
             SimTime::from_secs(4.5)
         );
-    }
-
-    #[test]
-    fn band_marginals_are_adjacent_band_differences() {
-        let c = LinearBands;
-        let cpu = Device::cpu();
-        assert_eq!(c.band_grad_right(&cpu, 0, 4), Some(1.0));
-        assert_eq!(c.band_grad_left(&cpu, 0, 4), Some(1.0));
-        // Empty band has no left marginal; domain end has no right one.
-        assert_eq!(c.band_grad_left(&cpu, 3, 3), None);
-        assert_eq!(c.band_grad_right(&cpu, 0, 10), None);
-        let half = Device::cpu().with_speed(0.5);
-        assert_eq!(c.band_grad_right(&half, 0, 4), Some(2.0));
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!    real on the host and report [`KernelStats`] counters.
 //! 2. A [`Platform`] (CPU model + GPU model + PCIe model) converts the same
 //!    counters into device-specific [`SimTime`].
-//! 3. Heterogeneous runs compose phases with [`RunBreakdown`], overlapping
-//!    the two device sides like the paper's Algorithms 1–3 do.
+//! 3. Each device's share of a run is a [`BandWork`] (counters plus link
+//!    bytes). [`BandWork::time_on`] prices it on any [`Device`], and
+//!    [`RunReport::two_way`] composes a CPU+GPU run's phases into a
+//!    [`RunBreakdown`], overlapping the two device sides like the paper's
+//!    Algorithms 1–3 do.
 //!
 //! ```
 //! use nbwp_sim::{KernelStats, Platform};
@@ -44,7 +47,6 @@ pub mod profile;
 pub mod scratch;
 pub mod sketch;
 mod time;
-pub mod timeline;
 
 pub use counters::{warp_padded_cost, KernelStats};
 pub use cpu::CpuModel;
@@ -52,7 +54,7 @@ pub use curve::CurveEval;
 pub use device::{Device, DeviceKind, DeviceSet, Link, Partition, UnknownPreset};
 pub use gpu::GpuModel;
 pub use pcie::PcieModel;
-pub use platform::{Lane, Platform, RunBreakdown, RunReport};
+pub use platform::{BandWork, Lane, Platform, RunBreakdown, RunReport};
 pub use profile::{PrefixCurve, WarpPadCurve};
 pub use scratch::{AlignedU64s, ProfileScratch};
 pub use sketch::{degree_moments, log2_bucket, DegreeSketch, Digest};

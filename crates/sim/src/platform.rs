@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::device::{Device, DeviceKind};
 use crate::{CpuModel, GpuModel, KernelStats, PcieModel, SimTime};
 
 /// A heterogeneous CPU+GPU computing platform.
@@ -314,6 +315,34 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The scalar report of a CPU+GPU run: the CPU executes `cpu_stats`
+    /// host-resident, the GPU executes `gpu` behind the platform's PCIe.
+    /// With [`BandWork::time_on`] this is the whole lane rule: at the
+    /// canonical device pair the CPU lane is the CPU band's `time_on`
+    /// and the transfer-in + GPU compute + transfer-out chain is the GPU
+    /// band's, bitwise.
+    #[must_use]
+    pub fn two_way(
+        platform: &Platform,
+        partition: SimTime,
+        cpu_stats: KernelStats,
+        gpu: BandWork,
+        merge: SimTime,
+    ) -> RunReport {
+        RunReport {
+            breakdown: RunBreakdown {
+                partition,
+                transfer_in: platform.transfer(gpu.bytes_in),
+                cpu_compute: platform.cpu_time(&cpu_stats),
+                gpu_compute: platform.gpu_time(&gpu.stats),
+                transfer_out: platform.transfer(gpu.bytes_out),
+                merge,
+            },
+            cpu_stats,
+            gpu_stats: gpu.stats,
+        }
+    }
+
     /// End-to-end simulated time.
     #[must_use]
     pub fn total(&self) -> SimTime {
@@ -321,9 +350,44 @@ impl RunReport {
     }
 }
 
+/// What one device's share of a run does before it is priced: the kernel
+/// counters it executes and the bytes it ships over its host link in each
+/// direction. Workloads count; [`BandWork::time_on`] and
+/// [`RunReport::two_way`] price.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct BandWork {
+    /// Counters of the band's kernel.
+    pub stats: KernelStats,
+    /// Bytes shipped host → device before the kernel runs.
+    pub bytes_in: u64,
+    /// Bytes shipped device → host after it finishes.
+    pub bytes_out: u64,
+}
+
+impl BandWork {
+    /// The band's price on `device`: the platform model of the device's
+    /// class scaled by its speed, plus, on GPU-class devices, the link
+    /// transfers around it. CPU-class devices are host-resident and ship
+    /// nothing.
+    #[must_use]
+    pub fn time_on(&self, device: &Device, platform: &Platform) -> SimTime {
+        match device.kind {
+            DeviceKind::Cpu => device.scale(platform.cpu_time(&self.stats)),
+            DeviceKind::Gpu => {
+                device.transfer(platform, self.bytes_in)
+                    + device.scale(platform.gpu_time(&self.stats))
+                    + device.transfer(platform, self.bytes_out)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{DeviceSet, Partition};
+    use crate::CurveEval;
+    use proptest::prelude::*;
 
     #[test]
     fn overlap_is_max() {
@@ -439,5 +503,137 @@ mod tests {
     fn cpu_heavy_vs_gpu_heavy_shift_shares() {
         assert!(Platform::cpu_heavy().gpu_flops_share() < 0.6);
         assert!(Platform::gpu_heavy().gpu_flops_share() > 0.9);
+    }
+
+    /// A one-unit curve whose CPU and GPU bands are fixed works, priced
+    /// by the k-way rule.
+    struct FixedBands {
+        platform: Platform,
+        cpu: BandWork,
+        gpu: BandWork,
+        partition: SimTime,
+        merge: SimTime,
+    }
+
+    impl CurveEval for FixedBands {
+        fn splits(&self) -> usize {
+            2
+        }
+        fn split_for(&self, _t: f64) -> usize {
+            1
+        }
+        fn total_at(&self, _split: usize) -> SimTime {
+            unreachable!("the rule is checked through partition_total")
+        }
+        fn device_band(&self, device: &Device, _lo: usize, _hi: usize) -> Option<SimTime> {
+            let work = match device.kind {
+                DeviceKind::Cpu => &self.cpu,
+                DeviceKind::Gpu => &self.gpu,
+            };
+            Some(work.time_on(device, &self.platform))
+        }
+        fn partition_overhead(&self) -> SimTime {
+            self.partition
+        }
+        fn merge_cost(&self, _set: &DeviceSet, _p: &Partition) -> SimTime {
+            self.merge
+        }
+    }
+
+    fn platform_by_index(i: usize) -> Platform {
+        match i {
+            0 => Platform::k40c_xeon_e5_2650(),
+            1 => Platform::balanced(),
+            2 => Platform::cpu_heavy().scaled_for(0.05),
+            _ => Platform::gpu_heavy().sample_scaled(0.3),
+        }
+    }
+
+    fn band_work(counters: &[u64], bytes_in: u64, bytes_out: u64) -> BandWork {
+        let c = |i: usize| counters[i];
+        BandWork {
+            stats: KernelStats {
+                flops: c(0),
+                int_ops: c(1),
+                mem_read_bytes: c(2),
+                mem_write_bytes: c(3),
+                irregular_bytes: c(4).min(c(2) + c(3)),
+                simd_padded_flops: c(0) + c(5),
+                kernel_launches: c(6) % 64,
+                sync_rounds: c(7) % 64,
+                atomic_ops: c(8),
+                parallel_items: c(9),
+                working_set_bytes: c(10),
+            },
+            bytes_in,
+            bytes_out,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scalar report and the k-way price of the canonical pair
+        /// are one rule: equal totals, bitwise, for any works.
+        #[test]
+        fn two_way_total_is_the_canonical_partition_total(
+            cpu in proptest::collection::vec(0u64..1 << 36, 11),
+            gpu in proptest::collection::vec(0u64..1 << 36, 11),
+            bytes in (0u64..1 << 34, 0u64..1 << 34, 0u64..1 << 34, 0u64..1 << 34),
+            partition_s in 0.0f64..1.0,
+            merge_s in 0.0f64..1.0,
+            which in 0usize..4,
+        ) {
+            let platform = platform_by_index(which);
+            let curve = FixedBands {
+                platform,
+                cpu: band_work(&cpu, bytes.0, bytes.1),
+                gpu: band_work(&gpu, bytes.2, bytes.3),
+                partition: SimTime::from_secs(partition_s),
+                merge: SimTime::from_secs(merge_s),
+            };
+            let scalar = RunReport::two_way(
+                &platform,
+                curve.partition,
+                curve.cpu.stats,
+                curve.gpu,
+                curve.merge,
+            );
+            let kway = curve
+                .partition_total(&DeviceSet::cpu_gpu(), &Partition::two_way(1, 1))
+                .expect("fixed bands price on every device");
+            prop_assert_eq!(scalar.total().as_secs().to_bits(), kway.as_secs().to_bits());
+        }
+
+        /// Device speed divides the kernel term and nothing else: a
+        /// host-resident band's price at speed `s` is its speed-1 price
+        /// over `s`, and a GPU band's transfers are speed-independent.
+        #[test]
+        fn time_on_divides_the_kernel_by_device_speed(
+            counters in proptest::collection::vec(0u64..1 << 36, 11),
+            bytes in (0u64..1 << 34, 0u64..1 << 34),
+            speed in 0.05f64..8.0,
+            which in 0usize..4,
+        ) {
+            let platform = platform_by_index(which);
+            let work = band_work(&counters, bytes.0, bytes.1);
+            let cpu = Device::cpu();
+            prop_assert_eq!(
+                work.time_on(&cpu.with_speed(speed), &platform),
+                work.time_on(&cpu, &platform) / speed
+            );
+            let kernel = BandWork { bytes_in: 0, bytes_out: 0, ..work };
+            let gpu = Device::gpu();
+            prop_assert_eq!(
+                kernel.time_on(&gpu.with_speed(speed), &platform),
+                kernel.time_on(&gpu, &platform) / speed
+            );
+            prop_assert_eq!(
+                work.time_on(&gpu.with_speed(speed), &platform),
+                platform.transfer(work.bytes_in)
+                    + platform.gpu_time(&work.stats) / speed
+                    + platform.transfer(work.bytes_out)
+            );
+        }
     }
 }

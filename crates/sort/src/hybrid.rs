@@ -2,7 +2,7 @@
 //! position threshold, mergesort the CPU piece while the GPU radix-sorts
 //! its piece, then merge the two runs.
 
-use nbwp_sim::{Platform, RunBreakdown, RunReport};
+use nbwp_sim::{BandWork, Platform, RunReport, SimTime};
 
 use crate::cpu::{merge_runs, merge_sort};
 use crate::gpu::radix_sort;
@@ -38,19 +38,19 @@ pub fn hybrid_sort(data: &[u64], t_pct: f64, platform: &Platform) -> HybridSortO
 
     let merge = merge_runs(&cpu.sorted, &gpu.sorted);
 
+    // The GPU piece ships in unsorted and back sorted.
     let gpu_bytes = 8 * gpu_part.len() as u64;
-    let report = RunReport {
-        breakdown: RunBreakdown {
-            partition: nbwp_sim::SimTime::ZERO, // a positional split is free
-            transfer_in: platform.transfer(gpu_bytes),
-            cpu_compute: platform.cpu_time(&cpu.stats),
-            gpu_compute: platform.gpu_time(&gpu.stats),
-            transfer_out: platform.transfer(gpu_bytes),
-            merge: platform.cpu_time(&merge.stats),
+    let report = RunReport::two_way(
+        platform,
+        SimTime::ZERO, // a positional split is free
+        cpu.stats,
+        BandWork {
+            stats: gpu.stats,
+            bytes_in: gpu_bytes,
+            bytes_out: gpu_bytes,
         },
-        cpu_stats: cpu.stats,
-        gpu_stats: gpu.stats,
-    };
+        platform.cpu_time(&merge.stats),
+    );
     HybridSortOutcome {
         sorted: merge.sorted,
         report,

@@ -299,7 +299,7 @@ where
 /// Prefix-sum cost curves over a per-row [`RowCost`] profile: both sides of
 /// any contiguous row split are priced in O(1), and any interior row band
 /// in O(1) plus its partial tail warp, **bitwise equal** to calling
-/// [`stats_for_rows`] on the corresponding slice.
+/// [`stats_for_rows`] on the corresponding slice ([`RowCurves::stats_range`]).
 ///
 /// Every field of [`stats_for_rows`] is a `u64`-linear combination of the
 /// per-row counters (exact under prefix-sum differences), except
@@ -314,8 +314,8 @@ where
 /// let costs = row_profile(&a, &a);
 /// let curves = RowCurves::new(&costs, a.size_bytes());
 /// for split in [0, 31, 32, 100, 200] {
-///     assert_eq!(curves.stats_prefix(split), stats_for_rows(&costs[..split], a.size_bytes()));
-///     assert_eq!(curves.stats_suffix(split), stats_for_rows(&costs[split..], a.size_bytes()));
+///     assert_eq!(curves.stats_range(0, split), stats_for_rows(&costs[..split], a.size_bytes()));
+///     assert_eq!(curves.stats_range(split, 200), stats_for_rows(&costs[split..], a.size_bytes()));
 /// }
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -498,57 +498,6 @@ impl RowCurves {
         RowCurves::new(&costs, scaled_b_bytes(self.b_bytes, frac))
     }
 
-    fn assemble(
-        &self,
-        n_rows: u64,
-        a_nnz: u64,
-        b_entries: u64,
-        c_nnz: u64,
-        simd_padded: u64,
-    ) -> KernelStats {
-        let mut s = KernelStats::new();
-        s.flops = 2 * b_entries;
-        s.int_ops = 2 * a_nnz + 2 * b_entries + c_nnz;
-        s.mem_read_bytes = (a_nnz + b_entries) * ENTRY_BYTES;
-        s.irregular_bytes = a_nnz * ENTRY_BYTES;
-        s.mem_write_bytes = c_nnz * ENTRY_BYTES;
-        s.simd_padded_flops = simd_padded;
-        s.kernel_launches = u64::from(n_rows > 0);
-        s.parallel_items = n_rows;
-        s.working_set_bytes = self.b_bytes + (a_nnz + c_nnz) * ENTRY_BYTES;
-        s
-    }
-
-    /// `stats_for_rows(&costs[..split], b_bytes)`, bitwise, in O(1).
-    ///
-    /// # Panics
-    /// Panics if `split > rows`.
-    #[must_use]
-    pub fn stats_prefix(&self, split: usize) -> KernelStats {
-        self.assemble(
-            split as u64,
-            self.a_nnz.prefix_sum(split),
-            self.b_entries.prefix_sum(split),
-            self.c_nnz.prefix_sum(split),
-            self.pad.prefix_cost(split),
-        )
-    }
-
-    /// `stats_for_rows(&costs[split..], b_bytes)`, bitwise, in O(1).
-    ///
-    /// # Panics
-    /// Panics if `split > rows`.
-    #[must_use]
-    pub fn stats_suffix(&self, split: usize) -> KernelStats {
-        self.assemble(
-            (self.rows - split) as u64,
-            self.a_nnz.suffix_sum(split),
-            self.b_entries.suffix_sum(split),
-            self.c_nnz.suffix_sum(split),
-            self.pad.suffix_cost(split),
-        )
-    }
-
     /// `stats_for_rows(&costs[lo..hi], b_bytes)`, bitwise, in O(1) plus
     /// fewer than [`WARP`] row reads. The additive counters are range sums;
     /// the warp padding comes from [`WarpPadCurve::band_cost`], whose full
@@ -562,14 +511,23 @@ impl RowCurves {
     #[must_use]
     pub fn stats_range(&self, lo: usize, hi: usize) -> KernelStats {
         assert!(lo <= hi && hi <= self.rows, "band out of range");
-        self.assemble(
-            (hi - lo) as u64,
-            self.a_nnz.range_sum(lo, hi),
-            self.b_entries.range_sum(lo, hi),
-            self.c_nnz.range_sum(lo, hi),
-            self.pad
-                .band_cost(lo, hi, |row| 2 * self.b_entries.range_sum(row, row + 1)),
-        )
+        let n_rows = (hi - lo) as u64;
+        let a_nnz = self.a_nnz.range_sum(lo, hi);
+        let b_entries = self.b_entries.range_sum(lo, hi);
+        let c_nnz = self.c_nnz.range_sum(lo, hi);
+        let mut s = KernelStats::new();
+        s.flops = 2 * b_entries;
+        s.int_ops = 2 * a_nnz + 2 * b_entries + c_nnz;
+        s.mem_read_bytes = (a_nnz + b_entries) * ENTRY_BYTES;
+        s.irregular_bytes = a_nnz * ENTRY_BYTES;
+        s.mem_write_bytes = c_nnz * ENTRY_BYTES;
+        s.simd_padded_flops = self
+            .pad
+            .band_cost(lo, hi, |row| 2 * self.b_entries.range_sum(row, row + 1));
+        s.kernel_launches = u64::from(n_rows > 0);
+        s.parallel_items = n_rows;
+        s.working_set_bytes = self.b_bytes + (a_nnz + c_nnz) * ENTRY_BYTES;
+        s
     }
 }
 
@@ -772,12 +730,12 @@ mod tests {
         let curves = RowCurves::new(&costs, b_bytes);
         for split in 0..=costs.len() {
             assert_eq!(
-                curves.stats_prefix(split),
+                curves.stats_range(0, split),
                 stats_for_rows(&costs[..split], b_bytes),
                 "prefix split {split}"
             );
             assert_eq!(
-                curves.stats_suffix(split),
+                curves.stats_range(split, costs.len()),
                 stats_for_rows(&costs[split..], b_bytes),
                 "suffix split {split}"
             );
@@ -940,8 +898,7 @@ mod tests {
     fn row_curves_empty_profile() {
         let curves = RowCurves::new(&[], 64);
         assert_eq!(curves.rows(), 0);
-        assert_eq!(curves.stats_prefix(0), stats_for_rows(&[], 64));
-        assert_eq!(curves.stats_suffix(0), stats_for_rows(&[], 64));
+        assert_eq!(curves.stats_range(0, 0), stats_for_rows(&[], 64));
     }
 
     #[test]

@@ -121,9 +121,9 @@ pub fn jsonl(trace: &Trace) -> String {
 }
 
 /// Renders a human-readable text summary: pipeline phases aggregated by
-/// span name, per-lane occupancy bars (the two-device Gantt view the old
-/// `timeline::render` gave, generalized over a whole trace), and the
-/// metrics. `width` controls bar width (clamped to `[20, 120]`).
+/// span name, per-lane occupancy bars (a two-device Gantt view over the
+/// whole trace), and the metrics. `width` controls bar width (clamped to
+/// `[20, 120]`).
 #[must_use]
 pub fn summary(trace: &Trace, width: usize) -> String {
     let width = width.clamp(20, 120);

@@ -210,16 +210,6 @@ fn calibration_runs_on_a_registry_corpus() {
 }
 
 #[test]
-fn timeline_renders_for_a_real_run() {
-    let d = Dataset::by_name("cant").unwrap();
-    let w = CcWorkload::new(d.graph(SCALE, SEED), platform());
-    let report = w.run(25.0);
-    let chart = nbwp_sim::timeline::render(&report.breakdown, 60);
-    assert!(chart.contains("CPU |"));
-    assert!(chart.contains("GPU |"));
-}
-
-#[test]
 fn importance_sampler_runs_through_the_estimator() {
     let d = Dataset::by_name("webbase-1M").unwrap();
     let w = HhWorkload::new(d.matrix(SCALE, SEED), platform()).with_sampler(HhSampler::Importance);

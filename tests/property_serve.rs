@@ -7,7 +7,9 @@
 //! * warm-starting the analytic search from the cold argmin lands on the
 //!   same argmin bitwise, spending no more curve probes than cold;
 //! * `run_batch` equals a sequential `run` per item — duplicates included —
-//!   for any pool size, with or without an attached cache;
+//!   for any pool size, with or without an attached cache, and with
+//!   near-key siblings it equals a sequential `run_cached` loop, cache
+//!   counters included, audited or silent;
 //! * the served estimate (`profiled().run` / `run_batch`) equals the direct
 //!   reference `Estimator::run` bitwise for every non-analytic strategy on
 //!   every servable workload, with one repeat or several;
@@ -263,7 +265,8 @@ proptest! {
     }
 
     /// (c) `run_batch` equals a sequential `run` per item for any pool
-    /// size, duplicates included, with and without a cache attached.
+    /// size, duplicates included, with and without a cache attached; with
+    /// near-key siblings it equals a sequential `run_cached` loop.
     #[test]
     fn run_batch_matches_sequential_runs_for_any_pool(
         n in 96usize..260,
@@ -275,7 +278,7 @@ proptest! {
         let a = CcWorkload::new(ggen::web(n, deg, seed), p);
         let b = CcWorkload::new(ggen::web(n + 13, deg, seed + 1), p);
         let c = CcWorkload::new(ggen::web(n, deg, seed + 2), p);
-        let ws = vec![a.clone(), b.clone(), a.clone(), c, b, a];
+        let ws = vec![a.clone(), b.clone(), a.clone(), c, b, a.clone()];
         let pool = Pool::new(threads);
 
         // CoarseToFine against the direct reference, no cache.
@@ -306,6 +309,42 @@ proptest! {
             .profiled();
         for (w, got) in ws.iter().zip(&prof.run_batch(&ws)) {
             prop_assert_eq!(bits(got), bits(&prof.run(w)));
+        }
+
+        // Analytic behind a cache, with near-key siblings: whether a
+        // sibling warm-starts depends on which representatives the cache
+        // has already seen, so the batch must serve them in submission
+        // order. Served estimates and cache counters then equal a
+        // sequential `run_cached` loop over the representatives for every
+        // pool size, audited or silent.
+        let s1 = CcWorkload::new(ggen::web(n, deg, seed + 3), p);
+        let s2 = CcWorkload::new(ggen::web(n, deg, seed + 4), p);
+        let sibs = vec![a.clone(), s1.clone(), a.clone(), s2.clone(), s1.clone()];
+        let analytic = Estimator::new(SearchStrategy::Analytic { step: None }).seed(seed);
+        let seq_cache = ThresholdCache::new(16);
+        let seq = analytic.cache(&seq_cache).profiled();
+        let served: Vec<_> = [&a, &s1, &s2]
+            .into_iter()
+            .map(|w| bits(&seq.run_cached(w)))
+            .collect();
+        let expected: Vec<_> = [0, 1, 0, 2, 1].into_iter().map(|r| served[r]).collect();
+        let a_near = a.fingerprint().near_key();
+        if [&s1, &s2].iter().any(|w| w.fingerprint().near_key() == a_near) {
+            prop_assert!(seq_cache.stats().near_hits >= 1);
+        }
+        for threads in 1..=4 {
+            let pool = Pool::new(threads);
+            for audited in [false, true] {
+                let cache = ThresholdCache::new(16);
+                let flight = FlightRecorder::new();
+                let mut e = analytic.pool(&pool).cache(&cache);
+                if audited {
+                    e = e.audit(&flight);
+                }
+                let got: Vec<_> = e.profiled().run_batch(&sibs).iter().map(bits).collect();
+                prop_assert_eq!(&got, &expected, "threads {}, audited {}", threads, audited);
+                prop_assert_eq!(cache.stats(), seq_cache.stats());
+            }
         }
     }
 
