@@ -4,8 +4,8 @@
 //! For each workload (hybrid CC, row-row spmm, scale-free HH-CPU, dense
 //! GEMM) and each search strategy, the harness times the search twice:
 //! once pricing every candidate with a direct run (`O(input)` per
-//! candidate) and once through the workload's cost profile plus the shared
-//! eval cache (`O(1)`-ish per candidate after one profile pass). Per-eval
+//! candidate) and once through the workload's cost profile (`O(1)`-ish per
+//! candidate after one profile pass). Per-eval
 //! wall-clock, eval counts, and speedups are recorded per configuration.
 //!
 //! The run doubles as an **exactness gate**: before timing, every profiled
@@ -412,9 +412,9 @@ fn parity_check<W: Profilable>(
 }
 
 /// Times direct-vs-profiled searches for one workload across all
-/// strategies. Profiled runs are timed with a cold cache (the
+/// strategies. Profiled runs are timed on a fresh profile (the
 /// `ProfiledWorkload` is rebuilt outside the timed region each repetition),
-/// so `per_eval_us` measures genuine curve pricing, not cache replay.
+/// so `per_eval_us` measures genuine curve pricing, not memo replay.
 fn sweep_workload<W: Profilable>(
     name: &str,
     w: &W,

@@ -1,34 +1,20 @@
-//! Shared threshold→result evaluation cache.
-//!
-//! Every search strategy needs the same two primitives this module owns:
+//! Shared threshold keys and the bounded LRU map behind the decision cache.
 //!
 //! * **Quantized threshold keys** — [`quantize`] maps a candidate threshold
 //!   to an integer bucket (absolute 1e-9 resolution for linear spaces,
 //!   relative 1e-6 for logarithmic ones). Key equality is the single
 //!   definition of "same candidate": the strategies' grid dedup and the
-//!   gradient descent's revisit lookup both reduce to it, and
-//!   [`crate::profile::ProfiledWorkload`] uses the identical keys for its
-//!   result cache — so a candidate deduped by a strategy can never miss the
-//!   cache, and vice versa.
+//!   gradient descent's revisit lookup both reduce to it.
 //! * **A bounded LRU map** — [`EvalCache`] keeps at most `capacity`
-//!   entries, evicting the least-recently *touched* key when full. The
-//!   default capacity ([`DEFAULT_CAPACITY`]) is far above any strategy's
-//!   candidate count, so eviction never perturbs search results in
-//!   practice; the bound exists to keep long sweep processes (thousands of
-//!   searches against one shared profile) at fixed memory. The map is
-//!   generic over its key (quantized thresholds by default), and it also
-//!   backs the decision cache: every exact and near map of
+//!   entries, evicting the least-recently *touched* key when full. It is
+//!   generic over its key (quantized thresholds by default) and backs the
+//!   decision cache: every exact and near map of
 //!   [`crate::threshold_cache::ThresholdCache`] is one `EvalCache`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::framework::ThresholdSpace;
-
-/// Default cache capacity: comfortably above the candidate count of every
-/// strategy (exhaustive at fine resolution evaluates ~101 points; gradient
-/// descent is budgeted far lower).
-pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// Quantizes a threshold into its integer bucket for `space`. Two
 /// thresholds share a bucket exactly when the pre-existing tolerant
@@ -46,7 +32,7 @@ pub fn quantize(t: f64, space: &ThresholdSpace) -> i64 {
 }
 
 /// A bounded least-recently-used map from keys (quantized thresholds by
-/// default) to evaluation results.
+/// default) to cached values.
 #[derive(Debug)]
 pub struct EvalCache<V, K = i64> {
     capacity: usize,
@@ -85,7 +71,7 @@ impl<V: Clone, K: Copy + Eq + Hash> EvalCache<V, K> {
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             // O(capacity) eviction scan: insertions are rare relative to
-            // hits once a search warms up, and capacity is small.
+            // lookups, and capacity is small.
             if let Some(&oldest) = self
                 .map
                 .iter()

@@ -12,13 +12,14 @@
 //! equality is structural, not approximate (the property tests assert it
 //! per field on random inputs).
 //!
-//! [`ProfiledWorkload`] packages a profile with a bounded, quantized-key
-//! LRU cache of whole reports (shared across whatever strategies evaluate
-//! it) and implements [`PartitionedWorkload`], so every existing search
-//! strategy, estimator, and baseline runs unchanged on top of it — the
-//! `*_profiled` entry points in [`crate::search`] and
-//! [`crate::estimator`] do exactly that. Search pricing cost drops from
-//! `O(evals × sample)` to `O(sample + evals)`.
+//! [`ProfiledWorkload`] packages a profile with its workload and
+//! implements [`PartitionedWorkload`] by pricing every evaluation from the
+//! profile, so every existing search strategy, estimator, and baseline
+//! runs unchanged on top of it — the `*_profiled` entry points in
+//! [`crate::search`] and [`crate::estimator`] do exactly that. Search
+//! pricing cost drops from `O(evals × sample)` to `O(sample + evals)`.
+//! Repeated thresholds need no report cache: spmm and gemm price in O(1),
+//! and the cc and hh profiles memoize their expensive replays internally.
 //!
 //! ```
 //! use nbwp_core::prelude::*;
@@ -28,19 +29,14 @@
 //! let pw = ProfiledWorkload::new(&w);
 //! // Profiled pricing is bitwise-exact:
 //! assert_eq!(pw.run(37.0), w.run(37.0));
-//! // ...and repeated evaluations hit the cache:
-//! let _ = pw.run(37.0);
-//! assert_eq!(pw.cache_hits(), 1);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use nbwp_par::{Pool, SlotPool};
 use nbwp_sim::{CurveEval, Platform, ProfileScratch, RunReport};
 use nbwp_trace::Recorder;
 
-use crate::evalcache::{self, EvalCache};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 
 /// A workload whose per-threshold cost can be computed from a reusable
@@ -57,20 +53,17 @@ pub trait Profilable: PartitionedWorkload {
     /// candidate evaluations.
     type Profile: Send + Sync;
 
-    /// Builds the profile in one pass over the input. `pool` is available
-    /// for workloads whose profile pass has parallel structure; using it
-    /// must not change the profile (the `nbwp-par` determinism contract).
-    fn build_profile(&self, pool: &Pool) -> Self::Profile;
+    /// Builds the profile in one pass over the input, drawing its buffers
+    /// from `scratch`, so a warmed arena makes the steady-state rebuild
+    /// allocation-free. Scratch reuse may only change *where* the curve
+    /// arrays live, never a single value in them. `pool` is available for
+    /// workloads whose profile pass has parallel structure; using it must
+    /// not change the profile (the `nbwp-par` determinism contract).
+    fn build_profile_in(&self, pool: &Pool, scratch: &mut ProfileScratch) -> Self::Profile;
 
-    /// Builds the profile drawing reusable buffers from `scratch`, so a
-    /// warmed arena makes the steady-state rebuild allocation-free. Must
-    /// produce a profile bitwise identical to [`Profilable::build_profile`]
-    /// — scratch reuse may only change *where* the curve arrays live, never
-    /// a single value in them. The default ignores the arena (correct for
-    /// workloads whose profile holds no buffers).
-    fn build_profile_in(&self, pool: &Pool, scratch: &mut ProfileScratch) -> Self::Profile {
-        let _ = scratch;
-        self.build_profile(pool)
+    /// [`Profilable::build_profile_in`] through a fresh arena.
+    fn build_profile(&self, pool: &Pool) -> Self::Profile {
+        self.build_profile_in(pool, &mut ProfileScratch::new())
     }
 
     /// Returns a finished profile's reusable buffers to `scratch` so the
@@ -129,20 +122,9 @@ pub trait Resampleable: Profilable + Sampleable {
     fn resample(&self, profile: &Self::Profile, spec: SampleSpec, seed: u64) -> Self::Resampled;
 }
 
-/// A [`Profilable`] workload bundled with its built profile and a bounded
-/// evaluation cache, exposed as a [`PartitionedWorkload`] so the existing
-/// strategies run on it unchanged.
-///
-/// The cache is keyed by [`evalcache::quantize`]d thresholds — the same
-/// buckets the strategies use to dedup candidates, so a strategy-level
-/// "already evaluated" and a cache hit agree by construction. Hit/miss
-/// totals are kept in atomics (the pool shares `&self` across workers) and
-/// exported to a trace recorder via [`ProfiledWorkload::flush_metrics`].
-///
-/// Determinism: strategies dedup each parallel batch by quantized key
-/// before dispatch, so no two in-flight evaluations share a bucket, and
-/// sequential batches observe a settled cache — hit/miss counts (and
-/// therefore flushed metrics) are identical for every `NBWP_THREADS`.
+/// A [`Profilable`] workload bundled with its built profile, exposed as a
+/// [`PartitionedWorkload`] so the existing strategies run on it unchanged:
+/// every evaluation is priced from the profile.
 pub struct ProfiledWorkload<'w, W: Profilable> {
     inner: &'w W,
     /// `Some` for the whole life of the wrapper; taken by `Drop` so the
@@ -151,43 +133,27 @@ pub struct ProfiledWorkload<'w, W: Profilable> {
     /// Whether the build checked out a warm arena (exported as the
     /// `profile.scratch_reuse` metric).
     scratch_reused: bool,
-    space: ThresholdSpace,
-    cache: Mutex<EvalCache<RunReport>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<'w, W: Profilable> ProfiledWorkload<'w, W> {
-    /// Profiles `workload` on the global pool with the default cache bound.
+    /// Profiles `workload` on the global pool.
     #[must_use]
     pub fn new(workload: &'w W) -> Self {
         Self::with_pool(workload, Pool::global())
     }
 
-    /// Profiles `workload`, building the profile through `pool`.
+    /// Profiles `workload`, building the profile through `pool` with an
+    /// arena checked out of [`profile_scratch_pool`].
     #[must_use]
     pub fn with_pool(workload: &'w W, pool: &Pool) -> Self {
-        Self::with_capacity(workload, pool, evalcache::DEFAULT_CAPACITY)
-    }
-
-    /// [`ProfiledWorkload::with_pool`] with an explicit cache bound.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn with_capacity(workload: &'w W, pool: &Pool, capacity: usize) -> Self {
         let (mut scratch, _) = profile_scratch_pool().take();
         let scratch_reused = scratch.is_warm();
         let profile = workload.build_profile_in(pool, &mut scratch);
         profile_scratch_pool().put(scratch);
         ProfiledWorkload {
+            inner: workload,
             profile: Some(profile),
             scratch_reused,
-            space: workload.space(),
-            inner: workload,
-            cache: Mutex::new(EvalCache::new(capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -210,30 +176,14 @@ impl<'w, W: Profilable> ProfiledWorkload<'w, W> {
         self.scratch_reused
     }
 
-    /// Evaluations answered from the cache so far.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations that had to be priced from the profile so far.
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Exports the cache totals into `rec`'s metrics registry as the
-    /// `profile.cache_hit` / `profile.cache_miss` counters, and counts
-    /// this wrapper's one-time profile build in `profile.builds` — the
-    /// counter sensitivity sweeps use to prove they profile the full
-    /// input exactly once. Call once after a search completes (the
-    /// recorder is single-threaded, so the counters cannot be bumped from
-    /// inside the pooled evaluations).
+    /// Counts this wrapper's one-time profile build in `rec`'s
+    /// `profile.builds` counter — the counter sensitivity sweeps use to
+    /// prove they profile the full input exactly once — and whether it
+    /// reused a warm arena in `profile.scratch_reuse`. Call once after a
+    /// search completes.
     pub fn flush_metrics(&self, rec: &Recorder) {
         rec.counter_add("profile.builds", 1);
         rec.counter_add("profile.scratch_reuse", u64::from(self.scratch_reused));
-        rec.counter_add("profile.cache_hit", self.cache_hits());
-        rec.counter_add("profile.cache_miss", self.cache_misses());
     }
 }
 
@@ -252,22 +202,11 @@ impl<W: Profilable> Drop for ProfiledWorkload<'_, W> {
 
 impl<W: Profilable> PartitionedWorkload for ProfiledWorkload<'_, W> {
     fn run(&self, t: f64) -> RunReport {
-        let key = evalcache::quantize(t, &self.space);
-        if let Some(report) = self.cache.lock().expect("eval cache poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return report;
-        }
-        let report = self.inner.run_profiled(self.profile(), t);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .lock()
-            .expect("eval cache poisoned")
-            .insert(key, report.clone());
-        report
+        self.inner.run_profiled(self.profile(), t)
     }
 
     fn space(&self) -> ThresholdSpace {
-        self.space
+        self.inner.space()
     }
 
     fn size(&self) -> usize {
@@ -283,14 +222,14 @@ impl<W: Profilable> PartitionedWorkload for ProfiledWorkload<'_, W> {
 mod tests {
     use super::*;
     use nbwp_sim::{RunBreakdown, SimTime};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_platform() -> &'static Platform {
         static P: std::sync::OnceLock<Platform> = std::sync::OnceLock::new();
         P.get_or_init(Platform::k40c_xeon_e5_2650)
     }
 
-    /// Counts how often each path executes, to pin the cache behaviour.
+    /// Counts how often each pricing path executes.
     struct Counting {
         direct_runs: AtomicUsize,
         profiled_runs: AtomicUsize,
@@ -332,7 +271,7 @@ mod tests {
 
     impl Profilable for Counting {
         type Profile = ();
-        fn build_profile(&self, _pool: &Pool) {}
+        fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) {}
         fn run_profiled(&self, (): &(), t: f64) -> RunReport {
             self.profiled_runs.fetch_add(1, Ordering::Relaxed);
             Self::report(t)
@@ -340,45 +279,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_evaluations_do_not_recompute() {
-        let w = Counting::new();
-        let pw = ProfiledWorkload::new(&w);
-        let a = pw.run(25.0);
-        let b = pw.run(25.0);
-        let c = pw.run(30.0);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(w.profiled_runs.load(Ordering::Relaxed), 2);
-        assert_eq!(w.direct_runs.load(Ordering::Relaxed), 0);
-        assert_eq!(pw.cache_hits(), 1);
-        assert_eq!(pw.cache_misses(), 2);
-    }
-
-    #[test]
     fn metrics_flush_into_the_registry() {
         let w = Counting::new();
         let pw = ProfiledWorkload::new(&w);
-        let _ = pw.run(10.0);
-        let _ = pw.run(10.0);
-        let _ = pw.run(20.0);
+        assert_eq!(pw.run(10.0), Counting::report(10.0));
+        assert_eq!(w.profiled_runs.load(Ordering::Relaxed), 1);
+        assert_eq!(w.direct_runs.load(Ordering::Relaxed), 0);
         let rec = Recorder::new();
         pw.flush_metrics(&rec);
         let trace = rec.finish();
-        assert_eq!(trace.metrics.counter("profile.cache_hit"), Some(1));
-        assert_eq!(trace.metrics.counter("profile.cache_miss"), Some(2));
-    }
-
-    #[test]
-    fn bounded_cache_evicts_and_still_answers() {
-        let w = Counting::new();
-        let pw = ProfiledWorkload::with_capacity(&w, Pool::global(), 2);
-        for t in [1.0, 2.0, 3.0, 4.0] {
-            let _ = pw.run(t);
-        }
-        // 1.0 and 2.0 were evicted: re-pricing them is a miss.
-        let _ = pw.run(1.0);
-        assert_eq!(pw.cache_misses(), 5);
-        let _ = pw.run(4.0);
-        assert_eq!(pw.cache_hits(), 1);
+        assert_eq!(trace.metrics.counter("profile.builds"), Some(1));
+        assert_eq!(
+            trace.metrics.counter("profile.scratch_reuse"),
+            Some(u64::from(pw.scratch_reused()))
+        );
     }
 }

@@ -274,7 +274,7 @@ impl<'a> Searcher<'a> {
     }
 
     /// Switches to profiled evaluation: the run builds one cost profile,
-    /// prices every candidate from it, and flushes cache/build metrics.
+    /// prices every candidate from it, and flushes its build metrics.
     /// Required for [`Strategy::Analytic`].
     #[must_use]
     pub fn profiled(self) -> ProfiledSearcher<'a> {
@@ -308,11 +308,9 @@ impl<'a> Searcher<'a> {
 }
 
 /// A [`Searcher`] that evaluates through a one-time cost profile of the
-/// workload: the profile is built once (through the pool), every candidate
-/// is priced from it — bitwise equal to direct evaluation — and repeated
-/// thresholds come from the bounded eval cache. Cache and build totals
-/// land in the recorder's metrics as `profile.cache_hit` /
-/// `profile.cache_miss` / `profile.builds`.
+/// workload: the profile is built once (through the pool) and every
+/// candidate is priced from it, bitwise equal to direct evaluation. The
+/// build lands in the recorder's metrics as `profile.builds`.
 #[derive(Copy, Clone)]
 pub struct ProfiledSearcher<'a> {
     inner: Searcher<'a>,
@@ -334,6 +332,8 @@ impl ProfiledSearcher<'_> {
     /// Strategy dispatch over an already-built profile (shared by
     /// [`ProfiledSearcher::run`] and the canonical-pair arm of
     /// [`ProfiledSearcher::run_partition`], which must not profile twice).
+    /// The four direct strategies run through [`Searcher::run`] on the
+    /// profiled workload; only [`Strategy::Analytic`] reads the curve.
     fn run_on_profile<W: Profilable>(
         &self,
         pw: &ProfiledWorkload<'_, W>,
@@ -341,14 +341,6 @@ impl ProfiledSearcher<'_> {
         pool: &Pool,
     ) -> SearchOutcome {
         match self.inner.strategy {
-            Strategy::Exhaustive { step } => {
-                exhaustive_impl(pw, resolve_step(step, &pw.space()), rec, pool)
-            }
-            Strategy::CoarseToFine => coarse_to_fine_impl(pw, rec, pool),
-            Strategy::RaceThenFine => race_then_fine_impl(pw, rec, pool),
-            Strategy::GradientDescent { max_evals } => {
-                gradient_descent_impl(pw, max_evals, rec, pool)
-            }
             Strategy::Analytic { step } => analytic_impl(
                 pw.inner(),
                 pw,
@@ -357,6 +349,7 @@ impl ProfiledSearcher<'_> {
                 rec,
                 pool,
             ),
+            _ => self.inner.recorder(rec).pool(pool).run(pw),
         }
     }
 
@@ -826,10 +819,14 @@ fn cold_minima<M: TotalFn + ?Sized>(memo: &mut M, lo: usize, hi: usize) -> Vec<u
     chosen
 }
 
-/// Collapses the threshold grid onto distinct splits, keeping the lowest
-/// threshold of each run of equal splits (the exhaustive tie-break prefers
-/// it on the flat stretch they share).
-fn collapse_candidates(
+/// The collapsed `(threshold, split)` candidate grid shared by the scalar
+/// minimizer and every [`minimize_partition`] coordinate: one candidate
+/// per distinct split the step-grid reaches, keeping the lowest threshold
+/// of each run of equal splits (the exhaustive tie-break prefers it on the
+/// flat stretch they share). Public so exhaustive baselines (`bench_eval`'s
+/// k-way gate) can enumerate exactly the grid the searches optimize over.
+#[must_use]
+pub fn candidate_splits(
     curve: &dyn CurveEval,
     space: &ThresholdSpace,
     step: f64,
@@ -846,20 +843,6 @@ fn collapse_candidates(
         }
     }
     cands
-}
-
-/// The collapsed `(threshold, split)` candidate grid shared by the scalar
-/// minimizer and every [`minimize_partition`] coordinate: one candidate
-/// per distinct split the step-grid reaches, keeping the lowest threshold
-/// naming each split. Public so exhaustive baselines (`bench_eval`'s
-/// k-way gate) can enumerate exactly the grid the searches optimize over.
-#[must_use]
-pub fn candidate_splits(
-    curve: &dyn CurveEval,
-    space: &ThresholdSpace,
-    step: f64,
-) -> Vec<(f64, usize)> {
-    collapse_candidates(curve, space, step)
 }
 
 /// A warm cut vector is only a hint, and one holding NaN names no split
@@ -884,7 +867,7 @@ fn select_on_curve<'c>(
     warm: Option<f64>,
 ) -> (Vec<(f64, usize)>, Vec<usize>, CurveMemo<'c>) {
     let warm = warm.filter(|hint| !hint.is_nan());
-    let cands = collapse_candidates(curve, space, step);
+    let cands = candidate_splits(curve, space, step);
     let m = cands.len();
     let mut memo = CurveMemo::new(curve, &cands);
     let mut chosen: Vec<usize> = Vec::new();
@@ -1169,7 +1152,7 @@ pub fn minimize_partition(
         });
     }
 
-    let cands = collapse_candidates(curve, space, step);
+    let cands = candidate_splits(curve, space, step);
     let m = cands.len();
     let k = set.len();
     let kc = k - 1;
@@ -1456,9 +1439,8 @@ fn analytic_impl<W: Profilable>(
 /// Tolerant equality for grid membership: two candidates are the same when
 /// they share a quantized threshold bucket (absolute 1e-9 resolution for
 /// linear spaces, relative 1e-6 for logarithmic ones — see
-/// [`crate::evalcache::quantize`]). This is the *same* definition the
-/// profiled evaluation cache keys on, so strategy-level dedup and cache
-/// hits can never disagree about which candidates are distinct.
+/// [`crate::evalcache::quantize`]), the single definition of "same
+/// candidate" every strategy's dedup shares.
 fn close(a: f64, b: f64, space: &ThresholdSpace) -> bool {
     quantize(a, space) == quantize(b, space)
 }
@@ -1466,7 +1448,7 @@ fn close(a: f64, b: f64, space: &ThresholdSpace) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbwp_sim::{RunBreakdown, RunReport};
+    use nbwp_sim::{ProfileScratch, RunBreakdown, RunReport};
 
     fn test_platform() -> &'static nbwp_sim::Platform {
         static P: std::sync::OnceLock<nbwp_sim::Platform> = std::sync::OnceLock::new();
@@ -1523,7 +1505,7 @@ mod tests {
 
     impl Profilable for Valley {
         type Profile = ();
-        fn build_profile(&self, _pool: &Pool) {}
+        fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) {}
         fn run_profiled(&self, (): &(), t: f64) -> RunReport {
             // Quantize to the grid the curve view exposes.
             self.report(t.clamp(0.0, 100.0).round())

@@ -87,14 +87,10 @@ impl CcWorkload {
 impl Profilable for CcWorkload {
     type Profile = CcCostProfile;
 
-    fn build_profile(&self, _pool: &Pool) -> CcCostProfile {
+    fn build_profile_in(&self, _pool: &Pool, scratch: &mut ProfileScratch) -> CcCostProfile {
         // One O(n + arcs) serial pass builds the split-indexed arc curves;
         // the per-split control-flow residuals (SV rounds, DFS chunk
         // balance) are replayed lazily and memoized inside the profile.
-        CcCostProfile::new(&self.graph)
-    }
-
-    fn build_profile_in(&self, _pool: &Pool, scratch: &mut ProfileScratch) -> CcCostProfile {
         CcCostProfile::new_in(&self.graph, scratch)
     }
 
@@ -192,9 +188,8 @@ impl DriftWorkload for CcWorkload {
         span: Range<usize>,
         _scratch: &mut ProfileScratch,
     ) {
-        // The profile's curves live in plain vectors (no arena views), so
-        // the span patch needs no scratch; a whole-input span is the full
-        // in-place rebuild.
+        // The span patch runs in place and needs no scratch; a whole-input
+        // span is the full in-place rebuild.
         profile.patch(&self.graph, span.start, span.end);
     }
 
@@ -281,8 +276,8 @@ mod tests {
         let w = workload(gen::web(1200, 5, 11));
         let fresh = w.build_profile(nbwp_par::Pool::global());
         let mut scratch = ProfileScratch::new();
-        // Cold and warm scratch builds must both match the pooled build on
-        // every curve entry and every replayed report.
+        // Cold and warm scratch builds must both match a fresh-arena build
+        // on every curve entry and every replayed report.
         for _ in 0..2 {
             let p = w.build_profile_in(nbwp_par::Pool::global(), &mut scratch);
             assert_eq!(p.raw_curves(), fresh.raw_curves());

@@ -4,7 +4,8 @@
 use nbwp_dense::hybrid::{hybrid_gemm_cost, GemmCostCurve};
 use nbwp_par::Pool;
 use nbwp_sim::{
-    log2_bucket, CurveEval, DegreeSketch, Digest, KernelStats, Platform, RunReport, SimTime,
+    log2_bucket, CurveEval, DegreeSketch, Digest, KernelStats, Platform, ProfileScratch, RunReport,
+    SimTime,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -89,12 +90,10 @@ impl PartitionedWorkload for DenseGemmWorkload {
 impl Profilable for DenseGemmWorkload {
     /// Dense GEMM cost is already a closed form in `(n, k, m, t)` — the
     /// "curve" is the formula itself, so the profile carries no state and
-    /// profiled pricing delegates to the closed form. Wrapping in
-    /// [`crate::profile::ProfiledWorkload`] still adds the shared eval
-    /// cache (repeated candidates are answered without re-pricing).
+    /// profiled pricing delegates to the closed form.
     type Profile = ();
 
-    fn build_profile(&self, _pool: &Pool) -> Self::Profile {}
+    fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) -> Self::Profile {}
 
     fn run_profiled(&self, (): &Self::Profile, t: f64) -> RunReport {
         self.run(t)

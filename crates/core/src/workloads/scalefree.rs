@@ -4,7 +4,7 @@
 //! GPU, with the four masked partial products of Phases II/III.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
@@ -351,36 +351,22 @@ impl HhProfile {
     pub fn classes(&self) -> usize {
         self.classes.len() + 1
     }
+
+    /// The raw sorted, deduplicated row degrees, for benchmark parity
+    /// gates comparing against an independently built class list.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn raw_classes(&self) -> &[u64] {
+        &self.classes
+    }
 }
 
 impl Profilable for HhWorkload {
     type Profile = HhProfile;
 
-    fn build_profile(&self, pool: &Pool) -> HhProfile {
-        let n = self.a.rows();
-        let parts = pool.threads().max(1);
-        let mut classes: Vec<u64> = pool
-            .map_chunks(n, parts, |range| {
-                range
-                    .map(|r| self.a.row_nnz(r) as u64)
-                    .collect::<Vec<u64>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-        HhProfile {
-            classes: AlignedU64s::from(&classes[..]),
-            memo: Mutex::new(HashMap::new()),
-            workspace: Mutex::new(HhWorkspace::default()),
-        }
-    }
-
     fn build_profile_in(&self, _pool: &Pool, scratch: &mut ProfileScratch) -> HhProfile {
-        // Serial fill + in-place sort + in-place dedup: the pooled path's
-        // per-chunk collects would allocate, defeating the arena. The class
-        // list is identical either way (same degrees, same sorted order).
+        // Serial fill + in-place sort + in-place dedup, so a warm arena
+        // builds the class list without allocating.
         let mut classes = scratch.take(self.a.rows());
         for (r, slot) in classes.iter_mut().enumerate() {
             *slot = self.a.row_nnz(r) as u64;
@@ -397,8 +383,8 @@ impl Profilable for HhWorkload {
         classes.truncate(kept);
         HhProfile {
             classes,
-            memo: Mutex::new(HashMap::new()),
-            workspace: Mutex::new(HhWorkspace::default()),
+            memo: Mutex::default(),
+            workspace: Mutex::default(),
         }
     }
 
@@ -411,15 +397,22 @@ impl Profilable for HhWorkload {
         // All thresholds in the same degree class induce the same high-row
         // mask, hence the same report.
         let class = profile.classes.partition_point(|&d| d <= t);
-        if let Some(report) = profile.memo.lock().unwrap().get(&class) {
+        // Both locks recover from poisoning: memo entries are pure prices
+        // inserted only after their pricing pass returns, and every pass
+        // clears and refills the workspace it borrows.
+        let memo = || profile.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(report) = memo().get(&class) {
             return report.clone();
         }
         let report = {
-            let mut ws = profile.workspace.lock().unwrap();
+            let mut ws = profile
+                .workspace
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let HhWorkspace { rows, scratch } = &mut *ws;
             self.report_for_threshold_in(t, rows, scratch)
         };
-        profile.memo.lock().unwrap().insert(class, report.clone());
+        memo().insert(class, report.clone());
         report
     }
 
@@ -586,7 +579,7 @@ mod tests {
         let fresh = w.build_profile(nbwp_par::Pool::global());
         let mut scratch = ProfileScratch::new();
         let max = w.max_degree() as f64;
-        // Cold and warm scratch builds must both reproduce the pooled
+        // Cold and warm scratch builds must both reproduce a fresh-arena
         // profile's class list and every memoized report bit for bit.
         for _ in 0..2 {
             let p = w.build_profile_in(nbwp_par::Pool::global(), &mut scratch);
@@ -597,6 +590,36 @@ mod tests {
             }
             w.recycle_profile(p, &mut scratch);
             assert!(scratch.is_warm());
+        }
+    }
+
+    /// Panics on a scoped thread while it holds `lock`, the way a
+    /// panicking probe on a shared profile would.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let probe = s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("probe panicked while holding the profile lock");
+            });
+            assert!(probe.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_memo_and_workspace_still_price_bitwise() {
+        let w = workload(gen::power_law(500, 9, 2.1, 17));
+        let clean = w.build_profile(nbwp_par::Pool::global());
+        let p = w.build_profile(nbwp_par::Pool::global());
+        let max = w.max_degree() as f64;
+        let _ = w.run_profiled(&p, 2.0);
+        poison(&p.memo);
+        poison(&p.workspace);
+        // A memoized class, then classes priced through the poisoned
+        // workspace for the first time.
+        for t in [2.0, 0.0, 3.7, max / 2.0, max + 5.0] {
+            assert_eq!(w.run_profiled(&p, t), w.run_profiled(&clean, t), "t = {t}");
+            assert_eq!(w.run_profiled(&p, t), w.run(t), "t = {t}");
         }
     }
 

@@ -191,19 +191,9 @@ impl SpmmProfile {
 impl Profilable for SpmmWorkload {
     type Profile = SpmmProfile;
 
-    fn build_profile(&self, pool: &Pool) -> SpmmProfile {
-        let (curves, partition) = pool.join(
-            || RowCurves::new(&self.profile, self.a.size_bytes()),
-            || self.partition_cost(),
-        );
-        SpmmProfile { curves, partition }
-    }
-
     fn build_profile_in(&self, _pool: &Pool, scratch: &mut ProfileScratch) -> SpmmProfile {
         // Serial on purpose: the build is one fused pass over the borrowed
-        // cost slice, and the scratch arena is single-owner. The two halves
-        // of the `join` above are independent, so computing them in
-        // sequence yields the identical profile.
+        // cost slice, and the scratch arena is single-owner.
         SpmmProfile {
             curves: RowCurves::new_in(&self.profile, self.a.size_bytes(), scratch),
             partition: self.partition_cost(),
@@ -377,7 +367,7 @@ impl Profilable for ResampledSpmm {
     /// on resampled miniatures.
     type Profile = ();
 
-    fn build_profile(&self, _pool: &Pool) -> Self::Profile {}
+    fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) -> Self::Profile {}
 
     fn run_profiled(&self, (): &Self::Profile, r: f64) -> RunReport {
         self.run(r)
@@ -556,6 +546,7 @@ mod tests {
     #[test]
     fn scratch_profile_is_bitwise_equal_to_pooled_build() {
         let w = workload(gen::power_law(400, 9, 2.1, 7));
+        // A fresh-arena build against cold and warm scratch builds.
         let pooled = w.build_profile(Pool::global());
         let mut scratch = ProfileScratch::new();
         let built = w.build_profile_in(Pool::global(), &mut scratch);

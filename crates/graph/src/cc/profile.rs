@@ -20,7 +20,7 @@
 //! functions.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use nbwp_sim::{
     AlignedU64s, BandWork, CurveEval, Device, DeviceKind, DeviceSet, KernelStats, Partition,
@@ -64,56 +64,23 @@ impl CcCostProfile {
     }
 
     /// Builds the curves with both stored buffers drawn from `scratch`
-    /// (allocation-free when the arena is warm). Bitwise identical to the
-    /// per-arc histogram construction of [`CcCostProfile::new`]'s original
-    /// formulation, exploiting the [`Graph`] invariants (symmetric, sorted,
-    /// self-loop-free, duplicate-free adjacency):
-    ///
-    /// * arcs `u→v` and `v→u` of an edge `{u, v}` with `u < v` both have
-    ///   min endpoint `u`, so `min_hist[u]` is exactly `2·|{v ∈ adj(u) :
-    ///   v > u}|` — one batched store per vertex, no per-arc walk;
-    /// * an edge crosses boundary `s` iff `u < s <= v`, so `cross[s]` is
-    ///   the running sum over `w < s` of `greater(w) − lesser(w)` (edges
-    ///   opened at their lower endpoint minus edges closed at their upper
-    ///   endpoint) — a plain prefix sum in wrapping `u64`, two's-complement
-    ///   identical to the signed difference-array accumulation it replaces.
-    ///
-    /// Both passes are linear scans with no data-dependent branches, so the
-    /// whole build is `O(n log d)` sequential memory traffic.
+    /// (allocation-free when the arena is warm): zeroed curves are the
+    /// profile of the edgeless graph on `n` vertices, and a whole-span
+    /// [`CcCostProfile::patch`] turns them into `g`'s.
     #[must_use]
     pub fn new_in(g: &Graph, scratch: &mut ProfileScratch) -> Self {
         let n = g.n();
-        let mut arcs_gpu = scratch.take(n + 1);
-        let mut cross = scratch.take(n + 1);
-        {
-            let ag = arcs_gpu.as_mut_slice();
-            let cx = cross.as_mut_slice();
-            let mut acc = 0u64;
-            for u in 0..n {
-                let adj = g.neighbors(u);
-                let lesser = adj.partition_point(|&v| (v as usize) <= u);
-                let greater = (adj.len() - lesser) as u64;
-                ag[u] = 2 * greater;
-                acc = acc.wrapping_add(greater).wrapping_sub(lesser as u64);
-                cx[u + 1] = acc;
-            }
-            // In-place suffix sum turns the per-vertex min-histogram into
-            // arcs internal to the suffix (ag[n] is the zeroed sentinel).
-            let mut suffix = 0u64;
-            for slot in ag[..n].iter_mut().rev() {
-                suffix += *slot;
-                *slot = suffix;
-            }
-        }
-        CcCostProfile {
+        let mut profile = CcCostProfile {
             n,
-            arcs: g.arcs() as u64,
-            size_bytes: g.size_bytes(),
-            arcs_gpu,
-            cross,
-            dfs_memo: Mutex::new(HashMap::new()),
-            sv_memo: Mutex::new(HashMap::new()),
-        }
+            arcs: 0,
+            size_bytes: 0,
+            arcs_gpu: scratch.take(n + 1),
+            cross: scratch.take(n + 1),
+            dfs_memo: Mutex::default(),
+            sv_memo: Mutex::default(),
+        };
+        profile.patch(g, 0, n);
+        profile
     }
 
     /// Rewrites the profile in place after vertices `lo..hi` changed
@@ -121,19 +88,29 @@ impl CcCostProfile {
     /// changes the adjacency lists of `u` and `v`, so the touched-vertex
     /// interval bounds the span). `g` is the **mutated** graph. Runs in
     /// O(Σ degree over the span + shift) entirely in place — no scratch
-    /// arena needed:
+    /// arena needed. Both span passes are linear scans with no
+    /// data-dependent branches, exploiting the [`Graph`] invariants
+    /// (symmetric, sorted, self-loop-free, duplicate-free adjacency):
     ///
-    /// * `cross` recomputes its span from `cross[lo]` and shifts the tail
-    ///   by the span delta (wrapping, two's-complement identical to the
-    ///   rebuild);
-    /// * `arcs_gpu` is a suffix sum: its span recomputes backwards from
-    ///   the unchanged `arcs_gpu[hi]` and the prefix `0..lo` shifts;
+    /// * arcs `u→v` and `v→u` of an edge `{u, v}` with `u < v` both have
+    ///   min endpoint `u`, so the per-vertex min-histogram is exactly
+    ///   `2·|{v ∈ adj(u) : v > u}|` — one batched store per vertex, no
+    ///   per-arc walk;
+    /// * an edge crosses boundary `s` iff `u < s <= v`, so `cross[s]` is
+    ///   the running sum over `w < s` of `greater(w) − lesser(w)` (edges
+    ///   opened at their lower endpoint minus edges closed at their upper
+    ///   endpoint): its span recomputes from `cross[lo]` and the tail
+    ///   shifts by the span delta, in wrapping `u64`, two's-complement
+    ///   identical to a signed difference-array accumulation;
+    /// * `arcs_gpu` is a suffix sum of that histogram: its span recomputes
+    ///   backwards from the unchanged `arcs_gpu[hi]` and the prefix `0..lo`
+    ///   shifts;
     /// * the control-flow memos are cleared — they key on graph content.
     ///
     /// The patched curves are **bitwise identical** to
     /// `CcCostProfile::new_in(g, ..)` (the patch-equals-rebuild contract);
-    /// `patch(g, 0, n)` is the crossover fallback — a full in-place
-    /// rebuild.
+    /// `patch(g, 0, n)` is both the build and the drift crossover
+    /// fallback — a full in-place rebuild.
     ///
     /// # Panics
     /// Panics if `g.n() != n`, `lo > hi`, or `hi > n`.
@@ -145,8 +122,16 @@ impl CcCostProfile {
         );
         self.arcs = g.arcs() as u64;
         self.size_bytes = g.size_bytes();
-        self.dfs_memo.lock().expect("dfs memo poisoned").clear();
-        self.sv_memo.lock().expect("sv memo poisoned").clear();
+        // Memo entries are pure prices inserted only after their replay
+        // returns, so a memo poisoned by a panicking probe is still sound.
+        self.dfs_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.sv_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         if lo == hi {
             return;
         }
@@ -174,9 +159,9 @@ impl CcCostProfile {
         // Reverse span pass: fold the parked histogram into suffix sums
         // starting from the untouched ag[hi] (ag[n] is the 0 sentinel).
         let mut suffix = ag[hi];
-        for u in (lo..hi).rev() {
-            suffix += ag[u];
-            ag[u] = suffix;
+        for slot in ag[lo..hi].iter_mut().rev() {
+            suffix += *slot;
+            *slot = suffix;
         }
         let delta_ag = ag[lo].wrapping_sub(old_ag_lo);
         if delta_ag != 0 {
@@ -341,7 +326,10 @@ impl<'a> CcCostCurve<'a> {
             DeviceKind::Cpu => {
                 let chunks = self.platform.cpu.cores;
                 let dfs = {
-                    let mut memo = profile.dfs_memo.lock().expect("dfs memo poisoned");
+                    let mut memo = profile
+                        .dfs_memo
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
                     memo.entry((lo, hi, chunks))
                         .or_insert_with(|| dfs_band_cost(g, lo, hi, chunks))
                         .clone()
@@ -357,7 +345,10 @@ impl<'a> CcCostCurve<'a> {
             }
             DeviceKind::Gpu => {
                 let (rounds, passes, arcs) = {
-                    let mut memo = profile.sv_memo.lock().expect("sv memo poisoned");
+                    let mut memo = profile
+                        .sv_memo
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
                     *memo
                         .entry((lo, hi))
                         .or_insert_with(|| sv_band_counts(g, lo, hi))
@@ -531,6 +522,52 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(profile.sv_memo.lock().unwrap().len(), 1);
         assert_eq!(profile.dfs_memo.lock().unwrap().len(), 1);
+    }
+
+    /// Panics on a scoped thread while it holds `memo`'s lock, the way a
+    /// panicking probe on a shared profile would.
+    fn poison<T: Send>(memo: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let probe = s.spawn(|| {
+                let _guard = memo.lock();
+                panic!("probe panicked while holding the memo lock");
+            });
+            assert!(probe.join().is_err());
+        });
+        assert!(memo.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_memos_still_price_bitwise() {
+        let g = gen::web(400, 4, 3);
+        let platform = Platform::k40c_xeon_e5_2650();
+        let clean = CcCostProfile::new(&g);
+        let mut profile = CcCostProfile::new(&g);
+        let _ = profile.report_at(&g, 40.0, &platform);
+        poison(&profile.dfs_memo);
+        poison(&profile.sv_memo);
+        let set = DeviceSet::dual_cpu_dual_gpu();
+        let p = Partition::new(g.n(), vec![100, 200, 300]);
+        let kway = |profile: &CcCostProfile| {
+            CcCostCurve::new(profile, &g, &platform).partition_total(&set, &p)
+        };
+        // Memoized and fresh prices both read through the poisoned locks.
+        for t in [0.0, 40.0, 62.5, 100.0] {
+            assert_eq!(
+                profile.report_at(&g, t, &platform),
+                clean.report_at(&g, t, &platform),
+                "t = {t}"
+            );
+        }
+        assert_eq!(kway(&profile), kway(&clean));
+        // A patch clears the poisoned memos too.
+        profile.patch(&g, 0, g.n());
+        assert_eq!(profile.raw_curves(), clean.raw_curves());
+        assert_eq!(
+            profile.report_at(&g, 40.0, &platform),
+            clean.report_at(&g, 40.0, &platform)
+        );
+        assert_eq!(kway(&profile), kway(&clean));
     }
 
     #[test]

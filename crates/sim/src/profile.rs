@@ -20,13 +20,16 @@
 //!   scan of its partial tail warp (fewer than `w` items).
 //!
 //! Both curves store their arrays in 64-byte-aligned [`AlignedU64s`]
-//! buffers and offer `*_in` constructors that draw those buffers from a
-//! [`ProfileScratch`] arena, so steady-state rebuilds are allocation-free
-//! (see the `scratch` module docs). The `_in` builders write exactly the
-//! values the plain constructors compute — same adds in the same order —
-//! so curves are bitwise identical regardless of how they were built.
+//! buffers drawn from a [`ProfileScratch`] arena, so steady-state rebuilds
+//! are allocation-free (see the `scratch` module docs). Each curve fills
+//! its arrays in exactly one routine, its span patch: a zeroed buffer set
+//! is the curve of an all-zero item vector, and a build patches the whole
+//! span `0..n` of it. A build is therefore bitwise a patch by
+//! construction, and the patch-equals-rebuild contract only has to be
+//! tested on sub-spans.
+//!
+//! [`warp_padded_cost`]: crate::warp_padded_cost
 
-use crate::counters::warp_padded_cost;
 use crate::scratch::{AlignedU64s, ProfileScratch};
 
 /// Inclusive prefix sums of a per-item `u64` counter; any contiguous range
@@ -46,40 +49,19 @@ impl PrefixCurve {
     }
 
     /// Builds the curve using buffers from `scratch` (allocation-free when
-    /// the arena holds a large-enough recycled buffer).
+    /// the arena holds a large-enough recycled buffer): a whole-span
+    /// [`PrefixCurve::patch_with`] of the zeroed curve.
     #[must_use]
     pub fn new_in(items: &[u64], scratch: &mut ProfileScratch) -> Self {
-        let mut prefix = scratch.take(items.len() + 1);
-        // prefix[0] is already 0 from the zeroed take. The scan is a serial
-        // dependency chain, but a 4-way unroll keeps the loop body branch
-        // free and lets the stores retire as one aligned vector.
-        let out = &mut prefix.as_mut_slice()[1..];
-        let mut acc = 0u64;
-        let mut i = 0;
-        let mut chunks = items.chunks_exact(4);
-        for c in chunks.by_ref() {
-            let a0 = acc + c[0];
-            let a1 = a0 + c[1];
-            let a2 = a1 + c[2];
-            let a3 = a2 + c[3];
-            out[i] = a0;
-            out[i + 1] = a1;
-            out[i + 2] = a2;
-            out[i + 3] = a3;
-            acc = a3;
-            i += 4;
-        }
-        for &v in chunks.remainder() {
-            acc += v;
-            out[i] = acc;
-            i += 1;
-        }
-        PrefixCurve { prefix }
+        let mut curve = PrefixCurve::from_inclusive_prefix(scratch.take(items.len() + 1));
+        curve.patch_with(0, items.len(), items.iter().copied());
+        curve
     }
 
-    /// Wraps an already-computed inclusive prefix array (`len + 1` entries,
-    /// leading 0) without copying. Fused builders that accumulate several
-    /// counters in one pass use this to hand their buffers over directly.
+    /// Wraps an inclusive prefix array (`len + 1` entries, leading 0)
+    /// without copying. A zeroed buffer is the curve of `len` zero items,
+    /// which a whole-span patch turns into any curve of that length: the
+    /// way fused builders such as `RowCurves` start.
     ///
     /// # Panics
     /// Panics if `prefix` is empty or `prefix[0] != 0`.
@@ -151,52 +133,64 @@ impl PrefixCurve {
         &self.prefix
     }
 
-    /// Rewrites the curve in place after items `lo..hi` changed to
-    /// `new_items`, in O(|span| + shift): the span's prefix entries are
-    /// recomputed from `prefix[lo]` and everything past `hi` is shifted by
-    /// the span's sum delta. Because every entry is an exact integer sum,
-    /// the patched array is **bitwise identical** to rebuilding from the
-    /// full mutated item vector (the patch-equals-rebuild contract).
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`, `hi > len`, or `new_items.len() != hi - lo`.
-    pub fn patch(&mut self, lo: usize, hi: usize, new_items: &[u64]) {
-        assert_eq!(
-            new_items.len(),
-            hi - lo,
-            "patch span / items length mismatch"
-        );
-        self.patch_with(lo, hi, new_items.iter().copied());
-    }
-
-    /// [`PrefixCurve::patch`] from an iterator of the span's new values —
-    /// lets fused callers (e.g. `RowCurves`) patch several curves from one
-    /// cost slice without materializing per-counter vectors.
+    /// Rewrites the curve in place after items `lo..hi` changed to the
+    /// values `new_items` yields, in O(|span| + shift): the span's prefix
+    /// entries are recomputed from `prefix[lo]` and everything past `hi` is
+    /// shifted by the span's sum delta. Because every entry is an exact
+    /// integer sum, the patched array is **bitwise identical** to
+    /// rebuilding from the full mutated item vector (the
+    /// patch-equals-rebuild contract).
     ///
     /// # Panics
     /// Panics if `lo > hi`, `hi > len`, or the iterator yields a number of
     /// items different from `hi - lo`.
     pub fn patch_with<I: IntoIterator<Item = u64>>(&mut self, lo: usize, hi: usize, new_items: I) {
-        assert!(
-            lo <= hi && hi <= self.len(),
-            "patch span {lo}..{hi} out of bounds"
-        );
-        let p = self.prefix.as_mut_slice();
-        let old_hi = p[hi];
-        let mut acc = p[lo];
-        let mut it = new_items.into_iter();
-        for slot in p[lo + 1..=hi].iter_mut() {
-            acc += it.next().expect("patch iterator yielded too few items");
-            *slot = acc;
+        PrefixCurve::patch_fused([self], lo, hi, new_items.into_iter().map(|v| [v]));
+    }
+
+    /// [`PrefixCurve::patch_with`] over `K` curves of the same items in one
+    /// pass: `rows` yields, per item of the span, its new value on each of
+    /// `curves`. Fused callers (`RowCurves`) patch every counter curve from
+    /// one scan of their per-item records.
+    ///
+    /// # Panics
+    /// Panics if `lo > hi`, `hi` exceeds any curve's `len`, or `rows`
+    /// yields a number of items different from `hi - lo`.
+    pub fn patch_fused<const K: usize, I>(
+        curves: [&mut PrefixCurve; K],
+        lo: usize,
+        hi: usize,
+        rows: I,
+    ) where
+        I: IntoIterator<Item = [u64; K]>,
+    {
+        let mut p = curves.map(|c| {
+            assert!(
+                lo <= hi && hi <= c.len(),
+                "patch span {lo}..{hi} out of bounds"
+            );
+            c.prefix.as_mut_slice()
+        });
+        let old_hi = p.each_ref().map(|s| s[hi]);
+        let mut acc = p.each_ref().map(|s| s[lo]);
+        let mut it = rows.into_iter();
+        for i in lo + 1..=hi {
+            let row = it.next().expect("patch iterator yielded too few items");
+            for ((a, v), s) in acc.iter_mut().zip(row).zip(p.iter_mut()) {
+                *a += v;
+                s[i] = *a;
+            }
         }
         assert!(it.next().is_none(), "patch iterator yielded too many items");
         // Entries past the span are old sums plus the span's delta; wrapping
         // ops keep the (negative-delta) shift panic-free in debug builds
         // while agreeing with the non-overflowing rebuild bit-for-bit.
-        let delta = p[hi].wrapping_sub(old_hi);
-        if delta != 0 {
-            for slot in &mut p[hi + 1..] {
-                *slot = slot.wrapping_add(delta);
+        for ((s, a), old) in p.iter_mut().zip(acc).zip(old_hi) {
+            let delta = a.wrapping_sub(old);
+            if delta != 0 {
+                for slot in &mut s[hi + 1..] {
+                    *slot = slot.wrapping_add(delta);
+                }
             }
         }
     }
@@ -235,6 +229,8 @@ impl PrefixCurve {
 ///
 /// All quantities are exact `u64` arithmetic, so every query method returns
 /// values bitwise equal to calling [`warp_padded_cost`] on the slice.
+///
+/// [`warp_padded_cost`]: crate::warp_padded_cost
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarpPadCurve {
     warp: usize,
@@ -257,84 +253,32 @@ impl WarpPadCurve {
     }
 
     /// Builds the curve using buffers from `scratch` (allocation-free when
-    /// the arena is warm). Bitwise identical to [`WarpPadCurve::new`].
+    /// the arena is warm): a whole-span [`WarpPadCurve::patch_in`] of
+    /// [`WarpPadCurve::zeros_in`].
     ///
     /// # Panics
     /// Panics if `warp == 0`.
     #[must_use]
     pub fn new_in(work: &[u64], warp: usize, scratch: &mut ProfileScratch) -> Self {
+        let mut curve = WarpPadCurve::zeros_in(work.len(), warp, scratch);
+        curve.patch_in(work, 0, work.len(), scratch);
+        curve
+    }
+
+    /// The curve of `len` zero items, its buffers taken zeroed from
+    /// `scratch`: the start a whole-span [`WarpPadCurve::patch_in`] turns
+    /// into the curve of any work vector of that length.
+    ///
+    /// # Panics
+    /// Panics if `warp == 0`.
+    #[must_use]
+    pub fn zeros_in(len: usize, warp: usize, scratch: &mut ProfileScratch) -> Self {
         assert!(warp > 0, "warp width must be positive");
-        let n = work.len();
-        let warp_u = warp as u64;
-
-        let mut full_warp_prefix = scratch.take(n / warp + 1);
-        let mut running_max = scratch.take(n);
-        // Forward pass, blocked on warp boundaries: no `%` in the body.
-        {
-            let fwp = full_warp_prefix.as_mut_slice();
-            let rm = running_max.as_mut_slice();
-            let mut acc = 0u64;
-            for (b, chunk) in work.chunks(warp).enumerate() {
-                let base = b * warp;
-                let mut chunk_max = 0u64;
-                for (j, &w) in chunk.iter().enumerate() {
-                    chunk_max = chunk_max.max(w);
-                    rm[base + j] = chunk_max;
-                }
-                if chunk.len() == warp {
-                    acc += chunk_max * warp_u;
-                    fwp[b + 1] = acc;
-                }
-            }
-        }
-
-        // Backward pass, two scans per block instead of a sliding-window
-        // deque. The window [i, min(i+warp, n)) splits at i's block end
-        // `hi` into a tail within the block (reverse running max `tail`)
-        // and a head of the next block (covered by `running_max[end-1]`,
-        // whose chunk starts exactly at `hi`). All reads of `suffix_pad`
-        // land at `end >= hi`, i.e. in already-filled later blocks, so the
-        // fill loops are dependency-free.
-        let mut suffix_pad = scratch.take(n + 1);
-        let mut tail = scratch.take(warp.min(n));
-        {
-            let sp = suffix_pad.as_mut_slice();
-            let rm = running_max.as_slice();
-            let tl = tail.as_mut_slice();
-            let n_blocks = n.div_ceil(warp);
-            for b in (0..n_blocks).rev() {
-                let lo = b * warp;
-                let hi = (lo + warp).min(n);
-                let mut m = 0u64;
-                for i in (lo..hi).rev() {
-                    m = m.max(work[i]);
-                    tl[i - lo] = m;
-                }
-                if hi == n {
-                    // Last block: every window [i, min(i+warp, n)) stays
-                    // inside the block, and its continuation is sp[n] == 0.
-                    for i in lo..hi {
-                        sp[i] = tl[i - lo] * warp_u;
-                    }
-                } else {
-                    // Full interior block: for i > lo the window crosses
-                    // into the next block; for i == lo it is the block.
-                    for i in lo + 1..hi {
-                        let end = (i + warp).min(n);
-                        let wm = tl[i - lo].max(rm[end - 1]);
-                        sp[i] = wm * warp_u + sp[end];
-                    }
-                    sp[lo] = tl[0] * warp_u + sp[hi];
-                }
-            }
-        }
-        scratch.give(tail);
-
         WarpPadCurve {
             warp,
-            full_warp_prefix,
-            running_max,
-            suffix_pad,
+            full_warp_prefix: scratch.take(len / warp + 1),
+            running_max: scratch.take(len),
+            suffix_pad: scratch.take(len + 1),
         }
     }
 
@@ -434,17 +378,18 @@ impl WarpPadCurve {
     /// * `full_warp_prefix` — per-warp sums recomputed over the touched
     ///   blocks, later entries shifted by the span delta (exact integers);
     /// * `suffix_pad` — every window `[i, i+warp)` meeting the span is
-    ///   re-solved by replaying the builder's per-block two-scan pass from
-    ///   the last touched block backwards; for `i` below the first touched
-    ///   block the window is disjoint from the span, so the recurrence
+    ///   re-solved by the per-block two-scan pass from the last touched
+    ///   block backwards; for `i` below the first touched block the window
+    ///   is disjoint from the span, so the recurrence
     ///   `sp[i] = max·warp + sp[i+warp]` shifts each entry by a constant
     ///   per residue class mod `warp` — applied as one vectorizable
     ///   per-block add.
     ///
     /// Every entry is an exact integer, so the patched curve is **bitwise
     /// identical** to `WarpPadCurve::new(work, warp)` (the
-    /// patch-equals-rebuild contract); `patch_in(work, 0, n, ..)` *is* the
-    /// crossover fallback — a full in-place rebuild with zero allocation.
+    /// patch-equals-rebuild contract). `patch_in(work, 0, n, ..)` is both
+    /// the build ([`WarpPadCurve::new_in`]) and the drift crossover
+    /// fallback: a full in-place rebuild with zero allocation.
     ///
     /// # Panics
     /// Panics if `work.len() != len`, `lo > hi`, or `hi > len`.
@@ -458,31 +403,31 @@ impl WarpPadCurve {
         let warp = self.warp;
         let warp_u = warp as u64;
 
-        // Forward pass over the touched blocks: running max, then the
-        // full-warp prefix with a constant shift past the span.
+        // Forward pass over the touched blocks, blocked on warp boundaries:
+        // the running max, and the full-warp prefix of every full block,
+        // with a constant shift past the span.
         let b_lo = lo / warp;
         let b_hi = hi.div_ceil(warp); // exclusive block bound
         {
-            let rm = self.running_max.as_mut_slice();
-            for b in b_lo..b_hi {
-                let base = b * warp;
-                let end = (base + warp).min(n);
-                let mut chunk_max = 0u64;
-                for (slot, &w) in rm[base..end].iter_mut().zip(&work[base..end]) {
-                    chunk_max = chunk_max.max(w);
-                    *slot = chunk_max;
-                }
-            }
-        }
-        {
+            let (blo, bhi) = (b_lo * warp, (b_hi * warp).min(n));
             let nf = n / warp;
             let e = b_hi.min(nf);
             let fwp = self.full_warp_prefix.as_mut_slice();
-            let rm = self.running_max.as_slice();
             let old_e = fwp[e];
-            for b in b_lo..e {
-                // rm of a full block's last element is the block max.
-                fwp[b + 1] = fwp[b] + rm[(b + 1) * warp - 1] * warp_u;
+            let mut acc = fwp[b_lo];
+            let blocks = self.running_max[blo..bhi]
+                .chunks_mut(warp)
+                .zip(work[blo..bhi].chunks(warp));
+            for (b, (rm, chunk)) in (b_lo..).zip(blocks) {
+                let mut chunk_max = 0u64;
+                for (slot, &w) in rm.iter_mut().zip(chunk) {
+                    chunk_max = chunk_max.max(w);
+                    *slot = chunk_max;
+                }
+                if chunk.len() == warp {
+                    acc += chunk_max * warp_u;
+                    fwp[b + 1] = acc;
+                }
             }
             let delta = fwp[e].wrapping_sub(old_e);
             if delta != 0 {
@@ -498,6 +443,13 @@ impl WarpPadCurve {
         // after `last` only see work in [hi, n): untouched. Blocks before
         // `first` have windows entirely below lo, so their entries shift by
         // the per-residue delta observed at block `first`.
+        //
+        // Two scans per block instead of a sliding-window deque: the window
+        // [i, min(i+warp, n)) splits at i's block end into a tail within the
+        // block (reverse running max `tl`) and a head of the next block
+        // (covered by `running_max[end-1]`, whose chunk starts exactly at
+        // the block end). All reads of `suffix_pad` land in already-filled
+        // later blocks, so the fill loops are dependency-free.
         let first = lo.saturating_sub(warp - 1) / warp;
         let last = (hi - 1) / warp;
         let mut saved = if first > 0 {
@@ -525,10 +477,14 @@ impl WarpPadCurve {
                     tl[i - blo] = m;
                 }
                 if bhi == n {
+                    // Last block: every window stays inside the block, and
+                    // its continuation is sp[n] == 0.
                     for i in blo..bhi {
                         sp[i] = tl[i - blo] * warp_u;
                     }
                 } else {
+                    // Full interior block: for i > blo the window crosses
+                    // into the next block; for i == blo it is the block.
                     for i in blo + 1..bhi {
                         let end = (i + warp).min(n);
                         let wm = tl[i - blo].max(rm[end - 1]);
@@ -556,25 +512,12 @@ impl WarpPadCurve {
             scratch.give(s);
         }
     }
-
-    /// [`WarpPadCurve::patch_in`] through a throwaway arena.
-    pub fn patch(&mut self, work: &[u64], lo: usize, hi: usize) {
-        self.patch_in(work, lo, hi, &mut ProfileScratch::new());
-    }
-}
-
-/// Reference check used by tests and debug assertions: both curve queries
-/// against direct slice evaluation for one split.
-#[must_use]
-pub fn pad_curve_matches_direct(work: &[u64], warp: usize, split: usize) -> bool {
-    let curve = WarpPadCurve::new(work, warp);
-    curve.prefix_cost(split) == warp_padded_cost(&work[..split], warp)
-        && curve.suffix_cost(split) == warp_padded_cost(&work[split..], warp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::warp_padded_cost;
 
     fn pseudo_random_work(n: usize, seed: u64) -> Vec<u64> {
         // Simple LCG; heavy-tailed by squaring the low bits occasionally.
@@ -723,6 +666,12 @@ mod tests {
 
     #[test]
     fn helper_agrees() {
+        // Both curve queries against direct slice evaluation for one split.
+        let pad_curve_matches_direct = |work: &[u64], warp: usize, split: usize| {
+            let curve = WarpPadCurve::new(work, warp);
+            curve.prefix_cost(split) == warp_padded_cost(&work[..split], warp)
+                && curve.suffix_cost(split) == warp_padded_cost(&work[split..], warp)
+        };
         let work = pseudo_random_work(65, 9);
         for split in [0, 1, 31, 32, 33, 64, 65] {
             assert!(pad_curve_matches_direct(&work, 32, split));
@@ -808,7 +757,7 @@ mod tests {
             let repl = pseudo_random_work(hi - lo, seed ^ 0xABCD);
             items[lo..hi].copy_from_slice(&repl);
             let mut patched = PrefixCurve::new(&base);
-            patched.patch(lo, hi, &repl);
+            patched.patch_with(lo, hi, repl.iter().copied());
             assert_eq!(patched, PrefixCurve::new(&items), "span {lo}..{hi}");
         }
     }
@@ -853,6 +802,7 @@ mod tests {
     fn warp_pad_patch_chain_stays_exact() {
         // Repeated patches accumulate no drift: after k patches the curve
         // still bitwise-matches a fresh build of the current vector.
+        let mut scratch = ProfileScratch::new();
         let mut work = pseudo_random_work(200, 77);
         let mut curve = WarpPadCurve::new(&work, 32);
         let mut sums = PrefixCurve::new(&work);
@@ -861,8 +811,8 @@ mod tests {
             let hi = (lo + 1 + ((step * 13) % 10) as usize).min(200);
             let repl = pseudo_random_work(hi - lo, step + 500);
             work[lo..hi].copy_from_slice(&repl);
-            curve.patch(&work, lo, hi);
-            sums.patch(lo, hi, &repl);
+            curve.patch_in(&work, lo, hi, &mut scratch);
+            sums.patch_with(lo, hi, repl.iter().copied());
             assert_eq!(curve, WarpPadCurve::new(&work, 32), "step {step}");
             assert_eq!(sums, PrefixCurve::new(&work), "step {step}");
         }

@@ -1,7 +1,8 @@
 //! Property-based tests for the device cost models.
 
 use nbwp_sim::{
-    warp_padded_cost, CpuModel, GpuModel, KernelStats, PcieModel, Platform, SimTime, WarpPadCurve,
+    warp_padded_cost, CpuModel, GpuModel, KernelStats, PcieModel, Platform, ProfileScratch,
+    SimTime, WarpPadCurve,
 };
 use proptest::prelude::*;
 
@@ -242,7 +243,7 @@ proptest! {
         let mut work = base.clone();
         work[lo..hi].copy_from_slice(&repl[..hi - lo]);
         let mut patched = WarpPadCurve::new(&base, warp);
-        patched.patch(&work, lo, hi);
+        patched.patch_in(&work, lo, hi, &mut ProfileScratch::new());
         let rebuilt = WarpPadCurve::new(&work, warp);
         prop_assert_eq!(&patched, &rebuilt);
         for start in 0..=n {

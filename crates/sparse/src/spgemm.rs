@@ -240,18 +240,7 @@ pub fn row_profile_range(a: &Csr, b: &Csr, lo: usize, hi: usize) -> Vec<RowCost>
 /// * divergence: warp-padded per-row flops at width [`WARP`].
 #[must_use]
 pub fn stats_for_rows(costs: &[RowCost], b_bytes: u64) -> KernelStats {
-    stats_for_rows_in(costs, b_bytes, &mut ProfileScratch::new())
-}
-
-/// [`stats_for_rows`] with the per-row flops buffer drawn from `scratch`
-/// (allocation-free when the arena is warm). Bitwise identical.
-#[must_use]
-pub fn stats_for_rows_in(
-    costs: &[RowCost],
-    b_bytes: u64,
-    scratch: &mut ProfileScratch,
-) -> KernelStats {
-    let s = stats_for_rows_where(costs, b_bytes, |_| true, scratch);
+    let s = stats_for_rows_where(costs, b_bytes, |_| true, &mut ProfileScratch::new());
     debug_assert_eq!(s.parallel_items, costs.len() as u64);
     s
 }
@@ -335,56 +324,36 @@ impl RowCurves {
         RowCurves::new_in(costs, b_bytes, &mut ProfileScratch::new())
     }
 
-    /// Builds all curves fused in one pass over the borrowed cost slice,
-    /// with every buffer drawn from `scratch` (allocation-free when the
-    /// arena is warm). Bitwise identical to [`RowCurves::new`]: the three
-    /// prefix arrays receive exactly the sums `PrefixCurve::new` would
-    /// compute from collected counter vectors, without materializing those
-    /// vectors.
+    /// Builds all curves with every buffer drawn from `scratch`
+    /// (allocation-free when the arena is warm): a whole-span
+    /// [`RowCurves::patch_in`] of the zeroed curves, so the build is the
+    /// patch's single fused pass over the borrowed cost slice.
     #[must_use]
     pub fn new_in(costs: &[RowCost], b_bytes: u64, scratch: &mut ProfileScratch) -> Self {
         let n = costs.len();
-        let mut a_nnz = scratch.take(n + 1);
-        let mut b_entries = scratch.take(n + 1);
-        let mut c_nnz = scratch.take(n + 1);
-        let mut per_row_flops = scratch.take(n);
-        {
-            let ap = a_nnz.as_mut_slice();
-            let bp = b_entries.as_mut_slice();
-            let cp = c_nnz.as_mut_slice();
-            let fp = per_row_flops.as_mut_slice();
-            let (mut aa, mut ba, mut ca) = (0u64, 0u64, 0u64);
-            for (i, c) in costs.iter().enumerate() {
-                aa += c.a_nnz;
-                ba += c.b_entries;
-                ca += c.c_nnz;
-                ap[i + 1] = aa;
-                bp[i + 1] = ba;
-                cp[i + 1] = ca;
-                fp[i] = c.flops();
-            }
-        }
-        let pad = WarpPadCurve::new_in(&per_row_flops, WARP, scratch);
-        scratch.give(per_row_flops);
-        RowCurves {
-            a_nnz: PrefixCurve::from_inclusive_prefix(a_nnz),
-            b_entries: PrefixCurve::from_inclusive_prefix(b_entries),
-            c_nnz: PrefixCurve::from_inclusive_prefix(c_nnz),
-            pad,
+        let mut curves = RowCurves {
+            a_nnz: PrefixCurve::from_inclusive_prefix(scratch.take(n + 1)),
+            b_entries: PrefixCurve::from_inclusive_prefix(scratch.take(n + 1)),
+            c_nnz: PrefixCurve::from_inclusive_prefix(scratch.take(n + 1)),
+            pad: WarpPadCurve::zeros_in(n, WARP, scratch),
             b_bytes,
             rows: n,
-        }
+        };
+        curves.patch_in(costs, 0, n, b_bytes, scratch);
+        curves
     }
 
     /// Rewrites the curves in place after rows `lo..hi` of the profile
     /// changed; `costs` is the **full mutated** profile (the warp-padding
     /// patch re-maxes windows straddling the span edges) and `b_bytes` the
-    /// mutated operand's byte size. The three prefix curves recompute only
-    /// the span and shift their tails; the pad curve patches per
+    /// mutated operand's byte size. One fused pass over the span patches
+    /// all three prefix curves ([`PrefixCurve::patch_fused`]) and fills the
+    /// span's per-row flops; the pad curve then patches per
     /// [`WarpPadCurve::patch_in`]. The result is **bitwise identical** to
     /// `RowCurves::new_in(costs, b_bytes, ..)` — the patch-equals-rebuild
-    /// contract — and `patch_in(costs, 0, rows, ..)` doubles as the
-    /// crossover fallback: a full in-place rebuild with zero allocation.
+    /// contract — and `patch_in(costs, 0, rows, ..)` is both the build and
+    /// the drift crossover fallback: a full in-place rebuild with zero
+    /// allocation.
     ///
     /// # Panics
     /// Panics if `costs.len() != rows`, `lo > hi`, or `hi > rows`.
@@ -405,15 +374,21 @@ impl RowCurves {
         if lo == hi {
             return;
         }
-        let span = &costs[lo..hi];
-        self.a_nnz.patch_with(lo, hi, span.iter().map(|c| c.a_nnz));
-        self.b_entries
-            .patch_with(lo, hi, span.iter().map(|c| c.b_entries));
-        self.c_nnz.patch_with(lo, hi, span.iter().map(|c| c.c_nnz));
         let mut per_row_flops = scratch.take(costs.len());
-        {
-            let fp = per_row_flops.as_mut_slice();
-            for (slot, c) in fp.iter_mut().zip(costs) {
+        let (head, rest) = per_row_flops.split_at_mut(lo);
+        let (span, tail) = rest.split_at_mut(hi - lo);
+        PrefixCurve::patch_fused(
+            [&mut self.a_nnz, &mut self.b_entries, &mut self.c_nnz],
+            lo,
+            hi,
+            costs[lo..hi].iter().zip(span).map(|(c, flops)| {
+                *flops = c.flops();
+                [c.a_nnz, c.b_entries, c.c_nnz]
+            }),
+        );
+        // Rows outside the span only feed the pad patch's edge warps.
+        for (slots, rows) in [(head, &costs[..lo]), (tail, &costs[hi..])] {
+            for (slot, c) in slots.iter_mut().zip(rows) {
                 *slot = c.flops();
             }
         }

@@ -2,7 +2,7 @@
 //! PR's satellite): for random inputs and thresholds, profiled pricing is
 //! **bitwise equal** to a direct run — including warp-boundary splits and
 //! empty CPU/GPU bands — profiled searches return the exact outcome of
-//! their direct counterparts, and the shared eval cache's hit/miss
+//! their direct counterparts, and their profile-build and evaluation
 //! counters land in the metrics registry deterministically.
 
 use nbwp_core::prelude::*;
@@ -104,16 +104,13 @@ proptest! {
         let trace = rec.finish();
 
         assert_same_outcome(&direct, &profiled);
-        // The exhaustive grid visits each candidate once: all evaluations
-        // miss, and the hit/miss split is flushed into the registry.
-        let hits = trace.metrics.counter("profile.cache_hit").unwrap_or(0);
-        let misses = trace.metrics.counter("profile.cache_miss").unwrap_or(0);
+        // One profile build prices every evaluation, and both counts are
+        // flushed into the registry.
+        prop_assert_eq!(trace.metrics.counter("profile.builds"), Some(1));
         prop_assert_eq!(
-            (hits + misses) as usize,
-            profiled.evaluations(),
-            "every eval is either a hit or a miss"
+            trace.metrics.counter("search.evaluations"),
+            Some(profiled.evaluations() as u64)
         );
-        prop_assert!(misses as usize <= profiled.evaluations());
     }
 
     #[test]
@@ -142,10 +139,10 @@ proptest! {
         let t4 = rec4.finish();
 
         assert_same_outcome(&serial, &wide);
-        // The cache-hit accounting is part of the determinism contract:
-        // batches are deduplicated on quantized keys before dispatch, so
-        // the counters cannot depend on thread interleaving.
-        for name in ["profile.cache_hit", "profile.cache_miss"] {
+        // The counters are part of the determinism contract: evaluations
+        // replay into the recorder in submission order, so they cannot
+        // depend on thread interleaving.
+        for name in ["profile.builds", "search.evaluations"] {
             prop_assert_eq!(
                 t1.metrics.counter(name),
                 t4.metrics.counter(name),
@@ -153,23 +150,6 @@ proptest! {
                 name
             );
         }
-    }
-
-    #[test]
-    fn repeated_candidates_hit_the_cache(
-        n in 64usize..400,
-        deg in 2usize..7,
-        seed in 0u64..1000,
-        t in 0.0f64..100.0,
-    ) {
-        let w = CcWorkload::new(ggen::web(n, deg, seed), platform());
-        let pw = ProfiledWorkload::new(&w);
-        let first = pw.run(t);
-        for _ in 0..3 {
-            prop_assert_eq!(&pw.run(t), &first);
-        }
-        prop_assert_eq!(pw.cache_misses(), 1);
-        prop_assert_eq!(pw.cache_hits(), 3);
     }
 }
 

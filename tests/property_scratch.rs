@@ -1,9 +1,9 @@
 //! Property tests for the zero-allocation contracts: steady-state profile
 //! rebuilds through a warmed [`ProfileScratch`] must perform **no heap
 //! allocation**, and scratch-built profiles must price every threshold
-//! **bitwise equal** to pool-built ones — including warp-boundary splits
-//! and empty CPU/GPU bands. Warmed exact cache hits allocate nothing
-//! beyond the value they return.
+//! **bitwise equal** to fresh-arena ones — including warp-boundary splits
+//! and empty CPU/GPU bands, and arenas reused across input shapes. Warmed
+//! exact cache hits allocate nothing beyond the value they return.
 //!
 //! Allocation counting is per-thread (a thread-local counter inside a
 //! `#[global_allocator]` wrapper), so concurrently running tests in this
@@ -13,6 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nbwp_core::prelude::*;
+use nbwp_core::workloads::{HhProfile, SpmmProfile};
+use nbwp_graph::cc::CcCostProfile;
 use nbwp_graph::gen as ggen;
 use nbwp_sim::ProfileScratch;
 use nbwp_sparse::gen as sgen;
@@ -159,8 +161,105 @@ fn corner_thresholds(n: usize) -> Vec<f64> {
     ts
 }
 
+/// Degree thresholds of an hh input: both empty bands plus points inside
+/// (and slightly beyond) the degree range.
+fn degree_thresholds(w: &HhWorkload) -> Vec<f64> {
+    let max = w.max_degree() as f64;
+    vec![0.0, 1.0, 2.5, max / 2.0, max, max + 1.0]
+}
+
+/// `p` against a fresh-arena build of `w`: raw curves and corner prices.
+fn assert_cc_fresh(w: &CcWorkload, p: &CcCostProfile) {
+    let fresh = w.build_profile(Pool::global());
+    assert_eq!(p.raw_curves(), fresh.raw_curves(), "cc n = {}", w.size());
+    for t in corner_thresholds(w.size()) {
+        assert_eq!(
+            w.run_profiled(p, t),
+            w.run_profiled(&fresh, t),
+            "cc t = {t}"
+        );
+    }
+}
+
+/// `p` against a fresh-arena build of `w`: curves, Phase I price, and
+/// corner prices.
+fn assert_spmm_fresh(w: &SpmmWorkload, p: &SpmmProfile) {
+    let fresh = w.build_profile(Pool::global());
+    assert_eq!(p.curves(), fresh.curves(), "spmm n = {}", w.size());
+    assert_eq!(p.partition(), fresh.partition());
+    for t in corner_thresholds(w.size()) {
+        assert_eq!(
+            w.run_profiled(p, t),
+            w.run_profiled(&fresh, t),
+            "spmm t = {t}"
+        );
+    }
+}
+
+/// `p` against a fresh-arena build of `w`: class list and degree prices.
+fn assert_hh_fresh(w: &HhWorkload, p: &HhProfile) {
+    let fresh = w.build_profile(Pool::global());
+    assert_eq!(p.raw_classes(), fresh.raw_classes(), "hh n = {}", w.size());
+    for t in degree_thresholds(w) {
+        assert_eq!(
+            w.run_profiled(p, t),
+            w.run_profiled(&fresh, t),
+            "hh t = {t}"
+        );
+    }
+}
+
+/// Serves `ts` through a `ProfiledWorkload` built on the global arena
+/// pool and checks every price against the direct run. Dropping the
+/// wrapper recycles its buffers for the next input in the chain.
+fn assert_pooled_matches_direct<W: Profilable>(w: &W, ts: &[f64]) {
+    let pw = ProfiledWorkload::with_pool(w, Pool::global());
+    for &t in ts {
+        assert_eq!(pw.run(t), w.run(t), "n = {} t = {t}", w.size());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One arena serves a chain of input shapes: a larger cc, an spmm, an
+    /// hh and a smaller cc, each built from the buffers the one before
+    /// recycled. A whole-span patch reads its sentinels from zeroed takes,
+    /// so a recycled buffer of another shape must never leak into a build.
+    #[test]
+    fn one_arena_serves_a_chain_of_input_shapes(
+        big in 400usize..1200,
+        small in 64usize..400,
+        rows in 64usize..800,
+        hh_rows in 64usize..500,
+        seed in 0u64..1000,
+    ) {
+        let cc_big = CcWorkload::new(ggen::web(big, 6, seed), platform());
+        let spmm = SpmmWorkload::new(sgen::power_law(rows, 6, 2.1, seed), platform());
+        let hh = HhWorkload::new(sgen::power_law(hh_rows, 8, 2.1, seed), platform());
+        let cc_small = CcWorkload::new(ggen::web(small, 3, seed + 1), platform());
+        let pool = Pool::global();
+        let mut scratch = ProfileScratch::new();
+
+        let p = cc_big.build_profile_in(pool, &mut scratch);
+        assert_cc_fresh(&cc_big, &p);
+        cc_big.recycle_profile(p, &mut scratch);
+        let p = spmm.build_profile_in(pool, &mut scratch);
+        assert_spmm_fresh(&spmm, &p);
+        spmm.recycle_profile(p, &mut scratch);
+        let p = hh.build_profile_in(pool, &mut scratch);
+        assert_hh_fresh(&hh, &p);
+        hh.recycle_profile(p, &mut scratch);
+        let p = cc_small.build_profile_in(pool, &mut scratch);
+        assert_cc_fresh(&cc_small, &p);
+        cc_small.recycle_profile(p, &mut scratch);
+
+        // The same chain through the global arena pool serving uses.
+        assert_pooled_matches_direct(&cc_big, &corner_thresholds(big));
+        assert_pooled_matches_direct(&spmm, &corner_thresholds(rows));
+        assert_pooled_matches_direct(&hh, &degree_thresholds(&hh));
+        assert_pooled_matches_direct(&cc_small, &corner_thresholds(small));
+    }
 
     #[test]
     fn scratch_cc_profile_is_bitwise_equal_to_pooled(
@@ -172,7 +271,7 @@ proptest! {
         let w = CcWorkload::new(ggen::web(n, deg, seed), platform());
         let fresh = w.build_profile(Pool::global());
         let mut scratch = ProfileScratch::new();
-        // Cold take and warm reuse must both match the pooled build.
+        // Cold take and warm reuse must both match a fresh-arena build.
         for round in 0..2 {
             let p = w.build_profile_in(Pool::global(), &mut scratch);
             let mut ts = corner_thresholds(n);
