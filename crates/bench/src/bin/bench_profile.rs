@@ -405,10 +405,11 @@ fn main() {
         let base = baseline::hh_classes(hh.matrix(), pool);
         let steady = hh.build_profile_in(pool, &mut scratch);
         let max = hh.max_degree() as f64;
+        let curve = hh.curve(&steady).expect("hh exposes a cost curve");
         let parity = steady.raw_classes() == &base[..]
             && [0.0, 1.0, max / 2.0, max, max + 5.0]
                 .iter()
-                .all(|&t| hh.run_profiled(&steady, t) == hh.run(t));
+                .all(|&t| curve.report_at(curve.split_for(t)) == hh.run(t));
         push_entry(
             &mut entries,
             &mut gates,

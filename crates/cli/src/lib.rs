@@ -667,6 +667,76 @@ fn resolve_serving<'d>(
     }
 }
 
+/// The workloads `estimate` serves, in one place: how each is built from
+/// the input matrix ([`with_workload!`]) and how its threshold and k-way
+/// bands are labelled.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Served {
+    Cc,
+    Spmm,
+    Hh,
+}
+
+impl Served {
+    fn parse(workload: &str) -> Result<Served, CliError> {
+        match workload {
+            "cc" => Ok(Served::Cc),
+            "spmm" => Ok(Served::Spmm),
+            "hh" => Ok(Served::Hh),
+            other => Err(err(format!("unknown workload {other}"))),
+        }
+    }
+
+    /// The unit of the scalar threshold.
+    fn threshold_unit(self) -> &'static str {
+        match self {
+            Served::Cc => "CPU vertex share %",
+            Served::Spmm => "CPU work share %",
+            Served::Hh => "row-density threshold",
+        }
+    }
+
+    /// What a k-way band counts. hh has no contiguous bands, so a k-way
+    /// `set` is an error for it.
+    fn band_units(self, set: &DeviceSet) -> Result<&'static str, CliError> {
+        match self {
+            Served::Cc => Ok("vertices"),
+            Served::Spmm => Ok("rows"),
+            Served::Hh => Err(err(format!(
+                "hh partitions rows by a density predicate, not by contiguous \
+                 spans; --devices {} supports cc | spmm",
+                set.name()
+            ))),
+        }
+    }
+}
+
+/// The cc workload over the graph a (symmetrized) matrix encodes.
+fn cc_workload(a: Csr, platform: Platform) -> CcWorkload {
+    CcWorkload::new(Graph::from_matrix(&a), platform)
+}
+
+/// Evaluates `$body` with `$new` bound to the constructor of `$kind`'s
+/// workload, `fn(Csr, Platform) -> W`.
+macro_rules! with_workload {
+    ($kind:expr, $new:ident => $body:expr) => {
+        match $kind {
+            Served::Cc => {
+                let $new = cc_workload;
+                $body
+            }
+            Served::Spmm => {
+                let $new = SpmmWorkload::new;
+                $body
+            }
+            Served::Hh => {
+                let $new = HhWorkload::new;
+                $body
+            }
+        }
+    };
+}
+
 /// Serves one request through the profiled estimator. No cache is
 /// attached, so it runs cold; with an enabled flight recorder it records
 /// one audit event — the estimate itself is identical either way.
@@ -714,45 +784,19 @@ fn estimate_cmd(
         workload,
         strategy.name()
     );
-    match (workload, kway) {
-        ("cc", Some(set)) => {
-            let w = CcWorkload::new(Graph::from_matrix(&a), platform);
-            report_partition(&mut out, &w, set, "vertices", seed, &rec, &audit);
+    let kind = Served::parse(workload)?;
+    match kway {
+        Some(set) => {
+            let units = kind.band_units(set)?;
+            with_workload!(kind, new => {
+                report_partition(&mut out, &new(a, platform), set, units, seed, &rec, &audit);
+            });
         }
-        ("spmm", Some(set)) => {
-            let w = SpmmWorkload::new(a, platform);
-            report_partition(&mut out, &w, set, "rows", seed, &rec, &audit);
-        }
-        ("hh", Some(set)) => {
-            return Err(err(format!(
-                "hh partitions rows by a density predicate, not by contiguous \
-                 spans; --devices {} supports cc | spmm",
-                set.name()
-            )));
-        }
-        ("cc", None) => {
-            let w = CcWorkload::new(Graph::from_matrix(&a), platform);
+        None => with_workload!(kind, new => {
+            let w = new(a, platform);
             let est = run_estimator(&w, strategy, seed, &rec, &audit);
-            report_scalar(&mut out, &w, &est, "CPU vertex share %", exhaustive, &rec);
-        }
-        ("spmm", None) => {
-            let w = SpmmWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, &rec, &audit);
-            report_scalar(&mut out, &w, &est, "CPU work share %", exhaustive, &rec);
-        }
-        ("hh", None) => {
-            let w = HhWorkload::new(a, platform);
-            let est = run_estimator(&w, strategy, seed, &rec, &audit);
-            report_scalar(
-                &mut out,
-                &w,
-                &est,
-                "row-density threshold",
-                exhaustive,
-                &rec,
-            );
-        }
-        (other, _) => return Err(err(format!("unknown workload {other}"))),
+            report_scalar(&mut out, &w, &est, kind.threshold_unit(), exhaustive, &rec);
+        }),
     }
     audit.flush_metrics(&rec);
     let trace = rec.finish();
@@ -952,33 +996,17 @@ fn batch_cmd(
         .iter()
         .map(|p| load_square(p))
         .collect::<Result<Vec<_>, _>>()?;
-    match (workload, kway) {
-        ("cc", Some(set)) => {
-            let ws: Vec<CcWorkload> = mats
-                .into_iter()
-                .map(|a| CcWorkload::new(Graph::from_matrix(&a), platform))
-                .collect();
-            serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
+    let kind = Served::parse(workload)?;
+    match kway {
+        Some(set) => {
+            kind.band_units(set)?;
+            with_workload!(kind, new => {
+                let ws: Vec<_> = mats.into_iter().map(|a| new(a, platform)).collect();
+                serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
+            });
         }
-        ("spmm", Some(set)) => {
-            let ws: Vec<SpmmWorkload> = mats
-                .into_iter()
-                .map(|a| SpmmWorkload::new(a, platform))
-                .collect();
-            serve_batch_kway(&mut out, &paths, &ws, set, seed, &cache, &rec, &audit);
-        }
-        ("hh", Some(set)) => {
-            return Err(err(format!(
-                "hh partitions rows by a density predicate, not by contiguous \
-                 spans; --devices {} supports cc | spmm",
-                set.name()
-            )));
-        }
-        ("cc", None) => {
-            let ws: Vec<CcWorkload> = mats
-                .into_iter()
-                .map(|a| CcWorkload::new(Graph::from_matrix(&a), platform))
-                .collect();
+        None => with_workload!(kind, new => {
+            let ws: Vec<_> = mats.into_iter().map(|a| new(a, platform)).collect();
             serve_batch(
                 &mut out,
                 &paths,
@@ -989,46 +1017,9 @@ fn batch_cmd(
                 &cache,
                 &rec,
                 &audit,
-                "CPU vertex share %",
+                kind.threshold_unit(),
             );
-        }
-        ("spmm", None) => {
-            let ws: Vec<SpmmWorkload> = mats
-                .into_iter()
-                .map(|a| SpmmWorkload::new(a, platform))
-                .collect();
-            serve_batch(
-                &mut out,
-                &paths,
-                &ws,
-                strategy,
-                seed,
-                devices,
-                &cache,
-                &rec,
-                &audit,
-                "CPU work share %",
-            );
-        }
-        ("hh", None) => {
-            let ws: Vec<HhWorkload> = mats
-                .into_iter()
-                .map(|a| HhWorkload::new(a, platform))
-                .collect();
-            serve_batch(
-                &mut out,
-                &paths,
-                &ws,
-                strategy,
-                seed,
-                devices,
-                &cache,
-                &rec,
-                &audit,
-                "row-density threshold",
-            );
-        }
-        (other, _) => return Err(err(format!("unknown workload {other}"))),
+        }),
     }
     let trace = rec.finish();
     sinks.write(&mut out, &trace, &audit)?;
@@ -1068,10 +1059,10 @@ fn drift_cmd(
         a.rows(),
         a.nnz()
     );
-    match workload {
-        "cc" => {
+    match Served::parse(workload) {
+        Ok(kind @ Served::Cc) => {
             let deltas = parse_graph_deltas(&text)?;
-            let w = CcWorkload::new(Graph::from_matrix(&a), platform);
+            let w = cc_workload(a, platform);
             replay_drift(
                 &mut out,
                 w,
@@ -1079,10 +1070,10 @@ fn drift_cmd(
                 devices,
                 &cache,
                 &audit,
-                "CPU vertex share %",
+                kind.threshold_unit(),
             );
         }
-        "spmm" => {
+        Ok(kind @ Served::Spmm) => {
             let deltas = parse_csr_deltas(&text)?;
             let w = SpmmWorkload::new(a, platform);
             replay_drift(
@@ -1092,12 +1083,12 @@ fn drift_cmd(
                 devices,
                 &cache,
                 &audit,
-                "CPU work share %",
+                kind.threshold_unit(),
             );
         }
-        other => {
+        _ => {
             return Err(err(format!(
-                "--drift supports cc | spmm (got {other}: hh has no delta form)"
+                "--drift supports cc | spmm (got {workload}: hh has no delta form)"
             )))
         }
     }

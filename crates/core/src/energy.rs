@@ -79,27 +79,7 @@ pub fn exhaustive_energy<W: PartitionedWorkload>(
     power: &PowerModel,
     step: f64,
 ) -> EnergySweep {
-    assert!(step > 0.0, "step must be positive");
-    let space = w.space();
-    let mut grid = Vec::new();
-    if space.logarithmic {
-        assert!(
-            step > 1.0,
-            "logarithmic spaces need a multiplicative step > 1"
-        );
-        let mut t = space.lo.max(1e-9);
-        while t < space.hi {
-            grid.push(t);
-            t *= step;
-        }
-    } else {
-        let mut t = space.lo;
-        while t < space.hi {
-            grid.push(t);
-            t += step;
-        }
-    }
-    grid.push(space.hi);
+    let grid = w.space().grid(step);
 
     let mut best = (grid[0], f64::INFINITY);
     let mut time_best = (grid[0], SimTime::from_secs(f64::MAX / 2.0));

@@ -27,7 +27,6 @@ use nbwp_sim::{DeviceSet, SimTime};
 use nbwp_trace::{ArgValue, AuditEvent, CacheDecision, FlightRecorder, Recorder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::{ExactKey, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable};
@@ -45,11 +44,13 @@ pub const DEFAULT_SHADOW_RATE: f64 = 1.0 / 16.0;
 
 /// Which Identify strategy (§II Step 2) to run on the sampled input.
 ///
-/// This is the *serializable config-file subset* of [`Strategy`] —
-/// experiment configs deserialize it, and [`From`] lifts it into the full
-/// strategy enum (which adds the analytic subgradient search and explicit
-/// step overrides).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// The subset of [`Strategy`] an experiment runs on the direct path:
+/// [`ExperimentConfig`](crate::experiment::ExperimentConfig) holds one,
+/// which keeps the analytic search (it needs a cost profile) out of
+/// experiment configs. [`From`] lifts it into the full strategy enum
+/// (which adds the analytic subgradient search and explicit step
+/// overrides).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum IdentifyStrategy {
     /// Coarse stride then fine stride (the paper's CC choice: 8 → 1).
     CoarseToFine,

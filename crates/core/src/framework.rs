@@ -56,53 +56,64 @@ impl ThresholdSpace {
         t.clamp(self.lo, self.hi)
     }
 
-    /// The coarse candidate grid: linear strides of `coarse_step`, or a
-    /// geometric ladder when `logarithmic`.
+    /// The full candidate grid at `step` granularity: additive on a linear
+    /// space, multiplicative on a logarithmic one (from `max(lo, 1e-9)`),
+    /// always including the upper bound.
+    ///
+    /// # Panics
+    /// Panics if `step` is not positive, or not above 1 on a logarithmic
+    /// space.
     #[must_use]
-    pub fn coarse_grid(&self) -> Vec<f64> {
-        let mut grid = Vec::new();
-        if self.logarithmic {
-            let mut t = self.lo.max(1e-9);
-            while t < self.hi {
-                grid.push(t);
-                t *= self.coarse_step;
-            }
-            grid.push(self.hi);
+    pub(crate) fn grid(&self, step: f64) -> Vec<f64> {
+        let from = if self.logarithmic {
+            self.lo.max(1e-9)
         } else {
-            let mut t = self.lo;
-            while t < self.hi {
-                grid.push(t);
-                t += self.coarse_step;
-            }
-            grid.push(self.hi);
-        }
-        grid
+            self.lo
+        };
+        self.ladder(from, self.hi, step)
     }
 
-    /// The fine grid surrounding `center`: one coarse stride on each side,
-    /// stepped by `fine_step` (additively or multiplicatively).
+    /// The coarse candidate grid: linear strides of `coarse_step`, or a
+    /// geometric ladder from `max(lo, 1e-9)` when `logarithmic`, always
+    /// including the upper bound.
+    #[must_use]
+    pub fn coarse_grid(&self) -> Vec<f64> {
+        self.grid(self.coarse_step)
+    }
+
+    /// The fine grid surrounding `center`: one coarse stride on each side
+    /// (clamped into the space), stepped by `fine_step` (additively or
+    /// multiplicatively).
     #[must_use]
     pub fn fine_grid(&self, center: f64) -> Vec<f64> {
-        let mut grid = Vec::new();
-        if self.logarithmic {
-            let lo = self.clamp(center / self.coarse_step);
-            let hi = self.clamp(center * self.coarse_step);
-            let mut t = lo;
-            while t < hi {
-                grid.push(t);
-                t *= self.fine_step;
-            }
-            grid.push(hi);
+        let (lo, hi) = if self.logarithmic {
+            (center / self.coarse_step, center * self.coarse_step)
         } else {
-            let lo = self.clamp(center - self.coarse_step);
-            let hi = self.clamp(center + self.coarse_step);
-            let mut t = lo;
-            while t < hi {
-                grid.push(t);
-                t += self.fine_step;
+            (center - self.coarse_step, center + self.coarse_step)
+        };
+        self.ladder(self.clamp(lo), self.clamp(hi), self.fine_step)
+    }
+
+    /// The one threshold ladder: `from`, then repeated steps (`× step` on
+    /// a logarithmic space, `+ step` on a linear one) while below `to`,
+    /// then `to` itself.
+    fn ladder(&self, from: f64, to: f64, step: f64) -> Vec<f64> {
+        assert!(step > 0.0, "step must be positive");
+        assert!(
+            !self.logarithmic || step > 1.0,
+            "logarithmic spaces need a multiplicative step > 1"
+        );
+        let mut grid = Vec::new();
+        let mut t = from;
+        while t < to {
+            grid.push(t);
+            if self.logarithmic {
+                t *= step;
+            } else {
+                t += step;
             }
-            grid.push(hi);
         }
+        grid.push(to);
         grid
     }
 }

@@ -4,22 +4,24 @@
 //! The search strategies evaluate dozens of candidate thresholds, and every
 //! [`PartitionedWorkload::run`] re-walks the input (`O(sample)` per
 //! candidate). A [`Profilable`] workload instead records its per-unit cost
-//! contributions **once** into prefix-sum cost curves; any threshold is
-//! then priced by curve lookups. The contract is *bitwise exactness*:
-//! `run_profiled(&profile, t)` must return a [`RunReport`] equal — every
-//! counter, every `SimTime` — to `run(t)`. Both paths feed identical
+//! contributions **once** into prefix-sum cost curves, and prices every
+//! threshold through one object: its cost curve ([`Profilable::curve`]).
+//! The contract is *bitwise exactness*: `report_at(split_for(t))` must
+//! return a [`RunReport`] equal — every counter, every `SimTime` — to
+//! `run(t)`, which stays the independent oracle. Both paths feed identical
 //! integer counters through the same platform pricing functions, so the
 //! equality is structural, not approximate (the property tests assert it
 //! per field on random inputs).
 //!
 //! [`ProfiledWorkload`] packages a profile with its workload and
-//! implements [`PartitionedWorkload`] by pricing every evaluation from the
-//! profile, so every existing search strategy, estimator, and baseline
+//! implements [`PartitionedWorkload`] by pricing every evaluation on the
+//! curve, so every existing search strategy, estimator, and baseline
 //! runs unchanged on top of it — the `*_profiled` entry points in
 //! [`crate::search`] and [`crate::estimator`] do exactly that. Search
 //! pricing cost drops from `O(evals × sample)` to `O(sample + evals)`.
 //! Repeated thresholds need no report cache: spmm and gemm price in O(1),
-//! and the cc and hh profiles memoize their expensive replays internally.
+//! and the cc and hh curves memoize their expensive replays in the
+//! profile.
 //!
 //! ```
 //! use nbwp_core::prelude::*;
@@ -42,12 +44,14 @@ use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpa
 /// A workload whose per-threshold cost can be computed from a reusable
 /// profile built in one instrumented pass.
 ///
-/// Implementations must uphold the **exactness contract**:
-/// `run_profiled(&self.build_profile(pool), t)` is bitwise equal to
-/// `run(t)` for every admissible `t` — same counters, same `SimTime`s.
-/// The profiled path may only reorganize *where* integer counters come
-/// from (prefix-sum curves, memoized control-flow replays), never change
-/// their values or the pricing functions applied to them.
+/// A profile prices only through its cost curve, and implementations must
+/// uphold the **exactness contract**: for the curve `c` over
+/// `self.build_profile(pool)`, `c.report_at(c.split_for(t))` is bitwise
+/// equal to `run(t)` for every admissible `t` — same counters, same
+/// `SimTime`s — and panics where `run(t)` panics. The curve may only
+/// reorganize *where* integer counters come from (prefix-sum curves,
+/// memoized control-flow replays), never change their values or the
+/// pricing functions applied to them.
 pub trait Profilable: PartitionedWorkload {
     /// The reusable profile. `Send + Sync` so one profile serves parallel
     /// candidate evaluations.
@@ -73,20 +77,18 @@ pub trait Profilable: PartitionedWorkload {
         let _ = (profile, scratch);
     }
 
-    /// Prices one run at threshold `t` from the profile. Must be bitwise
-    /// equal to [`PartitionedWorkload::run`] at the same `t`.
-    fn run_profiled(&self, profile: &Self::Profile, t: f64) -> RunReport;
+    /// The cost curve over `profile`: the one way a profile prices a run
+    /// (see the exactness contract above). Every shipped workload returns
+    /// `Some`.
+    fn curve<'p>(&'p self, profile: &'p Self::Profile) -> Option<Box<dyn CurveEval + 'p>>;
+}
 
-    /// The total-cost curve over `profile` as a [`CurveEval`], when the
-    /// workload supports split-indexed pricing. The curve must satisfy
-    /// `total_at(split_for(t)) == run(t).total()` bitwise for every
-    /// admissible `t`; the analytic search strategy relies on it. The
-    /// default (`None`) keeps profile-only workloads working — they simply
-    /// cannot run [`crate::search::Strategy::Analytic`].
-    fn curve<'p>(&'p self, profile: &'p Self::Profile) -> Option<Box<dyn CurveEval + 'p>> {
-        let _ = profile;
-        None
-    }
+/// `w`'s price at threshold `t` on the curve over `profile`, for unit tests
+/// that price a specific (e.g. scratch-built or poisoned) profile.
+#[cfg(test)]
+pub(crate) fn priced<W: Profilable>(w: &W, profile: &W::Profile, t: f64) -> RunReport {
+    let curve = w.curve(profile).expect("every workload exposes a curve");
+    curve.report_at(curve.split_for(t))
 }
 
 /// The process-wide arena pool profile builds draw their scratch from:
@@ -124,7 +126,7 @@ pub trait Resampleable: Profilable + Sampleable {
 
 /// A [`Profilable`] workload bundled with its built profile, exposed as a
 /// [`PartitionedWorkload`] so the existing strategies run on it unchanged:
-/// every evaluation is priced from the profile.
+/// every evaluation is priced on the profile's cost curve.
 pub struct ProfiledWorkload<'w, W: Profilable> {
     inner: &'w W,
     /// `Some` for the whole life of the wrapper; taken by `Drop` so the
@@ -201,8 +203,13 @@ impl<W: Profilable> Drop for ProfiledWorkload<'_, W> {
 }
 
 impl<W: Profilable> PartitionedWorkload for ProfiledWorkload<'_, W> {
+    /// `report_at(split_for(t))` on the profile's cost curve.
     fn run(&self, t: f64) -> RunReport {
-        self.inner.run_profiled(self.profile(), t)
+        let curve = self
+            .inner
+            .curve(self.profile())
+            .expect("a profiled workload exposes its cost curve");
+        curve.report_at(curve.split_for(t))
     }
 
     fn space(&self) -> ThresholdSpace {
@@ -269,12 +276,30 @@ mod tests {
         }
     }
 
+    /// Whole-percent splits; counts every price it serves.
+    struct CountingCurve<'a>(&'a Counting);
+
+    impl CurveEval for CountingCurve<'_> {
+        fn splits(&self) -> usize {
+            101
+        }
+        fn split_for(&self, t: f64) -> usize {
+            t.round() as usize
+        }
+        fn report_at(&self, split: usize) -> RunReport {
+            self.0.profiled_runs.fetch_add(1, Ordering::Relaxed);
+            Counting::report(split as f64)
+        }
+        fn platform(&self) -> &Platform {
+            test_platform()
+        }
+    }
+
     impl Profilable for Counting {
         type Profile = ();
         fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) {}
-        fn run_profiled(&self, (): &(), t: f64) -> RunReport {
-            self.profiled_runs.fetch_add(1, Ordering::Relaxed);
-            Self::report(t)
+        fn curve<'p>(&'p self, (): &'p ()) -> Option<Box<dyn CurveEval + 'p>> {
+            Some(Box::new(CountingCurve(self)))
         }
     }
 

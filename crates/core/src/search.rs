@@ -513,41 +513,13 @@ fn eval_grid(
         .collect()
 }
 
-/// The full candidate grid of `space` at `step` granularity: additive for
-/// linear spaces, multiplicative for logarithmic ones, always including
-/// the upper bound.
-fn grid_points(space: &ThresholdSpace, step: f64) -> Vec<f64> {
-    assert!(step > 0.0, "step must be positive");
-    let mut grid = Vec::new();
-    if space.logarithmic {
-        assert!(
-            step > 1.0,
-            "logarithmic spaces need a multiplicative step > 1"
-        );
-        let mut t = space.lo.max(1e-9);
-        while t < space.hi {
-            grid.push(t);
-            t *= step;
-        }
-        grid.push(space.hi);
-    } else {
-        let mut t = space.lo;
-        while t < space.hi {
-            grid.push(t);
-            t += step;
-        }
-        grid.push(space.hi);
-    }
-    grid
-}
-
 fn exhaustive_impl(
     w: &impl PartitionedWorkload,
     step: f64,
     rec: &Recorder,
     pool: &Pool,
 ) -> SearchOutcome {
-    let grid = grid_points(&w.space(), step);
+    let grid = w.space().grid(step);
     SearchOutcome::from_evals(eval_grid(w, &grid, rec, pool))
 }
 
@@ -832,7 +804,7 @@ pub fn candidate_splits(
     step: f64,
 ) -> Vec<(f64, usize)> {
     let mut cands: Vec<(f64, usize)> = Vec::new();
-    for t in grid_points(space, step) {
+    for t in space.grid(step) {
         let s = curve.split_for(t);
         debug_assert!(
             cands.last().is_none_or(|&(_, prev)| prev <= s),
@@ -1498,18 +1470,17 @@ mod tests {
         fn split_for(&self, t: f64) -> usize {
             (t.clamp(0.0, 100.0).round()) as usize
         }
-        fn total_at(&self, split: usize) -> SimTime {
-            self.0.report(split as f64).total()
+        fn report_at(&self, split: usize) -> RunReport {
+            self.0.report(split as f64)
+        }
+        fn platform(&self) -> &nbwp_sim::Platform {
+            test_platform()
         }
     }
 
     impl Profilable for Valley {
         type Profile = ();
         fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) {}
-        fn run_profiled(&self, (): &(), t: f64) -> RunReport {
-            // Quantize to the grid the curve view exposes.
-            self.report(t.clamp(0.0, 100.0).round())
-        }
         fn curve<'p>(&'p self, (): &'p ()) -> Option<Box<dyn CurveEval + 'p>> {
             Some(Box::new(ValleyCurve(self)))
         }
@@ -1747,7 +1718,7 @@ mod tests {
 
     #[test]
     fn minimize_partition_declines_scalar_only_curves() {
-        // ValleyCurve never implements device_band, so a non-canonical set
+        // ValleyCurve reports no band work, so a non-canonical set
         // has nothing to price bands with — the search reports that
         // instead of panicking.
         let w = valley(37.0);
@@ -1758,7 +1729,7 @@ mod tests {
 
     /// A band-priceable synthetic curve over 40 units: unit `u` costs
     /// `1 + (u mod 7)` ms, a device runs a band at its relative speed, and
-    /// GPU-class devices pay a flat per-unit link toll. `total_at` prices
+    /// GPU-class devices pay a flat per-unit link toll. `report_at` prices
     /// the canonical pair at the same cut, keeping the scalar and banded
     /// views of the curve consistent.
     struct BandCurve;
@@ -1788,14 +1759,22 @@ mod tests {
         fn split_for(&self, t: f64) -> usize {
             t.clamp(0.0, BAND_UNITS as f64).round() as usize
         }
-        fn total_at(&self, split: usize) -> SimTime {
-            let cpu = self
-                .device_band(&nbwp_sim::Device::cpu(), 0, split)
-                .expect("band curve prices every band");
-            let gpu = self
-                .device_band(&nbwp_sim::Device::gpu(), split, BAND_UNITS)
-                .expect("band curve prices every band");
-            cpu.max(gpu)
+        fn report_at(&self, split: usize) -> RunReport {
+            let band = |device, lo, hi| {
+                self.device_band(&device, lo, hi)
+                    .expect("band curve prices every band")
+            };
+            RunReport {
+                breakdown: RunBreakdown {
+                    cpu_compute: band(nbwp_sim::Device::cpu(), 0, split),
+                    gpu_compute: band(nbwp_sim::Device::gpu(), split, BAND_UNITS),
+                    ..RunBreakdown::default()
+                },
+                ..RunReport::default()
+            }
+        }
+        fn platform(&self) -> &nbwp_sim::Platform {
+            test_platform()
         }
         fn device_band(&self, device: &nbwp_sim::Device, lo: usize, hi: usize) -> Option<SimTime> {
             let compute = device.scale(SimTime::from_millis(Self::band_ms(lo, hi)));

@@ -98,10 +98,6 @@ impl Profilable for CcWorkload {
         profile.recycle(scratch);
     }
 
-    fn run_profiled(&self, profile: &CcCostProfile, t: f64) -> RunReport {
-        profile.report_at(&self.graph, t, &self.platform)
-    }
-
     fn curve<'p>(&'p self, profile: &'p CcCostProfile) -> Option<Box<dyn CurveEval + 'p>> {
         Some(Box::new(CcCostCurve::new(
             profile,
@@ -245,6 +241,7 @@ impl Sampleable for CcWorkload {
 mod tests {
     use super::*;
     use crate::estimator::Estimator;
+    use crate::profile::priced;
     use crate::search::{Searcher, Strategy};
     use nbwp_graph::gen;
     use rand::SeedableRng;
@@ -267,7 +264,7 @@ mod tests {
         let w = workload(gen::web(1500, 5, 9));
         let p = w.build_profile(nbwp_par::Pool::global());
         for t in [0.0, 1.0, 12.5, 40.0, 77.7, 100.0] {
-            assert_eq!(w.run_profiled(&p, t), w.run(t), "t = {t}");
+            assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
         }
     }
 
@@ -282,7 +279,7 @@ mod tests {
             let p = w.build_profile_in(nbwp_par::Pool::global(), &mut scratch);
             assert_eq!(p.raw_curves(), fresh.raw_curves());
             for t in [0.0, 12.5, 40.0, 100.0] {
-                assert_eq!(w.run_profiled(&p, t), w.run_profiled(&fresh, t), "t = {t}");
+                assert_eq!(priced(&w, &p, t), priced(&w, &fresh, t), "t = {t}");
             }
             w.recycle_profile(p, &mut scratch);
             assert!(scratch.is_warm());

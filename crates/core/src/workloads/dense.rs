@@ -89,15 +89,10 @@ impl PartitionedWorkload for DenseGemmWorkload {
 
 impl Profilable for DenseGemmWorkload {
     /// Dense GEMM cost is already a closed form in `(n, k, m, t)` — the
-    /// "curve" is the formula itself, so the profile carries no state and
-    /// profiled pricing delegates to the closed form.
+    /// curve is the formula itself, so the profile carries no state.
     type Profile = ();
 
     fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) -> Self::Profile {}
-
-    fn run_profiled(&self, (): &Self::Profile, t: f64) -> RunReport {
-        self.run(t)
-    }
 
     fn curve<'p>(&'p self, (): &'p Self::Profile) -> Option<Box<dyn CurveEval + 'p>> {
         Some(Box::new(GemmCostCurve::new(

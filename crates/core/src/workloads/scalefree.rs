@@ -299,9 +299,19 @@ impl Fingerprinted for HhWorkload {
     }
 }
 
+/// The integer degree a threshold names: negative thresholds make every
+/// nonempty row high, and `+∞` makes every row low.
+///
+/// # Panics
+/// Panics if `t` is NaN, which names no degree.
+fn degree_threshold(t: f64) -> u64 {
+    assert!(!t.is_nan(), "threshold {t} is not a degree");
+    t.max(0.0) as u64
+}
+
 impl PartitionedWorkload for HhWorkload {
     fn run(&self, t: f64) -> RunReport {
-        self.report_for_threshold(t.max(0.0) as u64)
+        self.report_for_threshold(degree_threshold(t))
     }
 
     fn space(&self) -> ThresholdSpace {
@@ -321,14 +331,14 @@ impl PartitionedWorkload for HhWorkload {
 ///
 /// The HH-CPU report depends on the threshold only through the high-row mask
 /// `{r : nnz(r) > t}`, which is constant between consecutive distinct
-/// degrees. The profile therefore maps each threshold to its *degree class*
-/// and memoizes one fused pricing pass per class — every further threshold
-/// in the same class is answered from the memo, bitwise equal to a direct
-/// run.
+/// degrees. The cost curve ([`HhCostCurve`]) therefore maps each threshold
+/// to its *degree class* and memoizes one fused pricing pass per class here
+/// — every further threshold in the same class is answered from the memo,
+/// bitwise equal to a direct run.
 pub struct HhProfile {
     /// Sorted, deduplicated row degrees of `A`.
     classes: AlignedU64s,
-    /// Reports memoized per degree class (key: `partition_point` index).
+    /// Reports memoized per degree class (key: the curve's split index).
     memo: Mutex<HashMap<usize, RunReport>>,
     /// Reusable fused-pricing buffers for memo-miss evaluations: every
     /// threshold class priced after the first reuses the same row-profile
@@ -392,30 +402,6 @@ impl Profilable for HhWorkload {
         scratch.give(profile.classes);
     }
 
-    fn run_profiled(&self, profile: &HhProfile, t: f64) -> RunReport {
-        let t = t.max(0.0) as u64;
-        // All thresholds in the same degree class induce the same high-row
-        // mask, hence the same report.
-        let class = profile.classes.partition_point(|&d| d <= t);
-        // Both locks recover from poisoning: memo entries are pure prices
-        // inserted only after their pricing pass returns, and every pass
-        // clears and refills the workspace it borrows.
-        let memo = || profile.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(report) = memo().get(&class) {
-            return report.clone();
-        }
-        let report = {
-            let mut ws = profile
-                .workspace
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let HhWorkspace { rows, scratch } = &mut *ws;
-            self.report_for_threshold_in(t, rows, scratch)
-        };
-        memo().insert(class, report.clone());
-        report
-    }
-
     fn curve<'p>(&'p self, profile: &'p HhProfile) -> Option<Box<dyn CurveEval + 'p>> {
         Some(Box::new(HhCostCurve {
             workload: self,
@@ -437,11 +423,11 @@ pub struct HhCostCurve<'a> {
 
 impl HhCostCurve<'_> {
     /// A threshold inside class `c` (the class's lowest integer degree).
-    fn repr_t(&self, c: usize) -> f64 {
+    fn repr_t(&self, c: usize) -> u64 {
         if c == 0 {
-            0.0
+            0
         } else {
-            self.profile.classes[c - 1] as f64
+            self.profile.classes[c - 1]
         }
     }
 }
@@ -451,16 +437,40 @@ impl CurveEval for HhCostCurve<'_> {
         self.profile.classes.len() + 1
     }
 
+    /// # Panics
+    /// Panics if `t` is NaN, as the direct run does.
     fn split_for(&self, t: f64) -> usize {
-        self.profile
-            .classes
-            .partition_point(|&d| d <= t.max(0.0) as u64)
+        let t = degree_threshold(t);
+        self.profile.classes.partition_point(|&d| d <= t)
     }
 
-    fn total_at(&self, split: usize) -> SimTime {
-        self.workload
-            .run_profiled(self.profile, self.repr_t(split))
-            .total()
+    /// One fused pricing pass per class, memoized in the profile: every
+    /// threshold in the class induces the same high-row mask, hence the
+    /// same report.
+    fn report_at(&self, split: usize) -> RunReport {
+        // Both locks recover from poisoning: memo entries are pure prices
+        // inserted only after their pricing pass returns, and every pass
+        // clears and refills the workspace it borrows.
+        let profile = self.profile;
+        let memo = || profile.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(report) = memo().get(&split) {
+            return report.clone();
+        }
+        let report = {
+            let mut ws = profile
+                .workspace
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let HhWorkspace { rows, scratch } = &mut *ws;
+            self.workload
+                .report_for_threshold_in(self.repr_t(split), rows, scratch)
+        };
+        memo().insert(split, report.clone());
+        report
+    }
+
+    fn platform(&self) -> &Platform {
+        &self.workload.platform
     }
 }
 
@@ -520,6 +530,7 @@ impl Sampleable for HhWorkload {
 mod tests {
     use super::*;
     use crate::estimator::Estimator;
+    use crate::profile::priced;
     use crate::search::Strategy;
     use nbwp_sparse::gen;
     use rand::SeedableRng;
@@ -569,7 +580,7 @@ mod tests {
         let p = w.build_profile(nbwp_par::Pool::global());
         let max = w.max_degree() as f64;
         for t in [0.0, 1.0, 2.0, 3.7, 9.0, max / 2.0, max, max + 5.0] {
-            assert_eq!(w.run_profiled(&p, t), w.run(t), "t = {t}");
+            assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
         }
     }
 
@@ -585,8 +596,8 @@ mod tests {
             let p = w.build_profile_in(nbwp_par::Pool::global(), &mut scratch);
             assert_eq!(p.classes, fresh.classes);
             for t in [0.0, 1.0, 3.7, max / 2.0, max + 5.0] {
-                assert_eq!(w.run_profiled(&p, t), w.run_profiled(&fresh, t), "t = {t}");
-                assert_eq!(w.run_profiled(&p, t), w.run(t), "t = {t}");
+                assert_eq!(priced(&w, &p, t), priced(&w, &fresh, t), "t = {t}");
+                assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
             }
             w.recycle_profile(p, &mut scratch);
             assert!(scratch.is_warm());
@@ -612,14 +623,14 @@ mod tests {
         let clean = w.build_profile(nbwp_par::Pool::global());
         let p = w.build_profile(nbwp_par::Pool::global());
         let max = w.max_degree() as f64;
-        let _ = w.run_profiled(&p, 2.0);
+        let _ = priced(&w, &p, 2.0);
         poison(&p.memo);
         poison(&p.workspace);
         // A memoized class, then classes priced through the poisoned
         // workspace for the first time.
         for t in [2.0, 0.0, 3.7, max / 2.0, max + 5.0] {
-            assert_eq!(w.run_profiled(&p, t), w.run_profiled(&clean, t), "t = {t}");
-            assert_eq!(w.run_profiled(&p, t), w.run(t), "t = {t}");
+            assert_eq!(priced(&w, &p, t), priced(&w, &clean, t), "t = {t}");
+            assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
         }
     }
 
@@ -630,7 +641,7 @@ mod tests {
         // Price every integer threshold: the memo can never hold more
         // entries than there are degree classes.
         for t in 0..=(w.max_degree() + 3) {
-            let _ = w.run_profiled(&p, t as f64);
+            let _ = priced(&w, &p, t as f64);
         }
         assert!(p.memo.lock().unwrap().len() <= p.classes());
     }

@@ -204,19 +204,6 @@ impl Profilable for SpmmWorkload {
         profile.curves.recycle(scratch);
     }
 
-    fn run_profiled(&self, profile: &SpmmProfile, r: f64) -> RunReport {
-        // All split-indexed pricing lives in `SpmmCostCurve` (nbwp-sparse);
-        // delegating keeps run_profiled, the curve, and run() bitwise equal
-        // by construction.
-        SpmmCostCurve::new(
-            &profile.curves,
-            &self.load_prefix,
-            profile.partition,
-            &self.platform,
-        )
-        .report_at(self.split_row(r))
-    }
-
     fn curve<'p>(&'p self, profile: &'p SpmmProfile) -> Option<Box<dyn CurveEval + 'p>> {
         Some(Box::new(SpmmCostCurve::new(
             &profile.curves,
@@ -369,10 +356,6 @@ impl Profilable for ResampledSpmm {
 
     fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) -> Self::Profile {}
 
-    fn run_profiled(&self, (): &Self::Profile, r: f64) -> RunReport {
-        self.run(r)
-    }
-
     fn curve<'p>(&'p self, (): &'p Self::Profile) -> Option<Box<dyn CurveEval + 'p>> {
         Some(Box::new(SpmmCostCurve::new(
             &self.curves,
@@ -486,6 +469,7 @@ impl Sampleable for SpmmWorkload {
 mod tests {
     use super::*;
     use crate::estimator::Estimator;
+    use crate::profile::priced;
     use crate::search::Strategy;
     use nbwp_sparse::gen;
     use nbwp_sparse::spgemm::spgemm;
@@ -539,7 +523,7 @@ mod tests {
         let w = workload(gen::power_law(400, 9, 2.1, 7));
         let p = w.build_profile(Pool::global());
         for r in [0.0, 0.5, 12.5, 33.0, 50.0, 66.6, 99.0, 100.0] {
-            assert_eq!(w.run_profiled(&p, r), w.run(r), "split {r}");
+            assert_eq!(priced(&w, &p, r), w.run(r), "split {r}");
         }
     }
 
@@ -556,7 +540,7 @@ mod tests {
         let warm = w.build_profile_in(Pool::global(), &mut scratch);
         assert_eq!(warm.curves(), pooled.curves());
         for r in [0.0, 12.5, 50.0, 100.0] {
-            assert_eq!(w.run_profiled(&warm, r), w.run(r), "split {r}");
+            assert_eq!(priced(&w, &warm, r), w.run(r), "split {r}");
         }
     }
 

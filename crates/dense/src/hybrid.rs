@@ -6,7 +6,7 @@
 //! ([`crate::gemm::stats_for_rows`]) and the FLOPS-ratio split is already
 //! near-optimal — the contrast the paper draws with irregular workloads.
 
-use nbwp_sim::{BandWork, CurveEval, Device, Platform, RunReport, SimTime};
+use nbwp_sim::{two_way_report, BandWork, CurveEval, DeviceKind, Platform, RunReport, SimTime};
 
 use crate::gemm::{gemm_range, stats_for_rows};
 use crate::DenseMatrix;
@@ -23,10 +23,12 @@ pub struct HybridGemmOutcome {
 }
 
 /// Prices a hybrid GEMM at threshold `t_pct` (CPU row share, in percent)
-/// without executing it — exact for this regular workload.
+/// without executing it — exact for this regular workload. Prices through
+/// [`GemmCostCurve`]: the workload's direct run and its cost curve are one
+/// closed form.
 ///
 /// # Panics
-/// Panics if shapes are incompatible or `t_pct ∉ [0, 100]`.
+/// Panics if `t_pct ∉ [0, 100]` (NaN included).
 #[must_use]
 pub fn hybrid_gemm_cost(
     n: usize,
@@ -35,44 +37,13 @@ pub fn hybrid_gemm_cost(
     t_pct: f64,
     platform: &Platform,
 ) -> RunReport {
-    assert!(
-        (0.0..=100.0).contains(&t_pct),
-        "threshold {t_pct} out of [0, 100]"
-    );
-    let cpu_rows = ((n as f64 * t_pct / 100.0).round() as usize).min(n);
-    hybrid_gemm_cost_rows(n, k, m, cpu_rows, platform)
-}
-
-/// [`hybrid_gemm_cost`] after threshold-to-row rounding: prices the split
-/// assigning rows `0..cpu_rows` to the CPU. Exposed so split-indexed
-/// consumers ([`GemmCostCurve`]) can price every admissible row split.
-///
-/// # Panics
-/// Panics if `cpu_rows > n`.
-#[must_use]
-pub fn hybrid_gemm_cost_rows(
-    n: usize,
-    k: usize,
-    m: usize,
-    cpu_rows: usize,
-    platform: &Platform,
-) -> RunReport {
-    assert!(cpu_rows <= n, "cpu rows {cpu_rows} exceed row count {n}");
     let curve = GemmCostCurve::new(n, k, m, platform);
-    RunReport::two_way(
-        platform,
-        SimTime::ZERO, // a row offset: free
-        curve.band_work(0, cpu_rows).stats,
-        curve.band_work(cpu_rows, n),
-        SimTime::ZERO, // results land disjoint
-    )
+    curve.report_at(curve.split_for(t_pct))
 }
 
 /// The hybrid GEMM total-cost curve as a [`CurveEval`]: the workload is
-/// regular, so every row split is a closed form
-/// ([`hybrid_gemm_cost_rows`]) — no profile pass needed. Thresholds are
-/// CPU row percentages with the same rounding [`hybrid_gemm_cost`]
-/// applies.
+/// regular, so every row split is a closed form — no profile pass needed.
+/// Thresholds are CPU row percentages, rounded to the nearest row.
 pub struct GemmCostCurve<'a> {
     n: usize,
     k: usize,
@@ -86,26 +57,6 @@ impl<'a> GemmCostCurve<'a> {
     pub fn new(n: usize, k: usize, m: usize, platform: &'a Platform) -> Self {
         GemmCostCurve { n, k, m, platform }
     }
-
-    /// What the row band `lo..hi` does on any device, in closed form: the
-    /// workload is regular, so the counters depend only on the band's row
-    /// count ([`stats_for_rows`] is position-independent). The band ships
-    /// `B` plus its `A` rows in and its `C` rows out; an empty band ships
-    /// nothing, not even `B`.
-    #[must_use]
-    pub fn band_work(&self, lo: usize, hi: usize) -> BandWork {
-        let (rows, k, m) = (hi - lo, self.k, self.m);
-        let b_bytes = (8 * k * m) as u64;
-        BandWork {
-            stats: stats_for_rows(rows, k, m, b_bytes),
-            bytes_in: if rows == 0 {
-                0
-            } else {
-                b_bytes + (8 * rows * k) as u64
-            },
-            bytes_out: (8 * rows * m) as u64,
-        }
-    }
 }
 
 impl CurveEval for GemmCostCurve<'_> {
@@ -113,17 +64,39 @@ impl CurveEval for GemmCostCurve<'_> {
         self.n + 1
     }
 
+    /// # Panics
+    /// Panics if `t ∉ [0, 100]` (NaN included).
     fn split_for(&self, t: f64) -> usize {
+        assert!((0.0..=100.0).contains(&t), "threshold {t} out of [0, 100]");
         ((self.n as f64 * t / 100.0).round() as usize).min(self.n)
     }
 
-    fn total_at(&self, split: usize) -> SimTime {
-        hybrid_gemm_cost_rows(self.n, self.k, self.m, split, self.platform).total()
+    /// A row offset partitions for free, and results land disjoint.
+    fn report_at(&self, split: usize) -> RunReport {
+        two_way_report(self, split, SimTime::ZERO)
     }
 
-    /// Prices [`GemmCostCurve::band_work`] on `device`.
-    fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
-        Some(self.band_work(lo, hi).time_on(device, self.platform))
+    fn platform(&self) -> &Platform {
+        self.platform
+    }
+
+    /// What the row band `lo..hi` does on any device, in closed form: the
+    /// workload is regular, so the counters depend only on the band's row
+    /// count ([`stats_for_rows`] is position-independent). The band ships
+    /// `B` plus its `A` rows in and its `C` rows out; an empty band ships
+    /// nothing, not even `B`.
+    fn band_work(&self, _kind: DeviceKind, lo: usize, hi: usize) -> Option<BandWork> {
+        let (rows, k, m) = (hi - lo, self.k, self.m);
+        let b_bytes = (8 * k * m) as u64;
+        Some(BandWork {
+            stats: stats_for_rows(rows, k, m, b_bytes),
+            bytes_in: if rows == 0 {
+                0
+            } else {
+                b_bytes + (8 * rows * k) as u64
+            },
+            bytes_out: (8 * rows * m) as u64,
+        })
     }
 }
 
@@ -136,8 +109,9 @@ pub fn hybrid_gemm(
     t_pct: f64,
     platform: &Platform,
 ) -> HybridGemmOutcome {
-    let report = hybrid_gemm_cost(a.rows(), a.cols(), b.cols(), t_pct, platform);
-    let cpu_rows = ((a.rows() as f64 * t_pct / 100.0).round() as usize).min(a.rows());
+    let curve = GemmCostCurve::new(a.rows(), a.cols(), b.cols(), platform);
+    let cpu_rows = curve.split_for(t_pct);
+    let report = curve.report_at(cpu_rows);
     let top = gemm_range(a, b, 0, cpu_rows);
     let bot = gemm_range(a, b, cpu_rows, a.rows());
     let mut data = Vec::with_capacity(a.rows() * b.cols());

@@ -23,8 +23,8 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use nbwp_sim::{
-    AlignedU64s, BandWork, CurveEval, Device, DeviceKind, DeviceSet, KernelStats, Partition,
-    Platform, ProfileScratch, RunReport, SimTime,
+    two_way_report, AlignedU64s, BandWork, CurveEval, DeviceKind, DeviceSet, KernelStats,
+    Partition, Platform, ProfileScratch, RunReport, SimTime,
 };
 
 use crate::cc::dfs::{dfs_band_cost, DfsPrefixCost};
@@ -33,7 +33,7 @@ use crate::Graph;
 
 /// Split-indexed cost curves plus memoized control-flow residuals for
 /// pricing hybrid CC thresholds. Build once per graph with
-/// [`CcCostProfile::new`]; price with [`CcCostProfile::report_at`].
+/// [`CcCostProfile::new`]; price through [`CcCostCurve`].
 #[derive(Debug)]
 pub struct CcCostProfile {
     n: usize,
@@ -187,52 +187,6 @@ impl CcCostProfile {
         (&self.arcs_gpu, &self.cross)
     }
 
-    /// Number of vertices the CPU takes at threshold `t_pct` — the same
-    /// rounding [`hybrid_cc`](crate::cc::hybrid_cc) applies.
-    #[must_use]
-    pub fn split_at(&self, t_pct: f64) -> usize {
-        ((self.n as f64 * t_pct / 100.0).round() as usize).min(self.n)
-    }
-
-    /// Prices the full hybrid CC run at threshold `t_pct`, bitwise equal to
-    /// `hybrid_cc(g, t_pct, platform, _).report`. `g` must be the graph the
-    /// profile was built from.
-    ///
-    /// # Panics
-    /// Panics if `t_pct` is outside `[0, 100]` or `g` has a different
-    /// vertex count than the profiled graph.
-    #[must_use]
-    pub fn report_at(&self, g: &Graph, t_pct: f64, platform: &Platform) -> RunReport {
-        assert!(
-            (0.0..=100.0).contains(&t_pct),
-            "threshold {t_pct} out of [0, 100]"
-        );
-        self.report_at_split(g, self.split_at(t_pct), platform)
-    }
-
-    /// Prices the full hybrid CC run with `n_cpu` vertices on the CPU —
-    /// [`CcCostProfile::report_at`] after threshold-to-split rounding.
-    /// Exposed so split-indexed consumers (the cost curve) can price every
-    /// admissible split, not only those a `[0, 100]` threshold reaches.
-    ///
-    /// # Panics
-    /// Panics if `n_cpu > n` or `g` has a different vertex count than the
-    /// profiled graph.
-    #[must_use]
-    pub fn report_at_split(&self, g: &Graph, n_cpu: usize, platform: &Platform) -> RunReport {
-        assert!(n_cpu <= self.n, "split {n_cpu} exceeds vertex count");
-        let curve = CcCostCurve::new(self, g, platform);
-        RunReport::two_way(
-            platform,
-            self.partition_cost(platform),
-            curve.band_work(DeviceKind::Cpu, 0, n_cpu).stats,
-            curve.band_work(DeviceKind::Gpu, n_cpu, self.n),
-            // Cross-edge union + relabel on the GPU after the CPU labels
-            // travel over.
-            self.merge_cost_for(self.cross[n_cpu], n_cpu as u64, platform),
-        )
-    }
-
     /// Phase I price: the partition pass streams the whole graph
     /// regardless of the cut vector, so its counters come straight from
     /// the scalars. Shared by the scalar report and the k-way curve.
@@ -286,9 +240,9 @@ impl CcCostProfile {
 }
 
 /// The hybrid CC total-cost curve as a [`CurveEval`]: every vertex split
-/// priced exactly through [`CcCostProfile::report_at_split`] (memoized
-/// control-flow replays make repeat queries cheap). Thresholds are CPU
-/// vertex percentages, mapped by the same rounding `hybrid_cc` applies.
+/// priced exactly from the profile's curves and its memoized control-flow
+/// replays (which make repeat queries cheap). Thresholds are CPU vertex
+/// percentages, mapped by the same rounding `hybrid_cc` applies.
 pub struct CcCostCurve<'a> {
     profile: &'a CcCostProfile,
     graph: &'a Graph,
@@ -309,6 +263,36 @@ impl<'a> CcCostCurve<'a> {
             platform,
         }
     }
+}
+
+impl CurveEval for CcCostCurve<'_> {
+    fn splits(&self) -> usize {
+        self.profile.n + 1
+    }
+
+    /// The number of vertices the CPU takes at `t`, with the rounding
+    /// [`hybrid_cc`](crate::cc::hybrid_cc) applies.
+    ///
+    /// # Panics
+    /// Panics if `t ∉ [0, 100]` (NaN included), as the direct run does.
+    fn split_for(&self, t: f64) -> usize {
+        assert!((0.0..=100.0).contains(&t), "threshold {t} out of [0, 100]");
+        let n = self.profile.n;
+        ((n as f64 * t / 100.0).round() as usize).min(n)
+    }
+
+    /// The two-way merge is [`CurveEval::merge_cost`] at the canonical
+    /// pair: the `cross` entry at `split` and `split` CPU labels.
+    fn report_at(&self, split: usize) -> RunReport {
+        let merge =
+            self.profile
+                .merge_cost_for(self.profile.cross_at(split), split as u64, self.platform);
+        two_way_report(self, split, merge)
+    }
+
+    fn platform(&self) -> &Platform {
+        self.platform
+    }
 
     /// What the vertex band `lo..hi` does on a `kind`-class device, with
     /// both control-flow replays memoized. CPU-class devices run the
@@ -319,8 +303,7 @@ impl<'a> CcCostCurve<'a> {
     /// sentinel, as the direct run does. The scalar sides are the
     /// `0..split` CPU and `split..n` GPU calls, where the replayed
     /// internal-arc count equals the `arcs_gpu` curve entry exactly.
-    #[must_use]
-    pub fn band_work(&self, kind: DeviceKind, lo: usize, hi: usize) -> BandWork {
+    fn band_work(&self, kind: DeviceKind, lo: usize, hi: usize) -> Option<BandWork> {
         let (profile, g) = (self.profile, self.graph);
         match kind {
             DeviceKind::Cpu => {
@@ -338,10 +321,10 @@ impl<'a> CcCostCurve<'a> {
                 stats.int_ops += 8 * dfs.deferred_edges;
                 stats.mem_read_bytes += 8 * dfs.deferred_edges;
                 stats.irregular_bytes += 8 * dfs.deferred_edges;
-                BandWork {
+                Some(BandWork {
                     stats,
                     ..BandWork::default()
-                }
+                })
             }
             DeviceKind::Gpu => {
                 let (rounds, passes, arcs) = {
@@ -356,37 +339,13 @@ impl<'a> CcCostCurve<'a> {
                 let len = hi - lo;
                 // Band CSR footprint: (len + 1) row pointers + internal arcs.
                 let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;
-                BandWork {
+                Some(BandWork {
                     stats: sv_stats_closed_form(len, arcs, size_bytes, rounds, passes),
                     bytes_in: size_bytes,
                     bytes_out: 4 * len as u64,
-                }
+                })
             }
         }
-    }
-}
-
-impl CurveEval for CcCostCurve<'_> {
-    fn splits(&self) -> usize {
-        self.profile.n + 1
-    }
-
-    fn split_for(&self, t: f64) -> usize {
-        self.profile.split_at(t)
-    }
-
-    fn total_at(&self, split: usize) -> SimTime {
-        self.profile
-            .report_at_split(self.graph, split, self.platform)
-            .total()
-    }
-
-    /// Prices [`CcCostCurve::band_work`] on `device`.
-    fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
-        Some(
-            self.band_work(device.kind, lo, hi)
-                .time_on(device, self.platform),
-        )
     }
 
     /// Phase I streams the whole graph regardless of the cut vector.
@@ -422,6 +381,12 @@ mod tests {
         vec![Platform::k40c_xeon_e5_2650()]
     }
 
+    /// The curve's price at threshold `t`: `report_at(split_for(t))`.
+    fn priced(profile: &CcCostProfile, g: &Graph, t: f64, platform: &Platform) -> RunReport {
+        let curve = CcCostCurve::new(profile, g, platform);
+        curve.report_at(curve.split_for(t))
+    }
+
     fn graphs() -> Vec<Graph> {
         let path: Vec<(u32, u32)> = (0..499u32).map(|i| (i, i + 1)).collect();
         let mut multi: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
@@ -442,7 +407,7 @@ mod tests {
             for platform in platforms() {
                 for t in [0.0, 0.4, 3.0, 12.5, 37.5, 50.0, 77.3, 99.6, 100.0] {
                     let direct = hybrid_cc(&g, t, &platform, 2).report;
-                    let profiled = profile.report_at(&g, t, &platform);
+                    let profiled = priced(&profile, &g, t, &platform);
                     assert_eq!(profiled, direct, "n = {}, t = {t}", g.n());
                 }
             }
@@ -462,8 +427,8 @@ mod tests {
             let platform = Platform::k40c_xeon_e5_2650();
             for t in [0.0, 37.5, 100.0] {
                 assert_eq!(
-                    warm.report_at(&g, t, &platform),
-                    fresh.report_at(&g, t, &platform),
+                    priced(&warm, &g, t, &platform),
+                    priced(&fresh, &g, t, &platform),
                     "n = {}, t = {t}",
                     g.n()
                 );
@@ -498,8 +463,8 @@ mod tests {
             assert_eq!(profile.raw_curves(), fresh.raw_curves(), "span {lo}..{hi}");
             for t in [0.0, 12.5, 50.0, 99.6, 100.0] {
                 assert_eq!(
-                    profile.report_at(&g2, t, &platform),
-                    fresh.report_at(&g2, t, &platform),
+                    priced(&profile, &g2, t, &platform),
+                    priced(&fresh, &g2, t, &platform),
                     "span {lo}..{hi}, t = {t}"
                 );
             }
@@ -517,8 +482,8 @@ mod tests {
         let g = gen::web(300, 3, 1);
         let profile = CcCostProfile::new(&g);
         let platform = Platform::k40c_xeon_e5_2650();
-        let a = profile.report_at(&g, 42.0, &platform);
-        let b = profile.report_at(&g, 42.0, &platform);
+        let a = priced(&profile, &g, 42.0, &platform);
+        let b = priced(&profile, &g, 42.0, &platform);
         assert_eq!(a, b);
         assert_eq!(profile.sv_memo.lock().unwrap().len(), 1);
         assert_eq!(profile.dfs_memo.lock().unwrap().len(), 1);
@@ -543,7 +508,7 @@ mod tests {
         let platform = Platform::k40c_xeon_e5_2650();
         let clean = CcCostProfile::new(&g);
         let mut profile = CcCostProfile::new(&g);
-        let _ = profile.report_at(&g, 40.0, &platform);
+        let _ = priced(&profile, &g, 40.0, &platform);
         poison(&profile.dfs_memo);
         poison(&profile.sv_memo);
         let set = DeviceSet::dual_cpu_dual_gpu();
@@ -554,8 +519,8 @@ mod tests {
         // Memoized and fresh prices both read through the poisoned locks.
         for t in [0.0, 40.0, 62.5, 100.0] {
             assert_eq!(
-                profile.report_at(&g, t, &platform),
-                clean.report_at(&g, t, &platform),
+                priced(&profile, &g, t, &platform),
+                priced(&clean, &g, t, &platform),
                 "t = {t}"
             );
         }
@@ -564,8 +529,8 @@ mod tests {
         profile.patch(&g, 0, g.n());
         assert_eq!(profile.raw_curves(), clean.raw_curves());
         assert_eq!(
-            profile.report_at(&g, 40.0, &platform),
-            clean.report_at(&g, 40.0, &platform)
+            priced(&profile, &g, 40.0, &platform),
+            priced(&clean, &g, 40.0, &platform)
         );
         assert_eq!(kway(&profile), kway(&clean));
     }
@@ -658,6 +623,7 @@ mod tests {
         let g = gen::web(100, 3, 1);
         let other = gen::web(101, 3, 1);
         let profile = CcCostProfile::new(&g);
-        let _ = profile.report_at(&other, 50.0, &Platform::k40c_xeon_e5_2650());
+        let platform = Platform::k40c_xeon_e5_2650();
+        let _ = priced(&profile, &other, 50.0, &platform);
     }
 }

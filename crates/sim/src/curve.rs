@@ -2,9 +2,9 @@
 //! first-class object.
 //!
 //! A cost profile (see [`crate::profile`]) prices any contiguous split of a
-//! workload in O(1) from prefix-sum range queries. That makes the total
-//! cost as a function of the split index an *evaluable curve* rather than
-//! an oracle: exact values at every split. Because the underlying counters
+//! workload from prefix-sum range queries. That makes the run's report as
+//! a function of the split index an *evaluable curve* rather than an
+//! oracle: exact values at every split. Because the underlying counters
 //! are exact `u64` range sums ([`PrefixCurve`] / [`WarpPadCurve`] reproduce
 //! every slice bitwise, including at warp-pad breakpoints), the difference
 //! of two adjacent [`CurveEval::total_at`] values is the curve's true slope
@@ -17,11 +17,12 @@
 //! [`PrefixCurve`]: crate::profile::PrefixCurve
 //! [`WarpPadCurve`]: crate::profile::WarpPadCurve
 
-use crate::device::{Device, DeviceSet, Partition};
+use crate::device::{Device, DeviceKind, DeviceSet, Partition};
+use crate::platform::{BandWork, Platform, RunReport};
 use crate::time::SimTime;
 
-/// Evaluates the total-cost curve of a partitioned workload at any
-/// admissible split index.
+/// Evaluates the cost of a partitioned workload at any admissible split
+/// index.
 ///
 /// Splits index the boundary between the CPU prefix and the GPU suffix:
 /// split `s` assigns units `0..s` to the CPU and `s..n` to the GPU, so a
@@ -29,47 +30,68 @@ use crate::time::SimTime;
 /// the search space map onto splits via [`CurveEval::split_for`]; the map
 /// must be monotone non-decreasing in `t`.
 ///
-/// The exactness contract mirrors the profile contract: `total_at(s)` must
-/// be bitwise equal to the total of the report a direct run would produce
-/// for any threshold mapping to split `s`.
+/// [`CurveEval::report_at`] is the curve's one required price, and the
+/// exactness contract is stated on it alone: `report_at(split_for(t))` is
+/// bitwise equal to the full report a direct run at `t` produces, every
+/// counter and every lane. Totals, band prices and partition totals are
+/// all derived from it or from the same [`BandWork`]s it is composed of.
 pub trait CurveEval {
     /// Number of admissible split indices (`n + 1` for `n` work units).
     fn splits(&self) -> usize;
 
     /// Maps a threshold from the workload's search space to the split it
-    /// induces. Monotone non-decreasing in `t`.
+    /// induces. Monotone non-decreasing in `t`. Panics where a direct run
+    /// at `t` panics (a threshold outside the space, or NaN).
     fn split_for(&self, t: f64) -> usize;
 
-    /// Exact total cost of the run at `split`.
+    /// The exact report of the run at `split`. A band-priced curve
+    /// composes it with [`two_way_report`].
     ///
     /// # Panics
     /// Panics if `split >= self.splits()`.
-    fn total_at(&self, split: usize) -> SimTime;
+    fn report_at(&self, split: usize) -> RunReport;
+
+    /// The platform the curve prices on.
+    fn platform(&self) -> &Platform;
+
+    /// Exact total cost of the run at `split`: `report_at(split).total()`.
+    ///
+    /// # Panics
+    /// Panics if `split >= self.splits()`.
+    fn total_at(&self, split: usize) -> SimTime {
+        self.report_at(split).total()
+    }
 
     // ------------------------------------------------------------------
     // k-way extension: per-device band pricing.
     //
-    // A curve that also knows how to price an arbitrary contiguous band
-    // `lo..hi` on a given device can price a whole k-way Partition. The
-    // default implementations make the extension opt-in: curves that only
-    // support the scalar two-device split (splits/total_at) keep working
-    // unchanged, and `partition_total` simply returns `None` for them.
+    // A curve that knows what an arbitrary contiguous band `lo..hi` does
+    // on each device class can price a whole k-way Partition. The
+    // defaults make the extension opt-in: curves that only price the
+    // scalar two-device split keep working, and `partition_total` simply
+    // returns `None` for them.
     // ------------------------------------------------------------------
 
-    /// Exact cost of running the contiguous band `lo..hi` on `device`,
-    /// *including* that device's host-link transfers. `None` when the
-    /// curve does not support per-device band pricing (the default).
-    ///
-    /// Exactness contract: for the canonical two-device set, the CPU band
-    /// `0..s` must price bitwise equal to the scalar report's CPU lane at
-    /// split `s`, and the GPU band `s..n` bitwise equal to its
-    /// transfer-in + compute + transfer-out side. Curves meet it by pricing
-    /// one [`BandWork`](crate::BandWork) per band with
-    /// [`BandWork::time_on`](crate::BandWork::time_on) here and feeding
-    /// the same works to [`RunReport::two_way`](crate::RunReport::two_way)
-    /// for the scalar report.
-    fn device_band(&self, _device: &Device, _lo: usize, _hi: usize) -> Option<SimTime> {
+    /// What the contiguous band `lo..hi` does on a `kind`-class device:
+    /// its kernel counters and link bytes, before any pricing. `None`
+    /// when the curve does not support per-device band pricing (the
+    /// default).
+    fn band_work(&self, _kind: DeviceKind, _lo: usize, _hi: usize) -> Option<BandWork> {
         None
+    }
+
+    /// Exact cost of running the contiguous band `lo..hi` on `device`,
+    /// *including* that device's host-link transfers: the band's
+    /// [`CurveEval::band_work`] priced by [`BandWork::time_on`]. For the
+    /// canonical two-device set, the CPU band `0..s` prices bitwise equal
+    /// to the scalar report's CPU lane at split `s`, and the GPU band
+    /// `s..n` to its transfer-in + compute + transfer-out side, because
+    /// [`two_way_report`] composes that report from the same works.
+    fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
+        Some(
+            self.band_work(device.kind, lo, hi)?
+                .time_on(device, self.platform()),
+        )
     }
 
     /// Partition-phase overhead charged once per run regardless of the
@@ -118,9 +140,55 @@ pub trait CurveEval {
     }
 }
 
+/// The scalar report of a band-priced curve at `split`, composed once for
+/// every such curve: [`RunReport::two_way`] over the `0..split` CPU band's
+/// counters, the `split..n` GPU band, the curve's
+/// [`CurveEval::partition_overhead`], and the caller's two-way `merge`
+/// (the curve's [`CurveEval::merge_cost`] at the canonical pair, computed
+/// without building a [`Partition`]).
+///
+/// # Panics
+/// Panics if `split >= curve.splits()` or the curve does not price bands.
+#[must_use]
+pub fn two_way_report<C: CurveEval + ?Sized>(curve: &C, split: usize, merge: SimTime) -> RunReport {
+    let units = curve.splits() - 1;
+    assert!(split <= units, "split {split} exceeds {units} units");
+    let band = |kind, lo, hi| {
+        curve
+            .band_work(kind, lo, hi)
+            .expect("a two-way report needs a band-priced curve")
+    };
+    RunReport::two_way(
+        curve.platform(),
+        curve.partition_overhead(),
+        band(DeviceKind::Cpu, 0, split).stats,
+        band(DeviceKind::Gpu, split, units),
+        merge,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::RunBreakdown;
+
+    fn platform() -> &'static Platform {
+        static P: std::sync::OnceLock<Platform> = std::sync::OnceLock::new();
+        P.get_or_init(Platform::k40c_xeon_e5_2650)
+    }
+
+    /// A report whose total is `partition + max(cpu, gpu)`.
+    fn report(partition: f64, cpu: f64, gpu: f64) -> RunReport {
+        RunReport {
+            breakdown: RunBreakdown {
+                partition: SimTime::from_secs(partition),
+                cpu_compute: SimTime::from_secs(cpu),
+                gpu_compute: SimTime::from_secs(gpu),
+                ..RunBreakdown::default()
+            },
+            ..RunReport::default()
+        }
+    }
 
     /// Quadratic valley with its minimum at split 5.
     struct Valley;
@@ -132,10 +200,13 @@ mod tests {
         fn split_for(&self, t: f64) -> usize {
             (t.clamp(0.0, 10.0).round()) as usize
         }
-        fn total_at(&self, split: usize) -> SimTime {
+        fn report_at(&self, split: usize) -> RunReport {
             assert!(split < self.splits());
             let d = split as f64 - 5.0;
-            SimTime::from_secs(1.0 + d * d)
+            report(0.0, 1.0 + d * d, 0.0)
+        }
+        fn platform(&self) -> &Platform {
+            platform()
         }
     }
 
@@ -144,6 +215,8 @@ mod tests {
         let c = Valley;
         let set = DeviceSet::cpu_gpu();
         let p = Partition::two_way(10, 5);
+        assert_eq!(c.total_at(7), SimTime::from_secs(5.0));
+        assert_eq!(c.band_work(DeviceKind::Cpu, 0, 5), None);
         assert_eq!(c.device_band(&set.devices()[0], 0, 5), None);
         assert_eq!(c.partition_total(&set, &p), None);
         assert_eq!(c.partition_overhead(), SimTime::ZERO);
@@ -161,11 +234,12 @@ mod tests {
         fn split_for(&self, t: f64) -> usize {
             (t.clamp(0.0, 10.0).round()) as usize
         }
-        fn total_at(&self, split: usize) -> SimTime {
+        fn report_at(&self, split: usize) -> RunReport {
             // Scalar view: CPU prefix vs GPU suffix at speed 1.
-            let cpu = split as f64;
-            let gpu = (10 - split) as f64;
-            SimTime::from_secs(0.5) + SimTime::from_secs(cpu.max(gpu))
+            report(0.5, split as f64, (10 - split) as f64)
+        }
+        fn platform(&self) -> &Platform {
+            platform()
         }
         fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
             Some(device.scale(SimTime::from_secs((hi - lo) as f64)))

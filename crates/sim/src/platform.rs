@@ -386,7 +386,7 @@ impl BandWork {
 mod tests {
     use super::*;
     use crate::device::{DeviceSet, Partition};
-    use crate::CurveEval;
+    use crate::{two_way_report, CurveEval};
     use proptest::prelude::*;
 
     #[test]
@@ -522,15 +522,17 @@ mod tests {
         fn split_for(&self, _t: f64) -> usize {
             1
         }
-        fn total_at(&self, _split: usize) -> SimTime {
-            unreachable!("the rule is checked through partition_total")
+        fn report_at(&self, split: usize) -> RunReport {
+            two_way_report(self, split, self.merge)
         }
-        fn device_band(&self, device: &Device, _lo: usize, _hi: usize) -> Option<SimTime> {
-            let work = match device.kind {
-                DeviceKind::Cpu => &self.cpu,
-                DeviceKind::Gpu => &self.gpu,
-            };
-            Some(work.time_on(device, &self.platform))
+        fn platform(&self) -> &Platform {
+            &self.platform
+        }
+        fn band_work(&self, kind: DeviceKind, _lo: usize, _hi: usize) -> Option<BandWork> {
+            Some(match kind {
+                DeviceKind::Cpu => self.cpu,
+                DeviceKind::Gpu => self.gpu,
+            })
         }
         fn partition_overhead(&self) -> SimTime {
             self.partition
@@ -574,7 +576,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The scalar report and the k-way price of the canonical pair
-        /// are one rule: equal totals, bitwise, for any works.
+        /// are one rule: the shared composition is `RunReport::two_way`
+        /// over the band works, with equal totals, bitwise, for any works.
         #[test]
         fn two_way_total_is_the_canonical_partition_total(
             cpu in proptest::collection::vec(0u64..1 << 36, 11),
@@ -599,6 +602,7 @@ mod tests {
                 curve.gpu,
                 curve.merge,
             );
+            prop_assert_eq!(&curve.report_at(1), &scalar);
             let kway = curve
                 .partition_total(&DeviceSet::cpu_gpu(), &Partition::two_way(1, 1))
                 .expect("fixed bands price on every device");

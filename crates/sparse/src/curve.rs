@@ -3,11 +3,11 @@
 //! Packages the prefix-sum [`RowCurves`] with the split-independent
 //! Phase I price and a platform, so the whole `RunReport` of any row split
 //! — and therefore the total-cost curve and its exact subgradients — is an
-//! O(1) range-sum query. `nbwp-core`'s profiled spmm path delegates its
-//! pricing here, which keeps the curve bitwise equal to both `run()` and
-//! `run_profiled()` by construction.
+//! O(1) range-sum query. `nbwp-core`'s profiled spmm path prices only
+//! through this curve; `run()` is the independent oracle it matches
+//! bitwise.
 
-use nbwp_sim::{BandWork, CurveEval, Device, Platform, RunReport, SimTime};
+use nbwp_sim::{two_way_report, BandWork, CurveEval, DeviceKind, Platform, RunReport, SimTime};
 
 use crate::ops::split_row_for_load;
 use crate::spgemm::{RowCurves, ENTRY_BYTES};
@@ -48,45 +48,6 @@ impl<'a> SpmmCostCurve<'a> {
             platform,
         }
     }
-
-    /// What the row band `lo..hi` does on any device, every counter an
-    /// O(1) curve lookup: the band's SpGEMM counters, its `A` rows plus
-    /// all of `B` shipped in, and its `C` rows shipped out. `B` ships
-    /// whole because reachable rows are not known in advance, as in real
-    /// implementations. An empty band ships nothing, not even `B`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > rows`.
-    #[must_use]
-    pub fn band_work(&self, lo: usize, hi: usize) -> BandWork {
-        let rows = (hi - lo) as u64;
-        let bytes_in = if rows == 0 {
-            0
-        } else {
-            self.curves.a_nnz().range_sum(lo, hi) * ENTRY_BYTES + 8 * rows + self.curves.b_bytes()
-        };
-        BandWork {
-            stats: self.curves.stats_range(lo, hi),
-            bytes_in,
-            bytes_out: self.curves.c_nnz().range_sum(lo, hi) * ENTRY_BYTES,
-        }
-    }
-
-    /// The exact [`RunReport`] of the split assigning rows `0..split` to
-    /// the CPU. Results concatenate, so there is no merge.
-    ///
-    /// # Panics
-    /// Panics if `split > rows`.
-    #[must_use]
-    pub fn report_at(&self, split: usize) -> RunReport {
-        RunReport::two_way(
-            self.platform,
-            self.partition,
-            self.band_work(0, split).stats,
-            self.band_work(split, self.curves.rows()),
-            SimTime::ZERO,
-        )
-    }
 }
 
 impl CurveEval for SpmmCostCurve<'_> {
@@ -98,13 +59,32 @@ impl CurveEval for SpmmCostCurve<'_> {
         split_row_for_load(self.load_prefix, t)
     }
 
-    fn total_at(&self, split: usize) -> SimTime {
-        self.report_at(split).total()
+    /// Results concatenate, so there is no merge.
+    fn report_at(&self, split: usize) -> RunReport {
+        two_way_report(self, split, SimTime::ZERO)
     }
 
-    /// Prices [`SpmmCostCurve::band_work`] on `device`.
-    fn device_band(&self, device: &Device, lo: usize, hi: usize) -> Option<SimTime> {
-        Some(self.band_work(lo, hi).time_on(device, self.platform))
+    fn platform(&self) -> &Platform {
+        self.platform
+    }
+
+    /// What the row band `lo..hi` does on any device, every counter an
+    /// O(1) curve lookup: the band's SpGEMM counters, its `A` rows plus
+    /// all of `B` shipped in, and its `C` rows shipped out. `B` ships
+    /// whole because reachable rows are not known in advance, as in real
+    /// implementations. An empty band ships nothing, not even `B`.
+    fn band_work(&self, _kind: DeviceKind, lo: usize, hi: usize) -> Option<BandWork> {
+        let rows = (hi - lo) as u64;
+        let bytes_in = if rows == 0 {
+            0
+        } else {
+            self.curves.a_nnz().range_sum(lo, hi) * ENTRY_BYTES + 8 * rows + self.curves.b_bytes()
+        };
+        Some(BandWork {
+            stats: self.curves.stats_range(lo, hi),
+            bytes_in,
+            bytes_out: self.curves.c_nnz().range_sum(lo, hi) * ENTRY_BYTES,
+        })
     }
 
     fn partition_overhead(&self) -> SimTime {

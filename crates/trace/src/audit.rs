@@ -31,6 +31,7 @@ use std::cell::{Cell, UnsafeCell};
 
 use serde::Value;
 
+use crate::export::{obj, s};
 use crate::Recorder;
 
 /// Schema tag on the JSONL header line (see [`FlightRecorder::to_jsonl`]).
@@ -515,14 +516,6 @@ impl FlightRecorder {
             rec.histogram_record("audit.sim_cost_ms", ev.sim_cost_ms);
         }
     }
-}
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn s(text: &str) -> Value {
-    Value::Str(text.to_string())
 }
 
 fn nan_to_null(v: f64) -> Value {

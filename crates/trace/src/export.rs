@@ -8,11 +8,14 @@ use serde::Value;
 use crate::recorder::{ArgValue, Span, Track};
 use crate::Trace;
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
+/// A JSON object from `(key, value)` pairs, in order. Shared by every
+/// JSON writer in the crate.
+pub(crate) fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn s(text: &str) -> Value {
+/// A JSON string value.
+pub(crate) fn s(text: &str) -> Value {
     Value::Str(text.to_string())
 }
 

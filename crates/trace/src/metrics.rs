@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize, Value};
 
+use crate::export::obj;
+
 /// Shared histogram bucket ladder: a 1–2.5–5 exponential grid spanning the
 /// magnitudes the pipeline records — evaluation counts (units), simulated
 /// costs (ms), serving latencies (µs), and regret percentages. One ladder
@@ -510,10 +512,6 @@ pub fn validate_prometheus(text: &str) -> Result<PromCheck, String> {
 
 /// Schema tag of the JSON metrics snapshot (see [`metrics_json`]).
 pub const METRICS_SCHEMA: &str = "nbwp-metrics/v1";
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
 
 /// Renders a snapshot as a versioned JSON document (`schema:
 /// "nbwp-metrics/v1"`): counters, gauges, and histograms as name-keyed

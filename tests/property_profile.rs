@@ -9,11 +9,18 @@ use nbwp_core::prelude::*;
 use nbwp_core::search::SearchOutcome;
 use nbwp_core::search::Strategy as SearchStrategy;
 use nbwp_graph::gen as ggen;
+use nbwp_sim::RunReport;
 use nbwp_sparse::gen as sgen;
 use proptest::prelude::*;
 
 fn platform() -> Platform {
     Platform::k40c_xeon_e5_2650()
+}
+
+/// `w`'s price at `t` on the cost curve over `p`: `report_at(split_for(t))`.
+fn priced<W: Profilable>(w: &W, p: &W::Profile, t: f64) -> RunReport {
+    let curve = w.curve(p).expect("every workload exposes a cost curve");
+    curve.report_at(curve.split_for(t))
 }
 
 /// Thresholds that exercise the interesting corners of a percentage space
@@ -52,7 +59,7 @@ proptest! {
         let mut ts = corner_thresholds(n);
         ts.push(t_rand);
         for t in ts {
-            prop_assert_eq!(w.run_profiled(&p, t), w.run(t), "cc t = {}", t);
+            prop_assert_eq!(priced(&w, &p, t), w.run(t), "cc t = {}", t);
         }
     }
 
@@ -68,7 +75,7 @@ proptest! {
         let mut ts = corner_thresholds(n);
         ts.push(t_rand);
         for t in ts {
-            prop_assert_eq!(w.run_profiled(&p, t), w.run(t), "spmm t = {}", t);
+            prop_assert_eq!(priced(&w, &p, t), w.run(t), "spmm t = {}", t);
         }
     }
 
@@ -85,7 +92,7 @@ proptest! {
         // Degree thresholds: both all-CPU and all-GPU bands plus a point
         // inside (and slightly beyond) the degree range.
         for t in [0.0, 1.0, max * t_frac, max, max + 1.0] {
-            prop_assert_eq!(w.run_profiled(&p, t), w.run(t), "hh t = {}", t);
+            prop_assert_eq!(priced(&w, &p, t), w.run(t), "hh t = {}", t);
         }
     }
 
@@ -151,6 +158,29 @@ proptest! {
             );
         }
     }
+}
+
+/// Whether pricing with `f` panics.
+fn panics(f: impl FnOnce() -> RunReport) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+/// A NaN threshold names no split: the direct run and the profiled run
+/// both panic on every workload instead of pricing some default split.
+fn assert_nan_panics<W: Profilable>(w: &W, name: &str) {
+    assert!(panics(|| w.run(f64::NAN)), "{name}: run(NaN)");
+    let pw = ProfiledWorkload::new(w);
+    assert!(panics(|| pw.run(f64::NAN)), "{name}: profiled run(NaN)");
+}
+
+#[test]
+fn nan_thresholds_panic_on_the_direct_and_profiled_paths() {
+    let g = ggen::web(300, 4, 1);
+    let a = sgen::power_law(300, 6, 2.1, 1);
+    assert_nan_panics(&CcWorkload::new(g, platform()), "cc");
+    assert_nan_panics(&SpmmWorkload::new(a.clone(), platform()), "spmm");
+    assert_nan_panics(&HhWorkload::new(a, platform()), "hh");
+    assert_nan_panics(&DenseGemmWorkload::new(64, platform()), "gemm");
 }
 
 /// Profiled searches must reproduce direct searches exactly: same best

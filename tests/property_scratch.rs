@@ -16,7 +16,7 @@ use nbwp_core::prelude::*;
 use nbwp_core::workloads::{HhProfile, SpmmProfile};
 use nbwp_graph::cc::CcCostProfile;
 use nbwp_graph::gen as ggen;
-use nbwp_sim::ProfileScratch;
+use nbwp_sim::{ProfileScratch, RunReport};
 use nbwp_sparse::gen as sgen;
 use proptest::prelude::*;
 
@@ -161,6 +161,12 @@ fn corner_thresholds(n: usize) -> Vec<f64> {
     ts
 }
 
+/// `w`'s price at `t` on the cost curve over `p`: `report_at(split_for(t))`.
+fn priced<W: Profilable>(w: &W, p: &W::Profile, t: f64) -> RunReport {
+    let curve = w.curve(p).expect("every workload exposes a cost curve");
+    curve.report_at(curve.split_for(t))
+}
+
 /// Degree thresholds of an hh input: both empty bands plus points inside
 /// (and slightly beyond) the degree range.
 fn degree_thresholds(w: &HhWorkload) -> Vec<f64> {
@@ -173,11 +179,7 @@ fn assert_cc_fresh(w: &CcWorkload, p: &CcCostProfile) {
     let fresh = w.build_profile(Pool::global());
     assert_eq!(p.raw_curves(), fresh.raw_curves(), "cc n = {}", w.size());
     for t in corner_thresholds(w.size()) {
-        assert_eq!(
-            w.run_profiled(p, t),
-            w.run_profiled(&fresh, t),
-            "cc t = {t}"
-        );
+        assert_eq!(priced(w, p, t), priced(w, &fresh, t), "cc t = {t}");
     }
 }
 
@@ -188,11 +190,7 @@ fn assert_spmm_fresh(w: &SpmmWorkload, p: &SpmmProfile) {
     assert_eq!(p.curves(), fresh.curves(), "spmm n = {}", w.size());
     assert_eq!(p.partition(), fresh.partition());
     for t in corner_thresholds(w.size()) {
-        assert_eq!(
-            w.run_profiled(p, t),
-            w.run_profiled(&fresh, t),
-            "spmm t = {t}"
-        );
+        assert_eq!(priced(w, p, t), priced(w, &fresh, t), "spmm t = {t}");
     }
 }
 
@@ -201,11 +199,7 @@ fn assert_hh_fresh(w: &HhWorkload, p: &HhProfile) {
     let fresh = w.build_profile(Pool::global());
     assert_eq!(p.raw_classes(), fresh.raw_classes(), "hh n = {}", w.size());
     for t in degree_thresholds(w) {
-        assert_eq!(
-            w.run_profiled(p, t),
-            w.run_profiled(&fresh, t),
-            "hh t = {t}"
-        );
+        assert_eq!(priced(w, p, t), priced(w, &fresh, t), "hh t = {t}");
     }
 }
 
@@ -278,8 +272,8 @@ proptest! {
             ts.push(t_rand);
             for t in ts {
                 prop_assert_eq!(
-                    w.run_profiled(&p, t),
-                    w.run_profiled(&fresh, t),
+                    priced(&w, &p, t),
+                    priced(&w, &fresh, t),
                     "cc round = {} t = {}", round, t
                 );
             }
@@ -303,8 +297,8 @@ proptest! {
             ts.push(t_rand);
             for t in ts {
                 prop_assert_eq!(
-                    w.run_profiled(&p, t),
-                    w.run_profiled(&fresh, t),
+                    priced(&w, &p, t),
+                    priced(&w, &fresh, t),
                     "spmm round = {} t = {}", round, t
                 );
             }
@@ -329,8 +323,8 @@ proptest! {
             let p = w.build_profile_in(Pool::global(), &mut scratch);
             for t in [0.0, 1.0, max * t_frac, max, max + 1.0] {
                 prop_assert_eq!(
-                    w.run_profiled(&p, t),
-                    w.run_profiled(&fresh, t),
+                    priced(&w, &p, t),
+                    priced(&w, &fresh, t),
                     "hh round = {} t = {}", round, t
                 );
             }
