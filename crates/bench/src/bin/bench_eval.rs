@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use nbwp_bench::harness::{available_parallelism, best_ms, finish, write_report, GateOpts};
 use nbwp_core::prelude::*;
+use nbwp_graph::cc::CcCostProfile;
 use nbwp_graph::gen as graph_gen;
 use nbwp_sparse::gen as sparse_gen;
 use serde::Serialize;
@@ -83,6 +84,10 @@ struct SensitivityInfo {
 /// and `per_probe_us` divides it by the probe count; the per-probe gate
 /// holds `per_probe_us(k) <= k * per_probe_us(2)` per workload, so a band
 /// price may grow with the arity but not with the band's length.
+/// `sv_band_replays` and `dfs_band_replays` count the distinct bands the
+/// descent simulated (the cc profile's memo sizes after it; `null` for
+/// workloads that price bands in closed form): a deterministic work count
+/// beside `cd_probes`. The k = 2 row is the scalar analytic search.
 #[derive(Serialize)]
 struct KwayEntry {
     workload: String,
@@ -98,6 +103,8 @@ struct KwayEntry {
     eval_ratio: f64,
     wall_ms: f64,
     per_probe_us: f64,
+    sv_band_replays: Option<usize>,
+    dfs_band_replays: Option<usize>,
 }
 
 /// Descents timed per k-way row; the row keeps the fastest.
@@ -215,12 +222,14 @@ fn kway_step(space: &ThresholdSpace, k: usize) -> f64 {
 /// tie-break) using at least 5x fewer objective probes for `k > 2`. On the
 /// canonical pair the partition minimizer must reproduce the scalar
 /// [`Strategy::Analytic`] search on the profiled workload bitwise:
-/// threshold, split, total, and probe count.
+/// threshold, split, total, and probe count. `replays` reads a profile's
+/// `(SV, DFS)` band-replay counts, for workloads that simulate bands.
 fn kway_gate<W: Profilable>(
     name: &str,
     w: &W,
     sets: &[DeviceSet],
     pool: &Pool,
+    replays: impl Fn(&W::Profile) -> Option<(usize, usize)>,
     kway: &mut Vec<KwayEntry>,
     mismatches: &mut Vec<String>,
 ) {
@@ -252,10 +261,10 @@ fn kway_gate<W: Profilable>(
             let cd = minimize_partition(fresh_curve.as_ref(), set, &space, step, None)
                 .expect("the cost curve prices bands for this device set");
             wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            descents.push(cd);
+            descents.push((cd, replays(&fresh)));
         }
-        let cd = descents.pop().expect("at least one descent");
-        if descents.iter().any(|d| *d != cd) {
+        let (cd, band_replays) = descents.pop().expect("at least one descent");
+        if descents.iter().any(|d| *d != (cd.clone(), band_replays)) {
             mismatches.push(format!(
                 "{name}/{}: repeated descents on fresh profiles disagree",
                 set.name()
@@ -341,8 +350,11 @@ fn kway_gate<W: Profilable>(
             parity
         });
 
+        let replayed = band_replays
+            .map(|(sv, dfs)| format!(" | {sv} SV + {dfs} DFS band replays"))
+            .unwrap_or_default();
         eprintln!(
-            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1} | {per_probe_us:.2} us/probe",
+            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1} | {per_probe_us:.2} us/probe{replayed}",
             set.name(),
             cd.probes,
             cd.sweeps,
@@ -361,6 +373,8 @@ fn kway_gate<W: Profilable>(
             eval_ratio,
             wall_ms,
             per_probe_us,
+            sv_band_replays: band_replays.map(|(sv, _)| sv),
+            dfs_band_replays: band_replays.map(|(_, dfs)| dfs),
         });
     }
 
@@ -562,9 +576,35 @@ fn main() {
     let dual = DeviceSet::dual_cpu_dual_gpu();
     let quad = DeviceSet::quad_cpu_quad_gpu();
     let all_sets = [pair.clone(), dual.clone(), quad];
-    kway_gate("spmm", &spmm, &all_sets, pool, &mut kway, &mut mismatches);
-    kway_gate("gemm", &gemm, &all_sets, pool, &mut kway, &mut mismatches);
-    kway_gate("cc", &cc, &[pair, dual], pool, &mut kway, &mut mismatches);
+    // spmm and gemm price bands in closed form: nothing is replayed.
+    kway_gate(
+        "spmm",
+        &spmm,
+        &all_sets,
+        pool,
+        |_: &_| None,
+        &mut kway,
+        &mut mismatches,
+    );
+    kway_gate(
+        "gemm",
+        &gemm,
+        &all_sets,
+        pool,
+        |_: &_| None,
+        &mut kway,
+        &mut mismatches,
+    );
+    let cc_replays = |p: &CcCostProfile| Some(p.replays());
+    kway_gate(
+        "cc",
+        &cc,
+        &[pair, dual],
+        pool,
+        cc_replays,
+        &mut kway,
+        &mut mismatches,
+    );
 
     eprintln!("sensitivity sweep via Profile::resample...");
     let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -606,7 +646,7 @@ fn main() {
     });
 
     let report = Report {
-        schema: "nbwp-bench-eval/v5",
+        schema: "nbwp-bench-eval/v6",
         quick: args.quick,
         seed: args.seed,
         repetitions: reps,

@@ -4,7 +4,7 @@
 //! GPU, with the four masked partial products of Phases II/III.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 use nbwp_par::Pool;
 use nbwp_sim::{
@@ -450,23 +450,27 @@ impl CurveEval for HhCostCurve<'_> {
     fn report_at(&self, split: usize) -> RunReport {
         // Both locks recover from poisoning: memo entries are pure prices
         // inserted only after their pricing pass returns, and every pass
-        // clears and refills the workspace it borrows.
+        // clears and refills the workspace it borrows. No pass runs under
+        // the memo lock, and a pass that finds the shared workspace busy
+        // prices in a fresh one, so concurrent probes never queue. Prices
+        // are pure, so when two passes race on one class the first insert
+        // wins and both return equal reports.
         let profile = self.profile;
         let memo = || profile.memo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(report) = memo().get(&split) {
             return report.clone();
         }
-        let report = {
-            let mut ws = profile
-                .workspace
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let HhWorkspace { rows, scratch } = &mut *ws;
-            self.workload
-                .report_for_threshold_in(self.repr_t(split), rows, scratch)
+        let t = self.repr_t(split);
+        let price = |ws: &mut HhWorkspace| {
+            let HhWorkspace { rows, scratch } = ws;
+            self.workload.report_for_threshold_in(t, rows, scratch)
         };
-        memo().insert(split, report.clone());
-        report
+        let report = match profile.workspace.try_lock() {
+            Ok(mut ws) => price(&mut ws),
+            Err(TryLockError::Poisoned(poisoned)) => price(&mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => price(&mut HhWorkspace::default()),
+        };
+        memo().entry(split).or_insert(report).clone()
     }
 
     fn platform(&self) -> &Platform {
@@ -632,6 +636,20 @@ mod tests {
             assert_eq!(priced(&w, &p, t), priced(&w, &clean, t), "t = {t}");
             assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
         }
+    }
+
+    #[test]
+    fn busy_workspace_prices_in_a_fresh_one() {
+        let w = workload(gen::power_law(500, 9, 2.1, 19));
+        let p = w.build_profile(nbwp_par::Pool::global());
+        // A probe holding the shared workspace: every memo miss priced
+        // meanwhile must take a fresh workspace instead of waiting.
+        let busy = p.workspace.lock().expect("fresh lock");
+        for t in [0.0, 2.0, 3.7, w.max_degree() as f64 + 5.0] {
+            assert_eq!(priced(&w, &p, t), w.run(t), "t = {t}");
+        }
+        drop(busy);
+        assert!(!p.memo.lock().expect("fresh lock").is_empty());
     }
 
     #[test]

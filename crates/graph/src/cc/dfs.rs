@@ -7,6 +7,7 @@
 
 use nbwp_sim::KernelStats;
 
+use crate::csr_graph::count_below;
 use crate::Graph;
 
 /// Irregular bytes charged per arc inspection: the adjacency entry (4 B)
@@ -137,12 +138,7 @@ pub struct DfsPrefixCost {
 }
 
 /// Prices `cc_dfs_chunked(&g.vertex_interval_subgraph(0, split).0, chunks)`
-/// exactly from the parent graph: per-vertex visit and per-arc charges are
-/// linear in the prefix vertex/arc counts, and the only traversal-dependent
-/// outputs — per-chunk work (for the parallelism estimate) and the deferred
-/// inter-chunk edge count — fall out of two binary searches per vertex on
-/// the sorted adjacency (`O(split · log deg)` instead of running the DFS
-/// and building the subgraph).
+/// exactly from the parent graph: the prefix case of [`dfs_band_cost`].
 ///
 /// # Panics
 /// Panics if `chunks == 0` or `split > g.n()`.
@@ -151,12 +147,23 @@ pub fn dfs_prefix_cost(g: &Graph, split: usize, chunks: usize) -> DfsPrefixCost 
     dfs_band_cost(g, 0, split, chunks)
 }
 
-/// Generalizes [`dfs_prefix_cost`] to an arbitrary contiguous vertex band:
-/// prices `cc_dfs_chunked(&g.vertex_interval_subgraph(lo, hi).0, chunks)`
-/// exactly from the parent graph. At `lo == 0` this *is* the prefix cost
-/// (the degree binary searches collapse to the same expressions, all in
-/// exact `u64` arithmetic), which is how the scalar path delegates here
-/// without any bitwise drift.
+/// Prices `cc_dfs_chunked(&g.vertex_interval_subgraph(lo, hi).0, chunks)`
+/// exactly from the parent graph, without building the band or labelling
+/// anything.
+///
+/// Every band vertex is popped exactly once and inspects each of its
+/// band-internal arcs exactly once, whatever order the DFS visits them in,
+/// so the visit and arc charges are linear in the band's vertex and
+/// internal-arc counts. The only traversal-shaped outputs are per-chunk
+/// work (for the parallelism estimate) and the deferred inter-chunk edge
+/// count, and both are per-vertex counts over the sorted adjacency: a
+/// vertex `u` in chunk `c_lo..c_hi` contributes its neighbours in
+/// `lo..hi` as work and those in `c_hi..hi` as deferred edges (a
+/// neighbour below `c_lo` is deferred from its own, lower endpoint). The
+/// counts come from the vertex's first and last neighbour whenever they
+/// decide them, and from a binary search only for a list that straddles a
+/// band or chunk edge. At `lo == 0` this is the prefix cost, all in exact
+/// `u64` arithmetic.
 ///
 /// # Panics
 /// Panics if `chunks == 0`, `lo > hi`, or `hi > g.n()`.
@@ -176,36 +183,45 @@ pub fn dfs_band_cost(g: &Graph, lo: usize, hi: usize, chunks: usize) -> DfsPrefi
     let chunk_len = len.div_ceil(chunks);
     let mut arcs_internal = 0u64;
     let mut deferred = 0u64;
-    let mut chunk_work = vec![0u64; chunks];
-    for (c, work) in chunk_work.iter_mut().enumerate() {
-        let c_lo = lo + c * chunk_len;
+    let mut max_work = 0u64;
+    for c in 0..chunks {
+        let c_lo = (lo + c * chunk_len).min(hi);
         let c_hi = (c_lo + chunk_len).min(hi);
+        let mut chunk_arcs = 0u64;
         for u in c_lo..c_hi {
             let adj = g.neighbors(u);
-            // Internal degree: neighbors inside the band. Deferred edges
-            // are the internal neighbors at or past the chunk end (those
-            // below `c_lo` are reported from the other endpoint's side,
-            // and a band neighbor v ≥ c_hi always satisfies u < v).
-            let d_below_band = adj.partition_point(|&v| (v as usize) < lo) as u64;
-            let d_int = adj.partition_point(|&v| (v as usize) < hi) as u64 - d_below_band;
-            let d_below_hi = adj.partition_point(|&v| (v as usize) < c_hi) as u64 - d_below_band;
-            arcs_internal += d_int;
-            deferred += d_int - d_below_hi;
-            *work += 2 + d_int;
+            // (internal, deferred): neighbours in `lo..hi`, and those in
+            // `c_hi..hi`. The three searches of a straddling list are
+            // independent of each other.
+            let (internal, beyond) = match (adj.first(), adj.last()) {
+                (Some(&first), Some(&last)) if first as usize >= lo && (last as usize) < hi => {
+                    let beyond = if (last as usize) < c_hi {
+                        0
+                    } else {
+                        adj.len() - count_below(adj, c_hi)
+                    };
+                    (adj.len(), beyond)
+                }
+                _ => {
+                    let to = count_below(adj, hi);
+                    (to - count_below(adj, lo), to - count_below(adj, c_hi))
+                }
+            };
+            chunk_arcs += internal as u64;
+            deferred += beyond as u64;
         }
+        arcs_internal += chunk_arcs;
+        max_work = max_work.max(2 * (c_hi - c_lo) as u64 + chunk_arcs);
     }
     // Per popped vertex (each band vertex is popped exactly once).
     stats.int_ops = 4 * len as u64 + 2 * arcs_internal;
     stats.mem_read_bytes = 16 * len as u64 + ARC_IRREGULAR_BYTES * arcs_internal;
     stats.mem_write_bytes = 4 * len as u64;
     stats.irregular_bytes = ARC_IRREGULAR_BYTES * arcs_internal;
-    let total_work: u64 = chunk_work.iter().sum();
-    let max_work = chunk_work.iter().copied().max().unwrap_or(0);
-    stats.parallel_items = if max_work == 0 {
-        chunks as u64
-    } else {
-        (total_work as f64 / max_work as f64).round().max(1.0) as u64
-    };
+    // Chunk work is two units per vertex plus one per internal arc, so the
+    // first chunk's work is at least 2.
+    let total_work = 2 * len as u64 + arcs_internal;
+    stats.parallel_items = (total_work as f64 / max_work as f64).round().max(1.0) as u64;
     // Band CSR footprint: (len + 1) row pointers + internal arcs.
     let band_size_bytes = 8 * (len as u64 + 1) + 4 * arcs_internal;
     stats.working_set_bytes = band_size_bytes + 5 * len as u64;

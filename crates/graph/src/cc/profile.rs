@@ -2,17 +2,32 @@
 //! [`RunReport`] at any threshold without partitioning the graph or running
 //! the kernels.
 //!
-//! One construction pass over the arcs builds three split-indexed curves
-//! (GPU-internal arcs, cross arcs, and — implicitly, via the DFS replay —
-//! CPU-internal arcs). Pricing a threshold then needs only:
+//! One construction pass over the arcs builds two split-indexed curves
+//! (suffix-internal arcs and cross arcs). Pricing a threshold then needs
+//! only:
 //!
 //! * curve lookups for every arc/byte-linear counter (partition, transfer,
 //!   merge, and both compute kernels' volume terms);
-//! * a label-only Shiloach–Vishkin replay ([`sv_suffix_counts`](crate::cc::sv_suffix_counts)) for the
-//!   GPU round/pass counts, and two binary searches per prefix vertex
-//!   ([`dfs_prefix_cost`](crate::cc::dfs_prefix_cost)) for the CPU chunk balance and deferred edges —
-//!   both memoized per split, so repeated evaluations at the same
-//!   quantized threshold are O(1).
+//! * the GPU band's Shiloach–Vishkin round and doubling-pass counts, in
+//!   closed form ([`sv_band_counts`]). The `j`-th Jacobi doubling pass
+//!   moves every pointer from its `2^(j-1)`-th to its `2^j`-th ancestor,
+//!   capped at the root, so a round whose hooked forest is `D` deep runs
+//!   `1 + ⌈log2 D⌉` passes (`1` when `D ≤ 1`). Round 1 hooks each vertex
+//!   onto its first in-band neighbour when that is smaller, read straight
+//!   off the sorted adjacency; compression leaves every tree a star, so
+//!   later rounds read only the inter-tree edges. No pointer-doubling pass
+//!   is simulated;
+//! * the CPU band's chunk balance and deferred edges ([`dfs_band_cost`]):
+//!   every band vertex is popped once and inspects each internal arc once
+//!   in any DFS order, so both are per-vertex neighbour counts, which the
+//!   vertex's first and last neighbour settle unless its list straddles a
+//!   band or chunk edge.
+//!
+//! Both replays are memoized per band, and run outside the memo lock, so
+//! repeated evaluations of a band are O(1) and concurrent probes of one
+//! profile replay different bands in parallel. The direct
+//! [`cc_sv`](crate::cc::cc_sv) and [`cc_dfs_chunked`](crate::cc::cc_dfs_chunked)
+//! runs stay the oracle they are tested against.
 //!
 //! The result is **bitwise equal** to the `report` field of a direct
 //! `hybrid_cc` run (asserted per split in the tests): both paths feed
@@ -20,6 +35,7 @@
 //! functions.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Mutex, PoisonError};
 
 use nbwp_sim::{
@@ -179,6 +195,16 @@ impl CcCostProfile {
         scratch.give(self.cross);
     }
 
+    /// Distinct `(SV, DFS)` band replays memoized since the last build or
+    /// patch: the band simulations the searches priced on this profile
+    /// ran, a deterministic work count beside their probe counts.
+    #[must_use]
+    pub fn replays(&self) -> (usize, usize) {
+        let sv = self.sv_memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let dfs = self.dfs_memo.lock().unwrap_or_else(PoisonError::into_inner);
+        (sv.len(), dfs.len())
+    }
+
     /// Raw split-indexed curve arrays `(arcs_gpu, cross)`, for benchmark
     /// parity gates comparing against an independently built profile.
     #[doc(hidden)]
@@ -237,6 +263,25 @@ impl CcCostProfile {
     pub fn cross_at(&self, cut: usize) -> u64 {
         self.cross[cut]
     }
+}
+
+/// The memoized replay under `key`, replaying with `replay` on a miss.
+/// The replay runs outside the lock, so concurrent probes of one profile
+/// replay different bands in parallel. Replays are pure, so when two
+/// probes race on one key the first insert wins and both return equal
+/// values. A memo poisoned by a panicking probe is still sound: entries
+/// are inserted only after their replay returns.
+fn memoized<K, V>(memo: &Mutex<HashMap<K, V>>, key: K, replay: impl FnOnce() -> V) -> V
+where
+    K: Eq + Hash,
+    V: Clone,
+{
+    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = lock().get(&key) {
+        return hit.clone();
+    }
+    let value = replay();
+    lock().entry(key).or_insert(value).clone()
 }
 
 /// The hybrid CC total-cost curve as a [`CurveEval`]: every vertex split
@@ -308,15 +353,9 @@ impl CurveEval for CcCostCurve<'_> {
         match kind {
             DeviceKind::Cpu => {
                 let chunks = self.platform.cpu.cores;
-                let dfs = {
-                    let mut memo = profile
-                        .dfs_memo
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    memo.entry((lo, hi, chunks))
-                        .or_insert_with(|| dfs_band_cost(g, lo, hi, chunks))
-                        .clone()
-                };
+                let dfs = memoized(&profile.dfs_memo, (lo, hi, chunks), || {
+                    dfs_band_cost(g, lo, hi, chunks)
+                });
                 let mut stats = dfs.stats;
                 stats.int_ops += 8 * dfs.deferred_edges;
                 stats.mem_read_bytes += 8 * dfs.deferred_edges;
@@ -327,15 +366,8 @@ impl CurveEval for CcCostCurve<'_> {
                 })
             }
             DeviceKind::Gpu => {
-                let (rounds, passes, arcs) = {
-                    let mut memo = profile
-                        .sv_memo
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    *memo
-                        .entry((lo, hi))
-                        .or_insert_with(|| sv_band_counts(g, lo, hi))
-                };
+                let (rounds, passes, arcs) =
+                    memoized(&profile.sv_memo, (lo, hi), || sv_band_counts(g, lo, hi));
                 let len = hi - lo;
                 // Band CSR footprint: (len + 1) row pointers + internal arcs.
                 let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;

@@ -18,6 +18,8 @@
 //! and pass counts drive the simulated GPU kernel-launch cost, so their
 //! determinism matters as much as the labels'.
 
+use std::cell::RefCell;
+
 use nbwp_par::Pool;
 use nbwp_sim::KernelStats;
 
@@ -149,102 +151,216 @@ pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
     }
 }
 
-/// Replays the Shiloach–Vishkin control flow on the vertex-suffix subgraph
-/// `start..n` of `g` *without materializing it*, returning the exact
-/// `(rounds, doubling_passes)` that [`cc_sv`] would report on
-/// `g.vertex_interval_subgraph(start, n)`.
-///
-/// Correctness: adjacency lists are sorted, so the suffix-internal
-/// neighbors of each vertex form a contiguous tail slice (found once by
-/// binary search), and renumbering the suffix to `0..n-start` is a uniform
-/// id shift — every label comparison in hooking and every equality check in
-/// pointer doubling is order-isomorphic under that shift, so the round and
-/// pass sequence is identical. Only the label bookkeeping runs; none of the
-/// subgraph construction, stats accounting, or final normalization does,
-/// which is what makes profiled CC threshold pricing cheaper than a direct
-/// run (and it is memoized per split on top).
+/// The exact `(rounds, doubling_passes)` that [`cc_sv`] reports on the
+/// vertex suffix `g.vertex_interval_subgraph(start, n)`, without building
+/// it: the suffix case of [`sv_band_counts`], which states the closed form
+/// and why it is exact.
 #[must_use]
 pub fn sv_suffix_counts(g: &Graph, start: usize) -> (u32, u32) {
     let (rounds, passes, _) = sv_band_counts(g, start, g.n());
     (rounds, passes)
 }
 
-/// Generalizes [`sv_suffix_counts`] to an arbitrary contiguous vertex band
-/// `lo..hi`: replays the Shiloach–Vishkin control flow on the band-induced
-/// subgraph and returns `(rounds, doubling_passes, internal_arcs)`. The
-/// internal directed-arc count comes out of the same binary searches that
-/// build the adjacency slices, and is exactly
-/// `g.vertex_interval_subgraph(lo, hi).0.arcs()` — band-internal arcs are
-/// *not* derivable from the profile's suffix curves, so the replay reports
-/// them alongside the counts for closed-form stat pricing. At `lo == 0`
-/// the slices and the id shift collapse to the suffix case bitwise.
+/// The exact `(rounds, doubling_passes, internal_arcs)` that [`cc_sv`]
+/// reports on the band subgraph `g.vertex_interval_subgraph(lo, hi)`,
+/// computed from the parent graph without building the band or simulating
+/// a single pointer-doubling pass.
+///
+/// Renumbering the band to `0..hi-lo` is a uniform id shift, so every
+/// label comparison of the run is order-isomorphic on the parent's ids,
+/// and a band vertex's internal neighbours are a contiguous slice of its
+/// sorted adjacency. Three facts about [`cc_sv`] then make the replay
+/// closed-form:
+///
+/// * **Doubling passes.** After hooking, the parent pointers form a
+///   forest. A Jacobi doubling pass moves a vertex of depth `d` from its
+///   `2^(j-1)`-th to its `2^j`-th ancestor, capped at the root, so pass `j`
+///   changes something iff the deepest vertex has depth `D > 2^(j-1)`, and
+///   the round's compression runs `1 + ⌈log2 D⌉` passes (`1` when
+///   `D ≤ 1`: the final pass that changes nothing).
+/// * **Round 1.** Every vertex starts as its own root, and the minimum
+///   label a vertex sees is its first in-band neighbour, so each vertex
+///   hooks onto that neighbour when it is smaller. The hook target has a
+///   smaller id, so depths and roots follow in one increasing-id sweep
+///   over the band, with no arc pass.
+/// * **Rounds ≥ 2.** Compression leaves every tree a star, so a root
+///   hooks onto the smallest root across its *inter-tree* edges, and
+///   intra-tree arcs never change a candidate. The inter-tree edges,
+///   collected once in the round-1 sweep and relabelled by root each
+///   round, are all later rounds read. The deepest vertex is the deepest
+///   hooked root, one level deeper when its tree has members besides the
+///   root; trees without inter-tree edges never reach depth 2. The run
+///   stops after the first round without a hook, which has no inter-tree
+///   edges and one doubling pass.
+///
+/// The internal arc count is the sum of the band slices, exactly
+/// `g.vertex_interval_subgraph(lo, hi).0.arcs()`: band-internal arcs are
+/// not derivable from a profile's suffix curves, so the replay reports them
+/// for [`sv_stats_closed_form`]. Working buffers are reused per thread, so
+/// a warm replay allocates nothing.
 ///
 /// # Panics
 /// Panics if `lo > hi` or `hi > g.n()`.
 #[must_use]
 pub fn sv_band_counts(g: &Graph, lo: usize, hi: usize) -> (u32, u32, u64) {
     assert!(lo <= hi && hi <= g.n(), "band out of bounds");
-    let n = hi - lo;
-    if n == 0 {
+    if lo == hi {
         return (0, 0, 0);
     }
-    // Slice of each band vertex's adjacency internal to the band.
-    let mut arcs = 0u64;
-    let tails: Vec<&[u32]> = (lo..hi)
-        .map(|u| {
-            let adj = g.neighbors(u);
-            let from = adj.partition_point(|&v| (v as usize) < lo);
-            let to = adj.partition_point(|&v| (v as usize) < hi);
-            arcs += (to - from) as u64;
-            &adj[from..to]
-        })
-        .collect();
-    let start = lo;
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut cand: Vec<u32> = vec![0; n];
-    let mut rounds = 0u32;
-    let mut doubling_passes = 0u32;
-    loop {
-        rounds += 1;
-        cand.copy_from_slice(&parent);
-        for (u, tail) in tails.iter().enumerate() {
-            let ru = parent[u] as usize;
-            for &v in *tail {
-                let rv = parent[v as usize - start];
-                if rv < cand[ru] {
-                    cand[ru] = rv;
+    SV_BUFFERS.with(|buffers| buffers.borrow_mut().band_counts(g, lo, hi))
+}
+
+thread_local! {
+    /// Per-thread [`sv_band_counts`] buffers: a search's probes replay
+    /// band after band on the same worker threads.
+    static SV_BUFFERS: RefCell<SvBuffers> = RefCell::default();
+}
+
+/// Working arrays of one [`sv_band_counts`] replay. Labels are band-local
+/// vertex ids in round 1 and order-preserving compact ids afterwards.
+#[derive(Default)]
+struct SvBuffers {
+    /// Round 1: each vertex's root. Later rounds: each node's root after
+    /// the round's hooks.
+    root: Vec<u32>,
+    /// Round 1: each vertex's depth. Later rounds: each node's depth in
+    /// the forest of hooked roots.
+    depth: Vec<u32>,
+    /// Whether a node's tree has members besides its root. Fixed after
+    /// round 1: a vertex next to a round-1 singleton root `f` and above it
+    /// would have hooked onto `f` or lower in round 1, so no root ever
+    /// hooks onto a memberless tree.
+    members: Vec<bool>,
+    /// Compact relabelling, then each node's hook target.
+    cand: Vec<u32>,
+    /// Inter-tree edges as `(larger root, smaller root)`.
+    edges: Vec<(u32, u32)>,
+}
+
+impl SvBuffers {
+    fn band_counts(&mut self, g: &Graph, lo: usize, hi: usize) -> (u32, u32, u64) {
+        let n = hi - lo;
+        let SvBuffers {
+            root,
+            depth,
+            members,
+            cand,
+            edges,
+        } = self;
+        root.clear();
+        depth.clear();
+        members.clear();
+        members.resize(n, false);
+        edges.clear();
+        // Round 1: hook onto the first in-band neighbour when it is smaller;
+        // collect each inter-tree edge once, from its higher endpoint.
+        let mut arcs = 0u64;
+        let mut deepest = 0u32;
+        for u in 0..n {
+            let internal = g.band_neighbors(lo + u, lo, hi);
+            arcs += internal.len() as u64;
+            let (r, d) = match internal.first() {
+                Some(&f) if (f as usize) < lo + u => {
+                    let f = f as usize - lo;
+                    (root[f], depth[f] + 1)
+                }
+                _ => (u as u32, 0),
+            };
+            root.push(r);
+            depth.push(d);
+            if d > 0 {
+                members[r as usize] = true;
+                deepest = deepest.max(d);
+            }
+            for &v in internal {
+                let v = v as usize - lo;
+                if v >= u {
+                    break;
+                }
+                let rv = root[v];
+                if rv != r {
+                    edges.push((r.max(rv), r.min(rv)));
                 }
             }
         }
-        let mut hooked = false;
-        for r in 0..n {
-            if cand[r] < parent[r] {
-                parent[r] = cand[r];
-                hooked = true;
-            }
+        let mut rounds = 1u32;
+        let mut passes = doubling_passes(deepest);
+        if arcs == 0 {
+            return (rounds, passes, 0);
         }
-        let mut compressed_any = false;
+        cand.resize(n, 0);
+        let mut nodes = n;
         loop {
-            let mut changed = false;
-            let next: Vec<u32> = (0..n)
-                .map(|v| {
-                    let x = parent[parent[v] as usize];
-                    changed |= x != parent[v];
-                    x
-                })
-                .collect();
-            doubling_passes += 1;
-            parent = next;
-            compressed_any |= changed;
-            if !changed {
-                break;
+            rounds += 1;
+            if edges.is_empty() {
+                return (rounds, passes + 1, arcs);
             }
-        }
-        if !hooked && !compressed_any {
-            break;
+            // Relabel only when the labels far outnumber the edges: each
+            // later round then costs O(edges) instead of O(labels).
+            if nodes > 2 * edges.len() {
+                nodes = compact(nodes, edges, members, cand);
+            }
+            // Hook every root onto its smallest neighbouring root.
+            for (r, c) in cand[..nodes].iter_mut().enumerate() {
+                *c = r as u32;
+            }
+            for &(a, b) in edges.iter() {
+                let slot = &mut cand[a as usize];
+                *slot = (*slot).min(b);
+            }
+            // Hook targets are smaller, so one increasing sweep settles
+            // every node's depth and final root.
+            let mut deepest = 0u32;
+            for r in 0..nodes {
+                let c = cand[r] as usize;
+                (root[r], depth[r]) = if c < r {
+                    (root[c], depth[c] + 1)
+                } else {
+                    (r as u32, 0)
+                };
+                deepest = deepest.max(depth[r] + u32::from(members[r]));
+            }
+            passes += doubling_passes(deepest);
+            edges.retain_mut(|(a, b)| {
+                let (x, y) = (root[*a as usize], root[*b as usize]);
+                (*a, *b) = (x.max(y), x.min(y));
+                x != y
+            });
         }
     }
-    (rounds, doubling_passes, arcs)
+}
+
+/// Doubling passes one compression runs on a forest whose deepest vertex
+/// has depth `deepest`: `1 + ⌈log2 deepest⌉`, or `1` when `deepest ≤ 1`.
+fn doubling_passes(deepest: u32) -> u32 {
+    1 + (u32::BITS - deepest.saturating_sub(1).leading_zeros())
+}
+
+/// Relabels the endpoints of `edges`, labels in `0..nodes`, onto
+/// `0..nodes'` in increasing order, dropping labels no edge names, and
+/// moves each kept label's `members` flag with it. Returns `nodes'`.
+fn compact(nodes: usize, edges: &mut [(u32, u32)], members: &mut [bool], ids: &mut [u32]) -> usize {
+    const UNNAMED: u32 = u32::MAX;
+    let ids = &mut ids[..nodes];
+    ids.fill(UNNAMED);
+    for &(a, b) in edges.iter() {
+        ids[a as usize] = 0;
+        ids[b as usize] = 0;
+    }
+    // Ids are handed out in increasing label order, and `kept <= x`, so
+    // each slot is read before it is overwritten.
+    let mut kept = 0usize;
+    for x in 0..nodes {
+        if ids[x] != UNNAMED {
+            ids[x] = kept as u32;
+            members[kept] = members[x];
+            kept += 1;
+        }
+    }
+    for (a, b) in edges.iter_mut() {
+        (*a, *b) = (ids[*a as usize], ids[*b as usize]);
+    }
+    kept
 }
 
 /// Closed-form [`cc_sv`] counters for a graph with `n` vertices, `arcs`

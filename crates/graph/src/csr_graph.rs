@@ -108,6 +108,19 @@ impl Graph {
         &self.adj[self.adj_ptr[v]..self.adj_ptr[v + 1]]
     }
 
+    /// The neighbours of `v` inside the vertex band `lo..hi`: a contiguous
+    /// slice of the sorted adjacency. When the first and last neighbour
+    /// both lie in the band, the whole list is the answer; only a list
+    /// that leaves the band is binary-searched.
+    #[inline]
+    pub(crate) fn band_neighbors(&self, v: usize, lo: usize, hi: usize) -> &[u32] {
+        let adj = self.neighbors(v);
+        match (adj.first(), adj.last()) {
+            (Some(&first), Some(&last)) if first as usize >= lo && (last as usize) < hi => adj,
+            _ => &adj[count_below(adj, lo)..count_below(adj, hi)],
+        }
+    }
+
     /// CSR offsets: vertex `v`'s neighbours are
     /// `adj()[adj_ptr()[v]..adj_ptr()[v + 1]]`.
     #[must_use]
@@ -200,6 +213,12 @@ impl std::fmt::Debug for Graph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Graph(n={}, m={})", self.n, self.m())
     }
+}
+
+/// Number of entries of the sorted list `adj` below `x`.
+#[inline]
+pub(crate) fn count_below(adj: &[u32], x: usize) -> usize {
+    adj.partition_point(|&v| (v as usize) < x)
 }
 
 /// Normalizes component labels so two labelings can be compared: each

@@ -113,71 +113,58 @@ impl GraphDelta {
         touched.sort_unstable();
         touched.dedup();
 
-        // Per-vertex three-way merge: (existing ∪ inserts) \ deletes, all
-        // three runs sorted. Untouched vertices copy their lists verbatim.
+        // Per-vertex three-way merge for touched vertices: (existing ∪
+        // inserts) \ deletes, all three runs sorted. The untouched vertices
+        // between two touched ones are copied as one run.
         let mut adj_ptr = Vec::with_capacity(n + 1);
         adj_ptr.push(0usize);
         let mut adj = Vec::with_capacity(g.arcs());
-        let (mut ii, mut di) = (0usize, 0usize);
-        let mut max_deg = 0u64;
-        for v in 0..n {
+        let (mut ins, mut del) = (ins.as_slice(), del.as_slice());
+        let mut copied = 0usize;
+        for &v in &touched {
+            copy_vertices(g, copied, v, &mut adj_ptr, &mut adj);
             let vu = v as u32;
-            let start = adj.len();
+            let ins_run = take_run(&mut ins, vu);
+            let del_run = take_run(&mut del, vu);
             let nbrs = g.neighbors(v);
-            let ins_run = {
-                let s = ii;
-                while ii < ins.len() && ins[ii].0 == vu {
-                    ii += 1;
-                }
-                &ins[s..ii]
-            };
-            let del_run = {
-                let s = di;
-                while di < del.len() && del[di].0 == vu {
-                    di += 1;
-                }
-                &del[s..di]
-            };
-            if ins_run.is_empty() && del_run.is_empty() {
-                adj.extend_from_slice(nbrs);
-            } else {
-                let (mut a, mut b, mut d) = (0usize, 0usize, 0usize);
-                loop {
-                    let next = match (nbrs.get(a), ins_run.get(b)) {
-                        (Some(&x), Some(&(_, y))) => {
-                            if x <= y {
-                                if x == y {
-                                    b += 1;
-                                }
-                                a += 1;
-                                x
-                            } else {
+            let (mut a, mut b, mut d) = (0usize, 0usize, 0usize);
+            loop {
+                let next = match (nbrs.get(a), ins_run.get(b)) {
+                    (Some(&x), Some(&(_, y))) => {
+                        if x <= y {
+                            if x == y {
                                 b += 1;
-                                y
                             }
-                        }
-                        (Some(&x), None) => {
                             a += 1;
                             x
-                        }
-                        (None, Some(&(_, y))) => {
+                        } else {
                             b += 1;
                             y
                         }
-                        (None, None) => break,
-                    };
-                    while d < del_run.len() && del_run[d].1 < next {
-                        d += 1;
                     }
-                    if d < del_run.len() && del_run[d].1 == next {
-                        continue;
+                    (Some(&x), None) => {
+                        a += 1;
+                        x
                     }
-                    adj.push(next);
+                    (None, Some(&(_, y))) => {
+                        b += 1;
+                        y
+                    }
+                    (None, None) => break,
+                };
+                while d < del_run.len() && del_run[d].1 < next {
+                    d += 1;
                 }
+                if d < del_run.len() && del_run[d].1 == next {
+                    continue;
+                }
+                adj.push(next);
             }
-            max_deg = max_deg.max((adj.len() - start) as u64);
             adj_ptr.push(adj.len());
+            copied = v + 1;
         }
+        copy_vertices(g, copied, n, &mut adj_ptr, &mut adj);
+        let max_deg = adj_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0) as u64;
 
         let degree_changes: Vec<(u64, u64)> = touched
             .iter()
@@ -198,10 +185,124 @@ impl GraphDelta {
     }
 }
 
+/// Splits off the leading arcs of the sorted arc list `arcs` that leave
+/// vertex `v`.
+fn take_run<'a>(arcs: &mut &'a [(u32, u32)], v: u32) -> &'a [(u32, u32)] {
+    let len = arcs.iter().take_while(|&&(u, _)| u == v).count();
+    let (run, rest) = arcs.split_at(len);
+    *arcs = rest;
+    run
+}
+
+/// Appends the adjacency of vertices `lo..hi` of `g` unchanged: one slice
+/// copy and a shifted run of offsets.
+fn copy_vertices(g: &Graph, lo: usize, hi: usize, adj_ptr: &mut Vec<usize>, adj: &mut Vec<u32>) {
+    let (start, end) = (g.adj_ptr()[lo], g.adj_ptr()[hi]);
+    let base = adj.len();
+    adj_ptr.extend(g.adj_ptr()[lo + 1..=hi].iter().map(|&p| p - start + base));
+    adj.extend_from_slice(&g.adj()[start..end]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use proptest::prelude::*;
+
+    /// A vertex-by-vertex rebuild: every vertex's list is rebuilt from
+    /// scratch as (existing ∪ inserts) \ deletes, untouched ones included.
+    fn apply_vertex_by_vertex(delta: &GraphDelta, g: &Graph) -> (Graph, GraphDeltaInfo) {
+        let n = g.n();
+        let mut commit = Digest::default();
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        for &(u, v) in &delta.insert {
+            commit.words([1, u64::from(u), u64::from(v)]);
+            if u != v {
+                ins.extend([(u, v), (v, u)]);
+            }
+        }
+        for &(u, v) in &delta.delete {
+            commit.words([2, u64::from(u), u64::from(v)]);
+            if u != v {
+                del.extend([(u, v), (v, u)]);
+            }
+        }
+        ins.sort_unstable();
+        ins.dedup();
+        del.sort_unstable();
+        del.dedup();
+        let mut touched: Vec<usize> = ins.iter().chain(&del).map(|&(u, _)| u as usize).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let (mut adj_ptr, mut adj) = (vec![0usize], Vec::new());
+        let mut max_deg = 0u64;
+        for v in 0..n {
+            let vu = v as u32;
+            let start = adj.len();
+            let mut merged: Vec<u32> = g.neighbors(v).to_vec();
+            merged.extend(ins.iter().filter(|&&(u, _)| u == vu).map(|&(_, w)| w));
+            merged.sort_unstable();
+            merged.dedup();
+            merged.retain(|&w| !del.contains(&(vu, w)));
+            adj.extend_from_slice(&merged);
+            max_deg = max_deg.max((adj.len() - start) as u64);
+            adj_ptr.push(adj.len());
+        }
+        let degree_changes = touched
+            .iter()
+            .map(|&v| (g.degree(v) as u64, (adj_ptr[v + 1] - adj_ptr[v]) as u64))
+            .collect();
+        let arcs_delta = adj.len() as i64 - g.arcs() as i64;
+        (
+            Graph::from_sorted_parts(n, adj_ptr, adj),
+            GraphDeltaInfo {
+                touched,
+                degree_changes,
+                new_max_degree: max_deg,
+                arcs_delta,
+                commit: commit.finish(),
+            },
+        )
+    }
+
+    /// `m` random vertex pairs of `0..n` drawn from `seed`, with vertex 0
+    /// and `n - 1` over-represented and self-loops included.
+    fn random_edges(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 8 {
+                0 => 0,
+                1 => n as u32 - 1,
+                _ => ((x >> 3) % n as u64) as u32,
+            }
+        };
+        (0..m).map(|_| (next(), next())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bulk_apply_equals_vertex_by_vertex_merge(
+            n in 1usize..300,
+            inserts in 0usize..30,
+            deletes in 0usize..30,
+            seed in any::<u64>(),
+        ) {
+            let g = gen::random(n, 4, seed);
+            // Deletes mix existing edges with random (mostly absent) pairs.
+            let mut delete = random_edges(n, deletes, seed ^ 0x5eed);
+            delete.extend(g.edges().step_by(7).take(deletes));
+            let delta = GraphDelta {
+                insert: random_edges(n, inserts, seed),
+                delete,
+            };
+            prop_assert_eq!(delta.apply(&g), apply_vertex_by_vertex(&delta, &g));
+        }
+    }
 
     fn edge_set(g: &Graph) -> Vec<(u32, u32)> {
         g.edges().collect()

@@ -9,6 +9,8 @@
 //! script. The info record is exactly what the O(|delta|) fingerprint and
 //! curve patches upstream consume — they never have to rescan the matrix.
 
+use std::collections::BTreeMap;
+
 use nbwp_sim::Digest;
 
 use crate::Csr;
@@ -91,7 +93,9 @@ impl CsrDelta {
 
     /// Applies the script with one compacting rebuild, returning the
     /// mutated matrix and the [`CsrDeltaInfo`] describing what changed.
-    /// The input is untouched (persistent-style update).
+    /// The input is untouched (persistent-style update). Each run of
+    /// untouched rows between two touched ones is copied in bulk: one
+    /// slice copy per array and a shifted run of row pointers.
     ///
     /// # Panics
     /// Panics if an op targets a row `>= rows`, a replacement's columns are
@@ -99,8 +103,8 @@ impl CsrDelta {
     /// differ.
     #[must_use]
     pub fn apply(&self, a: &Csr) -> (Csr, CsrDeltaInfo) {
-        use std::collections::HashMap;
-        let mut pending: HashMap<usize, (Vec<u32>, Vec<f64>)> = HashMap::new();
+        // Each touched row's final (cols, vals), in row order.
+        let mut pending: BTreeMap<usize, (Vec<u32>, Vec<f64>)> = BTreeMap::new();
         let mut commit = Digest::default();
         for op in &self.ops {
             match op {
@@ -121,11 +125,10 @@ impl CsrDelta {
                 RowOp::Scale { row, factor } => {
                     assert!(*row < a.rows(), "scale row {row} out of bounds");
                     commit.words([2, *row as u64, factor.to_bits()]);
-                    let (c, v) = pending.entry(*row).or_insert_with(|| {
+                    let (_, v) = pending.entry(*row).or_insert_with(|| {
                         let (c, v) = a.row(*row);
                         (c.to_vec(), v.to_vec())
                     });
-                    let _ = c;
                     for x in v.iter_mut() {
                         *x *= *factor;
                     }
@@ -133,28 +136,26 @@ impl CsrDelta {
             }
         }
 
-        let mut touched_rows: Vec<usize> = pending.keys().copied().collect();
-        touched_rows.sort_unstable();
-        let degree_changes: Vec<(u64, u64)> = touched_rows
+        let touched_rows: Vec<usize> = pending.keys().copied().collect();
+        let degree_changes: Vec<(u64, u64)> = pending
             .iter()
-            .map(|&r| (a.row_nnz(r) as u64, pending[&r].0.len() as u64))
+            .map(|(&r, (c, _))| (a.row_nnz(r) as u64, c.len() as u64))
             .collect();
 
         let mut row_ptr = Vec::with_capacity(a.rows() + 1);
         row_ptr.push(0usize);
         let mut col_idx = Vec::with_capacity(a.nnz());
         let mut vals = Vec::with_capacity(a.nnz());
-        let mut max_deg = 0u64;
-        for r in 0..a.rows() {
-            let (c, v) = match pending.get(&r) {
-                Some((c, v)) => (c.as_slice(), v.as_slice()),
-                None => a.row(r),
-            };
-            max_deg = max_deg.max(c.len() as u64);
+        let mut copied = 0usize;
+        for (&r, (c, v)) in &pending {
+            copy_rows(a, copied, r, &mut row_ptr, &mut col_idx, &mut vals);
             col_idx.extend_from_slice(c);
             vals.extend_from_slice(v);
             row_ptr.push(col_idx.len());
+            copied = r + 1;
         }
+        copy_rows(a, copied, a.rows(), &mut row_ptr, &mut col_idx, &mut vals);
+        let max_deg = row_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0) as u64;
         let nnz_delta = col_idx.len() as i64 - a.nnz() as i64;
         let out = Csr::from_raw(a.rows(), a.cols(), row_ptr, col_idx, vals);
         (
@@ -170,10 +171,138 @@ impl CsrDelta {
     }
 }
 
+/// Appends rows `lo..hi` of `a` unchanged: one slice copy per array and a
+/// shifted run of row pointers.
+fn copy_rows(
+    a: &Csr,
+    lo: usize,
+    hi: usize,
+    row_ptr: &mut Vec<usize>,
+    col_idx: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+) {
+    let (start, end) = (a.row_ptr()[lo], a.row_ptr()[hi]);
+    let base = col_idx.len();
+    row_ptr.extend(a.row_ptr()[lo + 1..=hi].iter().map(|&p| p - start + base));
+    col_idx.extend_from_slice(&a.col_indices()[start..end]);
+    vals.extend_from_slice(&a.values()[start..end]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use proptest::prelude::*;
+
+    /// The rebuild `apply` replaced: script composition in a hash map,
+    /// then one lookup and one copy per row.
+    fn apply_row_by_row(delta: &CsrDelta, a: &Csr) -> (Csr, CsrDeltaInfo) {
+        use std::collections::HashMap;
+        let mut pending: HashMap<usize, (Vec<u32>, Vec<f64>)> = HashMap::new();
+        let mut commit = Digest::default();
+        for op in &delta.ops {
+            match op {
+                RowOp::Replace { row, cols, vals } => {
+                    commit
+                        .words([1, *row as u64])
+                        .u32s(cols)
+                        .words(vals.iter().map(|v| v.to_bits()));
+                    pending.insert(*row, (cols.clone(), vals.clone()));
+                }
+                RowOp::Scale { row, factor } => {
+                    commit.words([2, *row as u64, factor.to_bits()]);
+                    let (_, v) = pending.entry(*row).or_insert_with(|| {
+                        let (c, v) = a.row(*row);
+                        (c.to_vec(), v.to_vec())
+                    });
+                    for x in v.iter_mut() {
+                        *x *= *factor;
+                    }
+                }
+            }
+        }
+        let mut touched_rows: Vec<usize> = pending.keys().copied().collect();
+        touched_rows.sort_unstable();
+        let degree_changes = touched_rows
+            .iter()
+            .map(|&r| (a.row_nnz(r) as u64, pending[&r].0.len() as u64))
+            .collect();
+        let (mut row_ptr, mut col_idx, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        let mut max_deg = 0u64;
+        for r in 0..a.rows() {
+            let (c, v) = match pending.get(&r) {
+                Some((c, v)) => (c.as_slice(), v.as_slice()),
+                None => a.row(r),
+            };
+            max_deg = max_deg.max(c.len() as u64);
+            col_idx.extend_from_slice(c);
+            vals.extend_from_slice(v);
+            row_ptr.push(col_idx.len());
+        }
+        let nnz_delta = col_idx.len() as i64 - a.nnz() as i64;
+        (
+            Csr::from_raw(a.rows(), a.cols(), row_ptr, col_idx, vals),
+            CsrDeltaInfo {
+                touched_rows,
+                degree_changes,
+                new_max_degree: max_deg,
+                nnz_delta,
+                commit: commit.finish(),
+            },
+        )
+    }
+
+    /// A script of `ops` random row ops on an `n`-row square matrix,
+    /// drawn from `seed`: replacements with random sorted patterns (empty
+    /// ones included) and scalings, on rows that repeat, including the
+    /// first and last.
+    fn random_script(n: usize, ops: usize, seed: u64) -> CsrDelta {
+        let mut x = seed | 1;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let ops = (0..ops)
+            .map(|_| {
+                let row = match next(4) {
+                    0 => 0,
+                    1 => n - 1,
+                    _ => next(n),
+                };
+                if next(3) == 0 {
+                    RowOp::Scale {
+                        row,
+                        factor: 0.5 + next(8) as f64,
+                    }
+                } else {
+                    let mut cols: Vec<u32> = (0..next(12)).map(|_| next(n) as u32).collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    let vals = cols.iter().map(|&c| f64::from(c) + 0.25).collect();
+                    RowOp::Replace { row, cols, vals }
+                }
+            })
+            .collect();
+        CsrDelta { ops }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bulk_apply_equals_row_by_row_rebuild(
+            n in 1usize..300,
+            deg in 1usize..9,
+            ops in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let a = gen::power_law(n, deg, 2.1, seed);
+            let delta = random_script(n, ops, seed);
+            prop_assert_eq!(delta.apply(&a), apply_row_by_row(&delta, &a));
+        }
+    }
 
     #[test]
     fn empty_delta_is_identity_with_distinct_commit() {

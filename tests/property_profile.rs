@@ -183,6 +183,56 @@ fn nan_thresholds_panic_on_the_direct_and_profiled_paths() {
     assert_nan_panics(&DenseGemmWorkload::new(64, platform()), "gemm");
 }
 
+/// Prices every split of one shared profile from four scoped threads
+/// released together by a barrier. Each thread starts at its own offset
+/// and wraps around, so the threads race on the same splits (memo misses
+/// and, for hh, the shared pricing workspace included); every price must
+/// equal a sequential pass over a fresh profile.
+fn assert_concurrent_prices_match<W: Profilable + Sync>(w: &W, name: &str) {
+    let fresh = w.build_profile(Pool::global());
+    let curve = w
+        .curve(&fresh)
+        .expect("every workload exposes a cost curve");
+    let splits = curve.splits();
+    let sequential: Vec<RunReport> = (0..splits).map(|s| curve.report_at(s)).collect();
+    let shared = w.build_profile(Pool::global());
+    let threads = 4;
+    let start = std::sync::Barrier::new(threads);
+    let concurrent: Vec<(usize, RunReport)> = std::thread::scope(|scope| {
+        let probes: Vec<_> = (0..threads)
+            .map(|i| {
+                let (shared, start) = (&shared, &start);
+                scope.spawn(move || {
+                    let curve = w
+                        .curve(shared)
+                        .expect("every workload exposes a cost curve");
+                    start.wait();
+                    (0..splits)
+                        .map(|j| (j + i * splits / threads) % splits)
+                        .map(|s| (s, curve.report_at(s)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        probes
+            .into_iter()
+            .flat_map(|probe| probe.join().expect("no probe panics"))
+            .collect()
+    });
+    assert_eq!(concurrent.len(), threads * splits, "{name}");
+    for (s, report) in concurrent {
+        assert_eq!(report, sequential[s], "{name}: split {s}");
+    }
+}
+
+#[test]
+fn concurrent_probes_price_like_sequential_ones() {
+    let g = ggen::web(400, 4, 5);
+    let a = sgen::power_law(400, 8, 2.1, 5);
+    assert_concurrent_prices_match(&CcWorkload::new(g, platform()), "cc");
+    assert_concurrent_prices_match(&HhWorkload::new(a, platform()), "hh");
+}
+
 /// Profiled searches must reproduce direct searches exactly: same best
 /// threshold, same (bitwise) simulated times, same evaluation sequence.
 fn assert_same_outcome(a: &SearchOutcome, b: &SearchOutcome) {
