@@ -23,7 +23,7 @@ fn main() {
         .find(|(n, _)| *n == "qcd5_4")
         .map(|(_, w)| w)
         .expect("registry");
-    let history_t = history.threshold_for(qcd);
+    let history_t = history.threshold_for(&ProfiledWorkload::new(qcd));
     println!("history baseline trained on qcd5_4 → t = {history_t:.0}\n");
 
     println!(
@@ -33,15 +33,18 @@ fn main() {
     println!("{}", "-".repeat(78));
     let (mut s_pen, mut st_pen, mut h_pen, mut d_pen) = (0.0, 0.0, 0.0, 0.0);
     for (name, w) in &suite {
-        let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(w);
+        // Every baseline is priced on one cost profile of the input.
+        let pw = ProfiledWorkload::new(w);
+        let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&pw);
         let est = Estimator::new(Strategy::RaceThenFine)
             .seed(opts.seed)
+            .profiled()
             .run(w);
-        let t_sampling = w.time_at(est.threshold);
-        let t_static = w.time_at(naive_static_for(w));
-        let t_history = w.time_at(history.threshold_for(w));
-        let t_dyn_free = chunked_dynamic(w, 32, SimTime::ZERO);
-        let t_dyn = chunked_dynamic(w, 32, SimTime::from_micros(100.0));
+        let t_sampling = pw.time_at(est.threshold);
+        let t_static = pw.time_at(naive_static_for(&pw));
+        let t_history = pw.time_at(history.threshold_for(&pw));
+        let t_dyn_free = chunked_dynamic(&pw, 32, SimTime::ZERO);
+        let t_dyn = chunked_dynamic(&pw, 32, SimTime::from_micros(100.0));
         println!(
             "{:<16} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
             name,

@@ -20,7 +20,7 @@ fn main() {
     let mut total_saved = 0.0;
     let suite = spmm_suite(&opts);
     for (name, w) in &suite {
-        let sweep = exhaustive_energy(w, &power, 1.0);
+        let sweep = exhaustive_energy(&ProfiledWorkload::new(w), &power, 1.0);
         let saved = (sweep.joules_at_time_best - sweep.best_joules)
             / sweep.joules_at_time_best.max(1e-12)
             * 100.0;

@@ -29,16 +29,7 @@ fn main() {
         })
         .collect();
 
-    let config = ExperimentConfig::cc(opts.seed);
-    let mut rows: Vec<ExperimentRow> = suite
-        .iter()
-        .map(|(name, w)| {
-            eprintln!("  running {name}...");
-            run_one(name, w, &config)
-        })
-        .collect();
-    let ws: Vec<ListRankingWorkload> = suite.iter().map(|(_, w)| w.clone()).collect();
-    fill_naive_average(&mut rows, &ws);
+    let rows = run_corpus(&suite, &ExperimentConfig::cc(opts.seed));
 
     println!("thresholds (splitter share %)");
     println!("{}", threshold_table(&rows));

@@ -31,16 +31,8 @@ fn main() {
     .map(|(name, data)| (name, SortWorkload::new(data, platform)))
     .collect();
 
-    let config = ExperimentConfig::cc(opts.seed); // coarse-to-fine, identity
-    let mut rows: Vec<ExperimentRow> = suite
-        .iter()
-        .map(|(name, w)| {
-            eprintln!("  running {name}...");
-            run_one(name, w, &config)
-        })
-        .collect();
-    let ws: Vec<SortWorkload> = suite.iter().map(|(_, w)| w.clone()).collect();
-    fill_naive_average(&mut rows, &ws);
+    // Coarse-to-fine, identity extrapolation.
+    let rows = run_corpus(&suite, &ExperimentConfig::cc(opts.seed));
 
     println!("thresholds (CPU element share %)");
     println!("{}", threshold_table(&rows));

@@ -22,16 +22,7 @@ fn main() {
         .collect();
     // Coarse-to-fine: the race heuristic misreads SpMV's cache cliff (see
     // workloads::spmv tests).
-    let config = ExperimentConfig::cc(opts.seed);
-    let mut rows: Vec<ExperimentRow> = suite
-        .iter()
-        .map(|(name, w)| {
-            eprintln!("  running {name}...");
-            run_one(name, w, &config)
-        })
-        .collect();
-    let ws: Vec<SpmvWorkload> = suite.iter().map(|(_, w)| w.clone()).collect();
-    fill_naive_average(&mut rows, &ws);
+    let rows = run_corpus(&suite, &ExperimentConfig::cc(opts.seed));
 
     println!("SpMV thresholds (CPU work share %)");
     println!("{}", threshold_table(&rows));

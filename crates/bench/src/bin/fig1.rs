@@ -16,16 +16,8 @@ fn main() {
         .iter()
         .map(|&n| (format!("mat.{n}"), DenseGemmWorkload::new(n, platform)))
         .collect();
-    let config = ExperimentConfig::spmm(opts.seed); // race + fine probes, identity
-    let mut rows: Vec<ExperimentRow> = suite
-        .iter()
-        .map(|(name, w)| {
-            eprintln!("  running {name}...");
-            run_one(name, w, &config)
-        })
-        .collect();
-    let ws: Vec<DenseGemmWorkload> = suite.iter().map(|&(_, w)| w).collect();
-    fill_naive_average(&mut rows, &ws);
+    // Race + fine probes, identity extrapolation.
+    let rows = run_corpus(&suite, &ExperimentConfig::spmm(opts.seed));
 
     println!("Fig. 1(a) — thresholds (CPU share %, dense GEMM)");
     println!("{}", threshold_table(&rows));

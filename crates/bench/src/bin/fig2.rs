@@ -20,11 +20,13 @@ Fig. 2 — The sampling-based work partitioning framework (paper §II)
                                             inaccurate by Fig. 7)
 
  Step 2 — find the best threshold on I_s
-   • [coarse-to-fine grid, strides 8 → 1]  (IdentifyStrategy::CoarseToFine; CC)
-   • [device race + fine probes]           (IdentifyStrategy::RaceThenFine; spmm)
-   • [gradient descent]                    (IdentifyStrategy::GradientDescent;
+   • [coarse-to-fine grid, strides 8 → 1]  (Strategy::CoarseToFine; CC)
+   • [device race + fine probes]           (Strategy::RaceThenFine; spmm)
+   • [gradient descent]                    (Strategy::GradientDescent;
                                             scale-free spmm, multi-start)
-   • exhaustive on the sample              (IdentifyStrategy::Exhaustive)
+   • exhaustive on the sample              (Strategy::Exhaustive)
+   • subgradient descent on the cost curve (Strategy::Analytic)
+   Every candidate is priced on a cost profile of I_s.
 
  Step 3 — map t' on I_s back to t on I
    • [identity]                            (CC, spmm, dense, sort, SpMV, lists)

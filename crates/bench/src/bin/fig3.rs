@@ -10,7 +10,7 @@ fn main() {
     let opts = Opts::parse();
     eprintln!("fig3: scale = {}, seed = {}", opts.scale, opts.seed);
     let suite = cc_suite(&opts);
-    let rows = nbwp_bench::run_panel(&suite, &ExperimentConfig::cc(opts.seed));
+    let rows = run_corpus(&suite, &ExperimentConfig::cc(opts.seed));
 
     println!("Fig. 3(a) — CC thresholds (CPU vertex share %)");
     println!("{}", threshold_table(&rows));

@@ -16,7 +16,7 @@ fn main() {
         let d = Dataset::by_name(name).expect("registry entry");
         let w = CcWorkload::new(d.graph(opts.scale, opts.seed), platform);
         eprintln!("  sweeping {name}...");
-        let points = sensitivity(&w, &factors, IdentifyStrategy::CoarseToFine, opts.seed);
+        let points = sensitivity(&w, &factors, Strategy::CoarseToFine, opts.seed);
         println!(
             "{}",
             sensitivity_table(&format!("CC / {name} (factor 1.0 = √n)"), &points)

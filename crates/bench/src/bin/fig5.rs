@@ -9,7 +9,7 @@ fn main() {
     let opts = Opts::parse();
     eprintln!("fig5: scale = {}, seed = {}", opts.scale, opts.seed);
     let suite = spmm_suite(&opts);
-    let rows = nbwp_bench::run_panel(&suite, &ExperimentConfig::spmm(opts.seed));
+    let rows = run_corpus(&suite, &ExperimentConfig::spmm(opts.seed));
 
     println!("Fig. 5(a) — spmm split percentages (CPU work share %)");
     println!("{}", threshold_table(&rows));

@@ -17,7 +17,7 @@ fn main() {
         let d = Dataset::by_name(name).expect("registry entry");
         let w = SpmmWorkload::new(d.matrix(opts.scale, opts.seed), platform);
         eprintln!("  sweeping {name}...");
-        let points = sensitivity(&w, &factors, IdentifyStrategy::RaceThenFine, opts.seed);
+        let points = sensitivity(&w, &factors, Strategy::RaceThenFine, opts.seed);
         println!(
             "{}",
             sensitivity_table(&format!("spmm / {name} (factor 1.0 = n/4)"), &points)

@@ -24,10 +24,12 @@ fn main() {
         let a = d.matrix(opts.scale, opts.seed);
         let w = SpmmWorkload::new(a.clone(), platform);
         let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) })
+            .profiled()
             .run(&w)
             .best_t;
         let random = Estimator::new(Strategy::RaceThenFine)
             .seed(opts.seed)
+            .profiled()
             .run(&w)
             .threshold;
         // Identify on each predetermined diagonal block.
@@ -35,7 +37,8 @@ fn main() {
         for b in 0..4 {
             let sub = predetermined_submatrix(&a, 4, b);
             let sw = SpmmWorkload::new(sub, platform);
-            blocks.push(Searcher::new(Strategy::RaceThenFine).run(&sw).best_t);
+            let search = Searcher::new(Strategy::RaceThenFine).profiled();
+            blocks.push(search.run(&sw).best_t);
         }
         let max_err = blocks
             .iter()

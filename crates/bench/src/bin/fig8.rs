@@ -9,7 +9,7 @@ fn main() {
     let opts = Opts::parse();
     eprintln!("fig8: scale = {}, seed = {}", opts.scale, opts.seed);
     let suite = hh_suite(&opts);
-    let rows = nbwp_bench::run_panel(&suite, &ExperimentConfig::scalefree(opts.seed));
+    let rows = run_corpus(&suite, &ExperimentConfig::scalefree(opts.seed));
 
     println!("Fig. 8(a) — HH-CPU density thresholds (nonzeros/row; |diff| = % of log axis)");
     println!("{}", threshold_table(&rows));

@@ -19,7 +19,7 @@ fn main() {
         let points = sensitivity(
             &w,
             &factors,
-            IdentifyStrategy::GradientDescent { max_evals: 24 },
+            Strategy::GradientDescent { max_evals: 24 },
             opts.seed,
         );
         println!(

@@ -13,15 +13,15 @@ fn main() {
 
     eprintln!("CC suite...");
     let cc = cc_suite(&opts);
-    let cc_rows = nbwp_bench::run_panel(&cc, &ExperimentConfig::cc(opts.seed));
+    let cc_rows = run_corpus(&cc, &ExperimentConfig::cc(opts.seed));
 
     eprintln!("spmm suite...");
     let spmm = spmm_suite(&opts);
-    let spmm_rows = nbwp_bench::run_panel(&spmm, &ExperimentConfig::spmm(opts.seed));
+    let spmm_rows = run_corpus(&spmm, &ExperimentConfig::spmm(opts.seed));
 
     eprintln!("scale-free spmm suite...");
     let hh = hh_suite(&opts);
-    let hh_rows = nbwp_bench::run_panel(&hh, &ExperimentConfig::scalefree(opts.seed));
+    let hh_rows = run_corpus(&hh, &ExperimentConfig::scalefree(opts.seed));
 
     let summaries = vec![
         summarize("CC", &cc_rows),

@@ -396,65 +396,41 @@ impl Opts {
     }
 }
 
+/// One workload per dataset, `new` building it on the scaled platform.
+fn suite<W>(
+    opts: &Opts,
+    datasets: impl IntoIterator<Item = &'static Dataset>,
+    new: impl Fn(&Dataset, Platform) -> W,
+) -> Vec<(&'static str, W)> {
+    let platform = opts.platform();
+    datasets
+        .into_iter()
+        .map(|d| (d.name, new(d, platform)))
+        .collect()
+}
+
 /// Builds the CC workload for every Table II dataset.
 #[must_use]
 pub fn cc_suite(opts: &Opts) -> Vec<(&'static str, CcWorkload)> {
-    let platform = opts.platform();
-    Dataset::all()
-        .iter()
-        .map(|d| {
-            (
-                d.name,
-                CcWorkload::new(d.graph(opts.scale, opts.seed), platform),
-            )
-        })
-        .collect()
+    suite(opts, Dataset::all(), |d, p| {
+        CcWorkload::new(d.graph(opts.scale, opts.seed), p)
+    })
 }
 
 /// Builds the spmm workload for every Table II dataset (`A × A`).
 #[must_use]
 pub fn spmm_suite(opts: &Opts) -> Vec<(&'static str, SpmmWorkload)> {
-    let platform = opts.platform();
-    Dataset::all()
-        .iter()
-        .map(|d| {
-            (
-                d.name,
-                SpmmWorkload::new(d.matrix(opts.scale, opts.seed), platform),
-            )
-        })
-        .collect()
+    suite(opts, Dataset::all(), |d, p| {
+        SpmmWorkload::new(d.matrix(opts.scale, opts.seed), p)
+    })
 }
 
 /// Builds the HH workload for the scale-free subset (paper §V).
 #[must_use]
 pub fn hh_suite(opts: &Opts) -> Vec<(&'static str, HhWorkload)> {
-    let platform = opts.platform();
-    Dataset::scale_free_suite()
-        .map(|d| {
-            (
-                d.name,
-                HhWorkload::new(d.matrix(opts.scale, opts.seed), platform),
-            )
-        })
-        .collect()
-}
-
-/// Runs a full figure panel: per-dataset method comparison plus the
-/// NaiveAverage second pass.
-#[must_use]
-pub fn run_panel<W: Sampleable>(
-    suite: &[(&'static str, W)],
-    config: &ExperimentConfig,
-) -> Vec<ExperimentRow> {
-    eprintln!(
-        "  dispatching {} datasets across {} worker(s)...",
-        suite.len(),
-        Pool::global().threads()
-    );
-    let mut rows: Vec<ExperimentRow> = run_corpus(suite, config);
-    fill_naive_average(&mut rows, suite.iter().map(|(_, w)| w));
-    rows
+    suite(opts, Dataset::scale_free_suite(), |d, p| {
+        HhWorkload::new(d.matrix(opts.scale, opts.seed), p)
+    })
 }
 
 #[cfg(test)]
@@ -478,10 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn run_panel_fills_naive_average() {
+    fn corpus_rows_fill_naive_average() {
         let opts = tiny_opts();
         let suite: Vec<_> = cc_suite(&opts).into_iter().take(2).collect();
-        let rows = run_panel(&suite, &ExperimentConfig::cc(opts.seed));
+        let rows = run_corpus(&suite, &ExperimentConfig::cc(opts.seed));
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.naive_average_t.is_some()));
         assert!(rows.iter().all(|r| r.time_naive_average_ms.is_some()));

@@ -42,56 +42,6 @@ use crate::threshold_cache::{
 /// stays within the bounded-overhead contract (exact hits never shadow).
 pub const DEFAULT_SHADOW_RATE: f64 = 1.0 / 16.0;
 
-/// Which Identify strategy (§II Step 2) to run on the sampled input.
-///
-/// The subset of [`Strategy`] an experiment runs on the direct path:
-/// [`ExperimentConfig`](crate::experiment::ExperimentConfig) holds one,
-/// which keeps the analytic search (it needs a cost profile) out of
-/// experiment configs. [`From`] lifts it into the full strategy enum
-/// (which adds the analytic subgradient search and explicit step
-/// overrides).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum IdentifyStrategy {
-    /// Coarse stride then fine stride (the paper's CC choice: 8 → 1).
-    CoarseToFine,
-    /// Device-race rough split then fine search (the paper's spmm choice).
-    RaceThenFine,
-    /// Discrete hill climbing (the paper's scale-free choice) with an
-    /// evaluation budget.
-    GradientDescent {
-        /// Maximum candidate evaluations.
-        max_evals: usize,
-    },
-    /// Exhaustive search on the sample (upper bound on identify quality).
-    Exhaustive,
-}
-
-impl IdentifyStrategy {
-    /// Stable snake_case name, used as a span argument in traces.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            IdentifyStrategy::CoarseToFine => "coarse_to_fine",
-            IdentifyStrategy::RaceThenFine => "race_then_fine",
-            IdentifyStrategy::GradientDescent { .. } => "gradient_descent",
-            IdentifyStrategy::Exhaustive => "exhaustive",
-        }
-    }
-}
-
-impl From<IdentifyStrategy> for Strategy {
-    fn from(s: IdentifyStrategy) -> Strategy {
-        match s {
-            IdentifyStrategy::CoarseToFine => Strategy::CoarseToFine,
-            IdentifyStrategy::RaceThenFine => Strategy::RaceThenFine,
-            IdentifyStrategy::GradientDescent { max_evals } => {
-                Strategy::GradientDescent { max_evals }
-            }
-            IdentifyStrategy::Exhaustive => Strategy::Exhaustive { step: None },
-        }
-    }
-}
-
 /// Result of one sampling-based estimation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SamplingEstimate {
@@ -410,11 +360,7 @@ impl<'a> ProfiledEstimator<'a> {
     /// Runs the configured pipeline on `workload`, profiling each sample
     /// once and searching on the profile.
     #[must_use]
-    pub fn run<W>(&self, workload: &W) -> SamplingEstimate
-    where
-        W: Sampleable,
-        W::Sample: Profilable,
-    {
+    pub fn run<W: Sampleable>(&self, workload: &W) -> SamplingEstimate {
         self.run_with_hint(workload, None)
     }
 
@@ -427,11 +373,7 @@ impl<'a> ProfiledEstimator<'a> {
     /// reruns price both thresholds on one cost profile of the full input.
     /// Without an attached cache this *is* [`ProfiledEstimator::run`].
     #[must_use]
-    pub fn run_cached<W>(&self, workload: &W) -> SamplingEstimate
-    where
-        W: Sampleable + Fingerprinted + Profilable,
-        W::Sample: Profilable,
-    {
+    pub fn run_cached<W: Sampleable + Fingerprinted>(&self, workload: &W) -> SamplingEstimate {
         self.serve(
             workload,
             |hint: Option<&WarmHint>| {
@@ -462,11 +404,10 @@ impl<'a> ProfiledEstimator<'a> {
     /// once at the end, and an enabled [`FlightRecorder`] records one audit
     /// event per representative.
     #[must_use]
-    pub fn run_batch<W>(&self, workloads: &[W]) -> Vec<SamplingEstimate>
-    where
-        W: Sampleable + Fingerprinted + Profilable,
-        W::Sample: Profilable,
-    {
+    pub fn run_batch<W: Sampleable + Fingerprinted>(
+        &self,
+        workloads: &[W],
+    ) -> Vec<SamplingEstimate> {
         let mut inner = self.inner;
         inner.rec = None;
         let (reps, group_of) = batch_groups(workloads, inner.config_key());
@@ -665,11 +606,7 @@ impl<'a> ProfiledEstimator<'a> {
     /// warm-started path (hint from a near-key cache hit). With repeats,
     /// every repeat warm-starts from the same hint — the hint brackets the
     /// input class, not one particular sample.
-    fn run_with_hint<W>(&self, workload: &W, warm: Option<f64>) -> SamplingEstimate
-    where
-        W: Sampleable,
-        W::Sample: Profilable,
-    {
+    fn run_with_hint<W: Sampleable>(&self, workload: &W, warm: Option<f64>) -> SamplingEstimate {
         let (strategy, pool) = (self.inner.strategy, self.pool());
         let warm_cuts = warm.map(|hint| [hint]);
         self.inner.repeated(workload, |sample, rec| {
@@ -833,6 +770,15 @@ mod tests {
         }
     }
 
+    /// Priced by direct runs only: no cost curve.
+    impl Profilable for SynthWorkload {
+        type Profile = ();
+        fn build_profile_in(&self, _pool: &Pool, _scratch: &mut nbwp_sim::ProfileScratch) {}
+        fn curve<'p>(&'p self, (): &'p ()) -> Option<Box<dyn nbwp_sim::CurveEval + 'p>> {
+            None
+        }
+    }
+
     impl Sampleable for SynthWorkload {
         type Sample = SynthWorkload;
         fn sample(&self, spec: SampleSpec, _rng: &mut SmallRng) -> SynthWorkload {
@@ -935,29 +881,6 @@ mod tests {
             .run(&w);
         assert!(big.sample_size > small.sample_size);
     }
-
-    #[test]
-    fn identify_strategy_lifts_into_strategy() {
-        assert_eq!(
-            Strategy::from(IdentifyStrategy::Exhaustive),
-            Strategy::Exhaustive { step: None }
-        );
-        assert_eq!(
-            Strategy::from(IdentifyStrategy::GradientDescent { max_evals: 9 }),
-            Strategy::GradientDescent { max_evals: 9 }
-        );
-        // Shared names keep trace span args identical across the two enums.
-        for (i, s) in [
-            (IdentifyStrategy::CoarseToFine, Strategy::CoarseToFine),
-            (IdentifyStrategy::RaceThenFine, Strategy::RaceThenFine),
-            (
-                IdentifyStrategy::Exhaustive,
-                Strategy::Exhaustive { step: None },
-            ),
-        ] {
-            assert_eq!(i.name(), s.name());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -996,6 +919,15 @@ mod repeat_tests {
         }
         fn platform(&self) -> &nbwp_sim::Platform {
             test_platform()
+        }
+    }
+
+    /// Priced by direct runs only: no cost curve.
+    impl Profilable for Jittery {
+        type Profile = ();
+        fn build_profile_in(&self, _pool: &Pool, _scratch: &mut nbwp_sim::ProfileScratch) {}
+        fn curve<'p>(&'p self, (): &'p ()) -> Option<Box<dyn nbwp_sim::CurveEval + 'p>> {
+            None
         }
     }
 

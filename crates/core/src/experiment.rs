@@ -1,77 +1,63 @@
 //! Experiment drivers: one row per dataset with every method's threshold
 //! and time (Figs. 3/5/8), sample-size sensitivity sweeps (Figs. 4/6/9),
-//! and Table I aggregation.
+//! and Table I aggregation. Every driver prices the reference, the estimate and each baseline on
+//! one cost profile per full input (bitwise equal to direct runs).
 
 use nbwp_par::Pool;
-use nbwp_sim::SimTime;
 use nbwp_trace::Recorder;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines;
-use crate::estimator::{Estimator, IdentifyStrategy, SamplingEstimate};
-use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable};
+use crate::estimator::Estimator;
+use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 use crate::profile::{Profilable, ProfiledWorkload, Resampleable};
 use crate::search::{Searcher, Strategy};
 
-/// Configuration of one experiment run.
+/// Configuration of one experiment run. The exhaustive reference grid and
+/// the threshold-difference metric follow from the workload's
+/// [`ThresholdSpace`] ([`ThresholdSpace::reference_step`],
+/// [`ThresholdSpace::diff_pct`]).
 #[derive(Copy, Clone, Debug)]
 pub struct ExperimentConfig {
     /// Identify strategy run on the sample.
-    pub strategy: IdentifyStrategy,
+    pub strategy: Strategy,
     /// Sample-size multiplier (1.0 = the paper's default).
     pub spec: SampleSpec,
     /// RNG seed for Step 1.
     pub seed: u64,
-    /// Grid step of the exhaustive reference search (percent for linear
-    /// spaces, ratio for logarithmic ones).
-    pub exhaustive_step: f64,
-    /// Report the threshold difference relative to the exhaustive value
-    /// (used for HH's degree thresholds) instead of in absolute points
-    /// (used when thresholds are already percentages).
-    pub relative_threshold_diff: bool,
 }
 
 impl ExperimentConfig {
     /// The paper's CC configuration: coarse-to-fine 8 → 1, √n sample.
     #[must_use]
     pub fn cc(seed: u64) -> Self {
-        ExperimentConfig {
-            strategy: IdentifyStrategy::CoarseToFine,
-            spec: SampleSpec::default(),
-            seed,
-            exhaustive_step: 1.0,
-            relative_threshold_diff: false,
-        }
+        Self::with(Strategy::CoarseToFine, seed)
     }
 
     /// The paper's spmm configuration: race + fine search, n/4 sample.
     #[must_use]
     pub fn spmm(seed: u64) -> Self {
-        ExperimentConfig {
-            strategy: IdentifyStrategy::RaceThenFine,
-            spec: SampleSpec::default(),
-            seed,
-            exhaustive_step: 1.0,
-            relative_threshold_diff: false,
-        }
+        Self::with(Strategy::RaceThenFine, seed)
     }
 
     /// The paper's scale-free configuration: gradient descent, √n rows,
-    /// square-law extrapolation, log-space exhaustive reference.
+    /// square-law extrapolation.
     #[must_use]
     pub fn scalefree(seed: u64) -> Self {
+        Self::with(Strategy::GradientDescent { max_evals: 24 }, seed)
+    }
+
+    fn with(strategy: Strategy, seed: u64) -> Self {
         ExperimentConfig {
-            strategy: IdentifyStrategy::GradientDescent { max_evals: 24 },
+            strategy,
             spec: SampleSpec::default(),
             seed,
-            exhaustive_step: 1.15,
-            relative_threshold_diff: true,
         }
     }
 }
 
 /// One dataset's results across all methods — a row of Figs. 3/5/8.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentRow {
     /// Dataset name.
     pub dataset: String,
@@ -84,7 +70,7 @@ pub struct ExperimentRow {
     /// FLOPS-ratio threshold (`None` for degree-threshold workloads, where
     /// a FLOPS ratio has no direct reading).
     pub naive_static_t: Option<f64>,
-    /// Corpus-average threshold (filled by [`fill_naive_average`]).
+    /// Corpus-average threshold (filled by [`run_corpus`]).
     pub naive_average_t: Option<f64>,
     /// Run time at the exhaustive threshold, ms.
     pub time_exhaustive_ms: f64,
@@ -102,7 +88,8 @@ pub struct ExperimentRow {
     pub evaluations: usize,
     /// Sample size used.
     pub sample_size: usize,
-    /// Whether `threshold_diff_pct` is relative (see config).
+    /// Whether the threshold space is logarithmic, so that
+    /// `threshold_diff_pct` is a log-axis percentage.
     pub relative_threshold_diff: bool,
     /// Threshold-space bounds (used for the log-axis difference metric).
     pub space_lo: f64,
@@ -111,23 +98,18 @@ pub struct ExperimentRow {
 }
 
 impl ExperimentRow {
-    /// Paper metric: difference between estimated and exhaustive threshold —
-    /// absolute points for percentage thresholds; for degree thresholds
-    /// (searched on a log ladder) the distance along the log axis as a
-    /// percentage of the axis length.
+    /// Paper metric: difference between estimated and exhaustive threshold
+    /// on the row's space ([`ThresholdSpace::diff_pct`]).
     #[must_use]
     pub fn threshold_diff_pct(&self) -> f64 {
-        if self.relative_threshold_diff {
-            let lo = self.space_lo.max(1e-9);
-            let hi = self.space_hi.max(lo * (1.0 + 1e-9));
-            let axis = (hi / lo).ln();
-            let d = (self.estimated_t.max(lo) / self.exhaustive_t.max(lo))
-                .ln()
-                .abs();
-            (d / axis * 100.0).min(100.0)
-        } else {
-            (self.estimated_t - self.exhaustive_t).abs()
-        }
+        // The row keeps what the metric reads of its space: bounds and axis.
+        let space = ThresholdSpace {
+            lo: self.space_lo,
+            hi: self.space_hi,
+            logarithmic: self.relative_threshold_diff,
+            ..ThresholdSpace::percentage()
+        };
+        space.diff_pct(self.estimated_t, self.exhaustive_t)
     }
 
     /// Paper metric: relative time penalty of using the estimated threshold.
@@ -170,7 +152,8 @@ pub fn run_one<W: Sampleable>(name: &str, w: &W, config: &ExperimentConfig) -> E
 
 /// [`run_one`], tracing the sampling estimate into `rec` and recording the
 /// paper's quality metrics (`threshold.diff_pct`, `time.diff_pct`) as
-/// gauges once the exhaustive reference is known.
+/// gauges once the exhaustive reference is known. NaiveAverage needs the
+/// whole corpus and is left empty.
 #[must_use]
 pub fn run_one_with<W: Sampleable>(
     name: &str,
@@ -178,21 +161,20 @@ pub fn run_one_with<W: Sampleable>(
     config: &ExperimentConfig,
     rec: &Recorder,
 ) -> ExperimentRow {
+    let pw = ProfiledWorkload::new(w);
+    let space = pw.space();
     let exhaustive = Searcher::new(Strategy::Exhaustive {
-        step: Some(config.exhaustive_step),
+        step: Some(space.reference_step()),
     })
-    .run(w);
-    let est: SamplingEstimate = Estimator::new(config.strategy.into())
+    .run(&pw);
+    let est = Estimator::new(config.strategy)
         .spec(config.spec)
         .seed(config.seed)
         .recorder(rec)
+        .profiled()
         .run(w);
-    let space = w.space();
-    let naive_static_t = if space.logarithmic {
-        None
-    } else {
-        Some(baselines::naive_static_for(w))
-    };
+    let naive_static_t = (!space.logarithmic).then(|| baselines::naive_static_for(w));
+    let ms = |t: f64| pw.time_at(t).as_millis();
     let row = ExperimentRow {
         dataset: name.to_string(),
         n: w.size(),
@@ -201,14 +183,14 @@ pub fn run_one_with<W: Sampleable>(
         naive_static_t,
         naive_average_t: None,
         time_exhaustive_ms: exhaustive.best_time.as_millis(),
-        time_estimated_ms: w.time_at(est.threshold).as_millis(),
-        time_naive_static_ms: naive_static_t.map(|t| w.time_at(t).as_millis()),
+        time_estimated_ms: ms(est.threshold),
+        time_naive_static_ms: naive_static_t.map(ms),
         time_naive_average_ms: None,
-        time_gpu_only_ms: w.time_at(baselines::gpu_only(w)).as_millis(),
+        time_gpu_only_ms: ms(baselines::gpu_only(w)),
         overhead_ms: est.overhead.as_millis(),
         evaluations: est.evaluations,
         sample_size: est.sample_size,
-        relative_threshold_diff: config.relative_threshold_diff,
+        relative_threshold_diff: space.logarithmic,
         space_lo: space.lo,
         space_hi: space.hi,
     };
@@ -217,42 +199,40 @@ pub fn run_one_with<W: Sampleable>(
     row
 }
 
-/// Runs the full method comparison for every `(name, workload)` pair,
-/// dispatching the independent datasets across the worker pool. Rows come
-/// back in input order and are identical to serial [`run_one`] calls for
-/// any `NBWP_THREADS` (simulated results never depend on the pool).
+/// Runs the full method comparison for every `(name, workload)` pair and
+/// fills in *NaiveAverage*: the corpus average of the exhaustive
+/// thresholds (geometric mean on logarithmic spaces), priced on a cost
+/// profile of every workload, rebuilt for that one price. Datasets are
+/// dispatched across the worker pool; rows come back in input order and
+/// are identical for any `NBWP_THREADS` (simulated results never depend
+/// on the pool).
 #[must_use]
-pub fn run_corpus<S: AsRef<str> + Sync, W: Sampleable>(
-    suite: &[(S, W)],
-    config: &ExperimentConfig,
-) -> Vec<ExperimentRow> {
-    Pool::global().map(suite, |(name, w)| run_one(name.as_ref(), w, config))
-}
-
-/// Second pass for *NaiveAverage*: averages the exhaustive thresholds over
-/// the corpus and re-prices every workload at that single threshold
-/// (geometric mean on logarithmic spaces).
-pub fn fill_naive_average<'w, W: PartitionedWorkload + 'w>(
-    rows: &mut [ExperimentRow],
-    workloads: impl IntoIterator<Item = &'w W>,
-) {
-    let workloads: Vec<&W> = workloads.into_iter().collect();
-    assert_eq!(rows.len(), workloads.len(), "row/workload count mismatch");
-    if rows.is_empty() {
-        return;
-    }
-    let log_space = workloads[0].space().logarithmic;
-    let avg = if log_space {
-        let s: f64 = rows.iter().map(|r| r.exhaustive_t.max(1e-9).ln()).sum();
-        (s / rows.len() as f64).exp()
-    } else {
-        baselines::naive_average(&rows.iter().map(|r| r.exhaustive_t).collect::<Vec<_>>())
+pub fn run_corpus<S, W>(suite: &[(S, W)], config: &ExperimentConfig) -> Vec<ExperimentRow>
+where
+    S: AsRef<str> + Sync,
+    W: Sampleable,
+{
+    let pool = Pool::global();
+    let mut rows = pool.map(suite, |(name, w)| run_one(name.as_ref(), w, config));
+    let Some((_, first)) = suite.first() else {
+        return rows;
     };
-    for (row, w) in rows.iter_mut().zip(workloads) {
+    let best: Vec<f64> = rows.iter().map(|row| row.exhaustive_t).collect();
+    let avg = if first.space().logarithmic {
+        let s: f64 = best.iter().map(|t| t.max(1e-9).ln()).sum();
+        (s / best.len() as f64).exp()
+    } else {
+        baselines::naive_average(&best)
+    };
+    let averaged = pool.map(suite, |(_, w)| {
         let t = w.space().clamp(avg);
+        (t, ProfiledWorkload::new(w).time_at(t).as_millis())
+    });
+    for (row, (t, ms)) in rows.iter_mut().zip(averaged) {
         row.naive_average_t = Some(t);
-        row.time_naive_average_ms = Some(w.time_at(t).as_millis());
+        row.time_naive_average_ms = Some(ms);
     }
+    rows
 }
 
 /// One point of a sample-size sensitivity sweep (Figs. 4/6/9).
@@ -273,20 +253,25 @@ pub struct SensitivityPoint {
 /// Sweeps the sample-size factor and reports estimation / total times —
 /// the concave trade-off curves of Figs. 4, 6 and 9. The factors are
 /// independent configurations, so the sweep dispatches them across the
-/// worker pool; points come back in factor order.
+/// worker pool; points come back in factor order. Each estimate runs
+/// through [`Estimator::profiled`], and every run at an estimate is priced
+/// on one cost profile of `w`.
 #[must_use]
 pub fn sensitivity<W: Sampleable>(
     w: &W,
     factors: &[f64],
-    strategy: IdentifyStrategy,
+    strategy: Strategy,
     seed: u64,
 ) -> Vec<SensitivityPoint> {
-    Pool::global().map(factors, |&factor| {
-        let est = Estimator::new(strategy.into())
+    let pool = Pool::global();
+    let pw = ProfiledWorkload::with_pool(w, pool);
+    pool.map(factors, |&factor| {
+        let est = Estimator::new(strategy)
             .spec(SampleSpec::scaled(factor))
             .seed(seed)
+            .profiled()
             .run(w);
-        let run = w.time_at(est.threshold);
+        let run = pw.time_at(est.threshold);
         SensitivityPoint {
             factor,
             sample_size: est.sample_size,
@@ -376,12 +361,6 @@ pub fn summarize(workload: &str, rows: &[ExperimentRow]) -> Summary {
     }
 }
 
-/// `SimTime` helper for external callers building rows by hand.
-#[must_use]
-pub fn ms(t: SimTime) -> f64 {
-    t.as_millis()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,10 +386,14 @@ mod tests {
 
     #[test]
     fn naive_average_fill() {
-        let ws = [dense(256), dense(512)];
-        let cfg = ExperimentConfig::cc(2);
-        let mut rows: Vec<ExperimentRow> = ws.iter().map(|w| run_one("d", w, &cfg)).collect();
-        fill_naive_average(&mut rows, &ws);
+        let suite = [("a", dense(256)), ("b", dense(512))];
+        let rows = run_corpus(&suite, &ExperimentConfig::cc(2));
+        assert_eq!(rows[1], {
+            let mut row = run_one("b", &suite[1].1, &ExperimentConfig::cc(2));
+            row.naive_average_t = rows[1].naive_average_t;
+            row.time_naive_average_ms = rows[1].time_naive_average_ms;
+            row
+        });
         let avg = (rows[0].exhaustive_t + rows[1].exhaustive_t) / 2.0;
         assert_eq!(rows[0].naive_average_t, Some(avg));
         assert!(rows[0].time_naive_average_ms.unwrap() >= rows[0].time_exhaustive_ms - 1e-12);
@@ -419,12 +402,7 @@ mod tests {
     #[test]
     fn sensitivity_sweep_shapes() {
         let w = dense(1024);
-        let points = sensitivity(
-            &w,
-            &[0.25, 1.0, 4.0],
-            crate::estimator::IdentifyStrategy::CoarseToFine,
-            3,
-        );
+        let points = sensitivity(&w, &[0.25, 1.0, 4.0], Strategy::CoarseToFine, 3);
         assert_eq!(points.len(), 3);
         // Larger samples cost more estimation time.
         assert!(points[2].estimation_ms > points[0].estimation_ms);

@@ -7,7 +7,12 @@
 //! `t_full = a · t_sample^b` by least squares in log space, from which the
 //! paper's square law (`a ≈ 1`, `b ≈ 2`) emerges.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+use crate::framework::{SampleSpec, Sampleable};
+use crate::search::{Searcher, Strategy};
 
 /// A threshold extrapolation rule.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -146,27 +151,26 @@ mod tests {
 /// The paper's §V.A.3 offline calibration, literally: for each workload in
 /// a (small, representative) corpus, find the best threshold on a default
 /// sample and on the full input, then fit `t_full = a · t_sample^b` over
-/// the collected pairs.
+/// the collected pairs. Both searches price through cost profiles.
 ///
 /// Returns `None` when the corpus yields fewer than two usable pairs. On a
 /// corpus of ideal scale-free inputs the fitted exponent approaches the
 /// paper's `b = 2`.
 #[must_use]
-pub fn calibrate_extrapolator<W: crate::framework::Sampleable>(
+pub fn calibrate_extrapolator<W: Sampleable>(
     corpus: &[W],
-    strategy: crate::estimator::IdentifyStrategy,
+    strategy: Strategy,
     seed: u64,
 ) -> Option<Extrapolator> {
-    use crate::search::{Searcher, Strategy};
     let mut pairs = Vec::with_capacity(corpus.len());
     for (k, w) in corpus.iter().enumerate() {
-        let mut rng =
-            <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed.wrapping_add(k as u64));
-        let sample = w.sample(crate::framework::SampleSpec::default(), &mut rng);
-        let sample_best = Searcher::new(Strategy::from(strategy)).run(&sample).best_t;
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(k as u64));
+        let sample = w.sample(SampleSpec::default(), &mut rng);
+        let sample_best = Searcher::new(strategy).profiled().run(&sample).best_t;
         let full_best = Searcher::new(Strategy::Exhaustive {
             step: Some(w.space().fine_step.max(1.05)),
         })
+        .profiled()
         .run(w)
         .best_t;
         pairs.push((sample_best, full_best));
@@ -177,7 +181,6 @@ pub fn calibrate_extrapolator<W: crate::framework::Sampleable>(
 #[cfg(test)]
 mod calibration_tests {
     use super::*;
-    use crate::estimator::IdentifyStrategy;
     use crate::framework::PartitionedWorkload;
     use crate::workloads::HhWorkload;
     use nbwp_sim::Platform;
@@ -190,11 +193,8 @@ mod calibration_tests {
             .iter()
             .map(|&(n, seed)| HhWorkload::new(gen::power_law(n, 10, 2.1, seed), platform))
             .collect();
-        let fitted = calibrate_extrapolator(
-            &corpus,
-            IdentifyStrategy::GradientDescent { max_evals: 18 },
-            7,
-        );
+        let fitted =
+            calibrate_extrapolator(&corpus, Strategy::GradientDescent { max_evals: 18 }, 7);
         match fitted {
             Some(Extrapolator::Power { a, b }) => {
                 assert!(a.is_finite() && a > 0.0, "a = {a}");

@@ -5,6 +5,8 @@
 use nbwp_sim::{Platform, RunReport, SimTime};
 use rand::rngs::SmallRng;
 
+use crate::profile::Profilable;
+
 /// The threshold search domain of a workload.
 ///
 /// For CC / spmm / dense GEMM the threshold is the CPU work share in
@@ -54,6 +56,33 @@ impl ThresholdSpace {
     #[must_use]
     pub fn clamp(&self, t: f64) -> f64 {
         t.clamp(self.lo, self.hi)
+    }
+
+    /// Grid step of the exhaustive reference search Table I measures
+    /// against: one point on a linear space, ×1.15 on a logarithmic one.
+    #[must_use]
+    pub fn reference_step(&self) -> f64 {
+        if self.logarithmic {
+            1.15
+        } else {
+            1.0
+        }
+    }
+
+    /// Paper metric: how far `t` is from `reference` — absolute points on
+    /// a linear space, the share of the log axis (in %, at most 100) on a
+    /// logarithmic one.
+    #[must_use]
+    pub fn diff_pct(&self, t: f64, reference: f64) -> f64 {
+        if self.logarithmic {
+            let lo = self.lo.max(1e-9);
+            let hi = self.hi.max(lo * (1.0 + 1e-9));
+            let axis = (hi / lo).ln();
+            let d = (t.max(lo) / reference.max(lo)).ln().abs();
+            (d / axis * 100.0).min(100.0)
+        } else {
+            (t - reference).abs()
+        }
     }
 
     /// The full candidate grid at `step` granularity: additive on a linear
@@ -172,10 +201,11 @@ impl SampleSpec {
 }
 
 /// A workload that supports Step 1 (Sample) and Step 3 (Extrapolate) of the
-/// framework.
-pub trait Sampleable: PartitionedWorkload {
+/// framework. It and its miniature are [`Profilable`], so every step of
+/// the pipeline can price through a cost profile.
+pub trait Sampleable: Profilable {
     /// The miniature workload type produced by sampling.
-    type Sample: PartitionedWorkload;
+    type Sample: Profilable;
 
     /// Step 1: builds the miniature input (uniform randomization comes from
     /// `rng`; the construction cost is charged separately by the estimator).

@@ -59,12 +59,12 @@ pub mod prelude {
     };
     pub use crate::energy::{exhaustive_energy, EnergySweep, PowerModel};
     pub use crate::estimator::{
-        Estimator, IdentifyStrategy, ProfiledEstimator, SamplingEstimate, DEFAULT_SHADOW_RATE,
+        Estimator, ProfiledEstimator, SamplingEstimate, DEFAULT_SHADOW_RATE,
     };
     pub use crate::evalcache::EvalCache;
     pub use crate::experiment::{
-        fill_naive_average, run_corpus, run_one, run_one_with, sensitivity, sensitivity_resampled,
-        summarize, ExperimentConfig, ExperimentRow, SensitivityPoint, Summary,
+        run_corpus, run_one, run_one_with, sensitivity, sensitivity_resampled, summarize,
+        ExperimentConfig, ExperimentRow, SensitivityPoint, Summary,
     };
     pub use crate::extrapolate::{calibrate_extrapolator, fit_power, Extrapolator};
     pub use crate::fingerprint::{DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};

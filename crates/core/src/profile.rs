@@ -115,7 +115,7 @@ pub fn profile_scratch_pool() -> &'static SlotPool<ProfileScratch> {
 /// The resampled miniature prices runs the same way the profiled full
 /// workload does (curve range sums), with fixed costs rescaled by the
 /// miniature's measured work share exactly as `sample` rescales them.
-pub trait Resampleable: Profilable + Sampleable {
+pub trait Resampleable: Sampleable {
     /// The derived miniature workload type.
     type Resampled: PartitionedWorkload;
 

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
-use nbwp_graph::list::{hybrid_rank, LinkedLists};
-use nbwp_sim::{KernelStats, Platform, RunReport, SimTime};
+use nbwp_graph::list::{hybrid_rank, hybrid_rank_units, LinkedLists};
+use nbwp_sim::{percent_split, KernelStats, Platform, RunReport, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use super::SplitIndexed;
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 
 /// Hybrid list ranking over a fixed list structure and platform.
@@ -59,9 +60,19 @@ impl ListRankingWorkload {
     }
 }
 
+impl SplitIndexed for ListRankingWorkload {
+    fn split_for(&self, t: f64) -> usize {
+        percent_split(self.lists.n(), t)
+    }
+
+    fn report_at(&self, split: usize) -> RunReport {
+        hybrid_rank_units(&self.lists, split, &self.platform, self.run_seed).report
+    }
+}
+
 impl PartitionedWorkload for ListRankingWorkload {
     fn run(&self, t: f64) -> RunReport {
-        self.run_full(t).report
+        self.report_at(self.split_for(t))
     }
 
     fn space(&self) -> ThresholdSpace {

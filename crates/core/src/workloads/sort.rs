@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use nbwp_sim::{KernelStats, Platform, RunReport, SimTime};
-use nbwp_sort::hybrid::hybrid_sort;
+use nbwp_sim::{percent_split, KernelStats, Platform, RunReport, SimTime};
+use nbwp_sort::hybrid::{hybrid_sort, hybrid_sort_units};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
+use super::SplitIndexed;
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 
 /// Hybrid sorting over a fixed key array and platform.
@@ -55,9 +56,19 @@ impl SortWorkload {
     }
 }
 
+impl SplitIndexed for SortWorkload {
+    fn split_for(&self, t: f64) -> usize {
+        percent_split(self.data.len(), t)
+    }
+
+    fn report_at(&self, split: usize) -> RunReport {
+        hybrid_sort_units(&self.data, split, &self.platform).report
+    }
+}
+
 impl PartitionedWorkload for SortWorkload {
     fn run(&self, t: f64) -> RunReport {
-        self.run_full(t).report
+        self.report_at(self.split_for(t))
     }
 
     fn space(&self) -> ThresholdSpace {

@@ -13,6 +13,7 @@ use nbwp_sparse::spmv::{spmv_range, stats_for_row_range};
 use nbwp_sparse::Csr;
 use rand::rngs::SmallRng;
 
+use super::SplitIndexed;
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
 
 /// SpMV over a fixed matrix and platform (`x` is an internal unit vector —
@@ -70,9 +71,12 @@ impl SpmvWorkload {
     }
 }
 
-impl PartitionedWorkload for SpmvWorkload {
-    fn run(&self, r: f64) -> RunReport {
-        let split = self.split_row(r);
+impl SplitIndexed for SpmvWorkload {
+    fn split_for(&self, r: f64) -> usize {
+        self.split_row(r)
+    }
+
+    fn report_at(&self, split: usize) -> RunReport {
         let n = self.a.rows();
         let gpu_stats = stats_for_row_range(&self.a, split, n);
         let gpu_rows = n - split;
@@ -101,6 +105,12 @@ impl PartitionedWorkload for SpmvWorkload {
             gpu,
             SimTime::ZERO, // y halves concatenate
         )
+    }
+}
+
+impl PartitionedWorkload for SpmvWorkload {
+    fn run(&self, r: f64) -> RunReport {
+        self.report_at(self.split_for(r))
     }
 
     fn space(&self) -> ThresholdSpace {

@@ -30,11 +30,11 @@ proptest! {
     fn spmm_estimates_stay_in_space(a in arb_matrix(), seed in 0u64..100) {
         let w = SpmmWorkload::new(a, platform());
         for strategy in [
-            IdentifyStrategy::CoarseToFine,
-            IdentifyStrategy::RaceThenFine,
-            IdentifyStrategy::GradientDescent { max_evals: 12 },
+            SearchStrategy::CoarseToFine,
+            SearchStrategy::RaceThenFine,
+            SearchStrategy::GradientDescent { max_evals: 12 },
         ] {
-            let est = Estimator::new(strategy.into()).seed(seed).run(&w);
+            let est = Estimator::new(strategy).seed(seed).run(&w);
             prop_assert!((0.0..=100.0).contains(&est.threshold));
             prop_assert!(est.overhead.as_secs() >= 0.0);
             prop_assert!(est.evaluations > 0);

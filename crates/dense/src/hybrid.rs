@@ -6,7 +6,9 @@
 //! ([`crate::gemm::stats_for_rows`]) and the FLOPS-ratio split is already
 //! near-optimal — the contrast the paper draws with irregular workloads.
 
-use nbwp_sim::{two_way_report, BandWork, CurveEval, DeviceKind, Platform, RunReport, SimTime};
+use nbwp_sim::{
+    percent_split, two_way_report, BandWork, CurveEval, DeviceKind, Platform, RunReport, SimTime,
+};
 
 use crate::gemm::{gemm_range, stats_for_rows};
 use crate::DenseMatrix;
@@ -67,8 +69,7 @@ impl CurveEval for GemmCostCurve<'_> {
     /// # Panics
     /// Panics if `t ∉ [0, 100]` (NaN included).
     fn split_for(&self, t: f64) -> usize {
-        assert!((0.0..=100.0).contains(&t), "threshold {t} out of [0, 100]");
-        ((self.n as f64 * t / 100.0).round() as usize).min(self.n)
+        percent_split(self.n, t)
     }
 
     /// A row offset partitions for free, and results land disjoint.

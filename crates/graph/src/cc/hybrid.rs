@@ -11,7 +11,7 @@
 //! the tests) while its counters are priced by the [`Platform`] models into
 //! a deterministic [`RunReport`].
 
-use nbwp_sim::{BandWork, KernelStats, Platform, RunReport};
+use nbwp_sim::{percent_split, BandWork, KernelStats, Platform, RunReport};
 
 use crate::cc::bfs::cc_bfs;
 use crate::cc::dfs::cc_dfs_chunked;
@@ -84,12 +84,8 @@ pub fn hybrid_cc_with(
     host_threads: usize,
     cpu_algo: CpuCcAlgo,
 ) -> HybridCcOutcome {
-    assert!(
-        (0.0..=100.0).contains(&t_pct),
-        "threshold {t_pct} out of [0, 100]"
-    );
     let n = g.n();
-    let n_cpu = ((n as f64 * t_pct / 100.0).round() as usize).min(n);
+    let n_cpu = percent_split(n, t_pct);
 
     // --- Phase I: partition (host-side streaming pass over the edges).
     let (g_cpu, cross) = g.vertex_interval_subgraph(0, n_cpu);

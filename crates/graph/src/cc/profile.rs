@@ -39,8 +39,8 @@ use std::hash::Hash;
 use std::sync::{Mutex, PoisonError};
 
 use nbwp_sim::{
-    two_way_report, AlignedU64s, BandWork, CurveEval, DeviceKind, DeviceSet, KernelStats,
-    Partition, Platform, ProfileScratch, RunReport, SimTime,
+    percent_split, two_way_report, AlignedU64s, BandWork, CurveEval, DeviceKind, DeviceSet,
+    KernelStats, Partition, Platform, ProfileScratch, RunReport, SimTime,
 };
 
 use crate::cc::dfs::{dfs_band_cost, DfsPrefixCost};
@@ -321,9 +321,7 @@ impl CurveEval for CcCostCurve<'_> {
     /// # Panics
     /// Panics if `t ∉ [0, 100]` (NaN included), as the direct run does.
     fn split_for(&self, t: f64) -> usize {
-        assert!((0.0..=100.0).contains(&t), "threshold {t} out of [0, 100]");
-        let n = self.profile.n;
-        ((n as f64 * t / 100.0).round() as usize).min(n)
+        percent_split(self.profile.n, t)
     }
 
     /// The two-way merge is [`CurveEval::merge_cost`] at the canonical

@@ -16,7 +16,7 @@
 //! GPU rounds and launches) — an interior optimum that depends on the
 //! input's structure (number of independent lists, length skew).
 
-use nbwp_sim::{BandWork, KernelStats, Platform, RunReport};
+use nbwp_sim::{percent_split, BandWork, KernelStats, Platform, RunReport};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -155,7 +155,8 @@ pub struct HybridRankOutcome {
 
 /// Runs hybrid list ranking with `t_pct`% of the nodes chosen as splitters
 /// (uniformly, deterministically in `seed`; list heads are always
-/// splitters).
+/// splitters): [`hybrid_rank_units`] at
+/// [`percent_split`]`(lists.n(), t_pct)`.
 ///
 /// ```
 /// use nbwp_graph::list::{hybrid_rank, LinkedLists};
@@ -166,7 +167,7 @@ pub struct HybridRankOutcome {
 /// ```
 ///
 /// # Panics
-/// Panics if `t_pct` is outside `[0, 100]`.
+/// Panics if `t_pct` is outside `[0, 100]` (NaN included).
 #[must_use]
 pub fn hybrid_rank(
     lists: &LinkedLists,
@@ -174,11 +175,23 @@ pub fn hybrid_rank(
     platform: &Platform,
     seed: u64,
 ) -> HybridRankOutcome {
-    assert!(
-        (0.0..=100.0).contains(&t_pct),
-        "splitter share {t_pct} out of [0, 100]"
-    );
+    hybrid_rank_units(lists, percent_split(lists.n(), t_pct), platform, seed)
+}
+
+/// Runs hybrid list ranking with `want` uniformly drawn splitters
+/// (deterministic in `seed`) on top of the list heads.
+///
+/// # Panics
+/// Panics if `want > lists.n()`.
+#[must_use]
+pub fn hybrid_rank_units(
+    lists: &LinkedLists,
+    want: usize,
+    platform: &Platform,
+    seed: u64,
+) -> HybridRankOutcome {
     let n = lists.n();
+    assert!(want <= n, "{want} splitters out of {n} nodes");
     if n == 0 {
         return HybridRankOutcome {
             ranks: Vec::new(),
@@ -192,7 +205,6 @@ pub fn hybrid_rank(
     // generator's permutation exactly, placing every splitter in the first
     // chain half (one giant serial sublist).
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xD6E8_FEB8_6659_FD93);
-    let want = ((n as f64 * t_pct / 100.0).round() as usize).clamp(0, n);
 
     // --- Phase I: choose splitters (heads always included).
     let mut is_splitter = vec![false; n];

@@ -190,20 +190,6 @@ impl Pool {
             (ra, hb.join().expect("pool worker panicked"))
         })
     }
-
-    /// Ordered map-reduce: maps `items` in parallel, then folds the results
-    /// **in submission order** on the calling thread — the reduction is a
-    /// plain left fold, so non-associative combiners (floating-point sums,
-    /// trace replay) behave exactly as in the serial program.
-    pub fn map_reduce<T, R, A, F, G>(&self, items: &[T], f: F, init: A, fold: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.map(items, f).into_iter().fold(init, fold)
-    }
 }
 
 impl Default for Pool {
@@ -388,17 +374,6 @@ mod tests {
             let pool = Pool::new(threads);
             let (a, b) = pool.join(|| "left", || "right");
             assert_eq!((a, b), ("left", "right"));
-        }
-    }
-
-    #[test]
-    fn map_reduce_folds_in_submission_order() {
-        let items: Vec<f64> = (0..64).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let serial = items.iter().fold(0.0f64, |a, &x| a + x);
-        for threads in [1, 4] {
-            let folded = Pool::new(threads).map_reduce(&items, |&x| x, 0.0f64, |a, x| a + x);
-            // Same fold order ⇒ bitwise-equal float sum.
-            assert_eq!(folded.to_bits(), serial.to_bits(), "threads = {threads}");
         }
     }
 

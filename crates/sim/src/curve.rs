@@ -140,6 +140,21 @@ pub trait CurveEval {
     }
 }
 
+/// The split a CPU share of `t_pct` percent induces on `units` units (rows,
+/// vertices, elements, splitters): `round(units · t_pct / 100)`.
+///
+/// # Panics
+/// Panics if `t_pct ∉ [0, 100]` (NaN included).
+#[inline]
+#[must_use]
+pub fn percent_split(units: usize, t_pct: f64) -> usize {
+    assert!(
+        (0.0..=100.0).contains(&t_pct),
+        "threshold {t_pct} out of [0, 100]"
+    );
+    ((units as f64 * t_pct / 100.0).round() as usize).min(units)
+}
+
 /// The scalar report of a band-priced curve at `split`, composed once for
 /// every such curve: [`RunReport::two_way`] over the `0..split` CPU band's
 /// counters, the `split..n` GPU band, the curve's

@@ -50,7 +50,7 @@ mod time;
 
 pub use counters::{warp_padded_cost, KernelStats};
 pub use cpu::CpuModel;
-pub use curve::{two_way_report, CurveEval};
+pub use curve::{percent_split, two_way_report, CurveEval};
 pub use device::{Device, DeviceKind, DeviceSet, Link, Partition, UnknownPreset};
 pub use gpu::GpuModel;
 pub use pcie::PcieModel;

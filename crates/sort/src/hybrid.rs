@@ -2,7 +2,7 @@
 //! position threshold, mergesort the CPU piece while the GPU radix-sorts
 //! its piece, then merge the two runs.
 
-use nbwp_sim::{BandWork, Platform, RunReport, SimTime};
+use nbwp_sim::{percent_split, BandWork, Platform, RunReport, SimTime};
 
 use crate::cpu::{merge_runs, merge_sort};
 use crate::gpu::radix_sort;
@@ -18,18 +18,23 @@ pub struct HybridSortOutcome {
     pub gpu_passes: u64,
 }
 
-/// Sorts `data` with CPU share `t_pct` (percent of elements, by position).
+/// Sorts `data` with CPU share `t_pct` (percent of elements, by position):
+/// [`hybrid_sort_units`] at [`percent_split`]`(data.len(), t_pct)`.
 ///
 /// # Panics
-/// Panics if `t_pct` is outside `[0, 100]`.
+/// Panics if `t_pct` is outside `[0, 100]` (NaN included).
 #[must_use]
 pub fn hybrid_sort(data: &[u64], t_pct: f64, platform: &Platform) -> HybridSortOutcome {
-    assert!(
-        (0.0..=100.0).contains(&t_pct),
-        "threshold {t_pct} out of [0, 100]"
-    );
-    let n = data.len();
-    let n_cpu = ((n as f64 * t_pct / 100.0).round() as usize).min(n);
+    hybrid_sort_units(data, percent_split(data.len(), t_pct), platform)
+}
+
+/// Sorts `data` with the CPU mergesorting its first `n_cpu` elements while
+/// the GPU radix-sorts the rest.
+///
+/// # Panics
+/// Panics if `n_cpu > data.len()`.
+#[must_use]
+pub fn hybrid_sort_units(data: &[u64], n_cpu: usize, platform: &Platform) -> HybridSortOutcome {
     let (cpu_part, gpu_part) = data.split_at(n_cpu);
 
     let cpu = merge_sort(cpu_part, platform.cpu.cores);

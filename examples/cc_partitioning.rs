@@ -26,15 +26,19 @@ fn main() {
         );
         let w = CcWorkload::new(g, platform);
 
-        // The methods under comparison.
+        // The methods under comparison, priced on one cost profile.
+        let priced = ProfiledWorkload::new(&w);
         let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) })
-            .run(&w)
+            .run(&priced)
             .best_t;
-        let est = Estimator::new(Strategy::CoarseToFine).seed(seed).run(&w);
+        let est = Estimator::new(Strategy::CoarseToFine)
+            .seed(seed)
+            .profiled()
+            .run(&w);
         let stat = naive_static(w.platform());
         let gpu_only_t = w.space().lo;
 
-        let t_of = |t: f64| w.time_at(t);
+        let t_of = |t: f64| priced.time_at(t);
         println!("  exhaustive best  t = {best:>5.1}  →  {}", t_of(best));
         println!(
             "  sampling         t = {:>5.1}  →  {}   (overhead {}, {} miniature runs)",

@@ -19,8 +19,12 @@ fn main() {
         ("duplicate-heavy keys", gen::duplicates(n, 37, 42)),
     ] {
         let w = SortWorkload::new(data, platform);
-        let est = Estimator::new(Strategy::CoarseToFine).seed(7).run(&w);
-        let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&w);
+        let est = Estimator::new(Strategy::CoarseToFine)
+            .seed(7)
+            .profiled()
+            .run(&w);
+        let priced = ProfiledWorkload::new(&w);
+        let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&priced);
         let out = w.run_full(est.threshold);
         assert!(
             out.sorted.windows(2).all(|p| p[0] <= p[1]),
@@ -31,7 +35,7 @@ fn main() {
              radix passes on GPU side: {}",
             est.threshold,
             best.best_t,
-            w.time_at(est.threshold),
+            out.report.total(),
             best.best_time,
             out.gpu_passes
         );

@@ -16,8 +16,10 @@ fn main() {
 
     // 2. Sample → Identify → Extrapolate: pick the CPU/GPU split threshold
     //    from a √n-sized miniature of the input.
+    //    Every miniature run is priced on a cost profile of the sample.
     let est = Estimator::new(Strategy::CoarseToFine)
         .seed(7)
+        .profiled()
         .run(&workload);
     println!(
         "sampling recommends giving the CPU {:.0}% of the vertices \
@@ -25,8 +27,10 @@ fn main() {
         est.threshold, est.evaluations, est.overhead
     );
 
-    // 3. Compare with what an exhaustive search would have found.
-    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&workload);
+    // 3. Compare with what an exhaustive search would have found, priced
+    //    on one cost profile of the full input.
+    let priced = ProfiledWorkload::new(&workload);
+    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&priced);
     println!(
         "exhaustive search (101 full runs!) says {:.0}%",
         best.best_t
@@ -40,11 +44,9 @@ fn main() {
         outcome.components,
         outcome.report.total(),
         best.best_time,
-        workload.time_at(0.0),
+        priced.time_at(0.0),
     );
 
-    let penalty = workload
-        .time_at(est.threshold)
-        .pct_diff_from(best.best_time);
+    let penalty = priced.time_at(est.threshold).pct_diff_from(best.best_time);
     println!("time penalty vs the best possible threshold: {penalty:.1}%");
 }

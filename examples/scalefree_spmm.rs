@@ -41,8 +41,10 @@ fn main() {
     // degree-quantile matching (≈ the paper's t' × t' law on Pareto tails).
     let est = Estimator::new(Strategy::GradientDescent { max_evals: 24 })
         .seed(seed)
+        .profiled()
         .run(&w);
-    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.15) }).run(&w);
+    let priced = ProfiledWorkload::new(&w);
+    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.15) }).run(&priced);
     println!(
         "\nsample of {} rows → t' = {:.1}, extrapolated t = {:.0} \
          (exhaustive best t = {:.0})",
@@ -50,9 +52,9 @@ fn main() {
     );
     println!(
         "times: estimated {}, best {}, all-GPU {}",
-        w.time_at(est.threshold),
+        priced.time_at(est.threshold),
         best.best_time,
-        w.time_at(w.max_degree() as f64)
+        priced.time_at(w.max_degree() as f64)
     );
 
     // Execute all four phases numerically; the call asserts Phase IV equals

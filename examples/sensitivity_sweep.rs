@@ -17,7 +17,9 @@ fn main() {
 
     let d = Dataset::by_name("webbase-1M").expect("Table II entry");
     let w = CcWorkload::new(d.graph(scale, seed), platform);
-    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&w);
+    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) })
+        .profiled()
+        .run(&w);
     println!(
         "CC on {} (n = {}), exhaustive best t = {:.0} at {}\n",
         d.name,
@@ -29,7 +31,7 @@ fn main() {
         "{:>7} {:>12} {:>14} {:>12} {:>11} {:>10}",
         "factor", "sample size", "estimation", "threshold", "|t - t*|", "total"
     );
-    let points = sensitivity(&w, &factors, IdentifyStrategy::CoarseToFine, seed);
+    let points = sensitivity(&w, &factors, Strategy::CoarseToFine, seed);
     for p in &points {
         println!(
             "{:>7.2} {:>12} {:>12.2}ms {:>12.1} {:>11.1} {:>8.2}ms",

@@ -37,8 +37,12 @@ fn main() {
     }
 
     // Identify via the device race on the n/4 miniature.
-    let est = Estimator::new(Strategy::RaceThenFine).seed(seed).run(&w);
-    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&w);
+    let est = Estimator::new(Strategy::RaceThenFine)
+        .seed(seed)
+        .profiled()
+        .run(&w);
+    let priced = ProfiledWorkload::new(&w);
+    let best = Searcher::new(Strategy::Exhaustive { step: Some(1.0) }).run(&priced);
     println!(
         "\nrace + fine probes on the n/4 sample → r' = {:.1}% \
          (exhaustive best r = {:.1}%)",
@@ -46,9 +50,9 @@ fn main() {
     );
     println!(
         "times: estimated {}, best {}, GPU-only {}",
-        w.time_at(est.threshold),
+        priced.time_at(est.threshold),
         best.best_time,
-        w.time_at(0.0)
+        priced.time_at(0.0)
     );
 
     // Execute the partitioned multiply for real and check it against the

@@ -28,6 +28,7 @@ fn main() {
     let est = Estimator::new(Strategy::CoarseToFine)
         .seed(7)
         .recorder(&rec)
+        .profiled()
         .run(&workload);
     let trace = rec.finish();
     println!(

@@ -197,11 +197,7 @@ fn calibration_runs_on_a_registry_corpus() {
         .iter()
         .map(|n| HhWorkload::new(Dataset::by_name(n).unwrap().matrix(SCALE, SEED), platform()))
         .collect();
-    let fitted = calibrate_extrapolator(
-        &corpus,
-        IdentifyStrategy::GradientDescent { max_evals: 12 },
-        SEED,
-    );
+    let fitted = calibrate_extrapolator(&corpus, Strategy::GradientDescent { max_evals: 12 }, SEED);
     if let Some(Extrapolator::Power { a, b }) = fitted {
         assert!(a.is_finite() && b.is_finite());
     }

@@ -30,14 +30,14 @@ fn all_identify_strategies_work_on_all_percentage_workloads() {
     let cc = CcWorkload::new(d.graph(SCALE, SEED), platform());
     let spmm = SpmmWorkload::new(d.matrix(SCALE, SEED), platform());
     for strategy in [
-        IdentifyStrategy::CoarseToFine,
-        IdentifyStrategy::RaceThenFine,
-        IdentifyStrategy::GradientDescent { max_evals: 20 },
-        IdentifyStrategy::Exhaustive,
+        Strategy::CoarseToFine,
+        Strategy::RaceThenFine,
+        Strategy::GradientDescent { max_evals: 20 },
+        Strategy::Exhaustive { step: None },
     ] {
-        let e1 = Estimator::new(strategy.into()).seed(SEED).run(&cc);
+        let e1 = Estimator::new(strategy).seed(SEED).run(&cc);
         assert!((0.0..=100.0).contains(&e1.threshold), "{strategy:?} on CC");
-        let e2 = Estimator::new(strategy.into()).seed(SEED).run(&spmm);
+        let e2 = Estimator::new(strategy).seed(SEED).run(&spmm);
         assert!(
             (0.0..=100.0).contains(&e2.threshold),
             "{strategy:?} on spmm"
@@ -104,10 +104,7 @@ fn summaries_and_tables_render_from_real_rows() {
             (name, CcWorkload::new(d.graph(SCALE, SEED), platform()))
         })
         .collect();
-    let cfg = ExperimentConfig::cc(SEED);
-    let mut rows: Vec<ExperimentRow> = suite.iter().map(|(n, w)| run_one(n, w, &cfg)).collect();
-    let ws: Vec<CcWorkload> = suite.into_iter().map(|(_, w)| w).collect();
-    fill_naive_average(&mut rows, &ws);
+    let rows = run_corpus(&suite, &ExperimentConfig::cc(SEED));
 
     let tt = report::threshold_table(&rows);
     assert!(tt.contains("cant") && tt.contains("qcd5_4"));
@@ -124,7 +121,7 @@ fn summaries_and_tables_render_from_real_rows() {
 fn sensitivity_estimation_cost_grows_with_sample_size() {
     let d = Dataset::by_name("pwtk").unwrap();
     let w = CcWorkload::new(d.graph(SCALE, SEED), platform());
-    let pts = sensitivity(&w, &[0.25, 1.0, 4.0], IdentifyStrategy::CoarseToFine, SEED);
+    let pts = sensitivity(&w, &[0.25, 1.0, 4.0], Strategy::CoarseToFine, SEED);
     assert!(pts[2].estimation_ms > pts[0].estimation_ms);
     assert!(pts[2].sample_size > pts[0].sample_size);
 }

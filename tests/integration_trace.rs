@@ -19,11 +19,11 @@ fn cc_workload() -> CcWorkload {
     CcWorkload::new(d.graph(SCALE, SEED), platform())
 }
 
-const STRATEGIES: [IdentifyStrategy; 4] = [
-    IdentifyStrategy::CoarseToFine,
-    IdentifyStrategy::RaceThenFine,
-    IdentifyStrategy::GradientDescent { max_evals: 20 },
-    IdentifyStrategy::Exhaustive,
+const STRATEGIES: [Strategy; 4] = [
+    Strategy::CoarseToFine,
+    Strategy::RaceThenFine,
+    Strategy::GradientDescent { max_evals: 20 },
+    Strategy::Exhaustive { step: None },
 ];
 
 /// One parsed `"ph": "X"` event: (name, tid, ts, dur).
@@ -61,10 +61,7 @@ fn chrome_round_trip_nests_pipeline_spans_for_every_strategy() {
     let w = cc_workload();
     for strategy in STRATEGIES {
         let rec = Recorder::new();
-        let est = Estimator::new(strategy.into())
-            .seed(SEED)
-            .recorder(&rec)
-            .run(&w);
+        let est = Estimator::new(strategy).seed(SEED).recorder(&rec).run(&w);
         let trace = rec.finish();
         let json = trace.to_chrome_trace();
 
@@ -130,10 +127,7 @@ fn trace_durations_reconcile_with_estimate_overhead() {
     let w = cc_workload();
     for strategy in STRATEGIES {
         let rec = Recorder::new();
-        let est = Estimator::new(strategy.into())
-            .seed(SEED)
-            .recorder(&rec)
-            .run(&w);
+        let est = Estimator::new(strategy).seed(SEED).recorder(&rec).run(&w);
         let trace = rec.finish();
         let sample = trace.spans_named("sample").next().unwrap().dur;
         let identify = trace.spans_named("identify").next().unwrap().dur;
@@ -157,10 +151,7 @@ fn same_seed_traces_are_byte_identical() {
     for strategy in STRATEGIES {
         let capture = || {
             let rec = Recorder::new();
-            let _ = Estimator::new(strategy.into())
-                .seed(SEED)
-                .recorder(&rec)
-                .run(&w);
+            let _ = Estimator::new(strategy).seed(SEED).recorder(&rec).run(&w);
             let trace = rec.finish();
             (trace.to_chrome_trace(), trace.to_jsonl())
         };
@@ -181,12 +172,9 @@ fn same_seed_traces_are_byte_identical() {
 fn disabled_recorder_changes_nothing() {
     let w = cc_workload();
     for strategy in STRATEGIES {
-        let plain = Estimator::new(strategy.into()).seed(SEED).run(&w);
+        let plain = Estimator::new(strategy).seed(SEED).run(&w);
         let rec = Recorder::disabled();
-        let silent = Estimator::new(strategy.into())
-            .seed(SEED)
-            .recorder(&rec)
-            .run(&w);
+        let silent = Estimator::new(strategy).seed(SEED).recorder(&rec).run(&w);
         assert_eq!(plain.threshold, silent.threshold, "{strategy:?}");
         assert_eq!(plain.overhead, silent.overhead, "{strategy:?}");
         assert_eq!(plain.evaluations, silent.evaluations, "{strategy:?}");
@@ -199,13 +187,11 @@ fn disabled_recorder_changes_nothing() {
     // And the enabled recorder is an observer, not a participant: results
     // match the plain path bit-for-bit.
     let rec = Recorder::new();
-    let traced = Estimator::new(IdentifyStrategy::CoarseToFine.into())
+    let traced = Estimator::new(Strategy::CoarseToFine)
         .seed(SEED)
         .recorder(&rec)
         .run(&w);
-    let plain = Estimator::new(IdentifyStrategy::CoarseToFine.into())
-        .seed(SEED)
-        .run(&w);
+    let plain = Estimator::new(Strategy::CoarseToFine).seed(SEED).run(&w);
     assert_eq!(plain.threshold, traced.threshold);
     assert_eq!(plain.overhead, traced.overhead);
 }
@@ -214,7 +200,7 @@ fn disabled_recorder_changes_nothing() {
 fn metrics_snapshot_reports_search_and_device_figures() {
     let w = cc_workload();
     let rec = Recorder::new();
-    let est = Estimator::new(IdentifyStrategy::CoarseToFine.into())
+    let est = Estimator::new(Strategy::CoarseToFine)
         .seed(SEED)
         .recorder(&rec)
         .run(&w);

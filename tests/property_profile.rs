@@ -9,7 +9,9 @@ use nbwp_core::prelude::*;
 use nbwp_core::search::SearchOutcome;
 use nbwp_core::search::Strategy as SearchStrategy;
 use nbwp_graph::gen as ggen;
+use nbwp_graph::list::{hybrid_rank, LinkedLists};
 use nbwp_sim::RunReport;
+use nbwp_sort::hybrid::hybrid_sort;
 use nbwp_sparse::gen as sgen;
 use proptest::prelude::*;
 
@@ -97,6 +99,36 @@ proptest! {
     }
 
     #[test]
+    fn split_indexed_curves_price_list_sort_and_spmv_like_direct_runs(
+        n in 8usize..400,
+        lists in 1usize..6,
+        seed in 0u64..1000,
+        t_rand in 0.0f64..100.0,
+    ) {
+        let list = ListRankingWorkload::new(
+            LinkedLists::random(n, lists.min(n), seed),
+            platform(),
+            seed,
+        );
+        let keys = nbwp_sort::gen::uniform(n, seed);
+        let sort = SortWorkload::new(keys.clone(), platform());
+        let spmv = SpmvWorkload::new(sgen::power_law(n, 4, 2.1, seed), platform());
+        // Both empty bands, every rounding tie `k + 0.5` units, and one
+        // random share.
+        let mut ts = vec![0.0, 100.0, t_rand];
+        ts.extend((0..n.min(40)).map(|k| (k as f64 + 0.5) * 100.0 / n as f64));
+        for t in ts {
+            let direct = hybrid_rank(list.lists(), t, &platform(), seed).report;
+            prop_assert_eq!(list.run(t), direct.clone(), "list t = {}", t);
+            prop_assert_eq!(priced(&list, &(), t), direct, "list t = {}", t);
+            let direct = hybrid_sort(&keys, t, &platform()).report;
+            prop_assert_eq!(sort.run(t), direct.clone(), "sort t = {}", t);
+            prop_assert_eq!(priced(&sort, &(), t), direct, "sort t = {}", t);
+            prop_assert_eq!(priced(&spmv, &(), t), spmv.run(t), "spmv t = {}", t);
+        }
+    }
+
+    #[test]
     fn profiled_search_returns_the_direct_outcome_and_counts_into_metrics(
         n in 64usize..600,
         deg in 2usize..7,
@@ -165,22 +197,31 @@ fn panics(f: impl FnOnce() -> RunReport) -> bool {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
 }
 
-/// A NaN threshold names no split: the direct run and the profiled run
-/// both panic on every workload instead of pricing some default split.
-fn assert_nan_panics<W: Profilable>(w: &W, name: &str) {
-    assert!(panics(|| w.run(f64::NAN)), "{name}: run(NaN)");
+/// A threshold that names no split: the direct run and the profiled run
+/// both panic at `t` instead of pricing some default split.
+fn assert_panics_at<W: Profilable>(w: &W, name: &str, t: f64) {
+    assert!(panics(|| w.run(t)), "{name}: run({t})");
     let pw = ProfiledWorkload::new(w);
-    assert!(panics(|| pw.run(f64::NAN)), "{name}: profiled run(NaN)");
+    assert!(panics(|| pw.run(t)), "{name}: profiled run({t})");
 }
 
 #[test]
 fn nan_thresholds_panic_on_the_direct_and_profiled_paths() {
     let g = ggen::web(300, 4, 1);
     let a = sgen::power_law(300, 6, 2.1, 1);
-    assert_nan_panics(&CcWorkload::new(g, platform()), "cc");
-    assert_nan_panics(&SpmmWorkload::new(a.clone(), platform()), "spmm");
-    assert_nan_panics(&HhWorkload::new(a, platform()), "hh");
-    assert_nan_panics(&DenseGemmWorkload::new(64, platform()), "gemm");
+    let list = ListRankingWorkload::new(LinkedLists::random(300, 3, 1), platform(), 1);
+    let sort = SortWorkload::new(nbwp_sort::gen::uniform(300, 1), platform());
+    let spmv = SpmvWorkload::new(a.clone(), platform());
+    assert_panics_at(&CcWorkload::new(g, platform()), "cc", f64::NAN);
+    assert_panics_at(&SpmmWorkload::new(a.clone(), platform()), "spmm", f64::NAN);
+    assert_panics_at(&HhWorkload::new(a, platform()), "hh", f64::NAN);
+    assert_panics_at(&DenseGemmWorkload::new(64, platform()), "gemm", f64::NAN);
+    // The split-indexed workloads also reject shares outside [0, 100].
+    for t in [f64::NAN, -1.0, 100.5, f64::INFINITY] {
+        assert_panics_at(&list, "list", t);
+        assert_panics_at(&sort, "sort", t);
+        assert_panics_at(&spmv, "spmv", t);
+    }
 }
 
 /// Prices every split of one shared profile from four scoped threads
@@ -240,4 +281,133 @@ fn assert_same_outcome(a: &SearchOutcome, b: &SearchOutcome) {
     assert_eq!(a.best_time, b.best_time);
     assert_eq!(a.search_cost, b.search_cost);
     assert_eq!(a.evals, b.evals);
+}
+
+/// Rows for `suite` the way the experiment drivers built them before they
+/// priced through cost profiles: a direct exhaustive search (one point, or
+/// ×1.15 on a logarithmic space), a direct estimate, direct runs at every
+/// baseline, and NaiveAverage (geometric mean on a logarithmic space).
+fn direct_rows<W: Sampleable>(
+    suite: &[(&str, W)],
+    config: &ExperimentConfig,
+) -> Vec<ExperimentRow> {
+    let ms = |w: &W, t: f64| w.time_at(t).as_millis();
+    let mut rows: Vec<ExperimentRow> = suite
+        .iter()
+        .map(|(name, w)| {
+            let space = w.space();
+            let step = if space.logarithmic { 1.15 } else { 1.0 };
+            let best = Searcher::new(SearchStrategy::Exhaustive { step: Some(step) }).run(w);
+            let est = Estimator::new(config.strategy)
+                .spec(config.spec)
+                .seed(config.seed)
+                .run(w);
+            let naive_static_t = (!space.logarithmic).then(|| baselines::naive_static_for(w));
+            ExperimentRow {
+                dataset: name.to_string(),
+                n: w.size(),
+                exhaustive_t: best.best_t,
+                estimated_t: est.threshold,
+                naive_static_t,
+                naive_average_t: None,
+                time_exhaustive_ms: best.best_time.as_millis(),
+                time_estimated_ms: ms(w, est.threshold),
+                time_naive_static_ms: naive_static_t.map(|t| ms(w, t)),
+                time_naive_average_ms: None,
+                time_gpu_only_ms: ms(w, space.lo),
+                overhead_ms: est.overhead.as_millis(),
+                evaluations: est.evaluations,
+                sample_size: est.sample_size,
+                relative_threshold_diff: space.logarithmic,
+                space_lo: space.lo,
+                space_hi: space.hi,
+            }
+        })
+        .collect();
+    let best: Vec<f64> = rows.iter().map(|r| r.exhaustive_t).collect();
+    let avg = if suite[0].1.space().logarithmic {
+        (best.iter().map(|t| t.max(1e-9).ln()).sum::<f64>() / best.len() as f64).exp()
+    } else {
+        naive_average(&best)
+    };
+    for (row, (_, w)) in rows.iter_mut().zip(suite) {
+        let t = w.space().clamp(avg);
+        row.naive_average_t = Some(t);
+        row.time_naive_average_ms = Some(ms(w, t));
+    }
+    rows
+}
+
+fn assert_corpus_matches_direct<W: Sampleable>(
+    suite: &[(&str, W)],
+    config: &ExperimentConfig,
+) -> Vec<ExperimentRow> {
+    let rows = run_corpus(suite, config);
+    assert_eq!(rows, direct_rows(suite, config));
+    rows
+}
+
+/// A scaled platform, on which the optima sit inside the spaces (on the
+/// full-size one, hh's optimum is its lower bound on every grid).
+fn scaled() -> Platform {
+    platform().scaled_for(0.01)
+}
+
+#[test]
+fn run_corpus_rows_equal_direct_rows_for_every_family() {
+    let seed = 5;
+    let (cc, spmm) = (ExperimentConfig::cc(seed), ExperimentConfig::spmm(seed));
+    let sizes = [("a", 500usize), ("b", 900)];
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| (name, CcWorkload::new(ggen::web(n, 4, seed), scaled()))),
+        &cc,
+    );
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| {
+            let a = sgen::power_law(n, 6, 2.1, seed);
+            (name, SpmmWorkload::new(a, scaled()))
+        }),
+        &spmm,
+    );
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| (name, DenseGemmWorkload::new(n / 2, scaled()))),
+        &spmm,
+    );
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| {
+            let lists = LinkedLists::random(8 * n, 4, seed);
+            (name, ListRankingWorkload::new(lists, scaled(), seed))
+        }),
+        &cc,
+    );
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| {
+            let keys = nbwp_sort::gen::duplicates(8 * n, 37, seed);
+            (name, SortWorkload::new(keys, scaled()))
+        }),
+        &cc,
+    );
+    assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| {
+            let a = sgen::banded_fem(n, 20, 6, seed);
+            (name, SpmvWorkload::new(a, scaled()))
+        }),
+        &cc,
+    );
+    // HH: a logarithmic space, so the difference is a log-axis share and
+    // NaiveAverage is a geometric mean (of optima near 3 and 11 here).
+    let rows = assert_corpus_matches_direct(
+        &sizes.map(|(name, n)| {
+            let a = sgen::power_law(n, 12, 2.1, seed);
+            (name, HhWorkload::new(a, scaled()))
+        }),
+        &ExperimentConfig::scalefree(seed),
+    );
+    for r in &rows {
+        assert!(r.relative_threshold_diff);
+        let axis = (r.space_hi / r.space_lo.max(1e-9)).ln();
+        let d = (r.estimated_t / r.exhaustive_t).ln().abs();
+        let want = (d / axis * 100.0).min(100.0);
+        assert!((r.threshold_diff_pct() - want).abs() < 1e-9, "{r:?}");
+    }
 }
