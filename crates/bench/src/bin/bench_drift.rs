@@ -9,9 +9,11 @@
 //! units) on the cc and spmm workloads and checks both halves:
 //!
 //! 1. **Parity** (always on, every mode): after every step, the patched
-//!    profile is bitwise-compared against a fresh build of the drifted
-//!    workload and the chained fingerprint's statistics against a fresh
-//!    sketch. The served threshold is scored against a cold curve
+//!    profile is bitwise-compared against a profile built from the
+//!    drifted raw input (so a wrong span shows), the chained
+//!    fingerprint's statistics against a fresh sketch, and the served
+//!    total against that fresh profile's price at the served cuts
+//!    (bitwise). The served threshold is scored against a cold curve
 //!    minimization: on a multi-modal curve the warm hill-descent may
 //!    settle in a neighbouring basin, so the gate bounds the *cost* of
 //!    the served threshold over the cold minimum (≤1%) rather than
@@ -36,6 +38,12 @@
 //! — is compared. The `adaptive_vs_best_fixed` gate (enforced in every
 //! mode; work units are deterministic) requires the adaptive policy to
 //! match or beat the better fixed policy on every scenario.
+//!
+//! Schema v3 replays every script a second time on the
+//! `dual-cpu-dual-gpu` topology (k = 4), where bands that miss a step's
+//! span keep their memoized cc replays across the patch. Its steps get
+//! the same parity and bitwise served-total checks; their regret against
+//! a cold k = 4 descent on the fresh profile is reported, not gated.
 //!
 //! Usage: `bench_drift [--quick] [--out <path>] [--seed <u64>]`
 
@@ -77,6 +85,17 @@ struct Entry {
     decisions_patched: u64,
     decisions_nudged: u64,
     decisions_rebuilt: u64,
+    /// The k = 4 topology the script is replayed on a second time.
+    kway_devices: String,
+    /// Worst k = 4 step's served total over a cold k = 4 descent on the
+    /// fresh profile, in percent (reported, not gated).
+    kway_max_serve_vs_cold_regret_pct: f64,
+    kway_decisions_patched: u64,
+    kway_decisions_nudged: u64,
+    kway_decisions_rebuilt: u64,
+    /// Every served total, at k = 2 and k = 4, equalled bitwise the fresh
+    /// profile's price at the served cuts.
+    served_totals_exact: bool,
     /// Total deterministic work (touched span + curve probes, summed over
     /// the steps) under the adaptive crossover — the unit the policy
     /// itself optimizes, so the comparison is exact and machine-independent.
@@ -192,9 +211,116 @@ fn spmm_script(
         .collect()
 }
 
-/// Replays one delta script three ways for one workload/fraction pair:
-/// a checked replay (per-step parity against fresh builds), a timed
-/// patched replay through [`DriftServer`], and a timed cold replay.
+/// What one checked replay on one topology saw.
+struct Checked {
+    /// `(patched, nudged, rebuilt)` decision counts.
+    decisions: (u64, u64, u64),
+    span_sum: usize,
+    max_regret_pct: f64,
+    parity: bool,
+    totals_exact: bool,
+}
+
+/// The curve's price of the served cut vector on `set`: the scalar lane
+/// on the canonical pair, the band prices otherwise — how the drift
+/// server prices what it serves.
+fn price_at(
+    curve: &dyn CurveEval,
+    set: &DeviceSet,
+    space: &ThresholdSpace,
+    cuts: &[f64],
+) -> SimTime {
+    if set.is_canonical_pair() {
+        return curve.total_at(curve.split_for(space.clamp(cuts[0])));
+    }
+    let splits = cuts
+        .iter()
+        .map(|&t| curve.split_for(space.clamp(t)))
+        .collect();
+    curve
+        .partition_total(set, &Partition::new(curve.splits() - 1, splits))
+        .expect("cc and spmm curves price bands")
+}
+
+/// Replays `deltas` through a [`DriftServer`] on `set`, checking every
+/// step against the drifted raw input rebuilt from scratch (`refresh`):
+/// the patched profile and chained fingerprint statistics must equal the
+/// fresh ones, and the served total the fresh profile's price at the
+/// served cuts, bitwise. Scores each served total against a cold descent
+/// on the fresh profile.
+#[allow(clippy::too_many_arguments)]
+fn checked_replay<W>(
+    name: &str,
+    fraction: f64,
+    base: &W,
+    set: &DeviceSet,
+    deltas: &[W::Delta],
+    profile_eq: &impl Fn(&W::Profile, &W::Profile) -> bool,
+    refresh: &impl Fn(&W) -> W,
+    mismatches: &mut Vec<String>,
+) -> Checked
+where
+    W: DriftWorkload + Clone,
+{
+    let pool = Pool::global();
+    let k = set.len();
+    let mut seen = Checked {
+        decisions: (0, 0, 0),
+        span_sum: 0,
+        max_regret_pct: 0.0,
+        parity: true,
+        totals_exact: true,
+    };
+    let mut server = DriftServer::new(base.clone()).with_devices(set.clone());
+    for (i, d) in deltas.iter().enumerate() {
+        let step = server.apply(d);
+        match step.decision {
+            DriftDecision::Patched => seen.decisions.0 += 1,
+            DriftDecision::Nudged => seen.decisions.1 += 1,
+            DriftDecision::Rebuilt => seen.decisions.2 += 1,
+        }
+        seen.span_sum += step.span.len();
+        let rebuilt = refresh(server.workload());
+        let fresh = rebuilt.build_profile(pool);
+        if !profile_eq(server.profile(), &fresh) {
+            seen.parity = false;
+            mismatches.push(format!(
+                "{name}@{fraction} k={k}: step {i} patched profile differs from a fresh rebuild"
+            ));
+        }
+        if !fingerprint_stats_eq(&server.workload().fingerprint(), &rebuilt.fingerprint()) {
+            seen.parity = false;
+            mismatches.push(format!(
+                "{name}@{fraction} k={k}: step {i} chained fingerprint statistics differ from a fresh sketch"
+            ));
+        }
+        let space = rebuilt.space();
+        let curve = rebuilt.curve(&fresh).expect("curve");
+        let served = price_at(curve.as_ref(), set, &space, &step.cuts);
+        if served != step.total {
+            seen.totals_exact = false;
+            mismatches.push(format!(
+                "{name}@{fraction} k={k}: step {i} served total {} differs from the fresh profile's {served}",
+                step.total
+            ));
+        }
+        // Warm descent may settle in a neighbouring basin of a
+        // multi-modal curve; what must hold is that serving its cuts
+        // costs (almost) nothing over the cold minimum.
+        let cold = minimize_partition(curve.as_ref(), set, &space, space.fine_step, None)
+            .expect("cc and spmm curves price bands");
+        if cold.total.as_secs() > 0.0 {
+            let regret = (served.as_secs() / cold.total.as_secs() - 1.0) * 100.0;
+            seen.max_regret_pct = seen.max_regret_pct.max(regret);
+        }
+    }
+    seen
+}
+
+/// Replays one delta script for one workload/fraction pair: checked
+/// replays on the canonical pair and at k = 4 (per-step parity against
+/// fresh builds), the policy comparison, a timed patched replay through
+/// [`DriftServer`], and a timed cold replay.
 ///
 /// `refresh` reconstructs a workload from its raw (drifted) input — the
 /// from-scratch re-estimation a deployment without the drift layer would
@@ -218,58 +344,26 @@ where
     let pool = Pool::global();
     let units = base.units();
 
-    // Checked replay: every step's patched state vs a from-scratch one.
-    let mut parity = true;
-    let (mut n_patched, mut n_nudged, mut n_rebuilt) = (0u64, 0u64, 0u64);
-    let mut span_sum = 0usize;
-    let mut max_regret = 0.0f64;
-    {
-        let mut server = DriftServer::new(base.clone());
-        for (i, d) in deltas.iter().enumerate() {
-            let step = server.apply(d);
-            match step.decision {
-                DriftDecision::Patched => n_patched += 1,
-                DriftDecision::Nudged => n_nudged += 1,
-                DriftDecision::Rebuilt => n_rebuilt += 1,
-            }
-            span_sum += step.span.len();
-            let fresh = server.workload().build_profile(pool);
-            if !profile_eq(server.profile(), &fresh) {
-                parity = false;
-                mismatches.push(format!(
-                    "{name}@{fraction}: step {i} patched profile differs from a fresh rebuild"
-                ));
-            }
-            // Warm descent may settle in a neighbouring basin of a
-            // multi-modal curve; what must hold is that serving its
-            // threshold costs (almost) nothing over the cold minimum.
-            let space = server.workload().space();
-            let curve = server.workload().curve(&fresh).expect("curve");
-            let cold = minimize_partition(
-                curve.as_ref(),
-                DeviceSet::cpu_gpu_static(),
-                &space,
-                space.fine_step,
-                None,
-            )
-            .expect("the canonical pair prices every curve");
-            let served = curve.total_at(curve.split_for(space.clamp(step.threshold)));
-            let regret = if cold.total.as_secs() > 0.0 {
-                (served.as_secs() / cold.total.as_secs() - 1.0) * 100.0
-            } else {
-                0.0
-            };
-            max_regret = max_regret.max(regret);
-            drop(curve);
-            let drifted = server.workload().fingerprint();
-            if !fingerprint_stats_eq(&drifted, &refresh(server.workload()).fingerprint()) {
-                parity = false;
-                mismatches.push(format!(
-                    "{name}@{fraction}: step {i} chained fingerprint statistics differ from a fresh sketch"
-                ));
-            }
-        }
-    }
+    let canonical = checked_replay(
+        name,
+        fraction,
+        base,
+        DeviceSet::cpu_gpu_static(),
+        deltas,
+        &profile_eq,
+        &refresh,
+        mismatches,
+    );
+    let kway = checked_replay(
+        name,
+        fraction,
+        base,
+        &DeviceSet::dual_cpu_dual_gpu(),
+        deltas,
+        &profile_eq,
+        &refresh,
+        mismatches,
+    );
 
     // Policy comparison: the same delta stream under the adaptive
     // crossover and under both fixed policies, scored in the
@@ -333,11 +427,14 @@ where
     let patched_step_ms = patched_best / steps as f64;
     let cold_step_ms = cold_best / steps as f64;
     let speedup = cold_step_ms / patched_step_ms.max(1e-9);
-    let mean_span_fraction = span_sum as f64 / steps as f64 / units.max(1) as f64;
+    let mean_span_fraction = canonical.span_sum as f64 / steps as f64 / units.max(1) as f64;
+    let (n_patched, n_nudged, n_rebuilt) = canonical.decisions;
+    let max_regret = canonical.max_regret_pct;
     eprintln!(
-        "  {name:<5} {:>5.1}% drift | span {:>5.2}% | patched {patched_step_ms:8.4} ms/step | cold {cold_step_ms:8.4} ms/step | x{speedup:<6.1} | regret {max_regret:.4}% | {n_patched} patched / {n_nudged} nudged / {n_rebuilt} rebuilt | work adaptive {adaptive_work} vs fixed {fixed_patch_work}/{rebuild_always_work} ({:.3})",
+        "  {name:<5} {:>5.1}% drift | span {:>5.2}% | patched {patched_step_ms:8.4} ms/step | cold {cold_step_ms:8.4} ms/step | x{speedup:<6.1} | regret {max_regret:.4}% (k=4 {:.4}%) | {n_patched} patched / {n_nudged} nudged / {n_rebuilt} rebuilt | work adaptive {adaptive_work} vs fixed {fixed_patch_work}/{rebuild_always_work} ({:.3})",
         fraction * 100.0,
         mean_span_fraction * 100.0,
+        kway.max_regret_pct,
         adaptive_vs_best_fixed,
     );
     Entry {
@@ -353,11 +450,17 @@ where
         decisions_patched: n_patched,
         decisions_nudged: n_nudged,
         decisions_rebuilt: n_rebuilt,
+        kway_devices: DeviceSet::dual_cpu_dual_gpu().name().to_string(),
+        kway_max_serve_vs_cold_regret_pct: kway.max_regret_pct,
+        kway_decisions_patched: kway.decisions.0,
+        kway_decisions_nudged: kway.decisions.1,
+        kway_decisions_rebuilt: kway.decisions.2,
+        served_totals_exact: canonical.totals_exact && kway.totals_exact,
         adaptive_work_units: adaptive_work,
         fixed_patch_work_units: fixed_patch_work,
         rebuild_always_work_units: rebuild_always_work,
         adaptive_vs_best_fixed,
-        parity,
+        parity: canonical.parity && kway.parity,
     }
 }
 
@@ -485,7 +588,7 @@ fn main() {
     }
 
     let report = Report {
-        schema: "nbwp-bench-drift/v2",
+        schema: "nbwp-bench-drift/v3",
         quick: args.quick,
         seed: args.seed,
         repetitions: reps,
@@ -499,6 +602,6 @@ fn main() {
     finish(
         &mismatches,
         "DRIFT GATE VIOLATION",
-        "all patched profiles, chained fingerprints, and served thresholds match from-scratch re-estimation",
+        "all patched profiles, chained fingerprints, served totals and thresholds match from-scratch re-estimation",
     );
 }

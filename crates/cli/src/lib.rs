@@ -1029,6 +1029,10 @@ fn batch_cmd(
 /// - spmm: `{"replace": [{"row": r, "cols": [...], "vals": [...]}, ...],
 ///   "scale": [{"row": r, "factor": f}, ...]}` (either key optional;
 ///   `vals` defaults to ones; replaces apply before scales within a line)
+///
+/// Every vertex, row and column must index the loaded input, and each
+/// replacement's `cols` must be strictly increasing; a line breaking
+/// either is an error naming that line.
 fn drift_cmd(
     workload: &str,
     input: &str,
@@ -1054,7 +1058,7 @@ fn drift_cmd(
     );
     match Served::parse(workload) {
         Ok(kind @ Served::Cc) => {
-            let deltas = parse_graph_deltas(&text)?;
+            let deltas = parse_graph_deltas(&text, a.rows())?;
             let w = cc_workload(a, platform);
             replay_drift(
                 &mut out,
@@ -1067,7 +1071,7 @@ fn drift_cmd(
             );
         }
         Ok(kind @ Served::Spmm) => {
-            let deltas = parse_csr_deltas(&text)?;
+            let deltas = parse_csr_deltas(&text, a.rows())?;
             let w = SpmmWorkload::new(a, platform);
             replay_drift(
                 &mut out,
@@ -1204,13 +1208,35 @@ fn script_u64(v: &serde_json::Value, what: &str, lineno: usize) -> Result<u64, C
     })
 }
 
-/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line.
-fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
+/// A vertex, row or column index of the loaded `n`-unit input: checked
+/// against `n` before any narrowing, so an out-of-range script index is
+/// an error naming its line instead of a panic or a truncated `u32`.
+fn script_index(
+    v: &serde_json::Value,
+    what: &str,
+    n: usize,
+    lineno: usize,
+) -> Result<u32, CliError> {
+    let i = script_u64(v, what, lineno)?;
+    usize::try_from(i)
+        .ok()
+        .filter(|&i| i < n)
+        .and_then(|i| u32::try_from(i).ok())
+        .ok_or_else(|| {
+            err(format!(
+                "drift script line {lineno}: {what} {i} is out of range 0..{n}"
+            ))
+        })
+}
+
+/// `{"insert": [[u, v], ...], "delete": [[u, v], ...]}` per line, with
+/// every endpoint a vertex of the loaded `n`-vertex graph.
+fn parse_graph_deltas(text: &str, n: usize) -> Result<Vec<GraphDelta>, CliError> {
     let pair = |v: &serde_json::Value, lineno: usize| -> Result<(u32, u32), CliError> {
         match v.as_array() {
             Some([u, v]) => Ok((
-                script_u64(u, "edge endpoint", lineno)? as u32,
-                script_u64(v, "edge endpoint", lineno)? as u32,
+                script_index(u, "edge endpoint", n, lineno)?,
+                script_index(v, "edge endpoint", n, lineno)?,
             )),
             _ => Err(err(format!(
                 "drift script line {lineno}: edges must be [u, v] pairs"
@@ -1233,22 +1259,25 @@ fn parse_graph_deltas(text: &str) -> Result<Vec<GraphDelta>, CliError> {
 }
 
 /// `{"replace": [{"row", "cols", "vals"?}], "scale": [{"row", "factor"}]}`
-/// per line.
-fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
+/// per line, with every row and column an index of the loaded square
+/// `n × n` matrix and each replacement's columns strictly increasing.
+fn parse_csr_deltas(text: &str, n: usize) -> Result<Vec<CsrDelta>, CliError> {
+    let null = serde_json::Value::Null;
     script_lines(text)
         .map(|(lineno, line)| {
             let v = script_value(lineno, line)?;
             let mut ops = Vec::new();
             for r in script_list(&v, "replace", lineno)? {
-                let row = script_u64(
-                    r.get("row").unwrap_or(&serde_json::Value::Null),
-                    "replace.row",
-                    lineno,
-                )? as usize;
+                let row = script_index(r.get("row").unwrap_or(&null), "replace.row", n, lineno)?;
                 let cols = script_list(r, "cols", lineno)?
                     .iter()
-                    .map(|c| script_u64(c, "replace.cols", lineno).map(|c| c as u32))
+                    .map(|c| script_index(c, "replace.cols entry", n, lineno))
                     .collect::<Result<Vec<_>, _>>()?;
+                if !cols.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(err(format!(
+                        "drift script line {lineno}: replace row {row} cols must be strictly increasing"
+                    )));
+                }
                 let vals = match r.get("vals") {
                     None => vec![1.0; cols.len()],
                     Some(_) => script_list(r, "vals", lineno)?
@@ -1269,14 +1298,14 @@ fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
                         vals.len()
                     )));
                 }
-                ops.push(RowOp::Replace { row, cols, vals });
+                ops.push(RowOp::Replace {
+                    row: row as usize,
+                    cols,
+                    vals,
+                });
             }
             for s in script_list(&v, "scale", lineno)? {
-                let row = script_u64(
-                    s.get("row").unwrap_or(&serde_json::Value::Null),
-                    "scale.row",
-                    lineno,
-                )? as usize;
+                let row = script_index(s.get("row").unwrap_or(&null), "scale.row", n, lineno)?;
                 let factor = s
                     .get("factor")
                     .and_then(serde_json::Value::as_f64)
@@ -1285,7 +1314,10 @@ fn parse_csr_deltas(text: &str) -> Result<Vec<CsrDelta>, CliError> {
                             "drift script line {lineno}: scale.factor must be a number"
                         ))
                     })?;
-                ops.push(RowOp::Scale { row, factor });
+                ops.push(RowOp::Scale {
+                    row: row as usize,
+                    factor,
+                });
             }
             Ok(CsrDelta { ops })
         })
@@ -1945,6 +1977,240 @@ mod tests {
 
         for f in [&mtx, &cc_ops, &sp_ops, &audit, &bad] {
             std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// Replays `script` through `estimate <workload> --drift` against
+    /// rma10 at scale 0.005, seed 7 (a 234-vertex matrix) and returns the
+    /// error it reports; `name` keeps parallel tests' files apart.
+    fn drift_script_error(name: &str, workload: &str, script: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("nbwp_cli_drift_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mtx, ops) = (dir.join("rma10.mtx"), dir.join("ops.jsonl"));
+        run(&Command::Gen {
+            dataset: "rma10".into(),
+            scale: 0.005,
+            seed: 7,
+            out: mtx.to_str().unwrap().into(),
+        })
+        .unwrap();
+        assert_eq!(load_square(mtx.to_str().unwrap()).unwrap().rows(), 234);
+        std::fs::write(&ops, script).unwrap();
+        let e = run(&Command::Estimate {
+            workload: workload.into(),
+            input: Some(mtx.to_str().unwrap().into()),
+            batch: None,
+            cache_size: None,
+            seed: 7,
+            exhaustive: false,
+            strategy: None,
+            analytic: false,
+            trace_out: None,
+            metrics: false,
+            metrics_out: None,
+            audit_out: None,
+            drift: Some(ops.to_str().unwrap().into()),
+            devices: None,
+        })
+        .unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        e.0
+    }
+
+    #[test]
+    fn drift_script_rejects_an_edge_endpoint_outside_the_graph() {
+        let e = drift_script_error(
+            "endpoint",
+            "cc",
+            "{\"insert\": [[1, 2]]}\n{\"insert\": [[1, 999999]]}\n",
+        );
+        assert!(e.contains("line 2"), "{e}");
+        assert!(
+            e.contains("edge endpoint 999999 is out of range 0..234"),
+            "{e}"
+        );
+        let e = drift_script_error("delete_endpoint", "cc", "{\"delete\": [[234, 1]]}\n");
+        assert!(
+            e.contains("line 1") && e.contains("234 is out of range"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn drift_script_rejects_edge_endpoints_past_u32_instead_of_truncating() {
+        // 4294967298 truncates to 2 as a u32: it must not become edge (1, 2).
+        let e = drift_script_error("u32", "cc", "{\"insert\": [[1, 4294967298]]}\n");
+        assert!(e.contains("line 1"), "{e}");
+        assert!(e.contains("4294967298 is out of range"), "{e}");
+    }
+
+    #[test]
+    fn drift_script_rejects_unsorted_replacement_columns() {
+        let e = drift_script_error(
+            "unsorted",
+            "spmm",
+            "{}\n{\"replace\": [{\"row\": 5, \"cols\": [3, 1]}]}\n",
+        );
+        assert!(e.contains("line 2"), "{e}");
+        assert!(e.contains("strictly increasing"), "{e}");
+        let e = drift_script_error(
+            "duplicate",
+            "spmm",
+            "{\"replace\": [{\"row\": 5, \"cols\": [3, 3]}]}\n",
+        );
+        assert!(
+            e.contains("line 1") && e.contains("strictly increasing"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn drift_script_rejects_rows_and_columns_outside_the_matrix() {
+        for (name, script, what) in [
+            (
+                "replace_row",
+                "{\"replace\": [{\"row\": 999999, \"cols\": [1]}]}",
+                "replace.row 999999",
+            ),
+            (
+                "replace_col",
+                "{\"replace\": [{\"row\": 5, \"cols\": [1, 4294967298]}]}",
+                "replace.cols entry 4294967298",
+            ),
+            (
+                "scale_row",
+                "{\"scale\": [{\"row\": 234, \"factor\": 2.0}]}",
+                "scale.row 234",
+            ),
+        ] {
+            let e = drift_script_error(name, "spmm", script);
+            assert!(e.contains("line 1"), "{e}");
+            assert!(e.contains(&format!("{what} is out of range 0..234")), "{e}");
+        }
+    }
+
+    /// A xorshift stream for drawing drift script lines.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, m: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % m as u64) as usize
+        }
+
+        /// A JSON scalar: an index of the `n`-unit input or just past it,
+        /// or a value at the `u32`/`u64` edges, negative, fractional,
+        /// null or a string.
+        fn scalar(&mut self, n: usize) -> String {
+            const EDGES: [&str; 13] = [
+                "999999",
+                "4294967295",
+                "4294967296",
+                "4294967298",
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "1.5",
+                "1e300",
+                "-0",
+                "null",
+                "\"7\"",
+                "[]",
+            ];
+            if self.below(4) > 0 {
+                self.below(n + 2).to_string()
+            } else {
+                EDGES[self.below(EDGES.len())].to_string()
+            }
+        }
+
+        fn list(&mut self, n: usize) -> String {
+            let items: Vec<String> = (0..self.below(5)).map(|_| self.scalar(n)).collect();
+            format!("[{}]", items.join(", "))
+        }
+
+        /// One script line: cc and spmm ops (keys and fields dropped at
+        /// random), token soup, or a line cut short.
+        fn line(&mut self, n: usize) -> String {
+            let mut fields = Vec::new();
+            for key in ["insert", "delete", "replace", "scale", "junk"] {
+                if self.below(2) == 0 {
+                    continue;
+                }
+                let items: Vec<String> = (0..self.below(4))
+                    .map(|_| match key {
+                        "insert" | "delete" if self.below(4) > 0 => {
+                            format!("[{}, {}]", self.scalar(n), self.scalar(n))
+                        }
+                        "replace" => {
+                            let mut parts = Vec::new();
+                            if self.below(5) > 0 {
+                                parts.push(format!("\"row\": {}", self.scalar(n)));
+                            }
+                            if self.below(5) > 0 {
+                                parts.push(format!("\"cols\": {}", self.list(n)));
+                            }
+                            if self.below(2) == 0 {
+                                parts.push(format!("\"vals\": {}", self.list(n)));
+                            }
+                            format!("{{{}}}", parts.join(", "))
+                        }
+                        "scale" => format!(
+                            "{{\"row\": {}, \"factor\": {}}}",
+                            self.scalar(n),
+                            self.scalar(n)
+                        ),
+                        _ => self.list(n),
+                    })
+                    .collect();
+                fields.push(format!("\"{key}\": [{}]", items.join(", ")));
+            }
+            let line = format!("{{{}}}", fields.join(", "));
+            match self.below(4) {
+                0 => {
+                    let tokens = ["{", "}", "[", "]", ",", ":", "\"insert\"", "\"cols\""];
+                    (0..self.below(12))
+                        .map(|_| match self.below(3) {
+                            0 => self.scalar(n),
+                            _ => tokens[self.below(tokens.len())].to_string(),
+                        })
+                        .collect()
+                }
+                1 => line[..self.below(line.len() + 1)].to_string(),
+                _ => line,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever a drift script line holds, parsing it against the
+        /// loaded input either fails with an error naming a line or yields
+        /// deltas that apply without panicking.
+        #[test]
+        fn drift_script_lines_never_panic(
+            n in 1usize..40,
+            lines in 1usize..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let a = nbwp_sparse::gen::uniform_random(n, 3, seed);
+            let g = Graph::from_matrix(&a);
+            let mut draw = Draw(seed | 1);
+            let lines: Vec<String> = (0..lines).map(|_| draw.line(n)).collect();
+            // Each line alone, then the whole script.
+            for text in lines.iter().cloned().chain([lines.join("\n")]) {
+                match parse_graph_deltas(&text, n) {
+                    Ok(deltas) => deltas.iter().for_each(|d| drop(d.apply(&g))),
+                    Err(e) => proptest::prop_assert!(e.0.starts_with("drift script line "), "{}", e.0),
+                }
+                match parse_csr_deltas(&text, n) {
+                    Ok(deltas) => deltas.iter().for_each(|d| drop(d.apply(&a))),
+                    Err(e) => proptest::prop_assert!(e.0.starts_with("drift script line "), "{}", e.0),
+                }
+            }
         }
     }
 

@@ -78,14 +78,16 @@ impl HistoryBased {
     }
 
     /// Returns the threshold for `w`: the first call trains (exhaustive
-    /// search at fine granularity — expensive, like Qilin's first run);
-    /// later calls reuse the stored threshold regardless of input.
+    /// search on the reference grid Table I measures against,
+    /// [`ThresholdSpace::reference_step`](crate::framework::ThresholdSpace::reference_step)
+    /// — expensive, like Qilin's first run); later calls reuse the stored
+    /// threshold regardless of input.
     pub fn threshold_for<W: PartitionedWorkload>(&mut self, w: &W) -> f64 {
         if let Some(t) = self.trained {
             return t;
         }
         let out = crate::search::Searcher::new(crate::search::Strategy::Exhaustive {
-            step: Some(w.space().fine_step.max(1.0)),
+            step: Some(w.space().reference_step()),
         })
         .run(w);
         self.trained = Some(out.best_t);

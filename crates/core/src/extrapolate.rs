@@ -150,8 +150,10 @@ mod tests {
 
 /// The paper's §V.A.3 offline calibration, literally: for each workload in
 /// a (small, representative) corpus, find the best threshold on a default
-/// sample and on the full input, then fit `t_full = a · t_sample^b` over
-/// the collected pairs. Both searches price through cost profiles.
+/// sample and on the full input (exhaustively, on the reference grid of
+/// [`ThresholdSpace::reference_step`](crate::framework::ThresholdSpace::reference_step)),
+/// then fit `t_full = a · t_sample^b` over the collected pairs. Both
+/// searches price through cost profiles.
 ///
 /// Returns `None` when the corpus yields fewer than two usable pairs. On a
 /// corpus of ideal scale-free inputs the fitted exponent approaches the
@@ -168,7 +170,7 @@ pub fn calibrate_extrapolator<W: Sampleable>(
         let sample = w.sample(SampleSpec::default(), &mut rng);
         let sample_best = Searcher::new(strategy).profiled().run(&sample).best_t;
         let full_best = Searcher::new(Strategy::Exhaustive {
-            step: Some(w.space().fine_step.max(1.05)),
+            step: Some(w.space().reference_step()),
         })
         .profiled()
         .run(w)

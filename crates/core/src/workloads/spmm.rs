@@ -146,6 +146,46 @@ impl SpmmWorkload {
     }
 }
 
+/// The span of rows of the mutated square `a` whose A×A cost may differ
+/// after the rows `edited` (sorted, deduplicated) were rewritten: the
+/// edited rows and every row *referencing* one, since row `i`'s cost reads
+/// the B (= A) row of each column it names. Unedited rows kept their
+/// column lists, so reading `a` is exact.
+///
+/// Only the rows outside the edited range are read, from each end inward
+/// up to the first referencing row; rows between the first and last edited
+/// row are in the span regardless. A row whose sorted column range misses
+/// the edited range skips in O(1), so a banded input pays for its halo,
+/// not for its nonzeros.
+fn halo_span(a: &Csr, edited: &[usize]) -> Range<usize> {
+    let (Some(&first), Some(&last)) = (edited.first(), edited.last()) else {
+        return 0..0;
+    };
+    let mut marks = vec![false; last + 1 - first];
+    for &r in edited {
+        marks[r - first] = true;
+    }
+    let references = |i: usize| {
+        let (cols, _) = a.row(i);
+        match (cols.first(), cols.last()) {
+            (Some(&lo), Some(&hi)) if hi as usize >= first && lo as usize <= last => {
+                let from = cols.partition_point(|&k| (k as usize) < first);
+                cols[from..]
+                    .iter()
+                    .take_while(|&&k| k as usize <= last)
+                    .any(|&k| marks[k as usize - first])
+            }
+            _ => false,
+        }
+    };
+    let lo = (0..first).find(|&i| references(i)).unwrap_or(first);
+    let hi = (last + 1..a.rows())
+        .rev()
+        .find(|&i| references(i))
+        .map_or(last + 1, |i| i + 1);
+    lo..hi
+}
+
 /// The split-independent Phase I price from the input scalars alone, so
 /// profile-derived miniatures ([`ResampledSpmm`]) can recompute it for a
 /// subset without materializing the subset matrix.
@@ -231,25 +271,7 @@ impl DriftWorkload for SpmmWorkload {
             density_denom: n.max(1) as f64 * a2.cols().max(1) as f64,
             commit: info.commit,
         });
-        // A×A coupling: row i's cost reads the B (= A) rows its columns
-        // name, so rows *referencing* an edited row are affected too. One
-        // O(nnz) mark scan over the mutated matrix finds them — unedited
-        // rows kept their column lists, so scanning `a2` is exact.
-        let mut edited = vec![false; n];
-        for &r in &info.touched_rows {
-            edited[r] = true;
-        }
-        let (mut lo, mut hi) = (0, 0);
-        for i in 0..n {
-            let (cols, _) = a2.row(i);
-            if edited[i] || cols.iter().any(|&k| edited[k as usize]) {
-                if hi == 0 {
-                    lo = i;
-                }
-                hi = i + 1;
-            }
-        }
-        let span = lo..hi;
+        let span = halo_span(&a2, &info.touched_rows);
         // Re-profile only the affected span; rows outside it kept both
         // their own pattern and every referenced row's pattern.
         let mut profile = (*self.profile).clone();
@@ -471,12 +493,111 @@ mod tests {
     use crate::estimator::Estimator;
     use crate::profile::priced;
     use crate::search::Strategy;
+    use nbwp_sparse::delta::RowOp;
     use nbwp_sparse::gen;
     use nbwp_sparse::spgemm::spgemm;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn workload(a: Csr) -> SpmmWorkload {
         SpmmWorkload::new(a, Platform::k40c_xeon_e5_2650())
+    }
+
+    /// The halo oracle: every row of `a` tested against the edited rows,
+    /// column by column — the O(nnz) scan [`halo_span`] replaced.
+    fn halo_span_full_scan(a: &Csr, edited: &[usize]) -> Range<usize> {
+        let mut marks = vec![false; a.rows()];
+        for &r in edited {
+            marks[r] = true;
+        }
+        let (mut lo, mut hi) = (0, 0);
+        for i in 0..a.rows() {
+            let (cols, _) = a.row(i);
+            if marks[i] || cols.iter().any(|&k| marks[k as usize]) {
+                if hi == 0 {
+                    lo = i;
+                }
+                hi = i + 1;
+            }
+        }
+        lo..hi
+    }
+
+    /// A script of `ops` row ops on an `n`-row matrix drawn from `seed`,
+    /// in one of three shapes: scales only; replacements in a window with
+    /// columns near the diagonal (the banded drift scripts); or
+    /// replacements and scales anywhere, rows 0 and `n − 1` favoured,
+    /// empty replacements included.
+    fn halo_script(n: usize, ops: usize, shape: usize, seed: u64) -> CsrDelta {
+        let mut x = seed | 1;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let start = next(n);
+        let ops = (0..ops)
+            .map(|i| {
+                let row = match (shape, next(4)) {
+                    (1, _) => (start + i).min(n - 1),
+                    (_, 0) => 0,
+                    (_, 1) => n - 1,
+                    _ => next(n),
+                };
+                if shape == 0 || next(4) == 0 {
+                    return RowOp::Scale { row, factor: 2.0 };
+                }
+                let mut cols: Vec<u32> = (0..next(6))
+                    .map(|_| match shape {
+                        1 => (row + next(9)).saturating_sub(4).min(n - 1) as u32,
+                        _ => next(n) as u32,
+                    })
+                    .collect();
+                cols.sort_unstable();
+                cols.dedup();
+                let vals = vec![1.0; cols.len()];
+                RowOp::Replace { row, cols, vals }
+            })
+            .collect();
+        CsrDelta { ops }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `apply_delta`'s span is exactly the rows the full nonzero scan
+        /// marks, on banded, power-law and random matrices with emptied
+        /// rows, for empty, scale-only, windowed and scattered scripts.
+        #[test]
+        fn halo_span_equals_the_full_scan(
+            family in 0usize..3,
+            n in 1usize..240,
+            deg in 1usize..8,
+            blank in 0usize..24,
+            ops in 0usize..10,
+            shape in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let base = match family {
+                0 => gen::banded_fem(n, 6, deg, seed),
+                1 => gen::power_law(n, deg, 2.1, seed),
+                _ => gen::uniform_random(n, deg, seed),
+            };
+            // Rows without columns on both sides of any edit.
+            let blanks = (0..blank)
+                .map(|i| RowOp::Replace {
+                    row: (seed as usize).wrapping_add(7 * i) % n,
+                    cols: vec![],
+                    vals: vec![],
+                })
+                .collect();
+            let w = workload(CsrDelta { ops: blanks }.apply(&base).0);
+            let delta = halo_script(n, ops, shape, seed);
+            let (_, info) = delta.apply(w.matrix());
+            let (w2, span) = w.apply_delta(&delta);
+            prop_assert_eq!(span, halo_span_full_scan(w2.matrix(), &info.touched_rows));
+        }
     }
 
     #[test]

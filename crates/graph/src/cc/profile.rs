@@ -25,7 +25,8 @@
 //!
 //! Both replays are memoized per band, and run outside the memo lock, so
 //! repeated evaluations of a band are O(1) and concurrent probes of one
-//! profile replay different bands in parallel. The direct
+//! profile replay different bands in parallel. A span patch keeps every
+//! replay whose band misses the span. The direct
 //! [`cc_sv`](crate::cc::cc_sv) and [`cc_dfs_chunked`](crate::cc::cc_dfs_chunked)
 //! runs stay the oracle they are tested against.
 //!
@@ -121,10 +122,15 @@ impl CcCostProfile {
     /// * `arcs_gpu` is a suffix sum of that histogram: its span recomputes
     ///   backwards from the unchanged `arcs_gpu[hi]` and the prefix `0..lo`
     ///   shifts;
-    /// * the control-flow memos are cleared — they key on graph content.
+    /// * a memoized control-flow replay survives exactly when its band is
+    ///   disjoint from the span (`band_hi <= lo` or `band_lo >= hi`): a
+    ///   band's SV and DFS replays read only its own vertices' adjacency
+    ///   lists, and only vertices in `lo..hi` changed theirs. A whole-span
+    ///   patch drops every non-empty band; an empty span keeps them all.
     ///
     /// The patched curves are **bitwise identical** to
-    /// `CcCostProfile::new_in(g, ..)` (the patch-equals-rebuild contract);
+    /// `CcCostProfile::new_in(g, ..)` (the patch-equals-rebuild contract),
+    /// and so is every price the surviving replays give;
     /// `patch(g, 0, n)` is both the build and the drift crossover
     /// fallback — a full in-place rebuild.
     ///
@@ -138,19 +144,20 @@ impl CcCostProfile {
         );
         self.arcs = g.arcs() as u64;
         self.size_bytes = g.size_bytes();
-        // Memo entries are pure prices inserted only after their replay
-        // returns, so a memo poisoned by a panicking probe is still sound.
-        self.dfs_memo
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.sv_memo
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         if lo == hi {
             return;
         }
+        // Memo entries are pure prices inserted only after their replay
+        // returns, so a memo poisoned by a panicking probe is still sound.
+        let disjoint = |a: usize, b: usize| b <= lo || a >= hi;
+        self.dfs_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|&(a, b, _), _| disjoint(a, b));
+        self.sv_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|&(a, b), _| disjoint(a, b));
         let ag = self.arcs_gpu.as_mut_slice();
         let cx = self.cross.as_mut_slice();
         let old_cx_hi = cx[hi];
@@ -195,9 +202,11 @@ impl CcCostProfile {
         scratch.give(self.cross);
     }
 
-    /// Distinct `(SV, DFS)` band replays memoized since the last build or
-    /// patch: the band simulations the searches priced on this profile
-    /// ran, a deterministic work count beside their probe counts.
+    /// Distinct `(SV, DFS)` band replays memoized on this profile: the
+    /// band simulations the searches priced on it ran since its build,
+    /// less those a [`CcCostProfile::patch`] dropped because their band
+    /// met the patched span. On a fresh profile this is a deterministic
+    /// work count beside the searches' probe counts.
     #[must_use]
     pub fn replays(&self) -> (usize, usize) {
         let sv = self.sv_memo.lock().unwrap_or_else(PoisonError::into_inner);
@@ -534,6 +543,7 @@ mod tests {
 
     #[test]
     fn poisoned_memos_still_price_bitwise() {
+        use crate::delta::GraphDelta;
         let g = gen::web(400, 4, 3);
         let platform = Platform::k40c_xeon_e5_2650();
         let clean = CcCostProfile::new(&g);
@@ -555,8 +565,22 @@ mod tests {
             );
         }
         assert_eq!(kway(&profile), kway(&clean));
-        // A patch clears the poisoned memos too.
+        // A sub-span patch filters the poisoned memos: the bands that miss
+        // the span survive and still price like a fresh profile's.
+        let (g2, info) = GraphDelta::inserts(vec![(150, 180)]).apply(&g);
+        let fresh = CcCostProfile::new(&g2);
+        profile.patch(&g2, info.touched[0], info.touched[1] + 1);
+        let (sv, dfs) = profile.replays();
+        assert!(sv > 0 && dfs > 0, "bands 0..100 and 300..400 survive");
+        let kway2 = |profile: &CcCostProfile| {
+            CcCostCurve::new(profile, &g2, &platform).partition_total(&set, &p)
+        };
+        assert_eq!(kway2(&profile), kway2(&fresh));
+        assert_eq!(profile.raw_curves(), fresh.raw_curves());
+        // A whole-span patch drops every non-empty band: only the empty
+        // GPU band 400..400 and CPU band 0..0 priced above survive.
         profile.patch(&g, 0, g.n());
+        assert_eq!(profile.replays(), (1, 1));
         assert_eq!(profile.raw_curves(), clean.raw_curves());
         assert_eq!(
             priced(&profile, &g, 40.0, &platform),

@@ -7,9 +7,18 @@
 //! depth of the first round's hooked forest takes the values where the
 //! doubling-pass count steps (0, 1, 2, 3, 2^k and 2^k + 1). Bands are
 //! random, with empty and single-vertex bands drawn on purpose.
+//!
+//! The memoized replays must also survive span patches exactly when
+//! their band misses the span: after a chain of deltas, every band of a
+//! patched profile prices like the band of a fresh one.
 
-use nbwp_graph::cc::{cc_dfs_chunked, cc_sv, dfs_band_cost, sv_band_counts, sv_stats_closed_form};
+use nbwp_graph::cc::{
+    cc_dfs_chunked, cc_sv, dfs_band_cost, sv_band_counts, sv_stats_closed_form, CcCostCurve,
+    CcCostProfile,
+};
+use nbwp_graph::delta::GraphDelta;
 use nbwp_graph::{gen, Graph};
+use nbwp_sim::{CurveEval, DeviceKind, Platform};
 use proptest::prelude::*;
 
 /// A path `0 - 1 - … - (n-1)`.
@@ -159,6 +168,113 @@ proptest! {
     ) {
         let (lo, hi) = band(g.n(), kind, a, b);
         assert_dfs_replay(&g, lo, hi);
+    }
+}
+
+/// One delta on an `n`-vertex graph `g`, drawn from `seed` in one of
+/// four shapes: empty (an empty span), edits inside a window of 12
+/// vertices, edits anywhere, or edits anywhere patched over the whole
+/// graph. Deletes mix existing edges with absent ones. Returns the
+/// mutated graph and the span to patch.
+fn patch_step(g: &Graph, shape: u8, edits: usize, seed: u64) -> (Graph, usize, usize) {
+    let n = g.n();
+    let mut x = seed | 1;
+    let mut next = move |m: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % m as u64) as usize
+    };
+    let start = next(n);
+    let mut vertex = || match shape {
+        1 => ((start + next(12)) % n) as u32,
+        _ => next(n) as u32,
+    };
+    let mut delta = GraphDelta::default();
+    if shape != 0 {
+        for _ in 0..edits {
+            delta.insert.push((vertex(), vertex()));
+            delta.delete.push((vertex(), vertex()));
+        }
+        let arcs: Vec<(u32, u32)> = g.edges().collect();
+        if !arcs.is_empty() {
+            delta.delete.push(arcs[(seed as usize) % arcs.len()]);
+        }
+    }
+    let (g2, info) = delta.apply(g);
+    let (lo, hi) = match (shape, info.touched.first(), info.touched.last()) {
+        (3, ..) => (0, n),
+        (_, Some(&a), Some(&b)) => (a, b + 1),
+        _ => (0, 0),
+    };
+    (g2, lo, hi)
+}
+
+/// Every band's CPU and GPU price on `profile` for graph `g`.
+fn band_prices(
+    profile: &CcCostProfile,
+    g: &Graph,
+    platform: &Platform,
+    bands: &[(usize, usize)],
+) -> Vec<(Option<nbwp_sim::BandWork>, Option<nbwp_sim::BandWork>)> {
+    let curve = CcCostCurve::new(profile, g, platform);
+    bands
+        .iter()
+        .map(|&(lo, hi)| {
+            (
+                curve.band_work(DeviceKind::Cpu, lo, hi),
+                curve.band_work(DeviceKind::Gpu, lo, hi),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Prime a profile's memos with random bands and with the bands that
+    /// end at, or up to two past, the span's start and start at, or up to
+    /// two before, its end; patch; and every band prices, CPU and GPU, like a fresh
+    /// profile's — through chains of empty, windowed, scattered and
+    /// whole-span patches on web, road, FEM and random graphs.
+    #[test]
+    fn patched_memos_price_every_band_like_a_fresh_profile(
+        family in 0u8..4,
+        n in 8usize..300,
+        seed in any::<u64>(),
+        random_bands in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..16),
+        steps in prop::collection::vec((0u8..4, 1usize..6, any::<u64>()), 1..4),
+    ) {
+        let platform = Platform::k40c_xeon_e5_2650();
+        let mut g = family_graph(family, n, 0, seed);
+        let mut profile = CcCostProfile::new(&g);
+        for (shape, edits, step_seed) in steps {
+            let (g2, lo, hi) = patch_step(&g, shape, edits, step_seed);
+            let mut bands: Vec<(usize, usize)> = random_bands
+                .iter()
+                .map(|&(kind, a, b)| band(n, kind, a, b))
+                .collect();
+            for (a, b) in [(0, lo), (lo, hi), (hi, n), (0, n)] {
+                bands.extend([(a, b), (a, (b + 1).min(n)), (a.saturating_sub(1), b)]);
+            }
+            for a in [lo.saturating_sub(3), lo / 2] {
+                bands.extend((lo..=lo + 2).map(|b| (a, b.min(n))));
+            }
+            for b in [(hi + 3).min(n), hi + (n - hi) / 2] {
+                bands.extend((hi.saturating_sub(2)..=hi).map(|a| (a, b)));
+            }
+            bands.retain(|&(a, b)| a <= b);
+            let _ = band_prices(&profile, &g, &platform, &bands);
+            profile.patch(&g2, lo, hi);
+            let fresh = CcCostProfile::new(&g2);
+            prop_assert_eq!(profile.raw_curves(), fresh.raw_curves());
+            prop_assert_eq!(
+                band_prices(&profile, &g2, &platform, &bands),
+                band_prices(&fresh, &g2, &platform, &bands),
+                "span {}..{} of {} vertices", lo, hi, n
+            );
+            g = g2;
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 //! script. The info record is exactly what the O(|delta|) fingerprint and
 //! curve patches upstream consume — they never have to rescan the matrix.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use nbwp_sim::Digest;
@@ -95,7 +96,9 @@ impl CsrDelta {
     /// mutated matrix and the [`CsrDeltaInfo`] describing what changed.
     /// The input is untouched (persistent-style update). Each run of
     /// untouched rows between two touched ones is copied in bulk: one
-    /// slice copy per array and a shifted run of row pointers.
+    /// slice copy per array and a shifted run of row pointers. Composing
+    /// the script copies no row: replacements are borrowed from it, and a
+    /// `Scale` copies only the values of the row it scales.
     ///
     /// # Panics
     /// Panics if an op targets a row `>= rows`, a replacement's columns are
@@ -103,8 +106,9 @@ impl CsrDelta {
     /// differ.
     #[must_use]
     pub fn apply(&self, a: &Csr) -> (Csr, CsrDeltaInfo) {
-        // Each touched row's final (cols, vals), in row order.
-        let mut pending: BTreeMap<usize, (Vec<u32>, Vec<f64>)> = BTreeMap::new();
+        // Each touched row's final (cols, vals), in row order, borrowed
+        // from the script or from `a`: only a scaled row owns its values.
+        let mut pending: BTreeMap<usize, (&[u32], Cow<'_, [f64]>)> = BTreeMap::new();
         let mut commit = Digest::default();
         for op in &self.ops {
             match op {
@@ -120,16 +124,16 @@ impl CsrDelta {
                         .words([1, *row as u64])
                         .u32s(cols)
                         .words(vals.iter().map(|v| v.to_bits()));
-                    pending.insert(*row, (cols.clone(), vals.clone()));
+                    pending.insert(*row, (cols, Cow::Borrowed(vals)));
                 }
                 RowOp::Scale { row, factor } => {
                     assert!(*row < a.rows(), "scale row {row} out of bounds");
                     commit.words([2, *row as u64, factor.to_bits()]);
                     let (_, v) = pending.entry(*row).or_insert_with(|| {
                         let (c, v) = a.row(*row);
-                        (c.to_vec(), v.to_vec())
+                        (c, Cow::Borrowed(v))
                     });
-                    for x in v.iter_mut() {
+                    for x in v.to_mut() {
                         *x *= *factor;
                     }
                 }

@@ -10,6 +10,11 @@
 //! Delta batches deliberately include the legal no-ops: empty deltas,
 //! duplicate-edge inserts, deletes of absent edges, and empty-row
 //! replacements, plus rows landing exactly on warp (32-row) boundaries.
+//!
+//! Served steps are also held, bitwise and step for step, to a reference
+//! that re-profiles every drifted input from scratch, at k = 2 and k = 4:
+//! surviving cc band replays and the spmm halo search change what a step
+//! costs, never what it serves.
 
 use nbwp_core::prelude::*;
 use nbwp_core::threshold_cache::{CacheKey, ConfigKey, NearCacheKey};
@@ -20,6 +25,7 @@ use nbwp_sparse::delta::{CsrDelta, RowOp};
 use nbwp_sparse::gen as sgen;
 use nbwp_trace::FlightRecorder;
 use proptest::prelude::*;
+use std::ops::Range;
 
 // `Strategy` is both the estimator enum (nbwp prelude) and the proptest
 // value-generation trait; pin the enum for the cache-key test below.
@@ -71,6 +77,218 @@ fn assert_kway_band_pricing_parity<W: DriftWorkload>(
             fc.device_band(device, lo, hi),
             "patched band {lo}..{hi} diverged from fresh"
         );
+    }
+}
+
+/// Replays `deltas` through a [`DriftServer`] on `set` and checks every
+/// step, bitwise, against a reference that rebuilds the drifted workload
+/// and its profile from scratch (`advance`, which also gives the span the
+/// step must report) and descends warm from the previous cut vector.
+fn assert_steps_equal_fresh_reference<W: DriftWorkload + Clone>(
+    base: W,
+    set: &DeviceSet,
+    deltas: &[W::Delta],
+    advance: impl Fn(&W, &W::Delta) -> (W, Range<usize>),
+) {
+    let mut server = DriftServer::new(base.clone()).with_devices(set.clone());
+    let mut reference = base;
+    for (i, d) in deltas.iter().enumerate() {
+        let prev = server.cuts().to_vec();
+        let step = server.apply(d);
+        let (next, span) = advance(&reference, d);
+        let profile = next.build_profile(Pool::global());
+        let space = next.space();
+        let curve = next.curve(&profile).expect("curve");
+        let m = minimize_partition(curve.as_ref(), set, &space, space.fine_step, Some(&prev))
+            .expect("cc and spmm curves price bands");
+        let decision = if m.thresholds == prev {
+            DriftDecision::Patched
+        } else {
+            DriftDecision::Nudged
+        };
+        let k = set.len();
+        assert_eq!(step.cuts, m.thresholds, "k = {k}, step {i}");
+        assert_eq!(step.total, m.total, "k = {k}, step {i}");
+        assert_eq!(step.probes, m.probes, "k = {k}, step {i}");
+        assert_eq!(step.decision, decision, "k = {k}, step {i}");
+        assert_eq!(step.span, span, "k = {k}, step {i}");
+        drop(curve);
+        reference = next;
+    }
+}
+
+/// `steps` windowed edge-edit batches on `g`: inserts and deletes inside
+/// one 16-vertex window each, one of the deletes an edge `g` has there.
+fn cc_window_script(g: &nbwp_graph::Graph, steps: usize, seed: u64) -> Vec<GraphDelta> {
+    let mut x = seed | 1;
+    let mut next = move |m: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % m as u64) as usize
+    };
+    (0..steps)
+        .map(|_| {
+            let start = next(g.n() - 16);
+            let window = start..start + 16;
+            let mut d = GraphDelta::default();
+            for _ in 0..1 + next(4) {
+                let mut v = || (window.start + next(16)) as u32;
+                d.insert.push((v(), v()));
+                d.delete.push((v(), v()));
+            }
+            let u = window.start + next(16);
+            if let Some(&v) = g
+                .neighbors(u)
+                .iter()
+                .find(|&&v| window.contains(&(v as usize)))
+            {
+                d.delete.push((u as u32, v));
+            }
+            d
+        })
+        .collect()
+}
+
+/// The reference cc step: the drifted graph, re-profiled from scratch,
+/// and the span from the lowest to the highest endpoint of a named
+/// non-loop edge.
+fn cc_advance(w: &CcWorkload, d: &GraphDelta) -> (CcWorkload, Range<usize>) {
+    let ends = d
+        .insert
+        .iter()
+        .chain(&d.delete)
+        .filter(|(u, v)| u != v)
+        .flat_map(|&(u, v)| [u as usize, v as usize]);
+    let span = match (ends.clone().min(), ends.max()) {
+        (Some(lo), Some(hi)) => lo..hi + 1,
+        _ => 0..0,
+    };
+    (CcWorkload::new(d.apply(w.graph()).0, platform()), span)
+}
+
+/// The reference spmm step: the drifted matrix, re-profiled from scratch,
+/// and the span over every row the script names or whose new columns
+/// name one of those rows.
+fn spmm_advance(w: &SpmmWorkload, d: &CsrDelta) -> (SpmmWorkload, Range<usize>) {
+    let a = d.apply(w.matrix()).0;
+    let edited: Vec<bool> = (0..a.rows())
+        .map(|r| d.ops.iter().any(|op| op.row() == r))
+        .collect();
+    let hit: Vec<usize> = (0..a.rows())
+        .filter(|&i| edited[i] || a.row(i).0.iter().any(|&k| edited[k as usize]))
+        .collect();
+    let span = match (hit.first(), hit.last()) {
+        (Some(&lo), Some(&hi)) => lo..hi + 1,
+        _ => 0..0,
+    };
+    (SpmmWorkload::new(a, platform()), span)
+}
+
+/// `steps` windowed row-replacement scripts on a banded `n`-row matrix:
+/// every row of one window gets a fresh pattern near the diagonal (some
+/// empty), plus a value-only scale.
+fn spmm_window_script(n: usize, steps: usize, seed: u64) -> Vec<CsrDelta> {
+    let mut x = seed | 1;
+    let mut next = move |m: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % m as u64) as usize
+    };
+    (0..steps)
+        .map(|_| {
+            let (c, w) = (next(n - 8), 1 + next(8));
+            let mut ops: Vec<RowOp> = (c..c + w)
+                .map(|row| {
+                    let mut cols: Vec<u32> = (0..next(5))
+                        .map(|_| (row + next(13)).saturating_sub(6).min(n - 1) as u32)
+                        .collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    let vals = vec![1.0; cols.len()];
+                    RowOp::Replace { row, cols, vals }
+                })
+                .collect();
+            ops.push(RowOp::Scale {
+                row: next(n),
+                factor: 1.5,
+            });
+            CsrDelta { ops }
+        })
+        .collect()
+}
+
+/// Over a 300-step cc replay at k = 4, the band-replay memos stay
+/// bounded by the pairs of candidate splits: every band a drift server
+/// prices has both ends on the collapsed candidate grid, and a patch
+/// keeps only bands that miss its span.
+#[test]
+fn cc_kway_memos_stay_within_the_candidate_split_pairs() {
+    let g = ggen::web(1500, 4, 9);
+    let deltas = cc_window_script(&g, 300, 9);
+    let mut server = DriftServer::new(CcWorkload::new(g, platform()))
+        .with_devices(DeviceSet::dual_cpu_dual_gpu());
+    let space = server.workload().space();
+    let m = {
+        let curve = server.workload().curve(server.profile()).expect("curve");
+        candidate_splits(curve.as_ref(), &space, space.fine_step).len()
+    };
+    let pairs = m * (m + 1) / 2;
+    for (i, d) in deltas.iter().enumerate() {
+        let step = server.apply(d);
+        assert_ne!(step.decision, DriftDecision::Rebuilt, "step {i}");
+        let (sv, dfs) = server.profile().replays();
+        assert!(
+            sv <= pairs && dfs <= pairs,
+            "step {i}: {sv} SV and {dfs} DFS replays over {pairs} candidate pairs"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// cc drift servers at k = 2 and k = 4 serve, step for step, the
+    /// cuts, total, probes, decision and span of a reference that
+    /// rebuilds every drifted graph's profile from scratch.
+    #[test]
+    fn cc_drift_steps_equal_a_fresh_profile_reference(
+        family in 0u8..2,
+        n in 600usize..1600,
+        seed in 0u64..1000,
+    ) {
+        let g = match family {
+            0 => ggen::web(n, 4, seed),
+            _ => ggen::fem(n, 16, 8, seed),
+        };
+        let mut deltas = cc_window_script(&g, 6, seed);
+        deltas.insert(0, GraphDelta::default());
+        deltas.push(GraphDelta::default());
+        let base = CcWorkload::new(g, platform());
+        for set in [DeviceSet::cpu_gpu_static().clone(), DeviceSet::dual_cpu_dual_gpu()] {
+            assert_steps_equal_fresh_reference(base.clone(), &set, &deltas, cc_advance);
+        }
+    }
+
+    /// The same for spmm drift servers on banded and power-law matrices.
+    #[test]
+    fn spmm_drift_steps_equal_a_fresh_profile_reference(
+        family in 0u8..2,
+        n in 200usize..700,
+        seed in 0u64..1000,
+    ) {
+        let a = match family {
+            0 => sgen::banded_fem(n, 8, 6, seed),
+            _ => sgen::power_law(n, 5, 2.1, seed),
+        };
+        let mut deltas = spmm_window_script(n, 6, seed);
+        deltas.insert(0, CsrDelta::default());
+        deltas.push(CsrDelta::default());
+        let base = SpmmWorkload::new(a, platform());
+        for set in [DeviceSet::cpu_gpu_static().clone(), DeviceSet::dual_cpu_dual_gpu()] {
+            assert_steps_equal_fresh_reference(base.clone(), &set, &deltas, spmm_advance);
+        }
     }
 }
 
