@@ -87,7 +87,11 @@ struct SensitivityInfo {
 /// `sv_band_replays` and `dfs_band_replays` count the distinct bands the
 /// descent simulated (the cc profile's memo sizes after it; `null` for
 /// workloads that price bands in closed form): a deterministic work count
-/// beside `cd_probes`. The k = 2 row is the scalar analytic search.
+/// beside `cd_probes`. `bands_priced` and `bands_bounded` are the
+/// search's own band counts ([`PartitionMinimum`]): distinct bands it
+/// priced, and distinct bands an upper bound settled unpriced (0 for
+/// curves with the trivial bounds). The k = 2 row is the scalar analytic
+/// search and counts no bands.
 #[derive(Serialize)]
 struct KwayEntry {
     workload: String,
@@ -105,6 +109,8 @@ struct KwayEntry {
     per_probe_us: f64,
     sv_band_replays: Option<usize>,
     dfs_band_replays: Option<usize>,
+    bands_priced: usize,
+    bands_bounded: usize,
 }
 
 /// Descents timed per k-way row; the row keeps the fastest.
@@ -353,8 +359,12 @@ fn kway_gate<W: Profilable>(
         let replayed = band_replays
             .map(|(sv, dfs)| format!(" | {sv} SV + {dfs} DFS band replays"))
             .unwrap_or_default();
+        let banded = format!(
+            " | {} bands priced, {} bounded",
+            cd.bands_priced, cd.bands_bounded
+        );
         eprintln!(
-            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1} | {per_probe_us:.2} us/probe{replayed}",
+            "  {name:<10} {:<18} k={k}: {} probes, {} sweeps vs {tuples} tuples ({m} candidates) | argmin match: {argmin_match} | x{eval_ratio:.1} | {per_probe_us:.2} us/probe{replayed}{banded}",
             set.name(),
             cd.probes,
             cd.sweeps,
@@ -375,6 +385,8 @@ fn kway_gate<W: Profilable>(
             per_probe_us,
             sv_band_replays: band_replays.map(|(sv, _)| sv),
             dfs_band_replays: band_replays.map(|(_, dfs)| dfs),
+            bands_priced: cd.bands_priced,
+            bands_bounded: cd.bands_bounded,
         });
     }
 
@@ -646,7 +658,7 @@ fn main() {
     });
 
     let report = Report {
-        schema: "nbwp-bench-eval/v6",
+        schema: "nbwp-bench-eval/v7",
         quick: args.quick,
         seed: args.seed,
         repetitions: reps,

@@ -2776,6 +2776,40 @@ mod tests {
         }
     }
 
+    /// `estimate cc --devices dual-cpu-dual-gpu --metrics` reports what the
+    /// k-way search did: its probes, the bands it priced, and the bands
+    /// their bounds settled unpriced.
+    #[test]
+    fn kway_metrics_report_band_counters() {
+        let dir = std::env::temp_dir().join("nbwp_cli_kway_bands_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("cant.mtx");
+        run(&Command::Gen {
+            dataset: "cant".into(),
+            scale: 0.01,
+            seed: 42,
+            out: mtx.to_str().unwrap().into(),
+        })
+        .unwrap();
+        let cmd = parse_args(&args(&format!(
+            "estimate cc --input {} --devices dual-cpu-dual-gpu --metrics",
+            mtx.display()
+        )))
+        .unwrap();
+        let text = run(&cmd).unwrap();
+        let counter = |name: &str| -> u64 {
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("{name} = ")))
+                .unwrap_or_else(|| panic!("no {name} in\n{text}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        assert!(counter("search.grad_probes") > 0, "{text}");
+        assert!(counter("search.kway_bands_priced") > 0, "{text}");
+        assert!(counter("search.kway_bands_bounded") > 0, "{text}");
+        std::fs::remove_file(&mtx).ok();
+    }
+
     /// End-to-end `estimate --devices`: the k-way analytic path prints the
     /// cut vector and one band-fraction row per device (rows for spmm,
     /// vertices for cc), exports the fractions as gauges, and `nbwp report

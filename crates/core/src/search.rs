@@ -55,7 +55,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 
 use nbwp_par::Pool;
-use nbwp_sim::{CurveEval, Device, DeviceSet, Partition, RunReport, SimTime};
+use nbwp_sim::{CurveEval, DeviceSet, Partition, RunReport, SimTime};
 use nbwp_trace::{ArgValue, Recorder};
 
 use crate::evalcache::quantize;
@@ -429,6 +429,8 @@ impl ProfiledSearcher<'_> {
             );
             if rec.is_enabled() {
                 rec.counter_add("search.grad_probes", minimum.probes as u64);
+                rec.counter_add("search.kway_bands_priced", minimum.bands_priced as u64);
+                rec.counter_add("search.kway_bands_bounded", minimum.bands_bounded as u64);
             }
             PartitionOutcome {
                 cuts: minimum.thresholds,
@@ -936,12 +938,21 @@ pub struct PartitionMinimum {
     pub partition: Partition,
     /// Priced total of the chosen partition.
     pub total: SimTime,
-    /// Objective probes spent: scalar curve totals on the canonical pair,
-    /// distinct cut vectors priced via [`CurveEval::partition_total`]
-    /// otherwise.
+    /// Objective probes spent: scalar curve totals on the canonical pair;
+    /// otherwise distinct cut vectors the search priced or settled by
+    /// their bound (see [`minimize_partition`]), plus distinct pair
+    /// objectives.
     pub probes: usize,
     /// Coordinate-descent sweeps spent (0 on the canonical scalar path).
     pub sweeps: usize,
+    /// Distinct device bands the search priced exactly through
+    /// [`CurveEval::device_band`] (0 on the canonical scalar path).
+    pub bands_priced: usize,
+    /// Distinct device bands the search never priced because their
+    /// [`CurveEval::device_band_bounds`] upper bound showed they could not
+    /// raise the slowest band they were compared with (0 on the canonical
+    /// scalar path, and for curves that keep the trivial bounds).
+    pub bands_bounded: usize,
 }
 
 /// Coordinate descent gives up after this many full sweeps without
@@ -959,25 +970,50 @@ const MAX_CD_SWEEPS: usize = 32;
 const CD_SEEDS: usize = 3;
 
 /// Memoized pricing for coordinate descent. `priced` keys are vectors of
-/// candidate *indices* (not splits) valued by
-/// [`CurveEval::partition_total`]; `pairs` memoizes the adjacent-band pair
-/// objective by `(coordinate, band_lo, band_hi, split)` so re-visiting a
-/// coordinate under the same neighbours — which every later sweep and
-/// every overlapping seed does — costs nothing. `probes` counts distinct
-/// pricings of either kind — the k-way analogue of the scalar search's
-/// `grad_probes`.
+/// candidate *indices* (not splits) valued by their partition total, or
+/// by `None` for a cold-sweep tuple its bound settled; `pairs` memoizes
+/// the adjacent-band pair objective by `(coordinate, band_lo, band_hi,
+/// split)` so re-visiting a coordinate under the same neighbours — which
+/// every later sweep and every overlapping seed does — costs nothing.
+/// `bands` keeps what the search knows of every device band it met: its
+/// bounds, and its price once a comparison needed it. `probes` counts
+/// distinct vectors and pair objectives — the k-way analogue of the
+/// scalar search's `grad_probes`.
 struct CdMemo<'c> {
     curve: &'c dyn CurveEval,
     set: &'c DeviceSet,
     units: usize,
     splits_of: Vec<usize>,
-    priced: IndexMap<Vec<usize>>,
+    /// The partition-phase overhead, the same for every vector.
+    overhead: SimTime,
+    priced: IndexMap<Vec<usize>, Option<SimTime>>,
     pairs: IndexMap<(usize, usize, usize, usize)>,
+    bands: IndexMap<Band, BandPrice>,
+    /// Reused buffers: the bands of one vector, and the bands one max
+    /// compares, with what is known of them.
+    keys: Vec<Band>,
+    order: Vec<(Band, BandPrice)>,
     probes: usize,
 }
 
-/// A memo of prices keyed by candidate indices and splits.
-type IndexMap<K> = HashMap<K, SimTime, BuildHasherDefault<IndexHasher>>;
+/// A device band: `(device index, lo, hi)`.
+type Band = (usize, usize, usize);
+
+/// What the search knows of one device band.
+#[derive(Clone, Copy)]
+struct BandPrice {
+    /// The curve's [`CurveEval::device_band_bounds`].
+    lower: SimTime,
+    upper: Option<SimTime>,
+    /// The exact price, once a comparison needed it.
+    exact: Option<SimTime>,
+    /// Whether a max skipped the band because its upper bound could not
+    /// raise it.
+    skipped: bool,
+}
+
+/// A memo keyed by candidate indices and splits.
+type IndexMap<K, V = SimTime> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
 
 /// Multiply-rotate hasher for the descent memos. Their keys are indices
 /// the search generates itself, so the default SipHash's resistance to
@@ -1008,17 +1044,185 @@ impl Hasher for IndexHasher {
     }
 }
 
-impl CdMemo<'_> {
+impl<'c> CdMemo<'c> {
+    fn new(curve: &'c dyn CurveEval, set: &'c DeviceSet, cands: &[(f64, usize)]) -> Self {
+        CdMemo {
+            curve,
+            set,
+            units: curve.splits() - 1,
+            splits_of: cands.iter().map(|&(_, s)| s).collect(),
+            overhead: curve.partition_overhead(),
+            priced: IndexMap::default(),
+            pairs: IndexMap::default(),
+            bands: IndexMap::default(),
+            keys: Vec::new(),
+            order: Vec::new(),
+            probes: 0,
+        }
+    }
+
+    /// The exact total of the cut vector `cut_idx`, composed as
+    /// [`CurveEval::partition_total`] composes it, or `None` when the
+    /// curve declines a band.
     fn total(&mut self, cut_idx: &[usize]) -> Option<SimTime> {
-        if let Some(&v) = self.priced.get(cut_idx) {
+        if let Some(&Some(v)) = self.priced.get(cut_idx) {
             return Some(v);
         }
-        let cuts: Vec<usize> = cut_idx.iter().map(|&i| self.splits_of[i]).collect();
-        let p = Partition::new(self.units, cuts);
-        let v = self.curve.partition_total(self.set, &p)?;
-        self.priced.insert(cut_idx.to_vec(), v);
-        self.probes += 1;
+        let merge = self.merge(cut_idx);
+        self.total_within(cut_idx, merge, None)
+    }
+
+    /// Counts the cold-sweep tuple `cut_idx` as a probe, priced or not,
+    /// and returns `(bound, merge)`: a lower bound on its total that
+    /// prices no band (the overhead, the largest lower bound among its
+    /// bands, and the merge), and its merge.
+    fn count(&mut self, cut_idx: &[usize]) -> (SimTime, SimTime) {
+        if !self.priced.contains_key(cut_idx) {
+            self.priced.insert(cut_idx.to_vec(), None);
+            self.probes += 1;
+        }
+        let merge = self.merge(cut_idx);
+        let mut largest = SimTime::ZERO;
+        for d in 0..=cut_idx.len() {
+            let band = self.band_of(cut_idx, d);
+            largest = largest.max(self.band(band).lower);
+        }
+        (self.overhead + largest + merge, merge)
+    }
+
+    /// The exact total of `cut_idx`, whose merge is `merge`, when it is at
+    /// most `cap`; `None` once its priced bands show it exceeds `cap`, or
+    /// when the curve declines a band. The pricing stops at `cap`, so a
+    /// vector that cannot make the cut replays no more of its bands. A
+    /// vector counts as one probe the first time it is priced or settled
+    /// by its bound.
+    fn total_within(
+        &mut self,
+        cut_idx: &[usize],
+        merge: SimTime,
+        cap: Option<SimTime>,
+    ) -> Option<SimTime> {
+        let counted = match self.priced.get(cut_idx) {
+            Some(&Some(v)) => return Some(v),
+            Some(None) => true,
+            None => false,
+        };
+        let overhead = self.overhead;
+        let over = |slowest: SimTime| cap.is_some_and(|cap| overhead + slowest + merge > cap);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend((0..=cut_idx.len()).map(|d| self.band_of(cut_idx, d)));
+        let slowest = self.slowest(&keys, over);
+        self.keys = keys;
+        let slowest = slowest?;
+        if over(slowest) {
+            return None;
+        }
+        let v = overhead + slowest + merge;
+        if counted {
+            *self.priced.get_mut(cut_idx).expect("counted") = Some(v);
+        } else {
+            self.priced.insert(cut_idx.to_vec(), Some(v));
+            self.probes += 1;
+        }
         Some(v)
+    }
+
+    /// The merge of the cut vector `cut_idx`.
+    fn merge(&self, cut_idx: &[usize]) -> SimTime {
+        let cuts = cut_idx.iter().map(|&i| self.splits_of[i]).collect();
+        self.curve
+            .merge_cost(self.set, &Partition::new(self.units, cuts))
+    }
+
+    /// Device `d`'s band under the cut vector `cut_idx`.
+    fn band_of(&self, cut_idx: &[usize], d: usize) -> Band {
+        let lo = if d == 0 {
+            0
+        } else {
+            self.splits_of[cut_idx[d - 1]]
+        };
+        let hi = if d == cut_idx.len() {
+            self.units
+        } else {
+            self.splits_of[cut_idx[d]]
+        };
+        (d, lo, hi)
+    }
+
+    /// The memo entry of `band`, bounded on first sight.
+    fn band(&mut self, band: Band) -> &mut BandPrice {
+        let (curve, set) = (self.curve, self.set);
+        self.bands.entry(band).or_insert_with(|| {
+            let (d, lo, hi) = band;
+            let (lower, upper) = curve.device_band_bounds(&set.devices()[d], lo, hi);
+            BandPrice {
+                lower,
+                upper,
+                exact: None,
+                skipped: false,
+            }
+        })
+    }
+
+    /// The exact max of the prices of `bands` (distinct), pricing only
+    /// the bands that can change it: in order of decreasing lower bound,
+    /// skipping every band whose upper bound is at most the running max.
+    /// Prices are non-negative and `max` is order-free, so the result is
+    /// bitwise the every-band max. Stops early, returning the running
+    /// max, once `enough` holds of it; `None` when the curve declines a
+    /// band.
+    fn slowest(&mut self, bands: &[Band], enough: impl Fn(SimTime) -> bool) -> Option<SimTime> {
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        for &band in bands {
+            let known = *self.band(band);
+            order.push((band, known));
+        }
+        // Stable, so equal bounds keep band order.
+        order.sort_by_key(|&(_, known)| std::cmp::Reverse(known.lower));
+        let slowest = self.slowest_in(&order, enough);
+        self.order = order;
+        slowest
+    }
+
+    fn slowest_in(
+        &mut self,
+        order: &[(Band, BandPrice)],
+        enough: impl Fn(SimTime) -> bool,
+    ) -> Option<SimTime> {
+        let mut slowest = SimTime::ZERO;
+        for &(band, known) in order {
+            let price = match (known.exact, known.upper) {
+                (Some(price), _) => price,
+                (None, Some(upper)) if upper <= slowest => {
+                    self.bands.get_mut(&band).expect("bounded").skipped = true;
+                    continue;
+                }
+                (None, _) => {
+                    let (d, lo, hi) = band;
+                    let price = self.curve.device_band(&self.set.devices()[d], lo, hi)?;
+                    self.bands.get_mut(&band).expect("bounded").exact = Some(price);
+                    price
+                }
+            };
+            slowest = slowest.max(price);
+            if enough(slowest) {
+                break;
+            }
+        }
+        Some(slowest)
+    }
+
+    /// `(bands priced, bands bounded)`: distinct bands priced exactly,
+    /// and distinct bands a max skipped and nothing priced later.
+    fn band_counts(&self) -> (usize, usize) {
+        self.bands.values().fold((0, 0), |(priced, bounded), b| {
+            (
+                priced + usize::from(b.exact.is_some()),
+                bounded + usize::from(b.skipped && b.exact.is_none()),
+            )
+        })
     }
 }
 
@@ -1033,11 +1237,9 @@ impl CdMemo<'_> {
 /// the neighbouring cuts allow.
 struct CoordMemo<'m, 'c> {
     cd: &'m mut CdMemo<'c>,
-    /// Which cut this coordinate moves — fixes the device pair and keys
-    /// the shared pair memo.
+    /// Which cut this coordinate moves — fixes the device pair (`coord`
+    /// and `coord + 1`) and keys the shared pair memo.
     coord: usize,
-    left: Device,
-    right: Device,
     /// Split where the left band starts (the previous cut, or 0).
     band_lo: usize,
     /// Split where the right band ends (the next cut, or `units`).
@@ -1052,19 +1254,15 @@ impl TotalFn for CoordMemo<'_, '_> {
         if let Some(&v) = self.cd.pairs.get(&key) {
             return v;
         }
-        let msg = "curve priced the seed partition but declined a band";
-        let l = self
+        let bands = [
+            (self.coord, self.band_lo, s),
+            (self.coord + 1, s, self.band_hi),
+        ];
+        let v = self
             .cd
-            .curve
-            .device_band(&self.left, self.band_lo, s)
-            .expect(msg);
-        let r = self
-            .cd
-            .curve
-            .device_band(&self.right, s, self.band_hi)
-            .expect(msg);
+            .slowest(&bands, |_| false)
+            .expect("curve priced the seed partition but declined a band");
         self.cd.probes += 1;
-        let v = l.max(r);
         self.cd.pairs.insert(key, v);
         v
     }
@@ -1100,6 +1298,13 @@ impl TotalFn for CoordMemo<'_, '_> {
 ///   (`CD_SEEDS` of them), which keeps it out of the local minima a
 ///   single-seed descent can fall into. Returns `None` when the curve
 ///   does not price device bands.
+///
+/// Band prices come from [`CurveEval::device_band`], but a band is priced
+/// only when its exact price can change the comparison at hand: a max
+/// skips bands whose [`CurveEval::device_band_bounds`] upper bound cannot
+/// raise it, and the cold sweep prices a tuple only while its lower bound
+/// can still reach the seeds. Every field of the answer but the band
+/// counts is bitwise what pricing every band gives, probes included.
 #[must_use]
 pub fn minimize_partition(
     curve: &dyn CurveEval,
@@ -1121,6 +1326,8 @@ pub fn minimize_partition(
             total: m.total,
             probes: m.probes,
             sweeps: 0,
+            bands_priced: 0,
+            bands_bounded: 0,
         });
     }
 
@@ -1148,15 +1355,7 @@ pub fn minimize_partition(
             .collect(),
     );
 
-    let mut cd = CdMemo {
-        curve,
-        set,
-        units,
-        splits_of: cands.iter().map(|&(_, s)| s).collect(),
-        priced: IndexMap::default(),
-        pairs: IndexMap::default(),
-        probes: 0,
-    };
+    let mut cd = CdMemo::new(curve, set, &cands);
     // Scalar-only curves decline the probe here and the search reports
     // "unsupported" instead of panicking mid-descent.
     cd.total(&proportional)?;
@@ -1182,15 +1381,10 @@ pub fn minimize_partition(
             if *pts.last().expect("grid is non-empty") != m - 1 {
                 pts.push(m - 1);
             }
-            let mut pool = vec![(
-                cd.total(&proportional).expect("already priced"),
-                proportional.clone(),
-            )];
+            let mut tuples: Vec<Vec<usize>> = Vec::new();
             let mut odo = vec![0usize; kc];
             loop {
-                let tuple: Vec<usize> = odo.iter().map(|&i| pts[i]).collect();
-                let t = cd.total(&tuple).expect("already priced the seed");
-                pool.push((t, tuple));
+                tuples.push(odo.iter().map(|&i| pts[i]).collect());
                 let mut advanced = false;
                 for j in (0..kc).rev() {
                     if odo[j] + 1 < pts.len() {
@@ -1205,6 +1399,35 @@ pub fn minimize_partition(
                 }
                 if !advanced {
                     break;
+                }
+            }
+            // Only the pool's best `CD_SEEDS` distinct vectors seed the
+            // descent, so a tuple needs its exact total only while its
+            // bound can reach them. Visit the tuples by bound, and stop at
+            // the first bound above the (`CD_SEEDS` + 1)-th smallest total
+            // priced so far: the proportional seed may repeat one tuple,
+            // so that many totals name at least `CD_SEEDS` distinct
+            // vectors, and every tuple left has a total above all of them.
+            // Each tuple is one probe, priced or settled by its bound.
+            let counted: Vec<(SimTime, SimTime)> = tuples.iter().map(|t| cd.count(t)).collect();
+            let mut order: Vec<usize> = (0..tuples.len()).collect();
+            order.sort_by_key(|&i| counted[i].0);
+            let mut pool = vec![(
+                cd.total(&proportional).expect("already priced"),
+                proportional.clone(),
+            )];
+            let mut leaders = vec![pool[0].0];
+            for i in order {
+                let (bound, merge) = counted[i];
+                let threshold = leaders.get(CD_SEEDS).copied();
+                if threshold.is_some_and(|t| bound > t) {
+                    break;
+                }
+                if let Some(total) = cd.total_within(&tuples[i], merge, threshold) {
+                    pool.push((total, tuples[i].clone()));
+                    let at = leaders.partition_point(|&t| t <= total);
+                    leaders.insert(at, total);
+                    leaders.truncate(CD_SEEDS + 1);
                 }
             }
             // `(total, cuts)` order keeps the lowest cuts first on ties,
@@ -1234,7 +1457,6 @@ pub fn minimize_partition(
             for j in 0..kc {
                 let lo = if j == 0 { 0 } else { cut_idx[j - 1] };
                 let hi = if j == kc - 1 { m - 1 } else { cut_idx[j + 1] };
-                let devices = set.devices();
                 let mut coord = CoordMemo {
                     coord: j,
                     band_lo: if j == 0 {
@@ -1247,8 +1469,6 @@ pub fn minimize_partition(
                     } else {
                         cd.splits_of[cut_idx[j + 1]]
                     },
-                    left: devices[j],
-                    right: devices[j + 1],
                     cd: &mut cd,
                     base: lo,
                 };
@@ -1370,12 +1590,15 @@ pub fn minimize_partition(
     }
 
     let cuts: Vec<usize> = cut_idx.iter().map(|&i| cands[i].1).collect();
+    let (bands_priced, bands_bounded) = cd.band_counts();
     Some(PartitionMinimum {
         thresholds: cut_idx.iter().map(|&i| cands[i].0).collect(),
         partition: Partition::new(units, cuts),
         total,
         probes: cd.probes,
         sweeps: sweeps_spent,
+        bands_priced,
+        bands_bounded,
     })
 }
 

@@ -30,7 +30,7 @@
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nbwp_sim::DeviceSet;
 use nbwp_trace::Recorder;
@@ -445,8 +445,27 @@ impl ThresholdCache {
         }
     }
 
+    /// The tiers, locked. A panic under the lock may have left a tier
+    /// half-written, so a poisoned lock is recovered by emptying both
+    /// tiers (keeping the drift generation) and clearing the poison: the
+    /// cache then serves cold, as a new cache would, instead of every
+    /// later request panicking.
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("threshold cache poisoned")
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            let capacity = inner.scalar.exact.capacity();
+            inner.scalar = Tier::new(capacity);
+            inner.kway = Tier::new(capacity);
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
+    /// The retained shadow regrets, locked. Each is one pushed or
+    /// overwritten `f64`, so a panic under the lock leaves no torn entry
+    /// and a poisoned ring is used as it stands.
+    fn regrets(&self) -> MutexGuard<'_, Vec<f64>> {
+        self.regrets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn count(&self, counter: Counter, n: u64) -> u64 {
@@ -595,7 +614,7 @@ impl ThresholdCache {
     /// overwriting the oldest ring-style.
     pub fn record_shadow(&self, regret_pct: f64) {
         let count = self.count(Counter::ShadowRuns, 1);
-        let mut regrets = self.regrets.lock().expect("shadow regrets poisoned");
+        let mut regrets = self.regrets();
         if regrets.len() < SHADOW_REGRET_CAPACITY {
             regrets.push(regret_pct);
         } else {
@@ -607,10 +626,7 @@ impl ThresholdCache {
     /// to [`SHADOW_REGRET_CAPACITY`], ring-overwritten past it).
     #[must_use]
     pub fn shadow_regrets(&self) -> Vec<f64> {
-        self.regrets
-            .lock()
-            .expect("shadow regrets poisoned")
-            .clone()
+        self.regrets().clone()
     }
 
     /// Records how a drift serving resolved (see [`CacheStats`]).
@@ -688,10 +704,7 @@ impl ThresholdCache {
         for (name, counter) in METRIC_NAMES.iter().zip(&self.counters) {
             rec.counter_add(name, counter.swap(0, Ordering::Relaxed));
         }
-        let drained: Vec<f64> = {
-            let mut regrets = self.regrets.lock().expect("shadow regrets poisoned");
-            std::mem::take(&mut *regrets)
-        };
+        let drained = std::mem::take(&mut *self.regrets());
         for regret in drained {
             rec.histogram_record("threshold_cache.regret_pct", regret);
         }
@@ -1066,5 +1079,64 @@ mod tests {
             cache.stats().shadow_runs,
             (SHADOW_REGRET_CAPACITY + 10) as u64
         );
+    }
+
+    /// Panics on a scoped thread while it holds `lock`, as a request
+    /// panicking inside the cache would.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let request = s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("request panicked while holding the cache lock");
+            });
+            assert!(request.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_cache_serves_cold_instead_of_panicking() {
+        use crate::estimator::Estimator;
+        use crate::workloads::CcWorkload;
+        let w = CcWorkload::new(
+            nbwp_graph::gen::web(200, 4, 5),
+            nbwp_sim::Platform::k40c_xeon_e5_2650(),
+        );
+        let bits = |e: &SamplingEstimate| {
+            (
+                e.threshold.to_bits(),
+                e.sample_threshold.to_bits(),
+                e.overhead,
+                e.evaluations,
+                e.grad_probes,
+            )
+        };
+        let est = Estimator::new(Strategy::CoarseToFine).seed(3);
+        let cold = est.profiled().run(&w);
+        let cache = ThresholdCache::new(8);
+        let cached = est.cache(&cache).profiled();
+        assert_eq!(bits(&cached.run_cached(&w)), bits(&cold));
+        assert_eq!(cache.advance_generation(), 1);
+        assert_eq!(bits(&cached.run_cached(&w)), bits(&cold));
+        assert_eq!(cache.len(), 1);
+
+        poison(&cache.inner);
+        let before = cache.stats();
+        // The lost entry is a miss, served cold and cached again.
+        assert_eq!(bits(&cached.run_cached(&w)), bits(&cold));
+        assert!(!cache.inner.is_poisoned());
+        let after = cache.stats();
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.exact_hits, before.exact_hits);
+        assert_eq!(bits(&cached.run_cached(&w)), bits(&cold));
+        assert_eq!(cache.stats().exact_hits, after.exact_hits + 1);
+        // The drift generation survives the recovery.
+        assert_eq!(cache.generation(), 1);
+        assert_eq!(cache.advance_generation(), 2);
+
+        poison(&cache.regrets);
+        cache.record_shadow(2.5);
+        assert_eq!(cache.shadow_regrets(), vec![2.5]);
+        assert_eq!(cache.stats().shadow_runs, 1);
     }
 }

@@ -172,10 +172,9 @@ pub fn dfs_band_cost(g: &Graph, lo: usize, hi: usize, chunks: usize) -> DfsPrefi
     assert!(chunks > 0, "need at least one chunk");
     assert!(lo <= hi && hi <= g.n(), "band out of bounds");
     let len = hi - lo;
-    let mut stats = KernelStats::new();
     if len == 0 {
         return DfsPrefixCost {
-            stats,
+            stats: KernelStats::new(),
             deferred_edges: 0,
         };
     }
@@ -213,21 +212,33 @@ pub fn dfs_band_cost(g: &Graph, lo: usize, hi: usize, chunks: usize) -> DfsPrefi
         arcs_internal += chunk_arcs;
         max_work = max_work.max(2 * (c_hi - c_lo) as u64 + chunk_arcs);
     }
-    // Per popped vertex (each band vertex is popped exactly once).
-    stats.int_ops = 4 * len as u64 + 2 * arcs_internal;
-    stats.mem_read_bytes = 16 * len as u64 + ARC_IRREGULAR_BYTES * arcs_internal;
-    stats.mem_write_bytes = 4 * len as u64;
-    stats.irregular_bytes = ARC_IRREGULAR_BYTES * arcs_internal;
     // Chunk work is two units per vertex plus one per internal arc, so the
     // first chunk's work is at least 2.
     let total_work = 2 * len as u64 + arcs_internal;
-    stats.parallel_items = (total_work as f64 / max_work as f64).round().max(1.0) as u64;
-    // Band CSR footprint: (len + 1) row pointers + internal arcs.
-    let band_size_bytes = 8 * (len as u64 + 1) + 4 * arcs_internal;
-    stats.working_set_bytes = band_size_bytes + 5 * len as u64;
+    let parallel_items = (total_work as f64 / max_work as f64).round().max(1.0) as u64;
     DfsPrefixCost {
-        stats,
+        stats: dfs_band_stats(len, arcs_internal, parallel_items),
         deferred_edges: deferred,
+    }
+}
+
+/// The counters [`cc_dfs_chunked`] reports on a band of `len > 0`
+/// vertices with `arcs_internal` internal arcs whose chunks balance to
+/// `parallel_items`: every band vertex is popped once and inspects each
+/// internal arc once, so all the other counters are linear in the two
+/// counts. Cost bounds apply it to bracketing counts.
+pub(crate) fn dfs_band_stats(len: usize, arcs_internal: u64, parallel_items: u64) -> KernelStats {
+    let len = len as u64;
+    // Band CSR footprint: (len + 1) row pointers + internal arcs.
+    let band_size_bytes = 8 * (len + 1) + 4 * arcs_internal;
+    KernelStats {
+        int_ops: 4 * len + 2 * arcs_internal,
+        mem_read_bytes: 16 * len + ARC_IRREGULAR_BYTES * arcs_internal,
+        mem_write_bytes: 4 * len,
+        irregular_bytes: ARC_IRREGULAR_BYTES * arcs_internal,
+        parallel_items,
+        working_set_bytes: band_size_bytes + 5 * len,
+        ..KernelStats::new()
     }
 }
 

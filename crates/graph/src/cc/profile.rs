@@ -26,7 +26,9 @@
 //! Both replays are memoized per band, and run outside the memo lock, so
 //! repeated evaluations of a band are O(1) and concurrent probes of one
 //! profile replay different bands in parallel. A span patch keeps every
-//! replay whose band misses the span. The direct
+//! replay whose band shares at most one vertex with the span. Bounds
+//! bracket a band's price from row-pointer and `cross` lookups alone, so
+//! a search can skip replays that cannot change a comparison. The direct
 //! [`cc_sv`](crate::cc::cc_sv) and [`cc_dfs_chunked`](crate::cc::cc_dfs_chunked)
 //! runs stay the oracle they are tested against.
 //!
@@ -40,11 +42,11 @@ use std::hash::Hash;
 use std::sync::{Mutex, PoisonError};
 
 use nbwp_sim::{
-    percent_split, two_way_report, AlignedU64s, BandWork, CurveEval, DeviceKind, DeviceSet,
+    percent_split, two_way_report, AlignedU64s, BandWork, CurveEval, Device, DeviceKind, DeviceSet,
     KernelStats, Partition, Platform, ProfileScratch, RunReport, SimTime,
 };
 
-use crate::cc::dfs::{dfs_band_cost, DfsPrefixCost};
+use crate::cc::dfs::{dfs_band_cost, dfs_band_stats, DfsPrefixCost};
 use crate::cc::sv::{sv_band_counts, sv_stats_closed_form};
 use crate::Graph;
 
@@ -122,11 +124,14 @@ impl CcCostProfile {
     /// * `arcs_gpu` is a suffix sum of that histogram: its span recomputes
     ///   backwards from the unchanged `arcs_gpu[hi]` and the prefix `0..lo`
     ///   shifts;
-    /// * a memoized control-flow replay survives exactly when its band is
-    ///   disjoint from the span (`band_hi <= lo` or `band_lo >= hi`): a
-    ///   band's SV and DFS replays read only its own vertices' adjacency
-    ///   lists, and only vertices in `lo..hi` changed theirs. A whole-span
-    ///   patch drops every non-empty band; an empty span keeps them all.
+    /// * a memoized control-flow replay survives when its band shares at
+    ///   most one vertex with the span (`min(band_hi, hi) − max(band_lo,
+    ///   lo) ≤ 1`): a band's SV and DFS replays read only edges with both
+    ///   endpoints inside the band, and every edge that changed joins two
+    ///   distinct vertices of the span (an edge `{u, v}` changes the lists
+    ///   of `u` and `v`, and self-loops are ignored). A whole-span patch
+    ///   keeps only bands of at most one vertex, whose replays no edge
+    ///   reaches; an empty span keeps them all.
     ///
     /// The patched curves are **bitwise identical** to
     /// `CcCostProfile::new_in(g, ..)` (the patch-equals-rebuild contract),
@@ -149,15 +154,15 @@ impl CcCostProfile {
         }
         // Memo entries are pure prices inserted only after their replay
         // returns, so a memo poisoned by a panicking probe is still sound.
-        let disjoint = |a: usize, b: usize| b <= lo || a >= hi;
+        let unreached = |a: usize, b: usize| b.min(hi).saturating_sub(a.max(lo)) <= 1;
         self.dfs_memo
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .retain(|&(a, b, _), _| disjoint(a, b));
+            .retain(|&(a, b, _), _| unreached(a, b));
         self.sv_memo
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .retain(|&(a, b), _| disjoint(a, b));
+            .retain(|&(a, b), _| unreached(a, b));
         let ag = self.arcs_gpu.as_mut_slice();
         let cx = self.cross.as_mut_slice();
         let old_cx_hi = cx[hi];
@@ -205,8 +210,9 @@ impl CcCostProfile {
     /// Distinct `(SV, DFS)` band replays memoized on this profile: the
     /// band simulations the searches priced on it ran since its build,
     /// less those a [`CcCostProfile::patch`] dropped because their band
-    /// met the patched span. On a fresh profile this is a deterministic
-    /// work count beside the searches' probe counts.
+    /// shared two or more vertices with the patched span. On a fresh
+    /// profile this is a deterministic work count beside the searches'
+    /// probe counts.
     #[must_use]
     pub fn replays(&self) -> (usize, usize) {
         let sv = self.sv_memo.lock().unwrap_or_else(PoisonError::into_inner);
@@ -293,6 +299,32 @@ where
     lock().entry(key).or_insert(value).clone()
 }
 
+/// A CPU band's work: the chunked DFS counters plus the deferred-edge
+/// surcharge the hybrid driver adds before pricing.
+fn dfs_work(mut stats: KernelStats, deferred_edges: u64) -> BandWork {
+    stats.int_ops += 8 * deferred_edges;
+    stats.mem_read_bytes += 8 * deferred_edges;
+    stats.irregular_bytes += 8 * deferred_edges;
+    BandWork {
+        stats,
+        ..BandWork::default()
+    }
+}
+
+/// A GPU band's work: the closed-form SV counters of a band of `len`
+/// vertices and `arcs` internal arcs, shipping the band CSR in and the
+/// band labels out. An empty band still ships its 8-byte row-pointer
+/// sentinel, as the direct run does.
+fn sv_work(len: usize, arcs: u64, rounds: u32, passes: u32) -> BandWork {
+    // Band CSR footprint: (len + 1) row pointers + internal arcs.
+    let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;
+    BandWork {
+        stats: sv_stats_closed_form(len, arcs, size_bytes, rounds, passes),
+        bytes_in: size_bytes,
+        bytes_out: 4 * len as u64,
+    }
+}
+
 /// The hybrid CC total-cost curve as a [`CurveEval`]: every vertex split
 /// priced exactly from the profile's curves and its memoized control-flow
 /// replays (which make repeat queries cheap). Thresholds are CPU vertex
@@ -363,26 +395,95 @@ impl CurveEval for CcCostCurve<'_> {
                 let dfs = memoized(&profile.dfs_memo, (lo, hi, chunks), || {
                     dfs_band_cost(g, lo, hi, chunks)
                 });
-                let mut stats = dfs.stats;
-                stats.int_ops += 8 * dfs.deferred_edges;
-                stats.mem_read_bytes += 8 * dfs.deferred_edges;
-                stats.irregular_bytes += 8 * dfs.deferred_edges;
-                Some(BandWork {
-                    stats,
-                    ..BandWork::default()
-                })
+                Some(dfs_work(dfs.stats, dfs.deferred_edges))
             }
             DeviceKind::Gpu => {
                 let (rounds, passes, arcs) =
                     memoized(&profile.sv_memo, (lo, hi), || sv_band_counts(g, lo, hi));
-                let len = hi - lo;
-                // Band CSR footprint: (len + 1) row pointers + internal arcs.
-                let size_bytes = 8 * (len as u64 + 1) + 4 * arcs;
-                Some(BandWork {
-                    stats: sv_stats_closed_form(len, arcs, size_bytes, rounds, passes),
-                    bytes_in: size_bytes,
-                    bytes_out: 4 * len as u64,
-                })
+                Some(sv_work(hi - lo, arcs, rounds, passes))
+            }
+        }
+    }
+
+    /// Brackets a band's price without replaying it, from O(1) lookups
+    /// into the graph's row pointers and the profile's `cross` curve, plus
+    /// one row-pointer difference per DFS chunk on CPU-class devices. Each
+    /// bound prices bracketing counters through the same functions as the
+    /// exact price, which are monotone in every counter varied here.
+    ///
+    /// * The band's internal arc count `A` lies in `[D − cross[lo] −
+    ///   cross[hi], D]` (floored at 0), where `D` sums the band's degrees:
+    ///   every arc that leaves the band crosses `lo` or `hi`.
+    /// * CPU: every counter grows with `A` and with the deferred count,
+    ///   which lies in `[0, A/2]`. The DFS parallelism lies in `[p_lo,
+    ///   min(cores, len)]`, where `p_lo` is the chunk balance with `A`
+    ///   at its floor and every chunk at its whole degree sum. CPU time
+    ///   falls with the parallelism from 2 up and adds the parallel-region
+    ///   overhead only above 1. The lower bound is `min(cores, len)` items
+    ///   (the cheaper of that and 1 when `p_lo ≤ 1`) at the arc floor
+    ///   without deferred edges; the upper bound is `p_lo` items (the
+    ///   dearer of 1 and 2 when `p_lo ≤ 1`) at `A = D` with `D/2` deferred
+    ///   edges.
+    /// * GPU: a lower bound only. SV runs at least one round and one
+    ///   doubling pass, and two of each once the band has an arc; its
+    ///   occupancy is at most that of `max(D, len)` items, and at least the
+    ///   floor's CSR ships in. Rounds have no cheap upper bound.
+    /// * An empty band costs nothing to price, so both bounds are its
+    ///   exact price.
+    fn device_band_bounds(
+        &self,
+        device: &Device,
+        lo: usize,
+        hi: usize,
+    ) -> (SimTime, Option<SimTime>) {
+        let price = |work: BandWork| work.time_on(device, self.platform);
+        let len = hi - lo;
+        if len == 0 {
+            let exact = price(match device.kind {
+                DeviceKind::Cpu => dfs_work(KernelStats::new(), 0),
+                DeviceKind::Gpu => sv_work(0, 0, 0, 0),
+            });
+            return (exact, Some(exact));
+        }
+        let ptr = self.graph.adj_ptr();
+        let degrees = |a: usize, b: usize| (ptr[b] - ptr[a]) as u64;
+        let arcs_hi = degrees(lo, hi);
+        let arcs_lo = arcs_hi.saturating_sub(self.profile.cross_at(lo) + self.profile.cross_at(hi));
+        match device.kind {
+            DeviceKind::Cpu => {
+                // The chunking of `dfs_band_cost`.
+                let chunks = self.platform.cpu.cores.min(len);
+                let chunk_len = len.div_ceil(chunks);
+                let heaviest = (0..chunks)
+                    .map(|c| {
+                        let c_lo = (lo + c * chunk_len).min(hi);
+                        let c_hi = (c_lo + chunk_len).min(hi);
+                        2 * (c_hi - c_lo) as u64 + degrees(c_lo, c_hi)
+                    })
+                    .max()
+                    .expect("a non-empty band has a chunk");
+                let p_lo = ((2 * len as u64 + arcs_lo) as f64 / heaviest as f64).round() as u64;
+                let at = |arcs: u64, deferred: u64, items: u64| {
+                    price(dfs_work(dfs_band_stats(len, arcs, items), deferred))
+                };
+                let (lower, upper) = if p_lo >= 2 {
+                    (
+                        at(arcs_lo, 0, chunks as u64),
+                        at(arcs_hi, arcs_hi / 2, p_lo),
+                    )
+                } else {
+                    (
+                        at(arcs_lo, 0, 1).min(at(arcs_lo, 0, chunks as u64)),
+                        at(arcs_hi, arcs_hi / 2, 1).max(at(arcs_hi, arcs_hi / 2, 2)),
+                    )
+                };
+                (lower, Some(upper))
+            }
+            DeviceKind::Gpu => {
+                let least = if arcs_lo > 0 { 2 } else { 1 };
+                let mut work = sv_work(len, arcs_lo, least, least);
+                work.stats.parallel_items = arcs_hi.max(len as u64);
+                (price(work), None)
             }
         }
     }

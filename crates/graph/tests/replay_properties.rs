@@ -9,8 +9,15 @@
 //! random, with empty and single-vertex bands drawn on purpose.
 //!
 //! The memoized replays must also survive span patches exactly when
-//! their band misses the span: after a chain of deltas, every band of a
-//! patched profile prices like the band of a fresh one.
+//! their band shares at most one vertex with the span: after a chain of
+//! deltas, every band of a patched profile prices like the band of a fresh
+//! one.
+//!
+//! The band bounds a search prunes with must bracket every exact band
+//! price, on every device of the presets and every platform preset,
+//! before and after patches.
+
+use std::collections::BTreeSet;
 
 use nbwp_graph::cc::{
     cc_dfs_chunked, cc_sv, dfs_band_cost, sv_band_counts, sv_stats_closed_form, CcCostCurve,
@@ -18,7 +25,7 @@ use nbwp_graph::cc::{
 };
 use nbwp_graph::delta::GraphDelta;
 use nbwp_graph::{gen, Graph};
-use nbwp_sim::{CurveEval, DeviceKind, Platform};
+use nbwp_sim::{CurveEval, DeviceKind, DeviceSet, Platform};
 use proptest::prelude::*;
 
 /// A path `0 - 1 - … - (n-1)`.
@@ -232,11 +239,14 @@ fn band_prices(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Prime a profile's memos with random bands and with the bands that
+    /// Prime a profile's memos with random bands, with the bands that
     /// end at, or up to two past, the span's start and start at, or up to
-    /// two before, its end; patch; and every band prices, CPU and GPU, like a fresh
-    /// profile's — through chains of empty, windowed, scattered and
-    /// whole-span patches on web, road, FEM and random graphs.
+    /// two before, its end, and with bands sharing exactly two vertices
+    /// with the span; patch; and every band prices, CPU and GPU, like a
+    /// fresh profile's — through chains of empty, windowed, scattered and
+    /// whole-span patches on web, road, FEM and random graphs. The patch
+    /// keeps exactly the replays of the bands sharing at most one vertex
+    /// with the span.
     #[test]
     fn patched_memos_price_every_band_like_a_fresh_profile(
         family in 0u8..4,
@@ -248,6 +258,8 @@ proptest! {
         let platform = Platform::k40c_xeon_e5_2650();
         let mut g = family_graph(family, n, 0, seed);
         let mut profile = CcCostProfile::new(&g);
+        // The bands memoized on `profile`.
+        let mut live: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (shape, edits, step_seed) in steps {
             let (g2, lo, hi) = patch_step(&g, shape, edits, step_seed);
             let mut bands: Vec<(usize, usize)> = random_bands
@@ -263,9 +275,22 @@ proptest! {
             for b in [(hi + 3).min(n), hi + (n - hi) / 2] {
                 bands.extend((hi.saturating_sub(2)..=hi).map(|a| (a, b)));
             }
+            let mid = lo + (hi - lo) / 2;
+            bands.extend([
+                (lo.saturating_sub(1), (lo + 2).min(n)),
+                (hi.saturating_sub(2), (hi + 1).min(n)),
+                (mid.saturating_sub(1), (mid + 1).min(n)),
+            ]);
             bands.retain(|&(a, b)| a <= b);
             let _ = band_prices(&profile, &g, &platform, &bands);
+            live.extend(&bands);
             profile.patch(&g2, lo, hi);
+            live.retain(|&(a, b)| b.min(hi).saturating_sub(a.max(lo)) <= 1);
+            prop_assert_eq!(
+                profile.replays(),
+                (live.len(), live.len()),
+                "span {}..{} of {} vertices", lo, hi, n
+            );
             let fresh = CcCostProfile::new(&g2);
             prop_assert_eq!(profile.raw_curves(), fresh.raw_curves());
             prop_assert_eq!(
@@ -273,6 +298,7 @@ proptest! {
                 band_prices(&fresh, &g2, &platform, &bands),
                 "span {}..{} of {} vertices", lo, hi, n
             );
+            live.extend(&bands);
             g = g2;
         }
     }
@@ -341,6 +367,83 @@ fn stars_under_every_numbering() {
             for (lo, hi) in [(0, n), (1, n), (0, n - 1), (n / 2, n)] {
                 assert_sv_replay(&g, lo, hi);
                 assert_dfs_replay(&g, lo, hi);
+            }
+        }
+    }
+}
+
+/// A graph of one of the four profile families (web, road, FEM, random);
+/// with `isolate`, every edge at a vertex divisible by 7 is dropped, so
+/// those vertices are isolated.
+fn bounds_graph(family: u8, n: usize, seed: u64, isolate: bool) -> Graph {
+    let g = family_graph(family, n, 0, seed);
+    if !isolate {
+        return g;
+    }
+    let edges: Vec<(u32, u32)> = g
+        .edges()
+        .filter(|&(u, v)| u % 7 != 0 && v % 7 != 0)
+        .collect();
+    Graph::from_edges(n, &edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `device_band_bounds` brackets `device_band` for every device of
+    /// `cpu-gpu`, `dual-cpu-dual-gpu` and `quad-cpu-quad-gpu` on every
+    /// platform preset: empty, single-vertex, prefix, suffix, whole-graph
+    /// and random bands, on a fresh profile and after each patch of a
+    /// delta chain. An empty band's bounds are its exact price.
+    #[test]
+    fn band_bounds_bracket_every_device_price(
+        family in 0u8..4,
+        isolate in any::<bool>(),
+        n in 8usize..300,
+        seed in any::<u64>(),
+        random_bands in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..10),
+        steps in prop::collection::vec((0u8..4, 1usize..6, any::<u64>()), 0..3),
+    ) {
+        let platforms = [
+            Platform::k40c_xeon_e5_2650(),
+            Platform::balanced(),
+            Platform::gpu_heavy(),
+            Platform::cpu_heavy(),
+        ];
+        let sets = [
+            DeviceSet::cpu_gpu(),
+            DeviceSet::dual_cpu_dual_gpu(),
+            DeviceSet::quad_cpu_quad_gpu(),
+        ];
+        let mut g = bounds_graph(family, n, seed, isolate);
+        let mut profile = CcCostProfile::new(&g);
+        let mut bands: Vec<(usize, usize)> = random_bands
+            .iter()
+            .map(|&(kind, a, b)| band(n, kind, a, b))
+            .collect();
+        bands.extend([(0, 0), (n, n), (0, 1), (n - 1, n), (0, n / 2), (n / 2, n), (0, n)]);
+        for step in 0..=steps.len() {
+            for platform in &platforms {
+                let curve = CcCostCurve::new(&profile, &g, platform);
+                for device in sets.iter().flat_map(DeviceSet::devices) {
+                    for &(lo, hi) in &bands {
+                        let exact = curve.device_band(device, lo, hi).expect("cc prices bands");
+                        let (lower, upper) = curve.device_band_bounds(device, lo, hi);
+                        let what = format!("{device:?}, band {lo}..{hi} of {n}, step {step}");
+                        prop_assert!(lower <= exact, "{}: lower {} > {}", what, lower, exact);
+                        if let Some(upper) = upper {
+                            prop_assert!(exact <= upper, "{}: {} > upper {}", what, exact, upper);
+                        }
+                        if lo == hi {
+                            prop_assert_eq!((lower, upper), (exact, Some(exact)), "{}", what);
+                        }
+                    }
+                }
+            }
+            if let Some(&(shape, edits, step_seed)) = steps.get(step) {
+                let (g2, lo, hi) = patch_step(&g, shape, edits, step_seed);
+                profile.patch(&g2, lo, hi);
+                g = g2;
             }
         }
     }

@@ -94,6 +94,23 @@ pub trait CurveEval {
         )
     }
 
+    /// Bounds `(lower, upper)` on [`CurveEval::device_band`] for the band
+    /// `lo..hi` on `device`: whenever the band is priceable,
+    /// `lower ≤ device_band(device, lo, hi)`, and `≤ upper` when `upper`
+    /// is `Some`. A bound is meant to cost far less than the price it
+    /// brackets; a search prices a band only when its exact price can
+    /// change the comparison at hand, so a sound bound changes no answer,
+    /// only the work. The default `(SimTime::ZERO, None)` is always sound
+    /// and lets a search skip nothing.
+    fn device_band_bounds(
+        &self,
+        _device: &Device,
+        _lo: usize,
+        _hi: usize,
+    ) -> (SimTime, Option<SimTime>) {
+        (SimTime::ZERO, None)
+    }
+
     /// Partition-phase overhead charged once per run regardless of the
     /// cut vector (the scalar report's `partition` lane). Defaults to
     /// zero for workloads without a partitioning phase.
@@ -233,6 +250,10 @@ mod tests {
         assert_eq!(c.total_at(7), SimTime::from_secs(5.0));
         assert_eq!(c.band_work(DeviceKind::Cpu, 0, 5), None);
         assert_eq!(c.device_band(&set.devices()[0], 0, 5), None);
+        assert_eq!(
+            c.device_band_bounds(&set.devices()[0], 0, 5),
+            (SimTime::ZERO, None)
+        );
         assert_eq!(c.partition_total(&set, &p), None);
         assert_eq!(c.partition_overhead(), SimTime::ZERO);
         assert_eq!(c.merge_cost(&set, &p), SimTime::ZERO);
