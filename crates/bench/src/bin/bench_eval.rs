@@ -65,15 +65,6 @@ struct AnalyticEntry {
     wall_ms: f64,
 }
 
-/// One-profile sensitivity sweep accounting: `profile_builds` must be 1
-/// no matter how many sample factors are swept.
-#[derive(Serialize)]
-struct SensitivityInfo {
-    workload: String,
-    factors: usize,
-    profile_builds: u64,
-}
-
 /// One k-way partition-search gate row: coordinate descent vs an
 /// exhaustive enumeration of every non-decreasing cut tuple over the same
 /// collapsed candidate grid. `argmin_match` is gated for every `k`;
@@ -129,7 +120,6 @@ struct Report {
     entries: Vec<Entry>,
     analytic: Vec<AnalyticEntry>,
     kway: Vec<KwayEntry>,
-    sensitivity: Vec<SensitivityInfo>,
 }
 
 /// The strategies swept per workload, dispatched by name so direct and
@@ -532,7 +522,6 @@ fn main() {
     let mut workloads = Vec::new();
     let mut mismatches = Vec::new();
     let mut analytic = Vec::new();
-    let mut sensitivity = Vec::new();
 
     eprintln!("building inputs...");
     let cc = CcWorkload::new(graph_gen::web(cc_n, 8, args.seed), platform);
@@ -618,47 +607,8 @@ fn main() {
         &mut mismatches,
     );
 
-    eprintln!("sensitivity sweep via Profile::resample...");
-    let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
-    let rec = Recorder::new();
-    let points = nbwp_core::experiment::sensitivity_resampled(
-        &spmm,
-        &factors,
-        Strategy::Analytic { step: None },
-        args.seed,
-        &rec,
-    );
-    let builds = rec
-        .finish()
-        .metrics
-        .counter("profile.builds")
-        .unwrap_or(u64::MAX);
-    if points.len() != factors.len() {
-        mismatches.push(format!(
-            "spmm sensitivity: {} points for {} factors",
-            points.len(),
-            factors.len()
-        ));
-    }
-    if builds != 1 {
-        mismatches.push(format!(
-            "spmm sensitivity: built {builds} full profiles across {} factors (expected 1)",
-            factors.len()
-        ));
-    }
-    eprintln!(
-        "  spmm: {} factors swept from {} full profile build(s)",
-        factors.len(),
-        builds
-    );
-    sensitivity.push(SensitivityInfo {
-        workload: "spmm".to_string(),
-        factors: factors.len(),
-        profile_builds: builds,
-    });
-
     let report = Report {
-        schema: "nbwp-bench-eval/v7",
+        schema: "nbwp-bench-eval/v8",
         quick: args.quick,
         seed: args.seed,
         repetitions: reps,
@@ -669,7 +619,6 @@ fn main() {
         entries,
         analytic,
         kway,
-        sensitivity,
     };
     write_report(&args.out, &report);
     finish(

@@ -1099,8 +1099,7 @@ fn drift_cmd(
 /// Serves `deltas` through a [`DriftServer`] with cache + audit hooks
 /// attached, appending one line per step and a decision summary. A k-way
 /// `devices` set swaps the scalar threshold column for the served cut
-/// vector; every step also carries its patch-vs-rebuild reason (the
-/// delta's span fraction against the policy's crossover estimate).
+/// vector; every step also reports its span and span fraction.
 fn replay_drift<W: DriftWorkload>(
     out: &mut String,
     w: W,
@@ -1141,13 +1140,12 @@ fn replay_drift<W: DriftWorkload>(
         };
         let _ = writeln!(
             out,
-            "step {i:>3}: {:<8} span {}..{} ({} units, {:.1}% vs crossover {:.1}%), {position}, total {}, probes saved {}, staleness regret {:.2}%",
+            "step {i:>3}: {:<8} span {}..{} ({} units, {:.1}%), {position}, total {}, probes saved {}, staleness regret {:.2}%",
             step.decision.name(),
             step.span.start,
             step.span.end,
             step.span.len(),
             100.0 * step.span_fraction,
-            100.0 * step.crossover_estimate,
             step.total,
             step.probes_saved,
             step.regret_pct
@@ -1503,49 +1501,20 @@ fn report_cmd(audit_path: &str, metrics_path: Option<&str>) -> Result<String, Cl
         );
     }
 
-    // Drift steps carry their patch-vs-rebuild reason: the delta's span
-    // fraction against the policy's crossover estimate at decision time.
-    // Rebuilds are rare enough to explain individually.
-    let reasons: Vec<(f64, f64, CacheDecision, u64)> = check
+    // Drift steps carry the delta's span fraction.
+    let spans: Vec<f64> = check
         .events
         .iter()
-        .filter_map(|ev| {
-            Some((
-                ev.span_fraction?,
-                ev.crossover_estimate.unwrap_or(f64::NAN),
-                ev.decision,
-                ev.arity,
-            ))
-        })
+        .filter_map(|ev| Some(100.0 * ev.span_fraction?))
         .collect();
-    if !reasons.is_empty() {
-        let spans: Vec<f64> = reasons.iter().map(|r| 100.0 * r.0).collect();
+    if !spans.is_empty() {
         let _ = writeln!(
             out,
             "\ndrift decisions ({} audited steps): span fraction p50 {:.1}% / max {:.1}%",
-            reasons.len(),
+            spans.len(),
             percentile(&spans, 0.5),
             percentile(&spans, 1.0)
         );
-        let mut rebuilds = 0;
-        for (span, crossover, decision, arity) in &reasons {
-            if *decision == CacheDecision::Cold {
-                rebuilds += 1;
-                let _ = writeln!(
-                    out,
-                    "  rebuild (arity {arity}): span {:.1}% of the input exceeded the \
-                     crossover estimate {:.1}%",
-                    100.0 * span,
-                    100.0 * crossover
-                );
-            }
-        }
-        if rebuilds == 0 {
-            let _ = writeln!(
-                out,
-                "  no rebuilds: every span stayed under the crossover estimate"
-            );
-        }
     }
 
     let all_regrets: Vec<f64> = kinds.values().flat_map(|a| a.regrets.clone()).collect();
@@ -2650,7 +2619,7 @@ mod tests {
     /// End-to-end warm k-way serving through the CLI: `--batch` with a
     /// k-way set serves repeats as exact partition hits from the cache,
     /// and `--drift` with a k-way set serves cut vectors with per-step
-    /// patch-vs-rebuild reasons that `nbwp report` renders.
+    /// span fractions that `nbwp report` renders.
     #[test]
     fn kway_batch_and_drift_serve_partitions() {
         let dir = std::env::temp_dir().join("nbwp_cli_kway_serve_test");
@@ -2730,8 +2699,8 @@ mod tests {
             std::fs::remove_file(f).ok();
         }
 
-        // Drift: k-way steps print the served cut vector and the decision
-        // reason; the audit log feeds the report's drift-decision section.
+        // Drift: k-way steps print the served cut vector and the span
+        // fraction; the audit log feeds the report's drift-decision section.
         let ops = dir.join("cc.jsonl");
         std::fs::write(
             &ops,
@@ -2758,7 +2727,7 @@ mod tests {
         .unwrap();
         assert!(text.contains("base: cuts ["), "{text}");
         assert!(text.contains("(k = 4)"), "{text}");
-        assert_eq!(text.matches("vs crossover").count(), 2, "{text}");
+        assert_eq!(text.matches(" units, ").count(), 2, "{text}");
         assert!(text.contains("2 steps"), "{text}");
         let report = run(&Command::Report {
             audit: audit.to_str().unwrap().into(),

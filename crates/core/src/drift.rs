@@ -22,18 +22,14 @@
 //!    previous cut vector ([`minimize_partition`] on the configured
 //!    [`DeviceSet`] — the canonical pair by default, any band-priced
 //!    topology via [`DriftServer::with_devices`]) instead of a cold
-//!    multi-seed search. Patch-vs-rebuild is decided online by an
-//!    *adaptive crossover*: the server keeps deterministic work-unit
-//!    EWMAs of what patched steps and whole-input rebuilds actually cost
-//!    and rebuilds only when the predicted patch cost exceeds the
-//!    measured rebuild cost. [`DriftServer::with_crossover`] pins the
-//!    historical fixed-fraction policy instead
-//!    ([`PATCH_CROSSOVER_FRACTION`] was the old default).
+//!    multi-seed search. Every step patches its span and descends warm:
+//!    a profile build is itself a whole-span patch, so a patch never
+//!    costs more than the rebuild it would replace.
 //!
 //! Every step is scored: staleness regret (the patched curve's cost at the
 //! previous threshold over the new minimum) flows into the
-//! [`ThresholdCache`] shadow-regret ring, patched/nudged/rebuilt counters
-//! feed the metrics registry, and an optional [`FlightRecorder`] audits
+//! [`ThresholdCache`] shadow-regret ring, patched/nudged counters feed
+//! the metrics registry, and an optional [`FlightRecorder`] audits
 //! each decision under [`CacheDecision::Patched`]. The recording is
 //! observation-only: an audited server returns bitwise-identical
 //! thresholds to an unaudited one (property-tested).
@@ -56,93 +52,6 @@ use crate::profile::Profilable;
 use crate::search::minimize_partition;
 use crate::threshold_cache::ThresholdCache;
 
-/// Span fraction (touched units over total units) above which the
-/// *fixed-fraction* crossover policy abandons span patching for a full
-/// in-place rebuild plus cold search.
-///
-/// This was the default policy before the adaptive crossover landed and
-/// remains the fixed-policy baseline `bench_drift` compares against.
-/// Measured with `bench_drift`: at the 0.1% and 1% delta fractions the
-/// patched path wins by well over the gated 5×, while at 10% the widened
-/// spans (SpGEMM's A×A coupling spreads edits across referencing rows)
-/// already cover a large share of the input and the patch's tail-shift
-/// passes stop paying for themselves well before half the input is
-/// touched.
-pub const PATCH_CROSSOVER_FRACTION: f64 = 0.25;
-
-/// EWMA smoothing factor for the adaptive crossover's work observations.
-/// Recent steps dominate (drifting inputs change regime), but one
-/// outlier delta cannot flip the policy on its own.
-const CROSSOVER_EWMA_ALPHA: f64 = 0.3;
-
-fn ewma(old: f64, new: f64) -> f64 {
-    old + CROSSOVER_EWMA_ALPHA * (new - old)
-}
-
-/// Patch-vs-rebuild decision policy.
-///
-/// Costs are measured in deterministic *work units* — profile entries
-/// touched plus curve probes spent — never wall-clock, so an audited
-/// server replays bitwise-identically to an unaudited one and the policy
-/// is reproducible across machines and thread counts.
-#[derive(Copy, Clone, Debug)]
-enum CrossoverPolicy {
-    /// Rebuild whenever the span exceeds a fixed fraction of the input.
-    Fixed(f64),
-    /// Rebuild whenever the predicted patched-step work (span length +
-    /// EWMA of warm-descent probes) exceeds the EWMA of measured
-    /// whole-input rebuild work (units + cold-search probes).
-    Adaptive {
-        /// EWMA of warm-descent probe counts on patched steps, seeded
-        /// from the initial cold search (an upper bound on warm work).
-        patch_probes: f64,
-        /// EWMA of measured rebuild work, seeded from the initial
-        /// profile build + cold search.
-        rebuild_work: f64,
-    },
-}
-
-impl CrossoverPolicy {
-    /// Decides one step: returns whether to rebuild and the policy's
-    /// current crossover estimate as a span fraction (the span fraction
-    /// at which predicted patch and rebuild work break even; the fixed
-    /// fraction itself for the fixed policy).
-    fn decide(&self, span_len: usize, units: usize) -> (bool, f64) {
-        match *self {
-            CrossoverPolicy::Fixed(f) => (span_len as f64 > f * units as f64, f),
-            CrossoverPolicy::Adaptive {
-                patch_probes,
-                rebuild_work,
-            } => {
-                let predicted_patch = span_len as f64 + patch_probes;
-                let estimate = if units == 0 {
-                    1.0
-                } else {
-                    ((rebuild_work - patch_probes) / units as f64).clamp(0.0, 1.0)
-                };
-                (predicted_patch > rebuild_work, estimate)
-            }
-        }
-    }
-
-    /// Feeds one measured step back into the EWMAs (no-op for the fixed
-    /// policy).
-    fn observe(&mut self, rebuilt: bool, units: usize, probes: usize) {
-        let CrossoverPolicy::Adaptive {
-            patch_probes,
-            rebuild_work,
-        } = self
-        else {
-            return;
-        };
-        if rebuilt {
-            *rebuild_work = ewma(*rebuild_work, (units + probes) as f64);
-        } else {
-            *patch_probes = ewma(*patch_probes, probes as f64);
-        }
-    }
-}
-
 /// A workload that can evolve under typed input deltas while keeping its
 /// fingerprint and cost profile incrementally up to date.
 ///
@@ -162,8 +71,8 @@ pub trait DriftWorkload: Profilable + PartitionedWorkload + Fingerprinted + Size
 
     /// Patches `profile` (built for the *predecessor*) over `span` so it
     /// equals a fresh build for `self` (the *successor*). A whole-input
-    /// span (`0..units`) is the crossover fallback: a full in-place
-    /// rebuild reusing the profile's allocations.
+    /// span (`0..units`) is a full in-place rebuild reusing the profile's
+    /// allocations.
     fn patch_profile(
         &self,
         profile: &mut Self::Profile,
@@ -171,7 +80,7 @@ pub trait DriftWorkload: Profilable + PartitionedWorkload + Fingerprinted + Size
         scratch: &mut ProfileScratch,
     );
 
-    /// Number of patchable work units — the denominator of the crossover
+    /// Number of patchable work units — the denominator of a step's span
     /// fraction and the length of a whole-input span.
     fn units(&self) -> usize;
 }
@@ -185,8 +94,9 @@ pub enum DriftDecision {
     /// The curves were span-patched and the warm hill-descent nudged the
     /// threshold to a neighbouring basin.
     Nudged,
-    /// The span exceeded the crossover fraction: full in-place rebuild and
-    /// cold search.
+    /// Full in-place rebuild and cold search. [`DriftServer`] no longer
+    /// produces it (every step patches its span); the variant stays for
+    /// consumers that match on every decision.
     Rebuilt,
 }
 
@@ -227,21 +137,15 @@ pub struct DriftStep {
     pub total: SimTime,
     /// Curve probes this step spent.
     pub probes: usize,
-    /// Probes saved against the most recent cold search on this input
-    /// lineage (zero for a rebuild — it *is* the cold search).
+    /// Probes saved against the server's initial cold search.
     pub probes_saved: u64,
     /// Staleness regret in percent: the patched curve's cost at the
     /// previous cut vector over the new minimum, minus one.
     pub regret_pct: f64,
-    /// Span actually re-profiled (whole input after a crossover rebuild).
+    /// Span re-profiled: the unit range the delta touched.
     pub span: Range<usize>,
-    /// The delta's span over the unit count — what the crossover policy
-    /// compared against (the *pre-widening* fraction on a rebuild).
+    /// The span's length over the unit count.
     pub span_fraction: f64,
-    /// The policy's break-even span fraction at decision time: spans
-    /// above it rebuild. Together with `span_fraction` this is the
-    /// decision reason an audit consumer needs to explain a rebuild.
-    pub crossover_estimate: f64,
 }
 
 /// Serves thresholds for a workload drifting under a stream of deltas.
@@ -256,7 +160,6 @@ pub struct DriftServer<'a, W: DriftWorkload> {
     profile: W::Profile,
     scratch: ProfileScratch,
     set: DeviceSet,
-    policy: CrossoverPolicy,
     cache: Option<&'a ThresholdCache>,
     audit: Option<&'a FlightRecorder>,
     thresholds: Vec<f64>,
@@ -278,19 +181,11 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         let profile = workload.build_profile_in(Pool::global(), &mut scratch);
         let set = DeviceSet::cpu_gpu_static().clone();
         let (thresholds, total, probes) = Self::cold_minimize(&workload, &profile, &set);
-        let units = workload.units();
         DriftServer {
             workload,
             profile,
             scratch,
             set,
-            // Seed the adaptive EWMAs from the one measurement `new`
-            // already made: the cold search's probes (an upper bound on
-            // warm-descent work) and the whole-input build it descended on.
-            policy: CrossoverPolicy::Adaptive {
-                patch_probes: probes as f64,
-                rebuild_work: (units + probes) as f64,
-            },
             cache: None,
             audit: None,
             thresholds,
@@ -317,8 +212,7 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
 
     /// Serves full k-way cut vectors for `set` instead of the canonical
     /// pair: re-runs the initial cold minimization (the profile is
-    /// topology-independent and is reused) and re-seeds the adaptive
-    /// crossover's work priors from it.
+    /// topology-independent and is reused).
     ///
     /// # Panics
     /// Panics at `k > 2` if the workload's curve does not price device
@@ -331,32 +225,13 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         self.thresholds = thresholds;
         self.total = total;
         self.cold_probes = probes as u64;
-        if let CrossoverPolicy::Adaptive {
-            patch_probes,
-            rebuild_work,
-        } = &mut self.policy
-        {
-            *patch_probes = probes as f64;
-            *rebuild_work = (self.workload.units() + probes) as f64;
-        }
-        self
-    }
-
-    /// Pins the fixed-fraction crossover policy: rebuild whenever the
-    /// span exceeds `fraction` of the input (the pre-adaptive behavior;
-    /// `0.0` rebuilds always, [`PATCH_CROSSOVER_FRACTION`] is the
-    /// historical default). Without this override the server decides
-    /// adaptively from measured step costs.
-    #[must_use]
-    pub fn with_crossover(mut self, fraction: f64) -> Self {
-        self.policy = CrossoverPolicy::Fixed(fraction);
         self
     }
 
     /// Attaches a threshold cache: each step advances its delta
     /// generation (invalidating exact entries for the predecessor input)
-    /// and records patched/nudged/rebuilt counters, probes saved, and
-    /// shadow regret.
+    /// and records patched/nudged counters, probes saved, and shadow
+    /// regret.
     #[must_use]
     pub fn with_cache(mut self, cache: &'a ThresholdCache) -> Self {
         self.cache = Some(cache);
@@ -415,20 +290,17 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         &self.profile
     }
 
-    /// Applies one delta: patch (or rebuild past the crossover), advance
-    /// the cache generation, re-minimize warm from the previous cut
-    /// vector (or cold after a rebuild), record the decision, and feed
-    /// the measured step cost back into the adaptive crossover.
+    /// Applies one delta: patch its span, advance the cache generation,
+    /// re-minimize warm from the previous cut vector, and record the
+    /// decision.
     pub fn apply(&mut self, delta: &W::Delta) -> DriftStep {
         let (next, span) = self.workload.apply_delta(delta);
         let units = next.units();
-        let (rebuild, crossover_estimate) = self.policy.decide(span.len(), units);
         let span_fraction = if units == 0 {
             0.0
         } else {
             span.len() as f64 / units as f64
         };
-        let span = if rebuild { 0..units } else { span };
         next.patch_profile(&mut self.profile, span.clone(), &mut self.scratch);
         if let Some(cache) = self.cache {
             // Exact entries keyed on the predecessor input are now stale;
@@ -442,13 +314,14 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
             let curve = next
                 .curve(&self.profile)
                 .expect("drift serving needs an analytic cost curve");
-            let warm = if rebuild {
-                None
-            } else {
-                Some(prev_cuts.as_slice())
-            };
-            let m = minimize_partition(curve.as_ref(), &self.set, &space, space.fine_step, warm)
-                .expect("drift serving at k > 2 needs a band-priced cost curve");
+            let m = minimize_partition(
+                curve.as_ref(),
+                &self.set,
+                &space,
+                space.fine_step,
+                Some(&prev_cuts),
+            )
+            .expect("drift serving at k > 2 needs a band-priced cost curve");
             // Staleness regret: what serving the *old* cut vector on the
             // *new* curve would cost over the fresh minimum. On the
             // canonical pair this prices through the scalar lane (exact
@@ -477,27 +350,19 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
         };
         let new_cuts = minimum.thresholds.clone();
 
-        let decision = if rebuild {
-            DriftDecision::Rebuilt
-        } else if new_cuts == prev_cuts {
+        let decision = if new_cuts == prev_cuts {
             DriftDecision::Patched
         } else {
             DriftDecision::Nudged
         };
         let probes = minimum.probes as u64;
-        let probes_saved = if rebuild {
-            self.cold_probes = probes;
-            0
-        } else {
-            self.cold_probes.saturating_sub(probes)
-        };
-        self.policy.observe(rebuild, units, minimum.probes);
+        let probes_saved = self.cold_probes.saturating_sub(probes);
 
         if let Some(cache) = self.cache {
-            match decision {
-                DriftDecision::Patched => cache.record_patched_hit(),
-                DriftDecision::Nudged => cache.record_patched_nudge(),
-                DriftDecision::Rebuilt => cache.record_patched_rebuild(),
+            if decision == DriftDecision::Patched {
+                cache.record_patched_hit();
+            } else {
+                cache.record_patched_nudge();
             }
             if probes_saved > 0 {
                 cache.record_probes_saved(probes_saved);
@@ -518,7 +383,6 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
                 shadow_regret_pct: regret_pct,
                 arity: self.set.len() as u64,
                 span_fraction,
-                crossover_estimate,
             });
         }
 
@@ -536,7 +400,6 @@ impl<'a, W: DriftWorkload> DriftServer<'a, W> {
             regret_pct,
             span,
             span_fraction,
-            crossover_estimate,
         }
     }
 }
@@ -581,9 +444,8 @@ mod tests {
     #[test]
     fn cc_drift_steps_match_cold_serving() {
         let mut server = DriftServer::new(cc_workload());
-        // Edge spans widen to [min endpoint, max endpoint], so keep the
-        // edits local — a (0, 899) edge would correctly cross over into
-        // a full rebuild.
+        // Edge spans widen to [min endpoint, max endpoint]: local edits
+        // keep the span small (a (0, 899) edge patches the whole input).
         let deltas = [
             GraphDelta::inserts(vec![(10, 11), (10, 12), (40, 95)]),
             GraphDelta::deletes(vec![(10, 11)]),
@@ -627,17 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn crossover_forces_rebuild_and_still_matches_cold() {
-        let mut server = DriftServer::new(cc_workload()).with_crossover(0.0);
-        let step = server.apply(&GraphDelta::inserts(vec![(1, 2)]));
-        assert_eq!(step.decision, DriftDecision::Rebuilt);
-        assert_eq!(step.span, 0..900);
-        let (t, total) = cold(server.workload());
-        assert_eq!(step.threshold, t);
-        assert_eq!(step.total, total);
-    }
-
-    #[test]
     fn kway_drift_serves_warm_cut_vectors_matching_cold() {
         let set = DeviceSet::dual_cpu_dual_gpu();
         let mut server = DriftServer::new(cc_workload()).with_devices(set.clone());
@@ -670,47 +521,16 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_learns_the_break_even_point() {
-        let mut p = CrossoverPolicy::Adaptive {
-            patch_probes: 10.0,
-            rebuild_work: 110.0,
-        };
-        // Break-even at (110 − 10) / 200 = half of a 200-unit input.
-        let (rebuild, est) = p.decide(90, 200);
-        assert!(!rebuild);
-        assert_eq!(est, 0.5);
-        let (rebuild, _) = p.decide(101, 200);
-        assert!(rebuild);
-        // A measured rebuild costlier than the prior drags the EWMA up,
-        // widening the patch region.
-        p.observe(true, 200, 40);
-        let (_, est) = p.decide(0, 200);
-        assert!(est > 0.5);
-        // Fixed policies never adapt.
-        let mut f = CrossoverPolicy::Fixed(0.25);
-        f.observe(true, 200, 40);
-        assert_eq!(f.decide(51, 200), (true, 0.25));
-        assert_eq!(f.decide(50, 200), (false, 0.25));
-    }
-
-    #[test]
     fn drift_steps_report_the_decision_reason() {
         let mut server = DriftServer::new(cc_workload());
         let step = server.apply(&GraphDelta::inserts(vec![(10, 11)]));
         assert!(step.span_fraction > 0.0 && step.span_fraction < 1.0);
-        assert!((0.0..=1.0).contains(&step.crossover_estimate));
-        assert!(
-            step.span_fraction <= step.crossover_estimate,
-            "patched step"
-        );
-        let mut forced = DriftServer::new(cc_workload()).with_crossover(0.0);
-        let step = forced.apply(&GraphDelta::inserts(vec![(1, 2)]));
-        assert_eq!(step.decision, DriftDecision::Rebuilt);
-        assert_eq!(step.crossover_estimate, 0.0);
-        assert!(
-            step.span_fraction > step.crossover_estimate,
-            "rebuild reason"
-        );
+        assert_eq!(step.span_fraction, step.span.len() as f64 / 900.0);
+        // A whole-input span still patches and descends warm.
+        let step = server.apply(&GraphDelta::inserts(vec![(0, 899)]));
+        assert_eq!(step.span, 0..900);
+        assert_eq!(step.span_fraction, 1.0);
+        assert_ne!(step.decision, DriftDecision::Rebuilt);
     }
 
     #[test]

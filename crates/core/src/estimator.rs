@@ -332,7 +332,6 @@ impl<'a> RequestAudit<'a> {
             shadow_regret_pct: shadow_regret_pct.unwrap_or(f64::NAN),
             arity: fields.arity,
             span_fraction: f64::NAN,
-            crossover_estimate: f64::NAN,
         });
     }
 }

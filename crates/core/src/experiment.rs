@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::baselines;
 use crate::estimator::Estimator;
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
-use crate::profile::{Profilable, ProfiledWorkload, Resampleable};
+use crate::profile::ProfiledWorkload;
 use crate::search::{Searcher, Strategy};
 
 /// Configuration of one experiment run. The exhaustive reference grid and
@@ -280,52 +280,6 @@ pub fn sensitivity<W: Sampleable>(
             estimated_t: est.threshold,
         }
     })
-}
-
-/// [`sensitivity`] for [`Resampleable`] workloads: every factor's miniature
-/// is *derived from one shared cost profile* of the full input instead of
-/// re-sampling the raw input per factor, so the whole sweep performs
-/// exactly one full profile build (`profile.builds == 1` in `rec`'s
-/// metrics) plus one cheap subset pass per factor.
-///
-/// Each miniature's Identify search runs through its own (trivially cheap)
-/// profile, so any [`Strategy`] — including [`Strategy::Analytic`] — is
-/// admissible. Resampleable workloads extrapolate by identity (their
-/// miniatures keep the full input's threshold semantics; see
-/// [`Resampleable`]), so the estimated threshold is the miniature's best,
-/// clamped to the space. The reported `estimation_ms` charges the same
-/// sample-construction cost as [`sensitivity`], keeping the two sweeps'
-/// points directly comparable.
-#[must_use]
-pub fn sensitivity_resampled<W>(
-    w: &W,
-    factors: &[f64],
-    strategy: Strategy,
-    seed: u64,
-    rec: &Recorder,
-) -> Vec<SensitivityPoint>
-where
-    W: Resampleable,
-    W::Resampled: Profilable,
-{
-    let pool = Pool::global();
-    let pw = ProfiledWorkload::with_pool(w, pool);
-    let points = pool.map(factors, |&factor| {
-        let mini = w.resample(pw.profile(), SampleSpec::scaled(factor), seed);
-        let outcome = Searcher::new(strategy).pool(pool).profiled().run(&mini);
-        let threshold = w.space().clamp(outcome.best_t);
-        let overhead = w.sampling_cost() + outcome.search_cost;
-        let run = pw.time_at(threshold);
-        SensitivityPoint {
-            factor,
-            sample_size: mini.size(),
-            estimation_ms: overhead.as_millis(),
-            total_ms: (overhead + run).as_millis(),
-            estimated_t: threshold,
-        }
-    });
-    pw.flush_metrics(rec);
-    points
 }
 
 /// Table I row: workload-level averages.

@@ -54,22 +54,20 @@ pub mod workloads;
 /// One-stop imports for examples, tests and harnesses.
 pub mod prelude {
     pub use crate::baselines::{self, naive_average, naive_static};
-    pub use crate::drift::{
-        DriftDecision, DriftServer, DriftStep, DriftWorkload, PATCH_CROSSOVER_FRACTION,
-    };
+    pub use crate::drift::{DriftDecision, DriftServer, DriftStep, DriftWorkload};
     pub use crate::energy::{exhaustive_energy, EnergySweep, PowerModel};
     pub use crate::estimator::{
         Estimator, ProfiledEstimator, SamplingEstimate, DEFAULT_SHADOW_RATE,
     };
     pub use crate::evalcache::EvalCache;
     pub use crate::experiment::{
-        run_corpus, run_one, run_one_with, sensitivity, sensitivity_resampled, summarize,
-        ExperimentConfig, ExperimentRow, SensitivityPoint, Summary,
+        run_corpus, run_one, run_one_with, sensitivity, summarize, ExperimentConfig, ExperimentRow,
+        SensitivityPoint, Summary,
     };
     pub use crate::extrapolate::{calibrate_extrapolator, fit_power, Extrapolator};
     pub use crate::fingerprint::{DensityClass, Fingerprint, FingerprintDelta, Fingerprinted};
     pub use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
-    pub use crate::profile::{Profilable, ProfiledWorkload, Resampleable};
+    pub use crate::profile::{Profilable, ProfiledWorkload};
     pub use crate::search::{
         candidate_splits, minimize_partition, PartitionMinimum, PartitionOutcome, ProfiledSearcher,
         SearchOutcome, Searcher, Strategy, UnknownStrategy, DEFAULT_GRADIENT_EVALS,

@@ -39,7 +39,7 @@ use nbwp_par::{Pool, SlotPool};
 use nbwp_sim::{CurveEval, Platform, ProfileScratch, RunReport};
 use nbwp_trace::Recorder;
 
-use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
+use crate::framework::{PartitionedWorkload, ThresholdSpace};
 
 /// A workload whose per-threshold cost can be computed from a reusable
 /// profile built in one instrumented pass.
@@ -100,28 +100,6 @@ pub(crate) fn priced<W: Profilable>(w: &W, profile: &W::Profile, t: f64) -> RunR
 pub fn profile_scratch_pool() -> &'static SlotPool<ProfileScratch> {
     static POOL: OnceLock<SlotPool<ProfileScratch>> = OnceLock::new();
     POOL.get_or_init(|| SlotPool::for_pool(Pool::global()))
-}
-
-/// A [`Sampleable`] workload whose miniature can be *derived from the
-/// profile* instead of rebuilt from the raw input.
-///
-/// [`Sampleable::sample`] re-reads the input per miniature (`O(input)`
-/// each), so a sensitivity sweep over `k` sample factors pays `k` full
-/// passes. `resample` instead selects the miniature's per-unit costs out
-/// of an already-built profile — one subset pass over curves that already
-/// exist — so the sweep builds exactly **one** full profile
-/// (`profile.builds == 1`) no matter how many factors it visits.
-///
-/// The resampled miniature prices runs the same way the profiled full
-/// workload does (curve range sums), with fixed costs rescaled by the
-/// miniature's measured work share exactly as `sample` rescales them.
-pub trait Resampleable: Sampleable {
-    /// The derived miniature workload type.
-    type Resampled: PartitionedWorkload;
-
-    /// Derives a miniature at `spec.factor` from `profile`, drawing the
-    /// subset with `seed`. Must not touch the raw input.
-    fn resample(&self, profile: &Self::Profile, spec: SampleSpec, seed: u64) -> Self::Resampled;
 }
 
 /// A [`Profilable`] workload bundled with its built profile, exposed as a

@@ -342,12 +342,10 @@ impl ProfiledSearcher<'_> {
     ) -> SearchOutcome {
         match self.inner.strategy {
             Strategy::Analytic { step } => analytic_impl(
-                pw.inner(),
                 pw,
                 resolve_step(step, &pw.space()),
                 self.inner.effective_warm(),
                 rec,
-                pool,
             ),
             _ => self.inner.recorder(rec).pool(pool).run(pw),
         }
@@ -1607,23 +1605,25 @@ pub fn minimize_partition(
 /// subgradient sign finds every descending→ascending bracket, and each
 /// bracket bisects to a local minimum in O(log) probes. Only the surviving
 /// candidates (plus descending/ascending boundary ends) are evaluated as
-/// real candidates through the profiled workload.
+/// real candidates, each priced once on the curve, serially.
 fn analytic_impl<W: Profilable>(
-    w: &W,
     pw: &ProfiledWorkload<'_, W>,
     step: f64,
     warm: Option<f64>,
     rec: &Recorder,
-    pool: &Pool,
 ) -> SearchOutcome {
+    let w = pw.inner();
     let curve = w
         .curve(pw.profile())
         .expect("workload exposes no cost curve; use a profile-free strategy");
     let space = w.space();
     let (cands, chosen, memo) = select_on_curve(curve.as_ref(), &space, step, warm);
 
-    let thresholds: Vec<f64> = chosen.iter().map(|&i| cands[i].0).collect();
-    let mut out = SearchOutcome::from_evals(eval_grid(pw, &thresholds, rec, pool));
+    let evals = chosen
+        .iter()
+        .map(|&i| record_eval(cands[i].0, &curve.report_at(cands[i].1), rec))
+        .collect();
+    let mut out = SearchOutcome::from_evals(evals);
     out.grad_probes = memo.probes;
     if rec.is_enabled() {
         rec.counter_add("search.grad_probes", memo.probes as u64);

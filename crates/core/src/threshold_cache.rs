@@ -398,7 +398,8 @@ pub struct CacheStats {
     pub patched_hits: u64,
     /// Drift servings where the warm hill-descent nudged the threshold.
     pub patched_nudges: u64,
-    /// Drift servings that crossed over to a full rebuild + cold search.
+    /// Drift servings rebuilt with a cold search. Nothing produces them
+    /// any more (every drift step patches its span), so this reads 0.
     pub patched_rebuilds: u64,
     /// Exact entries dropped by a generation advance (lazily, on lookup).
     pub stale_evictions: u64,
@@ -639,7 +640,8 @@ impl ThresholdCache {
         self.count(Counter::PatchedNudges, 1);
     }
 
-    /// Records a drift serving that crossed over to a full rebuild.
+    /// Records a drift serving rebuilt with a cold search. The drift
+    /// server no longer calls it: every step patches its span.
     pub fn record_patched_rebuild(&self) {
         self.count(Counter::PatchedRebuilds, 1);
     }

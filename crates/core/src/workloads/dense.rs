@@ -8,11 +8,10 @@ use nbwp_sim::{
     SimTime,
 };
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::fingerprint::{Fingerprint, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
-use crate::profile::{Profilable, Resampleable};
+use crate::profile::Profilable;
 
 /// Hybrid dense GEMM (`C = A × B`, all square `n × n`) as a partitioned
 /// workload. Being perfectly regular, its cost is a closed form and no
@@ -101,19 +100,6 @@ impl Profilable for DenseGemmWorkload {
             self.n,
             &self.platform,
         )))
-    }
-}
-
-impl Resampleable for DenseGemmWorkload {
-    /// The closed-form cost needs no curves, so the "resampled" miniature
-    /// *is* the sampled workload — derived from `(n, platform)` alone,
-    /// which the profile-free closed form already carries.
-    type Resampled = DenseGemmWorkload;
-
-    fn resample(&self, (): &Self::Profile, spec: SampleSpec, seed: u64) -> DenseGemmWorkload {
-        // `sample` ignores its RNG for dense GEMM (every submatrix of a
-        // uniform dense matrix is alike), so resampling is exact reuse.
-        self.sample(spec, &mut SmallRng::seed_from_u64(seed))
     }
 }
 

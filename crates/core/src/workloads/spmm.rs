@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use crate::drift::DriftWorkload;
 use crate::fingerprint::{Fingerprint, FingerprintDelta, Fingerprinted};
 use crate::framework::{PartitionedWorkload, SampleSpec, Sampleable, ThresholdSpace};
-use crate::profile::{Profilable, Resampleable};
+use crate::profile::Profilable;
 
 /// The spmm workload over a fixed matrix (`B = A`, as in the paper) and
 /// platform. The exact per-row cost profile is computed once (a symbolic
@@ -73,12 +73,20 @@ impl SpmmWorkload {
     /// Phase I cost: computing `L_AB = A × V_B` and locating the split row,
     /// on the GPU (Algorithm 2, lines 1–3).
     fn partition_cost(&self) -> SimTime {
-        spmm_partition_cost(
-            self.a.nnz() as u64,
-            self.a.rows() as u64,
-            self.a.size_bytes(),
-            &self.platform,
-        )
+        let (nnz, n) = (self.a.nnz() as u64, self.a.rows() as u64);
+        let stats = KernelStats {
+            flops: 2 * nnz,
+            int_ops: 2 * nnz + 2 * n,
+            mem_read_bytes: ENTRY_BYTES * nnz + 8 * n,
+            irregular_bytes: 8 * nnz, // gathers V_B[k] through A's columns
+            simd_padded_flops: 2 * nnz,
+            mem_write_bytes: 8 * n,
+            kernel_launches: 2, // load-vector kernel + scan/split kernel
+            parallel_items: n,
+            working_set_bytes: self.a.size_bytes(),
+            ..KernelStats::default()
+        };
+        self.platform.gpu_time(&stats)
     }
 
     fn report_for_split(&self, split: usize) -> RunReport {
@@ -184,25 +192,6 @@ fn halo_span(a: &Csr, edited: &[usize]) -> Range<usize> {
         .find(|&i| references(i))
         .map_or(last + 1, |i| i + 1);
     lo..hi
-}
-
-/// The split-independent Phase I price from the input scalars alone, so
-/// profile-derived miniatures ([`ResampledSpmm`]) can recompute it for a
-/// subset without materializing the subset matrix.
-fn spmm_partition_cost(nnz: u64, n: u64, size_bytes: u64, platform: &Platform) -> SimTime {
-    let stats = KernelStats {
-        flops: 2 * nnz,
-        int_ops: 2 * nnz + 2 * n,
-        mem_read_bytes: ENTRY_BYTES * nnz + 8 * n,
-        irregular_bytes: 8 * nnz, // gathers V_B[k] through A's columns
-        simd_padded_flops: 2 * nnz,
-        mem_write_bytes: 8 * n,
-        kernel_launches: 2, // load-vector kernel + scan/split kernel
-        parallel_items: n,
-        working_set_bytes: size_bytes,
-        ..KernelStats::default()
-    };
-    platform.gpu_time(&stats)
 }
 
 /// Cost profile of an [`SpmmWorkload`]: prefix-sum curves over the per-row
@@ -316,8 +305,8 @@ impl DriftWorkload for SpmmWorkload {
         span: Range<usize>,
         scratch: &mut ProfileScratch,
     ) {
-        // A whole-input span is the crossover fallback: `patch_in` over
-        // `0..rows` recomputes every curve in place, reusing the arenas.
+        // A whole-input span (`0..rows`) recomputes every curve in place,
+        // reusing the arenas.
         profile.curves.patch_in(
             &self.profile,
             span.start,
@@ -330,90 +319,6 @@ impl DriftWorkload for SpmmWorkload {
 
     fn units(&self) -> usize {
         self.a.rows()
-    }
-}
-
-/// A miniature spmm workload derived from a full [`SpmmProfile`] by
-/// [`Resampleable::resample`] — the subset's curves, load vector, and
-/// Phase I price, with fixed costs rescaled to the subset's measured work
-/// share. Prices runs through [`SpmmCostCurve`] without ever touching the
-/// input matrix.
-pub struct ResampledSpmm {
-    curves: RowCurves,
-    load_prefix: Vec<u64>,
-    partition: SimTime,
-    platform: Platform,
-}
-
-impl PartitionedWorkload for ResampledSpmm {
-    fn run(&self, r: f64) -> RunReport {
-        let curve = SpmmCostCurve::new(
-            &self.curves,
-            &self.load_prefix,
-            self.partition,
-            &self.platform,
-        );
-        curve.report_at(curve.split_for(r))
-    }
-
-    fn space(&self) -> ThresholdSpace {
-        ThresholdSpace::percentage()
-    }
-
-    fn size(&self) -> usize {
-        self.curves.rows()
-    }
-
-    fn platform(&self) -> &Platform {
-        &self.platform
-    }
-}
-
-impl Profilable for ResampledSpmm {
-    /// The miniature *is* its curves — pricing is already O(1) range sums —
-    /// so the profile carries no extra state. Implementing [`Profilable`]
-    /// lets every strategy (including the analytic subgradient search) run
-    /// on resampled miniatures.
-    type Profile = ();
-
-    fn build_profile_in(&self, _pool: &Pool, _scratch: &mut ProfileScratch) -> Self::Profile {}
-
-    fn curve<'p>(&'p self, (): &'p Self::Profile) -> Option<Box<dyn CurveEval + 'p>> {
-        Some(Box::new(SpmmCostCurve::new(
-            &self.curves,
-            &self.load_prefix,
-            self.partition,
-            &self.platform,
-        )))
-    }
-}
-
-impl Resampleable for SpmmWorkload {
-    type Resampled = ResampledSpmm;
-
-    fn resample(&self, profile: &SpmmProfile, spec: SampleSpec, seed: u64) -> ResampledSpmm {
-        // Same subset fraction as `sample` (paper default: 1/4 of the rows).
-        let frac = (0.25 * spec.factor).clamp(1e-3, 1.0);
-        let curves = profile.curves.resample(frac, seed);
-        // The ops-layout load vector (inclusive, no leading zero) is the
-        // tail of the resampled b_entries prefix curve.
-        let load_prefix = curves.b_entries().as_prefix_slice()[1..].to_vec();
-        let sample_work = load_prefix.last().copied().unwrap_or(0);
-        let full_work = self.load_prefix.last().copied().unwrap_or(1).max(1);
-        let ratio = (sample_work as f64 / full_work as f64).clamp(1e-6, 1.0);
-        let platform = self.platform.sample_scaled(ratio);
-        let partition = spmm_partition_cost(
-            curves.a_nnz().suffix_sum(0),
-            curves.rows() as u64,
-            curves.b_bytes(),
-            &platform,
-        );
-        ResampledSpmm {
-            curves,
-            load_prefix,
-            partition,
-            platform,
-        }
     }
 }
 

@@ -83,7 +83,7 @@ pub fn gemm_blocked(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 }
 
 /// Tile-parallel blocked GEMM: row bands of [`TILE`]-aligned tiles are
-/// dispatched through the work-stealing pool and stitched in band order;
+/// dispatched through the worker pool and stitched in band order;
 /// identical result to [`gemm`] for any thread count (each output row is
 /// computed by exactly one task, in the same accumulation order).
 #[must_use]

@@ -13,22 +13,10 @@
 
 use nbwp_sim::{percent_split, BandWork, KernelStats, Platform, RunReport};
 
-use crate::cc::bfs::cc_bfs;
 use crate::cc::dfs::cc_dfs_chunked;
 use crate::cc::sv::cc_sv;
 use crate::cc::union_find::UnionFind;
 use crate::Graph;
-
-/// Which algorithm the CPU side of Algorithm 1 runs (line 8).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum CpuCcAlgo {
-    /// Chunked sequential DFS, one chunk per core (the paper's choice).
-    #[default]
-    DfsChunked,
-    /// Single BFS sweep — a sequential-CPU ablation: no chunk parallelism,
-    /// but also no deferred inter-chunk edges.
-    Bfs,
-}
 
 /// Outcome of one hybrid CC run at a fixed threshold.
 #[derive(Clone, Debug)]
@@ -69,21 +57,6 @@ pub fn hybrid_cc(
     platform: &Platform,
     host_threads: usize,
 ) -> HybridCcOutcome {
-    hybrid_cc_with(g, t_pct, platform, host_threads, CpuCcAlgo::DfsChunked)
-}
-
-/// [`hybrid_cc`] with an explicit CPU-side algorithm (ablation hook).
-///
-/// # Panics
-/// Panics if `t_pct` is outside `[0, 100]`.
-#[must_use]
-pub fn hybrid_cc_with(
-    g: &Graph,
-    t_pct: f64,
-    platform: &Platform,
-    host_threads: usize,
-    cpu_algo: CpuCcAlgo,
-) -> HybridCcOutcome {
     let n = g.n();
     let n_cpu = percent_split(n, t_pct);
 
@@ -100,20 +73,12 @@ pub fn hybrid_cc_with(
     };
     let partition = platform.cpu_time(&partition_stats);
 
-    // --- Phase II (overlapped): DFS chunks (or one BFS) on CPU, SV on GPU.
-    // The chunked CPU side also merges its own inter-chunk deferred edges
-    // with union-find (path compression keeps most finds one cached probe).
-    let cpu_chunks = platform.cpu.cores;
-    let (cpu_labels, cpu_deferred, mut cpu_side_stats) = match cpu_algo {
-        CpuCcAlgo::DfsChunked => {
-            let dfs = cc_dfs_chunked(&g_cpu, cpu_chunks);
-            (dfs.labels, dfs.deferred_edges, dfs.stats)
-        }
-        CpuCcAlgo::Bfs => {
-            let bfs = cc_bfs(&g_cpu);
-            (bfs.labels, Vec::new(), bfs.stats)
-        }
-    };
+    // --- Phase II (overlapped): DFS chunks on CPU, SV on GPU. The CPU
+    // side also merges its own inter-chunk deferred edges with union-find
+    // (path compression keeps most finds one cached probe).
+    let dfs = cc_dfs_chunked(&g_cpu, platform.cpu.cores);
+    let (cpu_labels, cpu_deferred, mut cpu_side_stats) =
+        (dfs.labels, dfs.deferred_edges, dfs.stats);
     let sv = cc_sv(&g_gpu, host_threads);
     let deferred = cpu_deferred.len() as u64;
     cpu_side_stats.int_ops += 8 * deferred;
@@ -237,28 +202,6 @@ mod tests {
     #[should_panic(expected = "out of [0, 100]")]
     fn threshold_validated() {
         let _ = hybrid_cc(&multi_component(), 101.0, &platform(), 1);
-    }
-
-    #[test]
-    fn bfs_cpu_side_is_also_exact() {
-        let g = multi_component();
-        let oracle = normalize_labels(&cc_union_find(&g));
-        for t in [0.0, 40.0, 100.0] {
-            let out = hybrid_cc_with(&g, t, &platform(), 2, CpuCcAlgo::Bfs);
-            assert_eq!(out.labels, oracle, "BFS variant at t = {t}");
-        }
-    }
-
-    #[test]
-    fn bfs_cpu_side_has_no_chunk_parallelism() {
-        // BFS runs one kernel: its CPU-side parallel slack is 1, so on a
-        // big CPU share it must not beat the chunked DFS (which exposes up
-        // to `cores` chunks).
-        let edges: Vec<(u32, u32)> = (0..1999u32).map(|i| (i, i + 1)).collect();
-        let g = Graph::from_edges(2000, &edges);
-        let dfs = hybrid_cc_with(&g, 100.0, &platform(), 2, CpuCcAlgo::DfsChunked);
-        let bfs = hybrid_cc_with(&g, 100.0, &platform(), 2, CpuCcAlgo::Bfs);
-        assert!(bfs.report.breakdown.cpu_compute >= dfs.report.breakdown.cpu_compute);
     }
 
     #[test]

@@ -136,8 +136,8 @@ impl CcCostProfile {
     /// The patched curves are **bitwise identical** to
     /// `CcCostProfile::new_in(g, ..)` (the patch-equals-rebuild contract),
     /// and so is every price the surviving replays give;
-    /// `patch(g, 0, n)` is both the build and the drift crossover
-    /// fallback — a full in-place rebuild.
+    /// `patch(g, 0, n)` is both the build and a whole-input drift step —
+    /// a full in-place rebuild.
     ///
     /// # Panics
     /// Panics if `g.n() != n`, `lo > hi`, or `hi > n`.
@@ -609,7 +609,7 @@ mod tests {
                 );
             }
         }
-        // Full-span patch is the crossover fallback: an in-place rebuild.
+        // A full-span patch is an in-place rebuild.
         let mut profile = CcCostProfile::new(&base);
         let (g2, _) = GraphDelta::inserts(vec![(1, 790)]).apply(&base);
         profile.patch(&g2, 0, g2.n());

@@ -397,7 +397,7 @@ pub fn sv_stats_closed_form(
 /// One pointer-doubling pass: `out[v] = f[f[v]]`. Returns the new array and
 /// whether anything changed. Vertex-parallel and Jacobi-style (reads the
 /// previous array, writes fresh chunks), so the result is thread-count
-/// independent; the chunks go through the work-stealing pool at finer
+/// independent; the chunks go through the worker pool at finer
 /// granularity than the worker count so skewed chunks re-balance.
 fn double_pass(f: &[u32], pool: &Pool) -> (Vec<u32>, bool) {
     let n = f.len();

@@ -9,11 +9,11 @@
 //!
 //! ## Scheduling
 //!
-//! Work items are distributed over per-worker [`deque`]s seeded with
-//! contiguous index blocks (for locality). A worker pops from the front of
-//! its own deque; when empty it steals the back half of a victim's deque —
-//! the classic work-stealing discipline, which keeps irregular per-item
-//! costs (skewed SpGEMM rows, mixed-cost candidate evaluations) balanced
+//! Workers claim the next unclaimed index from one shared atomic counter
+//! until it passes the end. Every job is coarse (a candidate run, a row
+//! band, a chunk), so one `fetch_add` per job is negligible, and a worker
+//! that draws cheap jobs simply claims more of them: irregular per-item
+//! costs (skewed SpGEMM rows, mixed-cost candidate evaluations) balance
 //! without any cost model.
 //!
 //! ## Determinism
@@ -25,6 +25,8 @@
 //! * Nested calls from inside a pool worker run serially on that worker
 //!   (no recursive thread explosion; the outer ordering guarantee already
 //!   covers the nested region).
+//! * A job that panics re-raises its panic in the caller once every
+//!   worker has stopped; the pool holds no state, so it stays usable.
 //!
 //! ## Configuration
 //!
@@ -36,13 +38,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod deque;
-
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-use deque::StealQueue;
 
 thread_local! {
     /// Set while the current thread is executing inside a pool worker;
@@ -100,6 +99,10 @@ impl Pool {
 
     /// Ordered parallel map over `0..n`: `out[i] == f(i)` for every `i`,
     /// exactly as the serial loop would produce, for any thread count.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of `f`, in the caller, after every worker
+    /// has stopped.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -109,24 +112,42 @@ impl Pool {
         if workers <= 1 || IN_WORKER.with(Cell::get) {
             return (0..n).map(f).collect();
         }
-        // Seed each worker's deque with a contiguous index block.
-        let block = n.div_ceil(workers);
-        let queues: Vec<StealQueue> = (0..workers)
-            .map(|w| StealQueue::seeded((w * block).min(n)..((w + 1) * block).min(n)))
-            .collect();
-        let mut harvest: Vec<Vec<(usize, R)>> = Vec::new();
-        harvest.resize_with(workers, Vec::new);
-        std::thread::scope(|scope| {
-            for (id, out) in harvest.iter_mut().enumerate() {
-                let queues = &queues;
-                let f = &f;
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    while let Some(i) = deque::pop_or_steal(queues, id) {
-                        out.push((i, f(i)));
+        let next = AtomicUsize::new(0);
+        let harvest = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        IN_WORKER.with(|w| w.set(true));
+                        let mut out = Vec::new();
+                        loop {
+                            // Relaxed: the counter publishes no data. Each
+                            // index goes to exactly one `fetch_add`, and
+                            // results come back through `join`.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return out;
+                            }
+                            out.push((i, f(i)));
+                        }
+                    })
+                })
+                .collect();
+            // Join by hand so the job's own panic payload reaches the
+            // caller (`scope` would replace it with a generic one).
+            let mut harvest = Vec::with_capacity(workers);
+            let mut panicked = None;
+            for handle in handles {
+                match handle.join() {
+                    Ok(out) => harvest.push(out),
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
                     }
-                });
+                }
             }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            harvest
         });
         // Ordered reduction: place every result at its submission index.
         let mut slots: Vec<Option<R>> = Vec::new();
@@ -153,8 +174,8 @@ impl Pool {
 
     /// Splits `0..n` into about `parts` contiguous ranges and maps them in
     /// parallel, returning the per-range results in range order. Useful for
-    /// block kernels: finer `parts` than workers lets stealing re-balance
-    /// irregular block costs.
+    /// block kernels: finer `parts` than workers lets the claim counter
+    /// re-balance irregular block costs.
     pub fn map_chunks<R, F>(&self, n: usize, parts: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -294,7 +315,6 @@ impl<T: Default> SlotPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_submission_order() {
@@ -396,6 +416,28 @@ mod tests {
         assert!(pool.map_indices(0, |i| i).is_empty());
         assert_eq!(pool.map_indices(1, |i| i + 41), vec![41]);
         assert!(pool.map_chunks(0, 4, |r| r).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller_and_the_pool_maps_again() {
+        let pool = Pool::new(2);
+        let caught = std::panic::catch_unwind(|| {
+            pool.map_indices(16, |i| {
+                assert_ne!(i, 5, "job 5 failed");
+                i
+            })
+        });
+        let payload = caught.expect_err("the job's panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("job 5 failed"), "{message:?}");
+        assert_eq!(
+            pool.map_indices(16, |i| i * 2),
+            (0..16).map(|i| i * 2).collect::<Vec<_>>()
+        );
     }
 
     #[test]

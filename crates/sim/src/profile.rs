@@ -388,8 +388,8 @@ impl WarpPadCurve {
     /// Every entry is an exact integer, so the patched curve is **bitwise
     /// identical** to `WarpPadCurve::new(work, warp)` (the
     /// patch-equals-rebuild contract). `patch_in(work, 0, n, ..)` is both
-    /// the build ([`WarpPadCurve::new_in`]) and the drift crossover
-    /// fallback: a full in-place rebuild with zero allocation.
+    /// the build ([`WarpPadCurve::new_in`]) and a whole-input drift step:
+    /// a full in-place rebuild with zero allocation.
     ///
     /// # Panics
     /// Panics if `work.len() != len`, `lo > hi`, or `hi > len`.
@@ -765,7 +765,7 @@ mod tests {
     #[test]
     fn warp_pad_patch_equals_rebuild() {
         // Spans crossing warp boundaries, touching the ends, empty, and the
-        // full-span crossover fallback — for several warp widths including
+        // full span — for several warp widths including
         // ones larger than n.
         let mut scratch = ProfileScratch::new();
         for warp in [1, 2, 7, 32, 33, 200] {

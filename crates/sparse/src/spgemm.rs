@@ -13,9 +13,6 @@
 
 use nbwp_par::Pool;
 use nbwp_sim::{warp_padded_cost, KernelStats, PrefixCurve, ProfileScratch, WarpPadCurve};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::Csr;
 
@@ -352,7 +349,7 @@ impl RowCurves {
     /// [`WarpPadCurve::patch_in`]. The result is **bitwise identical** to
     /// `RowCurves::new_in(costs, b_bytes, ..)` — the patch-equals-rebuild
     /// contract — and `patch_in(costs, 0, rows, ..)` is both the build and
-    /// the drift crossover fallback: a full in-place rebuild with zero
+    /// a whole-input drift step: a full in-place rebuild with zero
     /// allocation.
     ///
     /// # Panics
@@ -442,37 +439,6 @@ impl RowCurves {
         &self.pad
     }
 
-    /// Recovers the exact [`RowCost`] of row `i` by differencing the
-    /// curves (prefix sums are exact `u64`, so this is lossless).
-    ///
-    /// # Panics
-    /// Panics if `i >= rows`.
-    #[must_use]
-    pub fn row_cost(&self, i: usize) -> RowCost {
-        RowCost {
-            a_nnz: self.a_nnz.range_sum(i, i + 1),
-            b_entries: self.b_entries.range_sum(i, i + 1),
-            c_nnz: self.c_nnz.range_sum(i, i + 1),
-        }
-    }
-
-    /// Derives the curves of a `frac`-sized row subsample directly from
-    /// this profile in one pass — no fresh instrumented run. The subset is
-    /// the seeded, sorted row selection of [`resample_indices`]; per-row
-    /// costs are recovered by [`RowCurves::row_cost`] differencing, so the
-    /// result is **identical** to building `RowCurves::new` from those
-    /// rows' costs with `b_bytes` scaled by `frac` (the miniature ships a
-    /// proportionally smaller `B`).
-    ///
-    /// # Panics
-    /// Panics if `frac` is not in `(0, 1]`.
-    #[must_use]
-    pub fn resample(&self, frac: f64, seed: u64) -> RowCurves {
-        let indices = resample_indices(self.rows, frac, seed);
-        let costs: Vec<RowCost> = indices.iter().map(|&i| self.row_cost(i)).collect();
-        RowCurves::new(&costs, scaled_b_bytes(self.b_bytes, frac))
-    }
-
     /// `stats_for_rows(&costs[lo..hi], b_bytes)`, bitwise, in O(1) plus
     /// fewer than [`WARP`] row reads. The additive counters are range sums;
     /// the warp padding comes from [`WarpPadCurve::band_cost`], whose full
@@ -506,43 +472,11 @@ impl RowCurves {
     }
 }
 
-/// Seeded, sorted row subset used by [`RowCurves::resample`]: a partial
-/// Fisher–Yates draw of `ceil(rows · frac)` distinct rows, returned in
-/// ascending order so subset curves keep the original row ordering.
-/// Deterministic in `(rows, frac, seed)`.
-///
-/// # Panics
-/// Panics if `frac` is not in `(0, 1]`.
-#[must_use]
-pub fn resample_indices(rows: usize, frac: f64, seed: u64) -> Vec<usize> {
-    assert!(
-        frac > 0.0 && frac <= 1.0,
-        "resample fraction {frac} out of (0, 1]"
-    );
-    let target = ((rows as f64 * frac).ceil() as usize).min(rows);
-    let mut idx: Vec<usize> = (0..rows).collect();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let (chosen, _) = idx.partial_shuffle(&mut rng, target);
-    let mut out = chosen.to_vec();
-    out.sort_unstable();
-    out
-}
-
-/// `B` bytes charged to a `frac`-sized row resample (rounded, at least 1
-/// when the full size is nonzero).
-#[must_use]
-pub fn scaled_b_bytes(b_bytes: u64, frac: f64) -> u64 {
-    if b_bytes == 0 {
-        return 0;
-    }
-    ((b_bytes as f64 * frac).round() as u64).max(1)
-}
-
 /// Multiplies `A × B` using up to `threads` workers over row blocks,
 /// returning the full product. The result is identical to [`spgemm`]
 /// regardless of thread count (rows are independent; blocks are stitched
-/// in row order). Row blocks are dispatched through the work-stealing
-/// pool at finer granularity than the worker count, so the skewed per-row
+/// in row order). Row blocks are dispatched through the worker pool at
+/// finer granularity than the worker count, so the skewed per-row
 /// costs of power-law matrices re-balance dynamically instead of stalling
 /// on one unlucky static chunk.
 #[must_use]
@@ -900,109 +834,5 @@ mod tests {
     fn parallel_tiny_input_falls_back() {
         let a = small_a();
         assert_eq!(spgemm_parallel(&a, &a, 16), spgemm(&a, &a));
-    }
-}
-
-/// ESC-style (expand–sort–compress) SpGEMM: per output row, gather all
-/// scaled `B` entries into a buffer, sort by column, and compress runs.
-///
-/// The GPU-preferred formulation (no random-access accumulator, only sorts
-/// and scans) — provided as the second accumulator strategy next to the
-/// SPA-based [`spgemm`], with identical results. Useful for comparing
-/// accumulator behaviour on skewed rows and as an independent
-/// implementation for cross-checking.
-///
-/// # Panics
-/// Panics if `a.cols() != b.rows()`.
-#[must_use]
-pub fn spgemm_esc(a: &Csr, b: &Csr) -> Csr {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "incompatible shapes: {}x{} times {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let mut row_ptr = Vec::with_capacity(a.rows() + 1);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
-    let mut buffer: Vec<(u32, f64)> = Vec::new();
-    row_ptr.push(0);
-    for i in 0..a.rows() {
-        buffer.clear();
-        let (acols, avals) = a.row(i);
-        // Expand.
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                buffer.push((j, av * bv));
-            }
-        }
-        // Sort.
-        buffer.sort_unstable_by_key(|&(j, _)| j);
-        // Compress.
-        let mut iter = buffer.iter();
-        if let Some(&(mut cur_col, mut acc)) = iter.next() {
-            for &(j, v) in iter {
-                if j == cur_col {
-                    acc += v;
-                } else {
-                    col_idx.push(cur_col);
-                    vals.push(acc);
-                    cur_col = j;
-                    acc = v;
-                }
-            }
-            col_idx.push(cur_col);
-            vals.push(acc);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    Csr::from_raw(a.rows(), b.cols(), row_ptr, col_idx, vals)
-}
-
-#[cfg(test)]
-mod esc_tests {
-    use super::*;
-    use crate::gen;
-
-    fn close(a: &Csr, b: &Csr) -> bool {
-        a.rows() == b.rows()
-            && a.row_ptr() == b.row_ptr()
-            && a.col_indices() == b.col_indices()
-            && a.values()
-                .iter()
-                .zip(b.values())
-                .all(|(x, y)| (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0))
-    }
-
-    #[test]
-    fn esc_equals_spa_on_random_matrices() {
-        for seed in [1, 2, 3] {
-            let a = gen::uniform_random(300, 8, seed);
-            assert!(close(&spgemm_esc(&a, &a), &spgemm(&a, &a)), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn esc_equals_spa_on_skewed_matrices() {
-        let a = gen::power_law(500, 10, 2.0, 7);
-        assert!(close(&spgemm_esc(&a, &a), &spgemm(&a, &a)));
-    }
-
-    #[test]
-    fn esc_handles_identity_and_empty() {
-        let i = Csr::identity(5);
-        assert_eq!(spgemm_esc(&i, &i), i);
-        let z = Csr::zero(4, 4);
-        assert_eq!(spgemm_esc(&z, &z).nnz(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible shapes")]
-    fn esc_checks_shapes() {
-        let _ = spgemm_esc(&Csr::zero(2, 3), &Csr::zero(2, 2));
     }
 }

@@ -35,7 +35,7 @@ use crate::export::{obj, s};
 use crate::Recorder;
 
 /// Schema tag on the JSONL header line (see [`FlightRecorder::to_jsonl`]).
-pub const AUDIT_SCHEMA: &str = "nbwp-audit/v3";
+pub const AUDIT_SCHEMA: &str = "nbwp-audit/v4";
 
 /// Default ring capacity: enough to hold a full benchmark stream while
 /// bounding memory (~100 bytes per event).
@@ -130,11 +130,6 @@ pub struct AuditEvent {
     /// units over total units). `NaN` for non-drift events (same sentinel
     /// convention as `latency_us`).
     pub span_fraction: f64,
-    /// Drift steps only: the crossover the patch-vs-rebuild policy used —
-    /// the span fraction above which a rebuild is estimated cheaper than
-    /// patching. Comparing it against `span_fraction` explains why a
-    /// rebuild (`decision: cold`) fired. `NaN` for non-drift events.
-    pub crossover_estimate: f64,
 }
 
 // Three prefetched lines cover an event (see `FlightRecorder::record`).
@@ -422,7 +417,7 @@ impl FlightRecorder {
     }
 
     /// Serializes the retained window as JSONL: one header line
-    /// (`{"type":"audit","schema":"nbwp-audit/v3",…}` with the running
+    /// (`{"type":"audit","schema":"nbwp-audit/v4",…}` with the running
     /// totals) followed by one `{"type":"event",…}` line per retained
     /// event, sequence numbers contiguous. Parses back through
     /// [`validate_audit_jsonl`]. A disabled recorder serializes as an empty
@@ -462,7 +457,6 @@ impl FlightRecorder {
                 ("shadow_regret_pct", nan_to_null(ev.shadow_regret_pct)),
                 ("arity", Value::U64(ev.arity)),
                 ("span_fraction", nan_to_null(ev.span_fraction)),
-                ("crossover_estimate", nan_to_null(ev.crossover_estimate)),
             ]);
             out.push_str(&serde_json::to_string(&line).expect("infallible"));
             out.push('\n');
@@ -555,8 +549,6 @@ pub struct LoggedEvent {
     pub arity: u64,
     /// Delta span fraction, for drift steps.
     pub span_fraction: Option<f64>,
-    /// Patch-vs-rebuild crossover the drift policy used, for drift steps.
-    pub crossover_estimate: Option<f64>,
 }
 
 /// Validation result from [`validate_audit_jsonl`]: the header totals and
@@ -701,7 +693,6 @@ pub fn validate_audit_jsonl(text: &str) -> Result<AuditCheck, String> {
             shadow_regret_pct: get_opt_f64(&v, "shadow_regret_pct", &ctx)?,
             arity: get_u64(&v, "arity", &ctx)?,
             span_fraction: get_opt_f64(&v, "span_fraction", &ctx)?,
-            crossover_estimate: get_opt_f64(&v, "crossover_estimate", &ctx)?,
         };
         if !ev.threshold.is_finite() {
             return Err(format!("{ctx}: non-finite threshold"));
@@ -778,7 +769,6 @@ mod tests {
             shadow_regret_pct: f64::NAN,
             arity: 2,
             span_fraction: f64::NAN,
-            crossover_estimate: f64::NAN,
         }
     }
 
@@ -873,22 +863,19 @@ mod tests {
     #[test]
     fn drift_fields_round_trip_and_validate() {
         let fr = FlightRecorder::new();
-        // A k-way drift rebuild: the span crossed the policy's crossover.
+        // A k-way drift step that nudged the cuts.
         fr.record(AuditEvent {
             arity: 4,
             span_fraction: 0.4,
-            crossover_estimate: 0.25,
-            ..ev(CacheDecision::Cold, 3)
+            ..ev(CacheDecision::NearHit, 3)
         });
-        fr.record(ev(CacheDecision::ExactHit, 0)); // non-drift: both null
+        fr.record(ev(CacheDecision::ExactHit, 0)); // non-drift: null
         let text = fr.to_jsonl();
         let check = validate_audit_jsonl(&text).expect("valid log");
         assert_eq!(check.events[0].arity, 4);
         assert_eq!(check.events[0].span_fraction, Some(0.4));
-        assert_eq!(check.events[0].crossover_estimate, Some(0.25));
         assert_eq!(check.events[1].arity, 2);
         assert_eq!(check.events[1].span_fraction, None);
-        assert_eq!(check.events[1].crossover_estimate, None);
         // Out-of-range fields are rejected.
         assert!(validate_audit_jsonl(&text.replace("\"arity\":4", "\"arity\":1")).is_err());
         assert!(validate_audit_jsonl(

@@ -52,26 +52,4 @@ fn main() {
          and our curve agrees within its flat basin",
         best_point.factor
     );
-
-    // The same sweep through the curve-resampling fast path: one profile of
-    // the full input is built, and every factor's miniature is resampled
-    // from its stored cost curves instead of re-profiled from scratch.
-    let d = Dataset::by_name("cop20k_A").expect("Table II entry");
-    let w = SpmmWorkload::new(d.matrix(scale, seed), platform);
-    let rec = Recorder::new();
-    let resampled =
-        sensitivity_resampled(&w, &factors, Strategy::Analytic { step: None }, seed, &rec);
-    let trace = rec.finish();
-    println!(
-        "\nspmm on {} via Profile::resample + analytic descent \
-         (full profiles built: {}):",
-        d.name,
-        trace.metrics.counter("profile.builds").unwrap_or(0)
-    );
-    for p in &resampled {
-        println!(
-            "{:>7.2} {:>12} {:>12.2}ms {:>12.1} {:>21.2}ms",
-            p.factor, p.sample_size, p.estimation_ms, p.estimated_t, p.total_ms
-        );
-    }
 }

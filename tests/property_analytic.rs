@@ -1,19 +1,14 @@
-//! Property tests for the analytic subgradient search and the
-//! profile-resampling operator (the API-redesign PR's tentpole contracts):
+//! Property tests for the analytic subgradient search:
 //!
 //! * the cost curve a profile exposes prices every threshold bitwise
 //!   identically to a direct run (`total_at(split_for(t)) == run(t)`);
 //! * analytic descent lands on the exhaustive-profiled argmin bitwise, in
-//!   at least 5× fewer curve evaluations than finite-difference descent;
-//! * `resample(f)` derives exactly the curves a fresh subset profile
-//!   would build, and a resampled sensitivity sweep builds exactly one
-//!   full profile no matter how many factors it visits.
+//!   at least 5× fewer curve evaluations than finite-difference descent.
 
 use nbwp_core::prelude::*;
 use nbwp_core::search::Strategy as SearchStrategy;
 use nbwp_graph::gen as ggen;
 use nbwp_sparse::gen as sgen;
-use nbwp_sparse::spgemm::{resample_indices, scaled_b_bytes, RowCurves};
 use proptest::prelude::*;
 
 fn platform() -> Platform {
@@ -106,57 +101,5 @@ proptest! {
         check_curve_contract("spmm", &SpmmWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), p));
         check_curve_contract("hh", &HhWorkload::new(sgen::power_law(n, deg + 2, 2.1, seed), p));
         check_curve_contract("gemm", &DenseGemmWorkload::new(64 + n % 128, p));
-    }
-
-    #[test]
-    fn resample_equals_a_freshly_built_subset_profile(
-        n in 64usize..500,
-        avg in 2usize..10,
-        seed in 0u64..1000,
-        frac_pct in 5u32..100,
-        draw_seed in 0u64..1000,
-    ) {
-        let w = SpmmWorkload::new(sgen::power_law(n, avg, 2.1, seed), platform());
-        let profile = w.build_profile(Pool::global());
-        let curves = profile.curves();
-        let frac = f64::from(frac_pct) / 100.0;
-
-        // The operator under test: one subset pass over existing curves.
-        let resampled = curves.resample(frac, draw_seed);
-
-        // The reference: rebuild the curves from the selected rows' costs,
-        // exactly as an instrumented profile pass over the subset would.
-        let indices = resample_indices(curves.rows(), frac, draw_seed);
-        let costs: Vec<_> = indices.iter().map(|&i| curves.row_cost(i)).collect();
-        let rebuilt = RowCurves::new(&costs, scaled_b_bytes(curves.b_bytes(), frac));
-
-        prop_assert_eq!(resampled, rebuilt);
-    }
-
-    #[test]
-    fn resampled_sensitivity_builds_exactly_one_profile(
-        n in 96usize..400,
-        avg in 2usize..8,
-        seed in 0u64..200,
-        k in 2usize..6,
-    ) {
-        let w = SpmmWorkload::new(sgen::power_law(n, avg, 2.1, seed), platform());
-        let factors: Vec<f64> = (0..k).map(|i| 0.5 + i as f64 * 0.5).collect();
-        let rec = Recorder::new();
-        let points = nbwp_core::experiment::sensitivity_resampled(
-            &w,
-            &factors,
-            SearchStrategy::Analytic { step: None },
-            seed,
-            &rec,
-        );
-        let trace = rec.finish();
-        prop_assert_eq!(points.len(), factors.len());
-        prop_assert_eq!(
-            trace.metrics.counter("profile.builds"),
-            Some(1),
-            "a {}-factor sweep must build exactly one full profile",
-            factors.len()
-        );
     }
 }

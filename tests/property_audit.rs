@@ -71,7 +71,6 @@ fn event(decision: usize, evals: u64, probes: u64, shadow: bool, timed: bool) ->
         shadow_regret_pct: if shadow { 1.5 } else { f64::NAN },
         arity: 2 + (probes % 7),
         span_fraction: if shadow { 0.125 } else { f64::NAN },
-        crossover_estimate: if shadow { 0.25 } else { f64::NAN },
     }
 }
 
