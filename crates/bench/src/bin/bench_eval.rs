@@ -131,12 +131,12 @@ const STRATEGIES: [&str; 4] = [
     "gradient_descent",
 ];
 
-fn run_direct<W: PartitionedWorkload>(w: &W, strategy: &str, pool: &Pool) -> SearchOutcome {
+fn run_direct<W: PartitionedWorkload>(w: &W, strategy: &str) -> SearchOutcome {
     let s = match strategy {
         "gradient_descent" => Strategy::GradientDescent { max_evals: 24 },
         other => other.parse::<Strategy>().expect("known strategy name"),
     };
-    Searcher::new(s).pool(pool).run(w)
+    Searcher::new(s).run(w)
 }
 
 /// The analytic acceptance row: subgradient descent on the cost curve must
@@ -145,21 +145,17 @@ fn run_direct<W: PartitionedWorkload>(w: &W, strategy: &str, pool: &Pool) -> Sea
 fn analytic_gate<W: Profilable>(
     name: &str,
     w: &W,
-    pool: &Pool,
     analytic: &mut Vec<AnalyticEntry>,
     mismatches: &mut Vec<String>,
 ) {
     let exhaustive = Searcher::new(Strategy::Exhaustive { step: None })
-        .pool(pool)
         .profiled()
         .run(w);
     let gd = Searcher::new(Strategy::GradientDescent { max_evals: 24 })
-        .pool(pool)
         .profiled()
         .run(w);
     let started = Instant::now();
     let ana = Searcher::new(Strategy::Analytic { step: None })
-        .pool(pool)
         .profiled()
         .run(w);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -224,12 +220,11 @@ fn kway_gate<W: Profilable>(
     name: &str,
     w: &W,
     sets: &[DeviceSet],
-    pool: &Pool,
     replays: impl Fn(&W::Profile) -> Option<(usize, usize)>,
     kway: &mut Vec<KwayEntry>,
     mismatches: &mut Vec<String>,
 ) {
-    let profile = w.build_profile(pool);
+    let profile = w.build_profile(Pool::global());
     let curve = w
         .curve(&profile)
         .expect("k-way gate workloads expose a cost curve");
@@ -249,7 +244,7 @@ fn kway_gate<W: Profilable>(
         let mut wall_ms = f64::INFINITY;
         let mut descents = Vec::with_capacity(KWAY_DESCENTS);
         for _ in 0..KWAY_DESCENTS {
-            let fresh = w.build_profile(pool);
+            let fresh = w.build_profile(Pool::global());
             let fresh_curve = w
                 .curve(&fresh)
                 .expect("k-way gate workloads expose a cost curve");
@@ -323,7 +318,6 @@ fn kway_gate<W: Profilable>(
         }
         let scalar_parity = set.is_canonical_pair().then(|| {
             let scalar = Searcher::new(Strategy::Analytic { step: Some(step) })
-                .pool(pool)
                 .profiled()
                 .run(w);
             let parity = cd.thresholds.len() == 1
@@ -439,8 +433,8 @@ fn sweep_workload<W: Profilable>(
     workloads: &mut Vec<WorkloadInfo>,
     mismatches: &mut Vec<String>,
 ) {
+    // Keep the global pool's one-time setup out of the metered build.
     let pool = Pool::global();
-
     let started = Instant::now();
     let (pw, build_allocs, build_alloc_bytes) =
         nbwp_bench::alloc_meter::measure(|| ProfiledWorkload::with_pool(w, pool));
@@ -457,13 +451,13 @@ fn sweep_workload<W: Profilable>(
 
     for strategy in STRATEGIES {
         let mut evals = 0;
-        let direct_ms = best_ms(reps, || evals = run_direct(w, strategy, pool).evaluations());
+        let direct_ms = best_ms(reps, || evals = run_direct(w, strategy).evaluations());
         let mut profiled_ms = f64::INFINITY;
         let mut profiled_evals = 0;
         for _ in 0..reps {
-            let fresh = ProfiledWorkload::with_pool(w, pool);
+            let fresh = ProfiledWorkload::new(w);
             let started = Instant::now();
-            let out = run_direct(&fresh, strategy, pool);
+            let out = run_direct(&fresh, strategy);
             profiled_ms = profiled_ms.min(started.elapsed().as_secs_f64() * 1e3);
             profiled_evals = out.evaluations();
         }
@@ -565,11 +559,10 @@ fn main() {
     );
 
     eprintln!("analytic subgradient descent vs numeric descent...");
-    let pool = Pool::global();
-    analytic_gate("cc", &cc, pool, &mut analytic, &mut mismatches);
-    analytic_gate("spmm", &spmm, pool, &mut analytic, &mut mismatches);
-    analytic_gate("scalefree", &hh, pool, &mut analytic, &mut mismatches);
-    analytic_gate("gemm", &gemm, pool, &mut analytic, &mut mismatches);
+    analytic_gate("cc", &cc, &mut analytic, &mut mismatches);
+    analytic_gate("spmm", &spmm, &mut analytic, &mut mismatches);
+    analytic_gate("scalefree", &hh, &mut analytic, &mut mismatches);
+    analytic_gate("gemm", &gemm, &mut analytic, &mut mismatches);
 
     eprintln!("k-way coordinate descent vs exhaustive cut enumeration...");
     let mut kway = Vec::new();
@@ -582,7 +575,6 @@ fn main() {
         "spmm",
         &spmm,
         &all_sets,
-        pool,
         |_: &_| None,
         &mut kway,
         &mut mismatches,
@@ -591,7 +583,6 @@ fn main() {
         "gemm",
         &gemm,
         &all_sets,
-        pool,
         |_: &_| None,
         &mut kway,
         &mut mismatches,
@@ -601,7 +592,6 @@ fn main() {
         "cc",
         &cc,
         &[pair, dual],
-        pool,
         cc_replays,
         &mut kway,
         &mut mismatches,

@@ -73,7 +73,7 @@ pub mod alloc_meter {
 
 pub mod harness {
     //! Shared plumbing of the gate harnesses (`bench_eval`,
-    //! `bench_search`, `bench_profile`, `bench_serve`, `bench_drift`):
+    //! `bench_profile`, `bench_serve`, `bench_drift`):
     //! argument parsing, min-of-K timing, percentiles, estimate digests,
     //! report writing and exit handling, and the enforce-or-skip gate
     //! convention.

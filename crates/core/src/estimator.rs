@@ -202,9 +202,11 @@ impl<'a> Estimator<'a> {
         self
     }
 
-    /// Runs the Identify search on an explicit worker pool (see
-    /// [`crate::search`] for the determinism contract: the pool changes
-    /// wall-clock time only).
+    /// Runs `repeats > 1` on an explicit worker pool instead of the global
+    /// one, one repeat per job; each repeat's search runs on its worker's
+    /// thread (see [`crate::search`]). A profiled pipeline also hands the
+    /// pool to [`crate::profile::Profilable::build_profile_in`]. The pool
+    /// changes wall-clock time only.
     #[must_use]
     pub fn pool(mut self, pool: &'a Pool) -> Self {
         self.pool = Some(pool);
@@ -224,9 +226,9 @@ impl<'a> Estimator<'a> {
     /// Runs the configured pipeline on `workload`.
     #[must_use]
     pub fn run<W: Sampleable>(&self, workload: &W) -> SamplingEstimate {
-        let (strategy, pool) = (self.strategy, self.pool.unwrap_or(Pool::global()));
+        let strategy = self.strategy;
         self.repeated(workload, |sample, rec| {
-            Searcher::new(strategy).recorder(rec).pool(pool).run(sample)
+            Searcher::new(strategy).recorder(rec).run(sample)
         })
     }
 
@@ -397,11 +399,10 @@ impl<'a> ProfiledEstimator<'a> {
     /// contract makes identical inputs produce identical estimates, so
     /// sharing one computation per class is observationally pure.
     /// Representatives are served in submission order, so whether a
-    /// near-key sibling warm-starts never depends on which representative
-    /// finishes first or on the pool size; each request still searches on
-    /// the pool. Per-item tracing is disabled; cache metrics are flushed
-    /// once at the end, and an enabled [`FlightRecorder`] records one audit
-    /// event per representative.
+    /// near-key sibling warm-starts never depends on the pool size; each
+    /// request searches on the calling thread. Per-item tracing is
+    /// disabled; cache metrics are flushed once at the end, and an enabled
+    /// [`FlightRecorder`] records one audit event per representative.
     #[must_use]
     pub fn run_batch<W: Sampleable + Fingerprinted>(
         &self,
@@ -592,9 +593,7 @@ impl<'a> ProfiledEstimator<'a> {
     ) -> PartitionOutcome {
         let disabled = Recorder::disabled();
         let rec = self.inner.rec.unwrap_or(&disabled);
-        let mut searcher = Searcher::new(self.inner.strategy)
-            .recorder(rec)
-            .pool(self.pool());
+        let mut searcher = Searcher::new(self.inner.strategy).recorder(rec);
         if let Some(cuts) = warm {
             searcher = searcher.warm_cuts(cuts);
         }

@@ -53,8 +53,8 @@ use crate::framework::{PartitionedWorkload, ThresholdSpace};
 /// memoized control-flow replays), never change their values or the
 /// pricing functions applied to them.
 pub trait Profilable: PartitionedWorkload {
-    /// The reusable profile. `Send + Sync` so one profile serves parallel
-    /// candidate evaluations.
+    /// The reusable profile. `Send + Sync` so threads can share one
+    /// profile and price from it concurrently.
     type Profile: Send + Sync;
 
     /// Builds the profile in one pass over the input, drawing its buffers

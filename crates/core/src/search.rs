@@ -36,18 +36,18 @@
 //! assert_eq!(analytic.best_t, Searcher::new(Strategy::Exhaustive { step: None }).run(&w).best_t);
 //! ```
 //!
-//! ## Parallel evaluation, deterministic results
+//! ## Serial evaluation, deterministic results
 //!
-//! Candidate evaluations are independent, so every strategy dispatches its
-//! batches through the [`nbwp_par::Pool`]: the expensive
-//! [`PartitionedWorkload::run`] calls execute on worker threads, then the
-//! resulting [`nbwp_sim::RunReport`]s are *replayed serially in submission
-//! order* into the trace [`Recorder`]. Simulated times come from counters
-//! alone, so `SearchOutcome` (eval order included), `search_cost`, and
-//! trace captures are byte-identical for every `NBWP_THREADS` value —
-//! parallelism buys wall-clock time only. [`Searcher::pool`] takes an
-//! explicit pool for benchmarks sweeping thread counts in one process;
-//! without it the builder uses [`nbwp_par::Pool::global`].
+//! Every strategy prices its candidates on the calling thread, in grid
+//! order, and replays each [`nbwp_sim::RunReport`] into the trace
+//! [`Recorder`] as it goes. Simulated times come from counters alone, so
+//! `SearchOutcome` (eval order included), `search_cost`, and trace
+//! captures are byte-identical for every `NBWP_THREADS` value. Threads pay
+//! at the job grain only: [`crate::experiment::run_corpus`],
+//! [`crate::experiment::sensitivity`] and
+//! [`crate::estimator::Estimator::repeats`] map whole searches on the
+//! [`nbwp_par::Pool`]. A profiled candidate (an O(1) price or one band
+//! replay) costs less than handing it to a worker.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -194,18 +194,17 @@ impl FromStr for Strategy {
 
 /// Builder running one search [`Strategy`] over a workload.
 ///
-/// Defaults: disabled recorder, [`Pool::global`]. Both attachments borrow,
-/// so the builder is configured and consumed within one scope:
+/// Defaults: disabled recorder, cold start. Attachments borrow, so the
+/// builder is configured and consumed within one scope. The search runs on
+/// the calling thread (see the [module docs](self)):
 ///
 /// ```
 /// use nbwp_core::prelude::*;
 /// use nbwp_sparse::gen;
 /// let w = SpmmWorkload::new(gen::uniform_random(150, 5, 3), Platform::k40c_xeon_e5_2650());
 /// let rec = Recorder::new();
-/// let pool = Pool::new(2);
 /// let out = Searcher::new(Strategy::Exhaustive { step: Some(4.0) })
 ///     .recorder(&rec)
-///     .pool(&pool)
 ///     .run(&w);
 /// assert_eq!(out.evaluations(), 26);
 /// ```
@@ -218,7 +217,7 @@ pub struct Searcher<'a> {
 }
 
 impl<'a> Searcher<'a> {
-    /// A searcher running `strategy` with the default recorder and pool.
+    /// A searcher running `strategy` with the default recorder.
     #[must_use]
     pub fn new(strategy: Strategy) -> Self {
         Searcher {
@@ -265,8 +264,11 @@ impl<'a> Searcher<'a> {
         self
     }
 
-    /// Evaluates candidate batches on `pool` instead of the global pool.
-    /// Results are byte-identical for any pool (see the module docs).
+    /// The pool [`Searcher::profiled`] hands to
+    /// [`Profilable::build_profile_in`] (default [`Pool::global`]). No
+    /// workload's profile build reads it, and candidates are priced on the
+    /// calling thread whatever the pool, so results are byte-identical for
+    /// any pool (see the module docs).
     #[must_use]
     pub fn pool(mut self, pool: &'a Pool) -> Self {
         self.pool = Some(pool);
@@ -290,16 +292,13 @@ impl<'a> Searcher<'a> {
     pub fn run(&self, w: &impl PartitionedWorkload) -> SearchOutcome {
         let disabled = Recorder::disabled();
         let rec = self.rec.unwrap_or(&disabled);
-        let pool = self.pool.unwrap_or(Pool::global());
         match self.strategy {
             Strategy::Exhaustive { step } => {
-                exhaustive_impl(w, resolve_step(step, &w.space()), rec, pool)
+                exhaustive_impl(w, resolve_step(step, &w.space()), rec)
             }
-            Strategy::CoarseToFine => coarse_to_fine_impl(w, rec, pool),
-            Strategy::RaceThenFine => race_then_fine_impl(w, rec, pool),
-            Strategy::GradientDescent { max_evals } => {
-                gradient_descent_impl(w, max_evals, rec, pool)
-            }
+            Strategy::CoarseToFine => coarse_to_fine_impl(w, rec),
+            Strategy::RaceThenFine => race_then_fine_impl(w, rec),
+            Strategy::GradientDescent { max_evals } => gradient_descent_impl(w, max_evals, rec),
             Strategy::Analytic { .. } => {
                 panic!("analytic search prices splits from a cost profile; use .profiled().run()")
             }
@@ -308,9 +307,9 @@ impl<'a> Searcher<'a> {
 }
 
 /// A [`Searcher`] that evaluates through a one-time cost profile of the
-/// workload: the profile is built once (through the pool) and every
-/// candidate is priced from it, bitwise equal to direct evaluation. The
-/// build lands in the recorder's metrics as `profile.builds`.
+/// workload: the profile is built once and every candidate is priced from
+/// it, bitwise equal to direct evaluation. The build lands in the
+/// recorder's metrics as `profile.builds`.
 #[derive(Copy, Clone)]
 pub struct ProfiledSearcher<'a> {
     inner: Searcher<'a>,
@@ -324,7 +323,7 @@ impl ProfiledSearcher<'_> {
         let rec = self.inner.rec.unwrap_or(&disabled);
         let pool = self.inner.pool.unwrap_or(Pool::global());
         let pw = ProfiledWorkload::with_pool(w, pool);
-        let out = self.run_on_profile(&pw, rec, pool);
+        let out = self.run_on_profile(&pw, rec);
         pw.flush_metrics(rec);
         out
     }
@@ -338,7 +337,6 @@ impl ProfiledSearcher<'_> {
         &self,
         pw: &ProfiledWorkload<'_, W>,
         rec: &Recorder,
-        pool: &Pool,
     ) -> SearchOutcome {
         match self.inner.strategy {
             Strategy::Analytic { step } => analytic_impl(
@@ -347,7 +345,7 @@ impl ProfiledSearcher<'_> {
                 self.inner.effective_warm(),
                 rec,
             ),
-            _ => self.inner.recorder(rec).pool(pool).run(pw),
+            _ => self.inner.recorder(rec).run(pw),
         }
     }
 
@@ -383,11 +381,10 @@ impl ProfiledSearcher<'_> {
     ) -> PartitionOutcome {
         let disabled = Recorder::disabled();
         let rec = self.inner.rec.unwrap_or(&disabled);
-        let pool = self.inner.pool.unwrap_or(Pool::global());
         let w = pw.inner();
         let space = w.space();
         let out = if set.is_canonical_pair() {
-            let scalar = self.run_on_profile(pw, rec, pool);
+            let scalar = self.run_on_profile(pw, rec);
             let partition = w.curve(pw.profile()).map(|curve| {
                 let units = curve.splits() - 1;
                 Partition::two_way(units, curve.split_for(space.clamp(scalar.best_t)))
@@ -497,35 +494,22 @@ fn record_eval(t: f64, report: &RunReport, rec: &Recorder) -> (f64, SimTime) {
     (t, total)
 }
 
-/// Evaluates a batch of candidates: runs execute in parallel on `pool`,
-/// then replay serially into `rec` in submission order — the trace and the
-/// returned eval log are identical to a serial evaluation of `grid`.
-fn eval_grid(
-    w: &impl PartitionedWorkload,
-    grid: &[f64],
-    rec: &Recorder,
-    pool: &Pool,
-) -> Vec<(f64, SimTime)> {
-    let reports = pool.map(grid, |&t| w.run(t));
+/// Evaluates a batch of candidates in grid order on the calling thread,
+/// replaying each run into `rec` as it completes.
+fn eval_grid(w: &impl PartitionedWorkload, grid: &[f64], rec: &Recorder) -> Vec<(f64, SimTime)> {
     grid.iter()
-        .zip(&reports)
-        .map(|(&t, report)| record_eval(t, report, rec))
+        .map(|&t| record_eval(t, &w.run(t), rec))
         .collect()
 }
 
-fn exhaustive_impl(
-    w: &impl PartitionedWorkload,
-    step: f64,
-    rec: &Recorder,
-    pool: &Pool,
-) -> SearchOutcome {
+fn exhaustive_impl(w: &impl PartitionedWorkload, step: f64, rec: &Recorder) -> SearchOutcome {
     let grid = w.space().grid(step);
-    SearchOutcome::from_evals(eval_grid(w, &grid, rec, pool))
+    SearchOutcome::from_evals(eval_grid(w, &grid, rec))
 }
 
-fn coarse_to_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder, pool: &Pool) -> SearchOutcome {
+fn coarse_to_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder) -> SearchOutcome {
     let space = w.space();
-    let mut evals = eval_grid(w, &space.coarse_grid(), rec, pool);
+    let mut evals = eval_grid(w, &space.coarse_grid(), rec);
     // Same tie-breaking as `from_evals`: lowest time, then lowest threshold.
     let (center, _) = evals
         .iter()
@@ -537,18 +521,17 @@ fn coarse_to_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder, pool: &Pool
         .into_iter()
         .filter(|t| !evals.iter().any(|&(seen, _)| close(seen, *t, &space)))
         .collect();
-    evals.extend(eval_grid(w, &fine, rec, pool));
+    evals.extend(eval_grid(w, &fine, rec));
     SearchOutcome::from_evals(evals)
 }
 
-fn race_then_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder, pool: &Pool) -> SearchOutcome {
+fn race_then_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder) -> SearchOutcome {
     let space = w.space();
     let race_span = rec.open("race");
-    let (all_cpu, all_gpu) = pool.join(
-        || w.run(space.hi).breakdown.phase2(),
-        || w.run(space.lo).breakdown.phase2(),
-    );
-    // Both device runs overlap; the race ends at the first finisher.
+    let all_cpu = w.run(space.hi).breakdown.phase2();
+    let all_gpu = w.run(space.lo).breakdown.phase2();
+    // Both device runs overlap on the platform; the race ends at the first
+    // finisher.
     let race_cost = all_cpu.min(all_gpu);
     rec.annotate(
         race_span,
@@ -585,7 +568,7 @@ fn race_then_fine_impl(w: &impl PartitionedWorkload, rec: &Recorder, pool: &Pool
             dedup.push(t);
         }
     }
-    let mut out = SearchOutcome::from_evals(eval_grid(w, &dedup, rec, pool));
+    let mut out = SearchOutcome::from_evals(eval_grid(w, &dedup, rec));
     out.search_cost += race_cost;
     out
 }
@@ -594,7 +577,6 @@ fn gradient_descent_impl(
     w: &impl PartitionedWorkload,
     max_evals: usize,
     rec: &Recorder,
-    pool: &Pool,
 ) -> SearchOutcome {
     assert!(max_evals >= 3, "need at least 3 evaluations");
     let space = w.space();
@@ -628,7 +610,7 @@ fn gradient_descent_impl(
         let mut best = match lookup(current, &evals) {
             Some(cost) => cost,
             None => {
-                let fresh = eval_grid(w, &[current], rec, pool);
+                let fresh = eval_grid(w, &[current], rec);
                 let cost = fresh[0].1;
                 evals.extend(fresh);
                 cost
@@ -642,9 +624,8 @@ fn gradient_descent_impl(
                 (space.clamp(current - stride), space.clamp(current + stride))
             };
             // Decide the fresh probe set up front (left first, then right
-            // if the budget still admits it), dispatch it as one parallel
-            // batch, and append results in probe order — exactly the
-            // sequence the serial descent would have produced.
+            // if the budget still admits it) and evaluate it in probe
+            // order.
             let fresh_left = lookup(left, &evals).is_none();
             let len_after_left = evals.len() + usize::from(fresh_left);
             let fresh_right = len_after_left < deadline
@@ -657,7 +638,7 @@ fn gradient_descent_impl(
             if fresh_right {
                 batch.push(right);
             }
-            evals.extend(eval_grid(w, &batch, rec, pool));
+            evals.extend(eval_grid(w, &batch, rec));
             if len_after_left >= deadline {
                 break;
             }

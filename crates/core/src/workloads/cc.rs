@@ -37,9 +37,6 @@ pub struct CcWorkload {
     graph: Arc<Graph>,
     platform: Platform,
     sampler: CcSampler,
-    /// Host threads used to execute the (simulated-GPU) SV kernel — affects
-    /// wall-clock only.
-    host_threads: usize,
     /// Lazily computed fingerprint, shared across clones of the same input.
     fp: Arc<OnceLock<Fingerprint>>,
 }
@@ -52,7 +49,6 @@ impl CcWorkload {
             graph: Arc::new(graph),
             platform,
             sampler: CcSampler::default(),
-            host_threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
             fp: Arc::new(OnceLock::new()),
         }
     }
@@ -80,7 +76,7 @@ impl CcWorkload {
     /// Full run returning the complete hybrid outcome (labels included).
     #[must_use]
     pub fn run_full(&self, t: f64) -> nbwp_graph::cc::HybridCcOutcome {
-        hybrid_cc(&self.graph, t, &self.platform, self.host_threads)
+        hybrid_cc(&self.graph, t, &self.platform)
     }
 }
 
@@ -113,9 +109,7 @@ impl Fingerprinted for CcWorkload {
             .get_or_init(|| {
                 let g = &self.graph;
                 let n = g.n().max(1) as f64;
-                // Structure + platform + sampler mode. `host_threads` is
-                // excluded: it changes host wall-clock, not the simulated
-                // report the estimate is computed from.
+                // Structure + platform + sampler mode.
                 Fingerprint::new(
                     "cc",
                     &DegreeSketch::of(&[], g.adj_ptr(), g.adj()),
@@ -172,7 +166,6 @@ impl DriftWorkload for CcWorkload {
             graph: Arc::new(g2),
             platform: self.platform,
             sampler: self.sampler,
-            host_threads: self.host_threads,
             fp: Arc::new(cell),
         };
         (next, span)
@@ -212,7 +205,6 @@ impl Sampleable for CcWorkload {
             graph: Arc::new(g),
             platform: self.platform.sample_scaled(ratio),
             sampler: self.sampler,
-            host_threads: self.host_threads,
             fp: Arc::new(OnceLock::new()),
         }
     }

@@ -3,11 +3,10 @@
 //! Dense matrix multiply is the paper's *regular* motivating workload
 //! (Fig. 1): per-row work is identical, so its cost profile is a closed
 //! form and FLOPS-proportional static partitioning is near-optimal. The
-//! kernels here execute for real (naive, blocked, and thread-parallel
-//! variants, cross-checked against each other) and report [`KernelStats`]
-//! that match the closed form exactly.
+//! kernels here execute for real (naive and blocked variants,
+//! cross-checked against each other) and report [`KernelStats`] that match
+//! the closed form exactly.
 
-use nbwp_par::Pool;
 use nbwp_sim::KernelStats;
 
 use crate::DenseMatrix;
@@ -80,30 +79,6 @@ pub fn gemm_blocked_range(a: &DenseMatrix, b: &DenseMatrix, lo: usize, hi: usize
 #[must_use]
 pub fn gemm_blocked(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     gemm_blocked_range(a, b, 0, a.rows())
-}
-
-/// Tile-parallel blocked GEMM: row bands of [`TILE`]-aligned tiles are
-/// dispatched through the worker pool and stitched in band order;
-/// identical result to [`gemm`] for any thread count (each output row is
-/// computed by exactly one task, in the same accumulation order).
-#[must_use]
-pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> DenseMatrix {
-    assert!(threads > 0, "thread count must be positive");
-    assert_eq!(a.cols(), b.rows(), "incompatible GEMM shapes");
-    let n = a.rows();
-    if threads == 1 || n < 2 * threads {
-        return gemm_blocked(a, b);
-    }
-    let pool = Pool::new(threads);
-    let row_tiles = n.div_ceil(TILE);
-    let parts = pool.map_chunks(row_tiles, threads * 4, |band| {
-        gemm_blocked_range(a, b, band.start * TILE, (band.end * TILE).min(n))
-    });
-    let mut data = Vec::with_capacity(n * b.cols());
-    for part in parts {
-        data.extend_from_slice(part.data());
-    }
-    DenseMatrix::from_vec(n, b.cols(), data)
 }
 
 /// Instrumented blocked GEMM over rows `lo..hi`: executes exactly like
@@ -239,19 +214,6 @@ mod tests {
         let a = DenseMatrix::random(70, 65, 3);
         let b = DenseMatrix::random(65, 40, 4);
         assert!(gemm_blocked(&a, &b).max_abs_diff(&gemm(&a, &b)) < 1e-10);
-    }
-
-    #[test]
-    fn parallel_matches_naive_for_all_thread_counts() {
-        let a = DenseMatrix::random(64, 48, 5);
-        let b = DenseMatrix::random(48, 32, 6);
-        let seq = gemm(&a, &b);
-        for t in [1, 2, 3, 4, 7] {
-            assert!(
-                gemm_parallel(&a, &b, t).max_abs_diff(&seq) < 1e-10,
-                "t = {t}"
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # nbwp-dense — dense matrix substrate
 //!
-//! Dense GEMM kernels (naive, cache-blocked, thread-parallel) and the
-//! row-split hybrid GEMM of the paper's Fig. 1 motivating study: a
-//! *regular* workload where FLOPS-proportional static partitioning is
-//! already near-optimal, in contrast to the irregular case studies.
+//! Dense GEMM kernels (naive and cache-blocked) and the row-split hybrid
+//! GEMM of the paper's Fig. 1 motivating study: a *regular* workload where
+//! FLOPS-proportional static partitioning is already near-optimal, in
+//! contrast to the irregular case studies.
 //!
 //! ```
 //! use nbwp_dense::{DenseMatrix, gemm::gemm, hybrid::hybrid_gemm_cost};

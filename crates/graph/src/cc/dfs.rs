@@ -127,7 +127,7 @@ pub fn cc_dfs_chunked(g: &Graph, chunks: usize) -> DfsOutcome {
     }
 }
 
-/// Exact cost of [`cc_dfs_chunked`] on a vertex-prefix subgraph, computed
+/// Exact cost of [`cc_dfs_chunked`] on a vertex-band subgraph, computed
 /// without materializing the subgraph or labeling anything.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DfsPrefixCost {
@@ -135,16 +135,6 @@ pub struct DfsPrefixCost {
     pub stats: KernelStats,
     /// Number of inter-chunk deferred edges the run would report.
     pub deferred_edges: u64,
-}
-
-/// Prices `cc_dfs_chunked(&g.vertex_interval_subgraph(0, split).0, chunks)`
-/// exactly from the parent graph: the prefix case of [`dfs_band_cost`].
-///
-/// # Panics
-/// Panics if `chunks == 0` or `split > g.n()`.
-#[must_use]
-pub fn dfs_prefix_cost(g: &Graph, split: usize, chunks: usize) -> DfsPrefixCost {
-    dfs_band_cost(g, 0, split, chunks)
 }
 
 /// Prices `cc_dfs_chunked(&g.vertex_interval_subgraph(lo, hi).0, chunks)`
@@ -319,7 +309,7 @@ mod tests {
             for chunks in [1, 2, 4, 7] {
                 let (prefix, _) = g.vertex_interval_subgraph(0, split);
                 let direct = cc_dfs_chunked(&prefix, chunks);
-                let priced = dfs_prefix_cost(&g, split, chunks);
+                let priced = dfs_band_cost(&g, 0, split, chunks);
                 assert_eq!(
                     priced.stats, direct.stats,
                     "split = {split}, chunks = {chunks}"

@@ -40,23 +40,14 @@ pub struct HybridCcOutcome {
 /// use nbwp_graph::{gen, cc::hybrid_cc};
 /// use nbwp_sim::Platform;
 /// let g = gen::web(1_000, 5, 1);
-/// let out = hybrid_cc(&g, 20.0, &Platform::k40c_xeon_e5_2650(), 2);
+/// let out = hybrid_cc(&g, 20.0, &Platform::k40c_xeon_e5_2650());
 /// assert!(out.components >= 1);
 /// ```
-///
-/// `host_threads` is the number of real worker threads used for the
-/// (host-executed) GPU kernel — it affects wall-clock speed only, never the
-/// simulated result.
 ///
 /// # Panics
 /// Panics if `t_pct` is outside `[0, 100]`.
 #[must_use]
-pub fn hybrid_cc(
-    g: &Graph,
-    t_pct: f64,
-    platform: &Platform,
-    host_threads: usize,
-) -> HybridCcOutcome {
+pub fn hybrid_cc(g: &Graph, t_pct: f64, platform: &Platform) -> HybridCcOutcome {
     let n = g.n();
     let n_cpu = percent_split(n, t_pct);
 
@@ -79,7 +70,7 @@ pub fn hybrid_cc(
     let dfs = cc_dfs_chunked(&g_cpu, platform.cpu.cores);
     let (cpu_labels, cpu_deferred, mut cpu_side_stats) =
         (dfs.labels, dfs.deferred_edges, dfs.stats);
-    let sv = cc_sv(&g_gpu, host_threads);
+    let sv = cc_sv(&g_gpu);
     let deferred = cpu_deferred.len() as u64;
     cpu_side_stats.int_ops += 8 * deferred;
     cpu_side_stats.mem_read_bytes += 8 * deferred;
@@ -161,7 +152,7 @@ mod tests {
         let g = multi_component();
         let oracle = normalize_labels(&cc_union_find(&g));
         for t in (0..=100).step_by(10) {
-            let out = hybrid_cc(&g, f64::from(t), &platform(), 2);
+            let out = hybrid_cc(&g, f64::from(t), &platform());
             assert_eq!(out.labels, oracle, "threshold {t}");
             assert_eq!(out.components, 4);
         }
@@ -170,10 +161,10 @@ mod tests {
     #[test]
     fn extreme_thresholds_degenerate_cleanly() {
         let g = multi_component();
-        let all_gpu = hybrid_cc(&g, 0.0, &platform(), 2);
+        let all_gpu = hybrid_cc(&g, 0.0, &platform());
         assert!(all_gpu.report.breakdown.cpu_compute.is_zero());
         assert_eq!(all_gpu.cross_edges, 0);
-        let all_cpu = hybrid_cc(&g, 100.0, &platform(), 2);
+        let all_cpu = hybrid_cc(&g, 100.0, &platform());
         assert!(all_cpu.report.breakdown.gpu_compute.is_zero());
         assert_eq!(all_cpu.sv_rounds, 0);
     }
@@ -184,7 +175,7 @@ mod tests {
         // DFS inter-chunk deferrals, which also cross vertex boundaries).
         let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
         let g = Graph::from_edges(10, &edges);
-        let out = hybrid_cc(&g, 50.0, &platform(), 1);
+        let out = hybrid_cc(&g, 50.0, &platform());
         assert!(out.cross_edges >= 1);
         assert_eq!(out.components, 1);
     }
@@ -192,7 +183,7 @@ mod tests {
     #[test]
     fn report_total_is_positive_and_composed() {
         let g = multi_component();
-        let out = hybrid_cc(&g, 30.0, &platform(), 2);
+        let out = hybrid_cc(&g, 30.0, &platform());
         let b = out.report.breakdown;
         assert!(out.report.total() >= b.partition + b.merge);
         assert!(out.report.total().as_secs() > 0.0);
@@ -201,15 +192,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of [0, 100]")]
     fn threshold_validated() {
-        let _ = hybrid_cc(&multi_component(), 101.0, &platform(), 1);
-    }
-
-    #[test]
-    fn deterministic_across_host_threads() {
-        let g = multi_component();
-        let a = hybrid_cc(&g, 40.0, &platform(), 1);
-        let b = hybrid_cc(&g, 40.0, &platform(), 8);
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(a.report, b.report);
+        let _ = hybrid_cc(&multi_component(), 101.0, &platform());
     }
 }

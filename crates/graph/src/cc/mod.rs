@@ -10,8 +10,8 @@ pub mod sv;
 pub mod union_find;
 
 pub use bfs::{cc_bfs, BfsOutcome};
-pub use dfs::{cc_dfs, cc_dfs_chunked, dfs_band_cost, dfs_prefix_cost, DfsOutcome, DfsPrefixCost};
+pub use dfs::{cc_dfs, cc_dfs_chunked, dfs_band_cost, DfsOutcome, DfsPrefixCost};
 pub use hybrid::{hybrid_cc, HybridCcOutcome};
 pub use profile::{CcCostCurve, CcCostProfile};
-pub use sv::{cc_sv, sv_band_counts, sv_stats_closed_form, sv_suffix_counts, SvOutcome};
+pub use sv::{cc_sv, sv_band_counts, sv_stats_closed_form, SvOutcome};
 pub use union_find::{cc_union_find, UnionFind};

@@ -546,7 +546,7 @@ mod tests {
             let profile = CcCostProfile::new(&g);
             for platform in platforms() {
                 for t in [0.0, 0.4, 3.0, 12.5, 37.5, 50.0, 77.3, 99.6, 100.0] {
-                    let direct = hybrid_cc(&g, t, &platform, 2).report;
+                    let direct = hybrid_cc(&g, t, &platform).report;
                     let profiled = priced(&profile, &g, t, &platform);
                     assert_eq!(profiled, direct, "n = {}, t = {t}", g.n());
                 }
@@ -745,7 +745,7 @@ mod tests {
                         d.scale(platform.cpu_time(&stats))
                     }
                     DeviceKind::Gpu => {
-                        let run = cc_sv(&sub, 1);
+                        let run = cc_sv(&sub);
                         d.transfer(&platform, sub.size_bytes())
                             + d.scale(platform.gpu_time(&run.stats))
                             + d.transfer(&platform, 4 * sub.n() as u64)

@@ -20,7 +20,6 @@
 
 use std::cell::RefCell;
 
-use nbwp_par::Pool;
 use nbwp_sim::KernelStats;
 
 use crate::Graph;
@@ -38,15 +37,9 @@ pub struct SvOutcome {
     pub stats: KernelStats,
 }
 
-/// Vertices below which the parallel compression path is not worth the
-/// thread overhead.
-const PARALLEL_THRESHOLD: usize = 1 << 18;
-
-/// Runs synchronous Shiloach–Vishkin on `g` with up to `threads` workers
-/// (used for the compression passes). Labels, round counts, and stats are
-/// identical for every thread count.
+/// Runs synchronous Shiloach–Vishkin on `g`.
 #[must_use]
-pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
+pub fn cc_sv(g: &Graph) -> SvOutcome {
     let n = g.n();
     let mut parent: Vec<u32> = (0..n as u32).collect();
     let mut stats = KernelStats::new();
@@ -60,12 +53,6 @@ pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
             stats,
         };
     }
-    let workers = if n < PARALLEL_THRESHOLD {
-        1
-    } else {
-        threads.max(1)
-    };
-    let pool = Pool::new(workers);
     stats.mem_write_bytes += 4 * n as u64; // init parents
     stats.kernel_launches += 1;
     let mut cand: Vec<u32> = vec![0; n];
@@ -73,37 +60,15 @@ pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
     loop {
         rounds += 1;
         // --- Hook: min-reduce, per root, of smaller neighbor-tree labels.
-        // (A device would do this with atomicMin; here the vertex-parallel
-        // gather runs on the pool and the per-root min-merge is serial —
-        // the result is identical because min is commutative.)
+        // (A device would do this with atomicMin; min is commutative, so
+        // the result does not depend on the order the vertices are visited.)
         cand.copy_from_slice(&parent);
-        if pool.threads() <= 1 {
-            for u in 0..n {
-                let ru = parent[u] as usize;
-                for &v in g.neighbors(u) {
-                    let rv = parent[v as usize];
-                    if rv < cand[ru] {
-                        cand[ru] = rv;
-                    }
-                }
-            }
-        } else {
-            let partials = pool.map_chunks(n, workers * 4, |r| {
-                let mut local: Vec<(u32, u32)> = Vec::new();
-                for u in r {
-                    let mut m = u32::MAX;
-                    for &v in g.neighbors(u) {
-                        m = m.min(parent[v as usize]);
-                    }
-                    if m != u32::MAX {
-                        local.push((parent[u], m));
-                    }
-                }
-                local
-            });
-            for (ru, m) in partials.into_iter().flatten() {
-                if m < cand[ru as usize] {
-                    cand[ru as usize] = m;
+        for u in 0..n {
+            let ru = parent[u] as usize;
+            for &v in g.neighbors(u) {
+                let rv = parent[v as usize];
+                if rv < cand[ru] {
+                    cand[ru] = rv;
                 }
             }
         }
@@ -124,7 +89,7 @@ pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
         // --- Compress: pointer doubling until idempotent.
         let mut compressed_any = false;
         loop {
-            let (compressed, changed) = double_pass(&parent, &pool);
+            let (compressed, changed) = double_pass(&parent);
             doubling_passes += 1;
             stats.kernel_launches += 1;
             stats.int_ops += 2 * n as u64;
@@ -149,16 +114,6 @@ pub fn cc_sv(g: &Graph, threads: usize) -> SvOutcome {
         doubling_passes,
         stats,
     }
-}
-
-/// The exact `(rounds, doubling_passes)` that [`cc_sv`] reports on the
-/// vertex suffix `g.vertex_interval_subgraph(start, n)`, without building
-/// it: the suffix case of [`sv_band_counts`], which states the closed form
-/// and why it is exact.
-#[must_use]
-pub fn sv_suffix_counts(g: &Graph, start: usize) -> (u32, u32) {
-    let (rounds, passes, _) = sv_band_counts(g, start, g.n());
-    (rounds, passes)
 }
 
 /// The exact `(rounds, doubling_passes, internal_arcs)` that [`cc_sv`]
@@ -212,7 +167,7 @@ pub fn sv_band_counts(g: &Graph, lo: usize, hi: usize) -> (u32, u32, u64) {
 
 thread_local! {
     /// Per-thread [`sv_band_counts`] buffers: a search's probes replay
-    /// band after band on the same worker threads.
+    /// band after band on the calling thread.
     static SV_BUFFERS: RefCell<SvBuffers> = RefCell::default();
 }
 
@@ -395,37 +350,15 @@ pub fn sv_stats_closed_form(
 }
 
 /// One pointer-doubling pass: `out[v] = f[f[v]]`. Returns the new array and
-/// whether anything changed. Vertex-parallel and Jacobi-style (reads the
-/// previous array, writes fresh chunks), so the result is thread-count
-/// independent; the chunks go through the worker pool at finer
-/// granularity than the worker count so skewed chunks re-balance.
-fn double_pass(f: &[u32], pool: &Pool) -> (Vec<u32>, bool) {
-    let n = f.len();
-    if pool.threads() <= 1 {
-        let mut out = vec![0u32; n];
-        let mut changed = false;
-        for v in 0..n {
-            let x = f[f[v] as usize];
-            changed |= x != f[v];
-            out[v] = x;
-        }
-        return (out, changed);
-    }
-    let parts = pool.map_chunks(n, pool.threads() * 4, |r| {
-        let mut chunk = Vec::with_capacity(r.len());
-        let mut changed = false;
-        for v in r {
-            let x = f[f[v] as usize];
-            changed |= x != f[v];
-            chunk.push(x);
-        }
-        (chunk, changed)
-    });
-    let mut out = Vec::with_capacity(n);
+/// whether anything changed. Jacobi-style: it reads the previous array and
+/// writes a fresh one, as the vertex-parallel device kernel does.
+fn double_pass(f: &[u32]) -> (Vec<u32>, bool) {
+    let mut out = vec![0u32; f.len()];
     let mut changed = false;
-    for (chunk, c) in parts {
-        out.extend_from_slice(&chunk);
-        changed |= c;
+    for (v, o) in out.iter_mut().enumerate() {
+        let x = f[f[v] as usize];
+        changed |= x != f[v];
+        *o = x;
     }
     (out, changed)
 }
@@ -444,7 +377,7 @@ mod tests {
     #[test]
     fn labels_are_component_minima() {
         let g = Graph::from_edges(6, &[(5, 4), (4, 3), (0, 1)]);
-        let out = cc_sv(&g, 1);
+        let out = cc_sv(&g);
         assert_eq!(out.labels, vec![0, 0, 2, 3, 3, 3]);
     }
 
@@ -455,30 +388,10 @@ mod tests {
             Graph::from_edges(10, &[]),
             Graph::from_edges(8, &[(0, 7), (1, 6), (2, 5), (3, 4), (0, 3)]),
         ] {
-            let sv = normalize_labels(&cc_sv(&g, 1).labels);
+            let sv = normalize_labels(&cc_sv(&g).labels);
             let oracle = normalize_labels(&cc_union_find(&g));
             assert_eq!(sv, oracle);
         }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_anything() {
-        // Build a graph above the parallel threshold so threads engage.
-        let n = 300_000;
-        let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        for i in (0..n as u32).step_by(97) {
-            edges.push((i, (i * 7 + 13) % n as u32));
-        }
-        let g = Graph::from_edges(n, &edges);
-        assert!(g.n() >= PARALLEL_THRESHOLD);
-        let a = cc_sv(&g, 1);
-        let b = cc_sv(&g, 4);
-        let c = cc_sv(&g, 8);
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(b.labels, c.labels);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.doubling_passes, c.doubling_passes);
-        assert_eq!(a.stats, c.stats);
     }
 
     #[test]
@@ -492,7 +405,7 @@ mod tests {
             .collect();
         let edges: Vec<(u32, u32)> = order.windows(2).map(|w| (w[0], w[1])).collect();
         let g = Graph::from_edges(n as usize, &edges);
-        let out = cc_sv(&g, 1);
+        let out = cc_sv(&g);
         let bound = (n as f64).log2().ceil() as u32 + 3;
         assert!(
             out.rounds <= bound,
@@ -508,7 +421,7 @@ mod tests {
         // took Θ(n) rounds under per-vertex min hooking.
         let g = path(10_000);
         let (suffix, _) = g.vertex_interval_subgraph(2_000, 10_000);
-        let out = cc_sv(&suffix, 1);
+        let out = cc_sv(&suffix);
         assert!(out.rounds <= 17, "rounds = {}", out.rounds);
         assert_eq!(count_components(&out.labels), 1);
     }
@@ -517,8 +430,8 @@ mod tests {
     fn long_path_needs_more_doubling_than_star() {
         let p = path(4096);
         let star = Graph::from_edges(4096, &(1..4096u32).map(|v| (0, v)).collect::<Vec<_>>());
-        let out_p = cc_sv(&p, 1);
-        let out_s = cc_sv(&star, 1);
+        let out_p = cc_sv(&p);
+        let out_s = cc_sv(&star);
         assert_eq!(count_components(&out_p.labels), 1);
         assert_eq!(count_components(&out_s.labels), 1);
         assert!(
@@ -532,7 +445,7 @@ mod tests {
     #[test]
     fn stats_count_launches_per_round() {
         let g = path(100);
-        let out = cc_sv(&g, 1);
+        let out = cc_sv(&g);
         // 1 init + 2 per round (hook, apply) + 1 per doubling pass.
         assert_eq!(
             out.stats.kernel_launches,
@@ -551,8 +464,8 @@ mod tests {
         let g = Graph::from_edges(n, &edges);
         for start in [0, 1, 137, 450, 899, 900] {
             let (sub, _) = g.vertex_interval_subgraph(start, n);
-            let direct = cc_sv(&sub, 1);
-            let (rounds, passes) = sv_suffix_counts(&g, start);
+            let direct = cc_sv(&sub);
+            let (rounds, passes, _) = sv_band_counts(&g, start, n);
             assert_eq!((rounds, passes), (direct.rounds, direct.doubling_passes));
             let closed =
                 sv_stats_closed_form(sub.n(), sub.arcs() as u64, sub.size_bytes(), rounds, passes);
@@ -577,7 +490,7 @@ mod tests {
             (580, 600),
         ] {
             let (sub, _) = g.vertex_interval_subgraph(lo, hi);
-            let direct = cc_sv(&sub, 1);
+            let direct = cc_sv(&sub);
             let (rounds, passes, arcs) = sv_band_counts(&g, lo, hi);
             assert_eq!(
                 (rounds, passes),
@@ -593,11 +506,11 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let empty = Graph::from_edges(0, &[]);
-        let out = cc_sv(&empty, 4);
+        let out = cc_sv(&empty);
         assert!(out.labels.is_empty());
         assert_eq!(out.rounds, 0);
         let single = Graph::from_edges(1, &[]);
-        let out = cc_sv(&single, 4);
+        let out = cc_sv(&single);
         assert_eq!(out.labels, vec![0]);
     }
 }

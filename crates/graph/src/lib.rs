@@ -12,7 +12,7 @@
 //! let g = gen::web(2_000, 6, 42);
 //! let platform = Platform::k40c_xeon_e5_2650();
 //! // 15% of vertices to the CPU, rest to the (simulated) GPU:
-//! let out = cc::hybrid_cc(&g, 15.0, &platform, 2);
+//! let out = cc::hybrid_cc(&g, 15.0, &platform);
 //! assert!(out.components >= 1);
 //! assert!(out.report.total().as_secs() > 0.0);
 //! ```

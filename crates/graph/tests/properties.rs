@@ -19,7 +19,7 @@ proptest! {
 
     #[test]
     fn sv_matches_union_find(g in arb_graph(60, 150)) {
-        let sv = normalize_labels(&cc_sv(&g, 1).labels);
+        let sv = normalize_labels(&cc_sv(&g).labels);
         let uf = normalize_labels(&cc_union_find(&g));
         prop_assert_eq!(sv, uf);
     }
@@ -41,7 +41,7 @@ proptest! {
     #[test]
     fn hybrid_is_threshold_invariant(g in arb_graph(50, 120), t in 0u8..=100) {
         let platform = Platform::k40c_xeon_e5_2650();
-        let out = hybrid_cc(&g, f64::from(t), &platform, 2);
+        let out = hybrid_cc(&g, f64::from(t), &platform);
         let oracle = normalize_labels(&cc_union_find(&g));
         prop_assert_eq!(out.labels, oracle);
         prop_assert_eq!(out.components, count_components(&cc_union_find(&g)));
@@ -80,7 +80,7 @@ proptest! {
 
     #[test]
     fn sv_round_count_is_at_most_log_bound(g in arb_graph(64, 200)) {
-        let out = cc_sv(&g, 1);
+        let out = cc_sv(&g);
         // Full per-round compression: rounds are O(log n) + constant.
         let bound = (g.n() as f64).log2().ceil() as u32 + 3;
         prop_assert!(out.rounds <= bound, "rounds {} > bound {}", out.rounds, bound);

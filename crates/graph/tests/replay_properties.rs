@@ -124,7 +124,7 @@ fn band(n: usize, kind: u8, a: u64, b: u64) -> (usize, usize) {
 
 fn assert_sv_replay(g: &Graph, lo: usize, hi: usize) {
     let (sub, _) = g.vertex_interval_subgraph(lo, hi);
-    let direct = cc_sv(&sub, 1);
+    let direct = cc_sv(&sub);
     let (rounds, passes, arcs) = sv_band_counts(g, lo, hi);
     assert_eq!(
         (rounds, passes, arcs),
@@ -329,7 +329,7 @@ fn round_one_depth_hits_every_pass_step() {
     for &depth in &depths {
         let len = depth + 1;
         let (sub, _) = g.vertex_interval_subgraph(0, len);
-        let direct = cc_sv(&sub, 1);
+        let direct = cc_sv(&sub);
         let round_one = if depth <= 1 {
             1
         } else {

@@ -4,17 +4,24 @@
 //! one contract: **parallelism changes wall-clock time, never results**.
 //! Every API here is an *ordered reduction* — outputs are combined in
 //! submission order regardless of which worker computed what, so callers
-//! (threshold searches, kernels, experiment sweeps) produce byte-identical
-//! results for any thread count.
+//! (corpus runs, sensitivity sweeps, repeated estimates) produce
+//! byte-identical results for any thread count.
+//!
+//! ## Grain
+//!
+//! The pool maps whole jobs: a dataset of a corpus, a factor of a sweep, a
+//! repeat of an estimate. A job's threshold search and kernels run on the
+//! thread that runs the job, so nothing below the job grain is handed to a
+//! worker (DESIGN.md "Parallel execution & the determinism contract" has
+//! the measurements behind that choice).
 //!
 //! ## Scheduling
 //!
 //! Workers claim the next unclaimed index from one shared atomic counter
-//! until it passes the end. Every job is coarse (a candidate run, a row
-//! band, a chunk), so one `fetch_add` per job is negligible, and a worker
-//! that draws cheap jobs simply claims more of them: irregular per-item
-//! costs (skewed SpGEMM rows, mixed-cost candidate evaluations) balance
-//! without any cost model.
+//! until it passes the end. Every job is coarse, so one `fetch_add` per job
+//! is negligible, and a worker that draws cheap jobs simply claims more of
+//! them: irregular per-job costs (a corpus mixing small and large inputs)
+//! balance without any cost model.
 //!
 //! ## Determinism
 //!
@@ -33,7 +40,8 @@
 //! [`Pool::global`] is shared, lazily built, and sized by the
 //! `NBWP_THREADS` environment variable (falling back to
 //! `std::thread::available_parallelism`). Explicit sizes are available via
-//! [`Pool::new`] for benchmarks that sweep thread counts in one process.
+//! [`Pool::new`] for tests and benchmarks that compare pool sizes in one
+//! process.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -173,9 +181,9 @@ impl Pool {
     }
 
     /// Splits `0..n` into about `parts` contiguous ranges and maps them in
-    /// parallel, returning the per-range results in range order. Useful for
-    /// block kernels: finer `parts` than workers lets the claim counter
-    /// re-balance irregular block costs.
+    /// parallel, returning the per-range results in range order. Finer
+    /// `parts` than workers lets the claim counter re-balance irregular
+    /// range costs.
     pub fn map_chunks<R, F>(&self, n: usize, parts: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -189,28 +197,6 @@ impl Pool {
             .collect();
         self.map(&ranges, |r| f(r.clone()))
     }
-
-    /// Runs two closures concurrently (when the pool has spare workers) and
-    /// returns both results, always `(a, b)` in argument order.
-    pub fn join<RA, RB, FA, FB>(&self, fa: FA, fb: FB) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        FA: FnOnce() -> RA + Send,
-        FB: FnOnce() -> RB + Send,
-    {
-        if self.threads <= 1 || IN_WORKER.with(Cell::get) {
-            return (fa(), fb());
-        }
-        std::thread::scope(|scope| {
-            let hb = scope.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                fb()
-            });
-            let ra = fa();
-            (ra, hb.join().expect("pool worker panicked"))
-        })
-    }
 }
 
 impl Default for Pool {
@@ -221,8 +207,8 @@ impl Default for Pool {
 
 /// A fixed set of per-worker resource slots with lock-free-ish checkout.
 ///
-/// Long-lived reusable resources (profile scratch arenas, kernel
-/// workspaces) want to follow workers, not allocations: each concurrent
+/// Long-lived reusable resources (profile scratch arenas) want to follow
+/// workers, not allocations: each concurrent
 /// builder should grab *a* warm instance, use it exclusively, and return
 /// it. `SlotPool` holds `slots` independent `Mutex<Option<T>>` cells;
 /// [`take`](SlotPool::take) scans with `try_lock` so a contended or
@@ -385,15 +371,6 @@ mod tests {
                 });
             let stitched: Vec<i64> = parts.into_iter().flatten().collect();
             assert_eq!(stitched, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn join_returns_in_argument_order() {
-        for threads in [1, 2] {
-            let pool = Pool::new(threads);
-            let (a, b) = pool.join(|| "left", || "right");
-            assert_eq!((a, b), ("left", "right"));
         }
     }
 

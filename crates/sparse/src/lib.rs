@@ -1,9 +1,9 @@
 //! # nbwp-sparse — sparse matrix substrate
 //!
 //! CSR/COO storage, the Gustavson row-row SpGEMM kernels of the paper's
-//! Algorithms 2 and 3 (sequential, parallel, and masked/HH variants with
-//! exact work accounting), load-vector work estimation, family-matched
-//! matrix generators, and the three samplers of the Sample step.
+//! Algorithms 2 and 3 (sequential and masked/HH variants with exact work
+//! accounting), load-vector work estimation, family-matched matrix
+//! generators, and the samplers of the Sample step.
 //!
 //! ```
 //! use nbwp_sparse::{gen, spgemm, ops};

@@ -1,19 +1,20 @@
 //! Input sampling — Step 1 ("Sample") of the paper's framework.
 //!
-//! Three samplers, matching the paper's three case studies:
+//! Five samplers, for the paper's case studies, its ablations, and the
+//! importance-sampling extension:
 //!
 //! * [`sample_submatrix`] — §IV.A(a): an `n/k × n/k` miniature with each
 //!   row's nonzero count scaled by `1/k` (`NNZ'_i = NNZ_i / K`); used for
-//!   unstructured spmm.
+//!   unstructured spmm ([`sample_submatrix_frac`] is its fractional form).
 //! * [`sample_rows_contract`] — §V.A.1: `s` uniformly chosen rows with
 //!   column indices contracted into `1..s`; preserves (bounded) row degrees
 //!   and the power-law shape; used for scale-free spmm.
-//! * [`sample_rows_sqrt_compress`] — the degree-compressing variant that
-//!   realizes the paper's empirically fitted `t = t'²` extrapolation: each
-//!   kept row of degree `d` is thinned to ≈ `√d` entries, so a density
-//!   threshold `t'` on the sample corresponds to `t'²` on the original.
+//! * [`sample_rows_importance`] — degree-weighted row sampling, the
+//!   extension the paper defers to future work.
 //! * [`predetermined_submatrix`] — the *non-random* contiguous block used
 //!   by the paper's Fig. 7 ablation ("Role of Randomness").
+//! * [`sample_induced`] — faithful induced sampling, kept to show why it
+//!   degenerates on sparse inputs.
 //!
 //! All samplers take an explicit RNG so experiments are seed-reproducible.
 
@@ -119,37 +120,6 @@ pub fn sample_rows_contract<R: Rng>(a: &Csr, s: usize, rng: &mut R) -> Csr {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             coo.push(new_i, contract(j, a.cols(), s) as usize, v);
-        }
-    }
-    coo.into_csr()
-}
-
-/// Degree-compressing row sampler: keeps `s` uniformly chosen rows, thinning
-/// a row of degree `d` to ≈ `⌈√d⌉` uniformly chosen entries before
-/// contracting columns into `0..s`.
-///
-/// Under this sampler a row is "high-density" on the sample (degree > t')
-/// iff its original degree exceeds ≈ `t'²`, which realizes the paper's
-/// offline best-fit extrapolation `t_A = t_s × t_s` exactly (§V.A.3). The
-/// `BestFit` extrapolator in `nbwp-core` recovers the square law from data.
-#[must_use]
-pub fn sample_rows_sqrt_compress<R: Rng>(a: &Csr, s: usize, rng: &mut R) -> Csr {
-    assert!(s > 0, "sample size must be positive");
-    let n = a.rows();
-    let s = s.min(n);
-    let picked = choose_sorted(n, s, rng);
-    let mut coo = Coo::new(s, s);
-    for (new_i, &i) in picked.iter().enumerate() {
-        let (cols, vals) = a.row(i);
-        let d = cols.len();
-        if d == 0 {
-            continue;
-        }
-        let keep = ((d as f64).sqrt().ceil() as usize).clamp(1, d);
-        // Floyd again: O(√d) entry selection instead of an O(d) scratch
-        // shuffle per row.
-        for pos in choose_sorted(d, keep, rng) {
-            coo.push(new_i, contract(cols[pos], a.cols(), s) as usize, vals[pos]);
         }
     }
     coo.into_csr()
@@ -293,20 +263,6 @@ mod tests {
         let a = gen::power_law(5000, 12, 2.0, 9);
         let s = sample_rows_contract(&a, 70, &mut rng(4));
         assert!(s.row_nnz_vector().iter().all(|&d| d <= 70));
-    }
-
-    #[test]
-    fn sqrt_compress_takes_root_of_degrees() {
-        // A matrix with known degrees: block_regular has constant degree.
-        let a = gen::block_regular(5000, 100, 11);
-        let d_orig = a.row_nnz(0) as f64; // ~100 (dedup may trim a couple)
-        let s = sample_rows_sqrt_compress(&a, 1000, &mut rng(5));
-        let mean = s.nnz() as f64 / s.rows() as f64;
-        let expect = d_orig.sqrt();
-        assert!(
-            (mean - expect).abs() < expect * 0.4,
-            "expected ≈{expect}, got {mean}"
-        );
     }
 
     #[test]

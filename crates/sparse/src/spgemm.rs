@@ -11,7 +11,6 @@
 //! during a physical run of any row range. `nbwp-core` exploits this to
 //! sweep thresholds in O(rows) instead of re-running the multiply.
 
-use nbwp_par::Pool;
 use nbwp_sim::{warp_padded_cost, KernelStats, PrefixCurve, ProfileScratch, WarpPadCurve};
 
 use crate::Csr;
@@ -472,39 +471,6 @@ impl RowCurves {
     }
 }
 
-/// Multiplies `A × B` using up to `threads` workers over row blocks,
-/// returning the full product. The result is identical to [`spgemm`]
-/// regardless of thread count (rows are independent; blocks are stitched
-/// in row order). Row blocks are dispatched through the worker pool at
-/// finer granularity than the worker count, so the skewed per-row
-/// costs of power-law matrices re-balance dynamically instead of stalling
-/// on one unlucky static chunk.
-#[must_use]
-pub fn spgemm_parallel(a: &Csr, b: &Csr, threads: usize) -> Csr {
-    assert!(threads > 0, "thread count must be positive");
-    assert_eq!(a.cols(), b.rows(), "incompatible shapes");
-    let n = a.rows();
-    if threads == 1 || n < 2 * threads {
-        return spgemm(a, b);
-    }
-    let pool = Pool::new(threads);
-    let parts = pool.map_chunks(n, threads * 8, |r| spgemm_range(a, b, r.start, r.end).0);
-    // Stitch the partial CSRs (concatenate rows in block order).
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
-    row_ptr.push(0);
-    for part in parts {
-        let base = col_idx.len();
-        col_idx.extend_from_slice(part.col_indices());
-        vals.extend_from_slice(part.values());
-        for r in 0..part.rows() {
-            row_ptr.push(base + part.row_ptr()[r + 1]);
-        }
-    }
-    Csr::from_raw(n, b.cols(), row_ptr, col_idx, vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,31 +774,5 @@ mod tests {
         let curves = RowCurves::new(&[], 64);
         assert_eq!(curves.rows(), 0);
         assert_eq!(curves.stats_range(0, 0), stats_for_rows(&[], 64));
-    }
-
-    #[test]
-    fn parallel_agrees_with_sequential() {
-        // A modest random-ish deterministic matrix via from_dense pattern.
-        let n = 64;
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if (i * 7 + j * 13) % 11 == 0 {
-                    data[i * n + j] = (i + j) as f64 / 10.0 + 1.0;
-                }
-            }
-        }
-        let a = Csr::from_dense(n, n, &data);
-        let seq = spgemm(&a, &a);
-        for threads in [1, 2, 3, 4, 8] {
-            let par = spgemm_parallel(&a, &a, threads);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_tiny_input_falls_back() {
-        let a = small_a();
-        assert_eq!(spgemm_parallel(&a, &a, 16), spgemm(&a, &a));
     }
 }

@@ -4,7 +4,7 @@
 
 use nbwp_sparse::masked::{masked_row_profile, spgemm_masked, DensitySplit, HhProducts};
 use nbwp_sparse::ops::{add, load_vector, prefix_sums, split_row_for_load, transpose};
-use nbwp_sparse::spgemm::{row_profile, spgemm, spgemm_parallel, spgemm_range};
+use nbwp_sparse::spgemm::{row_profile, spgemm, spgemm_range};
 use nbwp_sparse::{Coo, Csr};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -57,11 +57,6 @@ proptest! {
         let _ = seed;
         let c = spgemm(&a, &a);
         prop_assert!(close(&c.to_dense(), &dense_mul(&a, &a)));
-    }
-
-    #[test]
-    fn spgemm_parallel_equals_sequential(a in arb_csr(32, 120), threads in 1usize..6) {
-        prop_assert_eq!(spgemm_parallel(&a, &a, threads), spgemm(&a, &a));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use nbwp_core::prelude::*;
 use nbwp_datasets::Dataset;
-use nbwp_sparse::spgemm::{spgemm, spgemm_parallel};
+use nbwp_sparse::spgemm::spgemm;
 
 const SCALE: f64 = 0.004;
 const SEED: u64 = 42;
@@ -33,16 +33,6 @@ fn analytic_and_numeric_reports_agree_exactly() {
     for r in [0.0, 20.0, 50.0, 80.0, 100.0] {
         let (_, numeric) = w.run_numeric(r);
         assert_eq!(numeric, w.run(r), "split {r}");
-    }
-}
-
-#[test]
-fn parallel_kernel_agrees_with_sequential_on_dataset_matrices() {
-    let d = Dataset::by_name("pdb1HYS").unwrap();
-    let a = d.matrix(SCALE, SEED);
-    let seq = spgemm(&a, &a);
-    for threads in [2, 4, 8] {
-        assert_eq!(spgemm_parallel(&a, &a, threads), seq, "threads {threads}");
     }
 }
 

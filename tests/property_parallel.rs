@@ -1,16 +1,15 @@
-//! Parallel/serial equivalence properties for the `nbwp-par` execution
-//! layer: every search strategy, the three hot kernels, and the trace
-//! exports must produce *identical* simulated results for any worker count.
-//! Wall-clock is the only thing parallelism is allowed to change.
+//! Pool-invariance properties for the `nbwp-par` execution layer: every
+//! search strategy and the trace exports must produce *identical* simulated
+//! results for any worker count, and a search prices every candidate on
+//! the calling thread whatever pool it is given. Threads pay at the job
+//! grain only (corpus datasets, sweep factors, estimate repeats).
+
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use nbwp_core::prelude::*;
 use nbwp_core::search::Strategy as SearchStrategy;
-use nbwp_dense::gemm::{gemm, gemm_parallel};
-use nbwp_dense::DenseMatrix;
-use nbwp_graph::cc::cc_sv;
-use nbwp_graph::gen as graph_gen;
 use nbwp_sparse::gen as sparse_gen;
-use nbwp_sparse::spgemm::{spgemm, spgemm_parallel};
 use nbwp_trace::{chrome_trace, jsonl};
 use proptest::prelude::*;
 
@@ -83,17 +82,53 @@ fn estimate_traces_are_byte_identical_across_pools() {
     assert_eq!(jsonl1, jsonl4, "JSONL trace must be byte-identical");
 }
 
+/// Records the thread of every candidate run of the wrapped workload.
+struct ThreadLog<W> {
+    inner: W,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl<W: PartitionedWorkload> PartitionedWorkload for ThreadLog<W> {
+    fn run(&self, t: f64) -> nbwp_sim::RunReport {
+        self.threads
+            .lock()
+            .expect("no run panics")
+            .push(std::thread::current().id());
+        self.inner.run(t)
+    }
+    fn space(&self) -> ThresholdSpace {
+        self.inner.space()
+    }
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn platform(&self) -> &Platform {
+        self.inner.platform()
+    }
+}
+
 #[test]
-fn cc_labelings_are_thread_count_invariant_above_the_parallel_threshold() {
-    // Large enough that cc_sv actually engages the pool (1 << 18 vertices).
-    let g = graph_gen::web(280_000, 4, 3);
-    let a = cc_sv(&g, 1);
-    for threads in [2, 4, 8] {
-        let b = cc_sv(&g, threads);
-        assert_eq!(a.labels, b.labels, "{threads} threads");
-        assert_eq!(a.rounds, b.rounds, "{threads} threads");
-        assert_eq!(a.doubling_passes, b.doubling_passes, "{threads} threads");
-        assert_eq!(a.stats, b.stats, "{threads} threads");
+fn every_strategy_prices_its_candidates_on_the_calling_thread() {
+    let pool = Pool::new(4);
+    let caller = std::thread::current().id();
+    for s in [
+        SearchStrategy::Exhaustive { step: Some(1.0) },
+        SearchStrategy::CoarseToFine,
+        SearchStrategy::RaceThenFine,
+        SearchStrategy::GradientDescent { max_evals: 20 },
+    ] {
+        let w = ThreadLog {
+            inner: spmm_workload(1_000, 5),
+            threads: Mutex::new(Vec::new()),
+        };
+        let out = Searcher::new(s).pool(&pool).run(&w);
+        let threads = w.threads.into_inner().expect("no run panics");
+        assert!(threads.len() >= out.evaluations(), "{}", s.name());
+        assert!(
+            threads.iter().all(|&id| id == caller),
+            "{}: a candidate ran off the calling thread",
+            s.name()
+        );
     }
 }
 
@@ -160,31 +195,5 @@ proptest! {
         let serial = digest(&base.pool(&p1).run(&w));
         let pooled = digest(&base.pool(&pn).run(&w));
         prop_assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn spgemm_parity_on_random_matrices(
-        n in 1usize..200,
-        avg in 1usize..10,
-        seed in 0u64..1_000,
-        threads in 2usize..9,
-    ) {
-        let a = sparse_gen::power_law(n, avg, 2.5, seed);
-        prop_assert!(spgemm_parallel(&a, &a, threads) == spgemm(&a, &a));
-    }
-
-    #[test]
-    fn gemm_parity_is_bitwise(
-        n in 1usize..96,
-        seed in 0u64..1_000,
-        threads in 2usize..9,
-    ) {
-        let a = DenseMatrix::random(n, n, seed);
-        let b = DenseMatrix::random(n, n, seed.wrapping_add(1));
-        let serial = gemm(&a, &b);
-        let pooled = gemm_parallel(&a, &b, threads);
-        for (x, y) in serial.data().iter().zip(pooled.data()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }
